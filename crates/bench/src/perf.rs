@@ -9,7 +9,9 @@
 //!
 //! - `BENCH_scan.json` — end-to-end wall time of the full pipeline run,
 //!   plus the whole-history lifecycle replay (`scan/history_replay`, the
-//!   `vcheck history` path over a generated multi-commit workload);
+//!   `vcheck history` path over a generated multi-commit workload) and the
+//!   `history.json` loader (`vcs/history_load`: parse plus blame replay of
+//!   the mysql profile's history);
 //! - `BENCH_stages.json` — per-stage self-time breakdown (detect,
 //!   authorship, prune, rank) extracted from the span profiler
 //!   ([`vc_obs::profile`]), so a regression names the stage that caused it.
@@ -48,6 +50,7 @@ use valuecheck::{
 };
 use vc_ir::Program;
 use vc_obs::{FoldedProfile, Json, ObsSession};
+use vc_vcs::HistorySpec;
 use vc_workload::{generate, generate_life, AppProfile, LifeProfile};
 
 /// Injected extra latency per timed region, milliseconds. Test-only hook
@@ -158,6 +161,10 @@ pub fn run_perf(config: &PerfConfig) -> (PerfReport, PerfReport) {
         drift_lines: 6,
     });
 
+    // The loader workload behind `vcs/history_load`: the mysql profile's
+    // history as `genapp` writes it to `history.json`.
+    let history_json = HistorySpec::from_repo(&apps[2].0.repo).to_json(); // Table 2 order: mysql
+
     // The warm-daemon workload behind `scan/serve_warm`: the nfs-ganesha
     // tree on disk, a warmed ServeEngine, and a one-file edit per run —
     // the editor-loop case the daemon exists for. The engine carries its
@@ -204,6 +211,7 @@ pub fn run_perf(config: &PerfConfig) -> (PerfReport, PerfReport) {
     let mut recovery: Vec<u64> = Vec::with_capacity(config.runs);
     let mut serve_warm: Vec<u64> = Vec::with_capacity(config.runs);
     let mut summary: Vec<u64> = Vec::with_capacity(config.runs);
+    let mut history_load: Vec<u64> = Vec::with_capacity(config.runs);
     let mut stages: Vec<Vec<u64>> = vec![Vec::with_capacity(config.runs); stage_names.len()];
     for run in 0..config.runs.max(1) {
         let mut stage_ns = [0u64; 4];
@@ -298,6 +306,16 @@ pub fn run_perf(config: &PerfConfig) -> (PerfReport, PerfReport) {
             }
         }
         summary.push(t4.elapsed().as_nanos() as u64);
+
+        // `history.json` text to a blame-ready repository, as `vcheck`
+        // loads a project with history.
+        let t5 = Instant::now();
+        injected_delay();
+        let repo = HistorySpec::from_json(&history_json)
+            .expect("perf history.json parses")
+            .into_repository();
+        std::hint::black_box(&repo);
+        history_load.push(t5.elapsed().as_nanos() as u64);
     }
     drop(engine);
     let _ = std::fs::remove_dir_all(&serve_dir);
@@ -324,6 +342,11 @@ pub fn run_perf(config: &PerfConfig) -> (PerfReport, PerfReport) {
             PerfCase {
                 name: "scan/serve_warm".to_string(),
                 median_ns: median(serve_warm),
+                runs: config.runs,
+            },
+            PerfCase {
+                name: "vcs/history_load".to_string(),
+                median_ns: median(history_load),
                 runs: config.runs,
             },
         ],

@@ -63,14 +63,11 @@ pub fn load_dir_or_empty(dir: &Path) -> io::Result<Project> {
         let spec = HistorySpec::from_json(&text).map_err(|e| {
             io::Error::new(io::ErrorKind::InvalidData, format!("history.json: {e}"))
         })?;
-        let repo = spec.build();
+        let repo = spec.into_repository();
         // The working tree must match the history head, or blame lines
         // would not line up with the parsed sources.
         for (path, content) in &sources {
-            let head = repo.file_content(path).map(|c| c + "\n");
-            if head.as_deref() != Some(content.as_str())
-                && head.as_deref() != Some(content.trim_end_matches('\n'))
-            {
+            if !repo.head_matches(path, content) {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
                     format!("history.json head does not match working tree for {path}"),
@@ -83,7 +80,7 @@ pub fn load_dir_or_empty(dir: &Path) -> io::Result<Project> {
             has_history: true,
         })
     } else {
-        let repo = HistorySpec::single_author(&sources).build();
+        let repo = HistorySpec::single_author(&sources).into_repository();
         Ok(Project {
             sources,
             repo,
@@ -133,12 +130,9 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn loads_tree_with_matching_history() {
-        let dir = tmpdir("hist");
-        let content = "int f(void) { return 1; }\n";
-        fs::write(dir.join("src/a.c"), content).unwrap();
-        let spec = vc_vcs::HistorySpec {
+    /// A one-commit history by alice writing `content` to `src/a.c`.
+    fn alice_writes(content: &str) -> vc_vcs::HistorySpec {
+        vc_vcs::HistorySpec {
             commits: vec![vc_vcs::spec::CommitSpec {
                 author: "alice".into(),
                 timestamp: 5,
@@ -148,8 +142,19 @@ mod tests {
                     content: content.into(),
                 }],
             }],
-        };
-        fs::write(dir.join("history.json"), spec.to_json_pretty()).unwrap();
+        }
+    }
+
+    #[test]
+    fn loads_tree_with_matching_history() {
+        let dir = tmpdir("hist");
+        let content = "int f(void) { return 1; }\n";
+        fs::write(dir.join("src/a.c"), content).unwrap();
+        fs::write(
+            dir.join("history.json"),
+            alice_writes(content).to_json_pretty(),
+        )
+        .unwrap();
         let p = load_dir(&dir).unwrap();
         assert!(p.has_history);
         assert_eq!(
@@ -158,6 +163,29 @@ mod tests {
                 .map(|a| p.repo.author(a).name.clone()),
             Some("alice".to_string())
         );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn head_check_accepts_one_optional_trailing_newline() {
+        let dir = tmpdir("eol");
+        let body = "int f(void) { return 1; }";
+        for (history, tree, ok) in [
+            (body.to_string(), body.to_string(), true),
+            (body.to_string(), format!("{body}\n"), true),
+            (format!("{body}\n"), body.to_string(), true),
+            (format!("{body}\n"), format!("{body}\n\n"), false),
+            (format!("{body}\n\n"), format!("{body}\n\n"), true),
+            (format!("{body}\n\n"), format!("{body}\n"), false),
+        ] {
+            fs::write(dir.join("src/a.c"), &tree).unwrap();
+            fs::write(dir.join("history.json"), alice_writes(&history).to_json()).unwrap();
+            assert_eq!(
+                load_dir(&dir).is_ok(),
+                ok,
+                "history {history:?} vs working tree {tree:?}"
+            );
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -183,17 +211,7 @@ mod tests {
     fn rejects_mismatched_history() {
         let dir = tmpdir("mismatch");
         fs::write(dir.join("src/a.c"), "int f(void) { return 2; }\n").unwrap();
-        let spec = vc_vcs::HistorySpec {
-            commits: vec![vc_vcs::spec::CommitSpec {
-                author: "alice".into(),
-                timestamp: 5,
-                message: "init".into(),
-                writes: vec![vc_vcs::spec::WriteSpec {
-                    path: "src/a.c".into(),
-                    content: "int f(void) { return 1; }\n".into(),
-                }],
-            }],
-        };
+        let spec = alice_writes("int f(void) { return 1; }\n");
         fs::write(dir.join("history.json"), spec.to_json()).unwrap();
         assert!(load_dir(&dir).is_err());
         fs::remove_dir_all(&dir).unwrap();

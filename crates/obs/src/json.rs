@@ -332,6 +332,21 @@ impl<'a> Parser<'a> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the unescaped run up to the next `"`, `\` or control
+            // byte in one piece. All three stoppers are ASCII, so the run
+            // ends on a character boundary.
+            let start = self.pos;
+            let run_len = self.bytes[start..]
+                .iter()
+                .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+                .unwrap_or(self.bytes.len() - start);
+            let run = &self.bytes[start..start + run_len];
+            let run = std::str::from_utf8(run).map_err(|e| ParseError {
+                at: start + e.valid_up_to(),
+                msg: "invalid UTF-8".to_string(),
+            })?;
+            out.push_str(run);
+            self.pos += run_len;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -376,22 +391,8 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                Some(c) if c < 0x20 => return Err(self.err("raw control character in string")),
-                Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so the
-                    // byte sequence is valid by construction).
-                    let rest = &self.bytes[self.pos..];
-                    let len = match rest[0] {
-                        b if b < 0x80 => 1,
-                        b if b >> 5 == 0b110 => 2,
-                        b if b >> 4 == 0b1110 => 3,
-                        _ => 4,
-                    };
-                    let s =
-                        std::str::from_utf8(&rest[..len]).map_err(|_| self.err("invalid UTF-8"))?;
-                    out.push_str(s);
-                    self.pos += len;
-                }
+                // The run above stopped here, so this is a control byte.
+                Some(_) => return Err(self.err("raw control character in string")),
             }
         }
     }
@@ -521,6 +522,74 @@ mod tests {
             Json::Str("💡".to_string())
         );
         assert!(parse("\"\\ud83d\"").is_err());
+    }
+
+    #[test]
+    fn runs_stop_and_resume_at_escapes() {
+        for (text, want) in [
+            (r#""abc\"def""#, "abc\"def"),
+            (r#""\"abc""#, "\"abc"),
+            (r#""abc\\""#, "abc\\"),
+            (r#""\n\t\\\/""#, "\n\t\\/"),
+            (r#""a\nb\rc\bd\fe""#, "a\nb\rc\u{8}d\u{c}e"),
+            (r#""x\u0041y""#, "xAy"),
+        ] {
+            assert_eq!(parse(text).unwrap(), Json::Str(want.to_string()), "{text}");
+        }
+    }
+
+    #[test]
+    fn multibyte_chars_at_run_boundaries() {
+        // 2-, 3- and 4-byte UTF-8 characters first and last in a run, and
+        // directly next to escapes on both sides.
+        for s in ["é", "€", "💡", "é€💡", "aé", "éa", "a💡", "💡a"] {
+            for text in [
+                format!("\"{s}\""),
+                format!("\"\\n{s}\""),
+                format!("\"{s}\\n\""),
+                format!("\"\\\"{s}\\\\\""),
+            ] {
+                let want = text[1..text.len() - 1]
+                    .replace("\\n", "\n")
+                    .replace("\\\"", "\"")
+                    .replace("\\\\", "\\");
+                assert_eq!(parse(&text).unwrap(), Json::Str(want), "{text}");
+            }
+        }
+    }
+
+    #[test]
+    fn surrogate_pairs_between_runs() {
+        assert_eq!(
+            parse(r#""ab\ud83d\udca1cd\ud83c\udf89""#).unwrap(),
+            Json::Str("ab💡cd🎉".to_string())
+        );
+        let err = parse(r#""ab\ud83d\u0041""#).unwrap_err();
+        assert_eq!(err.msg, "invalid low surrogate");
+        let err = parse(r#""ab\udca1""#).unwrap_err();
+        assert_eq!(err.msg, "invalid codepoint");
+        let err = parse(r#""ab\ud83dcd""#).unwrap_err();
+        assert_eq!(err.msg, "lone high surrogate");
+    }
+
+    #[test]
+    fn control_byte_deep_in_a_run_reports_its_offset() {
+        let text = format!("[1, \"{}\u{1}{}\"]", "é".repeat(5_000), "a".repeat(100));
+        let err = parse(&text).unwrap_err();
+        // `[1, "` is 5 bytes, each `é` is 2.
+        assert_eq!(err.at, 5 + 2 * 5_000);
+        assert_eq!(err.msg, "raw control character in string");
+        let err = parse(&format!("\"{}", "x".repeat(10_000))).unwrap_err();
+        assert_eq!((err.at, err.msg.as_str()), (10_001, "unterminated string"));
+    }
+
+    #[test]
+    fn multi_megabyte_string_round_trips() {
+        let chunk = "int f(void) { return \"é€💡\\t\"; }\n\tx = 1;\u{7}\r\n";
+        let s = chunk.repeat(3 * 1024 * 1024 / chunk.len());
+        assert!(s.len() > 3_000_000);
+        let doc = Json::Obj(vec![("content".into(), Json::Str(s))]);
+        assert_eq!(parse(&doc.to_string()).unwrap(), doc);
     }
 
     #[test]

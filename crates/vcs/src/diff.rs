@@ -25,6 +25,19 @@ pub enum Edit {
 /// Middle sizes whose product exceeds this fall back to full replacement.
 const LCS_CELL_LIMIT: usize = 16_000_000;
 
+/// One hunk of a count-only edit script: the shared diff core behind
+/// [`diff_lines`] and the repository's blame replay, which moves kept lines
+/// instead of copying them.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Hunk {
+    /// The next `n` lines are unchanged.
+    Keep(usize),
+    /// The next `n` old lines are removed.
+    Delete(usize),
+    /// The next `n` new lines are inserted.
+    Insert(usize),
+}
+
 /// Computes a line edit script transforming `old` into `new`.
 ///
 /// The script is minimal whenever the changed region is below the DP cutoff
@@ -41,59 +54,67 @@ const LCS_CELL_LIMIT: usize = 16_000_000;
 /// assert_eq!(patch(&old, &script), new);
 /// ```
 pub fn diff_lines(old: &[String], new: &[String]) -> Vec<Edit> {
+    let mut j = 0;
+    diff_hunks(old, new)
+        .into_iter()
+        .map(|hunk| match hunk {
+            Hunk::Keep(n) => {
+                j += n;
+                Edit::Keep(n)
+            }
+            Hunk::Delete(n) => Edit::Delete(n),
+            Hunk::Insert(n) => {
+                j += n;
+                Edit::Insert(new[j - n..j].to_vec())
+            }
+        })
+        .collect()
+}
+
+/// The count-only edit script transforming `old` into `new`: common prefix
+/// and suffix trimmed, an exact LCS on the middle, adjacent same-kind hunks
+/// merged.
+pub(crate) fn diff_hunks<A: AsRef<str>, B: AsRef<str>>(old: &[A], new: &[B]) -> Vec<Hunk> {
+    let same = |i: usize, j: usize| old[i].as_ref() == new[j].as_ref();
+    let (n, m) = (old.len(), new.len());
     // Trim common prefix.
     let mut prefix = 0;
-    while prefix < old.len() && prefix < new.len() && old[prefix] == new[prefix] {
+    while prefix < n && prefix < m && same(prefix, prefix) {
         prefix += 1;
     }
     // Trim common suffix (not overlapping the prefix).
     let mut suffix = 0;
-    while suffix < old.len() - prefix
-        && suffix < new.len() - prefix
-        && old[old.len() - 1 - suffix] == new[new.len() - 1 - suffix]
-    {
+    while suffix < n - prefix && suffix < m - prefix && same(n - 1 - suffix, m - 1 - suffix) {
         suffix += 1;
     }
-    let mid_old = &old[prefix..old.len() - suffix];
-    let mid_new = &new[prefix..new.len() - suffix];
 
-    let mut edits = Vec::new();
-    if prefix > 0 {
-        edits.push(Edit::Keep(prefix));
-    }
-    append_middle(mid_old, mid_new, &mut edits);
-    if suffix > 0 {
-        edits.push(Edit::Keep(suffix));
-    }
-    coalesce(edits)
+    let mut hunks = Vec::new();
+    push(&mut hunks, Hunk::Keep(prefix));
+    append_middle(
+        &old[prefix..n - suffix],
+        &new[prefix..m - suffix],
+        &mut hunks,
+    );
+    push(&mut hunks, Hunk::Keep(suffix));
+    hunks
 }
 
-/// Diffs the changed middle region via LCS, appending hunks to `edits`.
-fn append_middle(old: &[String], new: &[String], edits: &mut Vec<Edit>) {
+/// Diffs the changed middle region via LCS, appending hunks to `hunks`.
+fn append_middle<A: AsRef<str>, B: AsRef<str>>(old: &[A], new: &[B], hunks: &mut Vec<Hunk>) {
     let (n, m) = (old.len(), new.len());
-    if n == 0 && m == 0 {
-        return;
-    }
-    if n == 0 {
-        edits.push(Edit::Insert(new.to_vec()));
-        return;
-    }
-    if m == 0 {
-        edits.push(Edit::Delete(n));
-        return;
-    }
-    if n.saturating_mul(m) > LCS_CELL_LIMIT {
-        edits.push(Edit::Delete(n));
-        edits.push(Edit::Insert(new.to_vec()));
+    if n == 0 || m == 0 || n.saturating_mul(m) > LCS_CELL_LIMIT {
+        push(hunks, Hunk::Delete(n));
+        push(hunks, Hunk::Insert(m));
         return;
     }
 
+    let same = |i: usize, j: usize| old[i].as_ref() == new[j].as_ref();
     // LCS length table; lcs[i][j] = LCS of old[i..], new[j..].
     let mut lcs = vec![0u32; (n + 1) * (m + 1)];
     let at = |i: usize, j: usize| i * (m + 1) + j;
     for i in (0..n).rev() {
         for j in (0..m).rev() {
-            lcs[at(i, j)] = if old[i] == new[j] {
+            lcs[at(i, j)] = if same(i, j) {
                 lcs[at(i + 1, j + 1)] + 1
             } else {
                 lcs[at(i + 1, j)].max(lcs[at(i, j + 1)])
@@ -103,60 +124,32 @@ fn append_middle(old: &[String], new: &[String], edits: &mut Vec<Edit>) {
     // Walk the table emitting hunks.
     let (mut i, mut j) = (0, 0);
     while i < n && j < m {
-        if old[i] == new[j] {
-            push_keep(edits, 1);
+        if same(i, j) {
+            push(hunks, Hunk::Keep(1));
             i += 1;
             j += 1;
         } else if lcs[at(i + 1, j)] >= lcs[at(i, j + 1)] {
-            push_delete(edits, 1);
+            push(hunks, Hunk::Delete(1));
             i += 1;
         } else {
-            push_insert(edits, new[j].clone());
+            push(hunks, Hunk::Insert(1));
             j += 1;
         }
     }
-    if i < n {
-        push_delete(edits, n - i);
-    }
-    while j < m {
-        push_insert(edits, new[j].clone());
-        j += 1;
-    }
+    push(hunks, Hunk::Delete(n - i));
+    push(hunks, Hunk::Insert(m - j));
 }
 
-fn push_keep(edits: &mut Vec<Edit>, n: usize) {
-    match edits.last_mut() {
-        Some(Edit::Keep(k)) => *k += n,
-        _ => edits.push(Edit::Keep(n)),
+/// Appends `hunk`, merging it into a same-kind predecessor; empty hunks are
+/// dropped.
+fn push(hunks: &mut Vec<Hunk>, hunk: Hunk) {
+    match (hunks.last_mut(), hunk) {
+        (_, Hunk::Keep(0) | Hunk::Delete(0) | Hunk::Insert(0)) => {}
+        (Some(Hunk::Keep(k)), Hunk::Keep(n))
+        | (Some(Hunk::Delete(k)), Hunk::Delete(n))
+        | (Some(Hunk::Insert(k)), Hunk::Insert(n)) => *k += n,
+        (_, hunk) => hunks.push(hunk),
     }
-}
-
-fn push_delete(edits: &mut Vec<Edit>, n: usize) {
-    match edits.last_mut() {
-        Some(Edit::Delete(k)) => *k += n,
-        _ => edits.push(Edit::Delete(n)),
-    }
-}
-
-fn push_insert(edits: &mut Vec<Edit>, line: String) {
-    match edits.last_mut() {
-        Some(Edit::Insert(lines)) => lines.push(line),
-        _ => edits.push(Edit::Insert(vec![line])),
-    }
-}
-
-/// Merges adjacent same-kind hunks (defensive; builders above already merge).
-fn coalesce(edits: Vec<Edit>) -> Vec<Edit> {
-    let mut out: Vec<Edit> = Vec::with_capacity(edits.len());
-    for e in edits {
-        match (out.last_mut(), e) {
-            (Some(Edit::Keep(a)), Edit::Keep(b)) => *a += b,
-            (Some(Edit::Delete(a)), Edit::Delete(b)) => *a += b,
-            (Some(Edit::Insert(a)), Edit::Insert(b)) => a.extend(b),
-            (_, e) => out.push(e),
-        }
-    }
-    out
 }
 
 /// Applies an edit script to `old`, producing the new line vector.

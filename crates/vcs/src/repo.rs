@@ -10,8 +10,8 @@
 use std::collections::HashMap;
 
 use crate::diff::{
-    diff_lines,
-    Edit, //
+    diff_hunks,
+    Hunk, //
 };
 
 /// Identifier of an author.
@@ -68,6 +68,12 @@ pub struct BlameEntry {
 struct LineRecord {
     text: String,
     blame: BlameEntry,
+}
+
+impl AsRef<str> for LineRecord {
+    fn as_ref(&self) -> &str {
+        &self.text
+    }
 }
 
 #[derive(Clone, Debug, Default)]
@@ -139,27 +145,29 @@ impl Repository {
         id
     }
 
+    /// Replays one write into the blame state: kept records move from the
+    /// old line vector to the new one; only inserted lines allocate.
     fn apply_write(&mut self, commit: CommitId, author: AuthorId, timestamp: i64, w: &FileWrite) {
-        let new_lines: Vec<String> = split_lines(&w.content);
+        let new_lines: Vec<&str> = split_lines(&w.content).collect();
         let state = self.files.entry(w.path.clone()).or_default();
-        let old_lines: Vec<String> = state.lines.iter().map(|l| l.text.clone()).collect();
-        let script = diff_lines(&old_lines, &new_lines);
+        let script = diff_hunks(&state.lines, &new_lines);
         let blame = BlameEntry {
             author,
             commit,
             timestamp,
         };
+        let mut old = std::mem::take(&mut state.lines).into_iter();
         let mut out = Vec::with_capacity(new_lines.len());
-        let mut pos = 0usize;
-        for edit in script {
-            match edit {
-                Edit::Keep(n) => {
-                    out.extend_from_slice(&state.lines[pos..pos + n]);
-                    pos += n;
-                }
-                Edit::Delete(n) => pos += n,
-                Edit::Insert(lines) => {
-                    out.extend(lines.into_iter().map(|text| LineRecord { text, blame }));
+        for hunk in script {
+            match hunk {
+                Hunk::Keep(n) => out.extend(old.by_ref().take(n)),
+                Hunk::Delete(n) => old.by_ref().take(n).for_each(drop),
+                Hunk::Insert(n) => {
+                    let from = out.len();
+                    out.extend(new_lines[from..from + n].iter().map(|text| LineRecord {
+                        text: text.to_string(),
+                        blame,
+                    }));
                 }
             }
         }
@@ -177,6 +185,19 @@ impl Repository {
                 out.push_str(&l.text);
             }
             out
+        })
+    }
+
+    /// Whether `content` is the current content of `path`, line by line.
+    /// One trailing newline is optional; an extra trailing blank line is a
+    /// difference. Compares in place, without building the file's text.
+    pub fn head_matches(&self, path: &str, content: &str) -> bool {
+        self.files.get(path).is_some_and(|s| {
+            let mut lines = split_lines(content);
+            s.lines
+                .iter()
+                .all(|l| lines.next() == Some(l.text.as_str()))
+                && lines.next().is_none()
         })
     }
 
@@ -271,12 +292,8 @@ impl Repository {
 
 /// Splits file content into lines; a trailing newline does not create an
 /// empty final line (matching `git`'s line accounting).
-fn split_lines(content: &str) -> Vec<String> {
-    if content.is_empty() {
-        return Vec::new();
-    }
-    let trimmed = content.strip_suffix('\n').unwrap_or(content);
-    trimmed.split('\n').map(str::to_string).collect()
+fn split_lines(content: &str) -> std::str::SplitTerminator<'_, char> {
+    content.split_terminator('\n')
 }
 
 #[cfg(test)]

@@ -42,23 +42,30 @@ pub struct HistorySpec {
 }
 
 impl HistorySpec {
-    /// Materializes the spec as a repository.
+    /// Materializes the spec as a repository. Clones the spec; a caller
+    /// that owns it should use [`HistorySpec::into_repository`].
     pub fn build(&self) -> Repository {
+        self.clone().into_repository()
+    }
+
+    /// Materializes the spec as a repository, moving every path, message
+    /// and content into its commit instead of copying it.
+    pub fn into_repository(self) -> Repository {
         let mut repo = Repository::new();
         let mut ids = std::collections::HashMap::new();
-        for c in &self.commits {
+        for c in self.commits {
             let author = *ids
-                .entry(c.author.clone())
-                .or_insert_with(|| repo.add_author(c.author.clone()));
+                .entry(c.author)
+                .or_insert_with_key(|name| repo.add_author(name.clone()));
             repo.commit(
                 author,
                 c.timestamp,
-                c.message.clone(),
+                c.message,
                 c.writes
-                    .iter()
+                    .into_iter()
                     .map(|w| FileWrite {
-                        path: w.path.clone(),
-                        content: w.content.clone(),
+                        path: w.path,
+                        content: w.content,
                     })
                     .collect(),
             );
@@ -145,37 +152,25 @@ impl HistorySpec {
         self.json_value().to_string_pretty()
     }
 
-    /// Parses `history.json` text.
+    /// Parses `history.json` text. Every string is moved out of the parsed
+    /// tree, so each byte of content is copied once, by the parser.
     pub fn from_json(text: &str) -> Result<HistorySpec, String> {
-        let doc = json::parse(text).map_err(|e| e.to_string())?;
-        let commits = doc
-            .get("commits")
-            .and_then(Json::as_arr)
-            .ok_or("history spec: missing \"commits\" array")?;
-        let mut out = HistorySpec::default();
-        for (i, c) in commits.iter().enumerate() {
-            let field = |name: &str| {
-                c.get(name)
-                    .ok_or_else(|| format!("commit #{i}: missing \"{name}\""))
+        let mut doc = json::parse(text).map_err(|e| e.to_string())?;
+        let Some(Json::Arr(commits)) = take(&mut doc, "commits") else {
+            return Err("history spec: missing \"commits\" array".to_string());
+        };
+        let mut out = HistorySpec {
+            commits: Vec::with_capacity(commits.len()),
+        };
+        for (i, mut c) in commits.into_iter().enumerate() {
+            let Json::Arr(ws) = field(&mut c, i, "writes")? else {
+                return Err(format!("commit #{i}: \"writes\" must be an array"));
             };
-            let str_field = |name: &str| {
-                field(name)?
-                    .as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| format!("commit #{i}: \"{name}\" must be a string"))
-            };
-            let mut writes = Vec::new();
-            for (j, w) in field("writes")?
-                .as_arr()
-                .ok_or_else(|| format!("commit #{i}: \"writes\" must be an array"))?
-                .iter()
-                .enumerate()
-            {
-                let wstr = |name: &str| {
-                    w.get(name)
-                        .and_then(Json::as_str)
-                        .map(str::to_string)
-                        .ok_or_else(|| format!("commit #{i} write #{j}: bad \"{name}\""))
+            let mut writes = Vec::with_capacity(ws.len());
+            for (j, mut w) in ws.into_iter().enumerate() {
+                let mut wstr = |name: &str| match take(&mut w, name) {
+                    Some(Json::Str(s)) => Ok(s),
+                    _ => Err(format!("commit #{i} write #{j}: bad \"{name}\"")),
                 };
                 writes.push(WriteSpec {
                     path: wstr("path")?,
@@ -183,15 +178,40 @@ impl HistorySpec {
                 });
             }
             out.commits.push(CommitSpec {
-                author: str_field("author")?,
-                timestamp: field("timestamp")?
+                author: str_field(&mut c, i, "author")?,
+                timestamp: field(&mut c, i, "timestamp")?
                     .as_i64()
                     .ok_or_else(|| format!("commit #{i}: \"timestamp\" must be an integer"))?,
-                message: str_field("message")?,
+                message: str_field(&mut c, i, "message")?,
                 writes,
             });
         }
         Ok(out)
+    }
+}
+
+/// Moves the member `key` out of an object (the first match, as
+/// [`Json::get`] finds it), leaving `null` in its place.
+fn take(obj: &mut Json, key: &str) -> Option<Json> {
+    match obj {
+        Json::Obj(pairs) => pairs
+            .iter_mut()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| std::mem::replace(v, Json::Null)),
+        _ => None,
+    }
+}
+
+/// Member `name` of commit `#i`.
+fn field(c: &mut Json, i: usize, name: &str) -> Result<Json, String> {
+    take(c, name).ok_or_else(|| format!("commit #{i}: missing \"{name}\""))
+}
+
+/// String member `name` of commit `#i`.
+fn str_field(c: &mut Json, i: usize, name: &str) -> Result<String, String> {
+    match field(c, i, name)? {
+        Json::Str(s) => Ok(s),
+        _ => Err(format!("commit #{i}: \"{name}\" must be a string")),
     }
 }
 

@@ -1,5 +1,5 @@
 //! Property tests for the VCS substrate: the diff/patch inverse law, blame
-//! coverage, and checkout consistency.
+//! coverage, checkout consistency, and the `history.json` loader.
 //!
 //! Each property runs as a deterministic loop over cases drawn from a
 //! seeded [`SplitMix64`]; a failing case prints its case number so it can
@@ -10,9 +10,14 @@ use vc_vcs::{
     diff::{
         churn,
         diff_lines,
-        patch, //
+        patch,
+        Edit, //
     },
-    FileWrite, Repository,
+    spec::{
+        CommitSpec,
+        WriteSpec, //
+    },
+    FileWrite, HistorySpec, Repository,
 };
 
 /// A random file as a vector of short lines over a tiny alphabet, so that
@@ -163,5 +168,230 @@ fn snapshot_matches_final_content() {
         let snap = repo.snapshot_at(last.unwrap());
         let expected = contents.last().unwrap().join("\n") + "\n";
         assert_eq!(snap.get("f"), Some(&expected), "case {case}");
+    }
+}
+
+/// The textbook line diff the shared count-based core replaced: prefix and
+/// suffix trimming, an exact LCS table on the middle, and a final pass that
+/// merges adjacent same-kind hunks. Kept as the reference `diff_lines` must
+/// agree with.
+fn reference_diff(old: &[String], new: &[String]) -> Vec<Edit> {
+    let mut prefix = 0;
+    while prefix < old.len() && prefix < new.len() && old[prefix] == new[prefix] {
+        prefix += 1;
+    }
+    let mut suffix = 0;
+    while suffix < old.len() - prefix
+        && suffix < new.len() - prefix
+        && old[old.len() - 1 - suffix] == new[new.len() - 1 - suffix]
+    {
+        suffix += 1;
+    }
+    let (o, n) = (
+        &old[prefix..old.len() - suffix],
+        &new[prefix..new.len() - suffix],
+    );
+    let mut edits = vec![Edit::Keep(prefix)];
+    let mut lcs = vec![vec![0u32; n.len() + 1]; o.len() + 1];
+    for i in (0..o.len()).rev() {
+        for j in (0..n.len()).rev() {
+            lcs[i][j] = if o[i] == n[j] {
+                lcs[i + 1][j + 1] + 1
+            } else {
+                lcs[i + 1][j].max(lcs[i][j + 1])
+            };
+        }
+    }
+    let (mut i, mut j) = (0, 0);
+    while i < o.len() && j < n.len() {
+        if o[i] == n[j] {
+            edits.push(Edit::Keep(1));
+            i += 1;
+            j += 1;
+        } else if lcs[i + 1][j] >= lcs[i][j + 1] {
+            edits.push(Edit::Delete(1));
+            i += 1;
+        } else {
+            edits.push(Edit::Insert(vec![n[j].clone()]));
+            j += 1;
+        }
+    }
+    edits.push(Edit::Delete(o.len() - i));
+    edits.push(Edit::Insert(n[j..].to_vec()));
+    edits.push(Edit::Keep(suffix));
+
+    let mut out: Vec<Edit> = Vec::new();
+    for e in edits {
+        match (out.last_mut(), e) {
+            (_, Edit::Keep(0) | Edit::Delete(0)) => {}
+            (_, Edit::Insert(lines)) if lines.is_empty() => {}
+            (Some(Edit::Keep(a)), Edit::Keep(b)) => *a += b,
+            (Some(Edit::Delete(a)), Edit::Delete(b)) => *a += b,
+            (Some(Edit::Insert(a)), Edit::Insert(b)) => a.extend(b),
+            (_, e) => out.push(e),
+        }
+    }
+    out
+}
+
+/// `diff_lines` patches `old` into `new` and returns the reference
+/// algorithm's script, hunk for hunk, along a seeded random history.
+#[test]
+fn diff_matches_reference_along_histories() {
+    let mut rng = SplitMix64::new(0xC7);
+    for case in 0..80 {
+        let revs = random_history(&mut rng, 2, 8);
+        for (k, pair) in revs.windows(2).enumerate() {
+            let (old, new) = (&pair[0], &pair[1]);
+            let script = diff_lines(old, new);
+            assert_eq!(patch(old, &script), *new, "case {case} rev {k}");
+            let reference = reference_diff(old, new);
+            assert_eq!(script.len(), reference.len(), "case {case} rev {k}");
+            assert_eq!(script, reference, "case {case} rev {k}");
+        }
+    }
+}
+
+/// A random multi-file, multi-author history spec. Contents end with or
+/// without a newline; messages and authors carry characters JSON escapes.
+fn random_spec(rng: &mut SplitMix64) -> HistorySpec {
+    const AUTHORS: &[&str] = &["alice", "bob \"b\"", "żółć 💡"];
+    const PATHS: &[&str] = &["a.c", "dir/b.c", "c.c"];
+    let commits = (0..rng.range_usize(1, 10))
+        .map(|i| CommitSpec {
+            author: rng.choice(AUTHORS).to_string(),
+            // Some timestamps go backwards: the repository clamps them.
+            timestamp: 1_000 + rng.range_usize(0, 50) as i64 * 10 - 200,
+            message: format!("rev {i}\n\tbody \\ {}", rng.choice(AUTHORS)),
+            writes: (0..rng.range_inclusive_usize(1, 3))
+                .map(|_| {
+                    let lines = random_lines(rng, 30);
+                    let eol = if rng.range_usize(0, 2) == 0 { "" } else { "\n" };
+                    WriteSpec {
+                        path: rng.choice(PATHS).to_string(),
+                        content: lines.join("\n") + eol,
+                    }
+                })
+                .collect(),
+        })
+        .collect();
+    HistorySpec { commits }
+}
+
+/// Loading a spec from its JSON by value gives the repository `build`
+/// gives by reference: same authors, commits, logs, contents and blame.
+#[test]
+fn json_load_by_value_matches_build() {
+    let mut rng = SplitMix64::new(0xC8);
+    for case in 0..60 {
+        let spec = random_spec(&mut rng);
+        let want = spec.build();
+        for text in [spec.to_json(), spec.to_json_pretty()] {
+            let got = HistorySpec::from_json(&text)
+                .unwrap_or_else(|e| panic!("case {case}: {e}"))
+                .into_repository();
+            assert_eq!(
+                HistorySpec::from_repo(&got),
+                HistorySpec::from_repo(&want),
+                "case {case}"
+            );
+            assert_eq!(got.author_count(), want.author_count(), "case {case}");
+            assert_eq!(got.paths(), want.paths(), "case {case}");
+            for path in want.paths() {
+                assert_eq!(got.log(path), want.log(path), "case {case} {path}");
+                assert_eq!(
+                    got.file_content(path),
+                    want.file_content(path),
+                    "case {case} {path}"
+                );
+                let lines = want.line_count(path) as u32;
+                assert_eq!(got.line_count(path), lines as usize, "case {case}");
+                for line in 0..=lines + 1 {
+                    assert_eq!(
+                        got.blame(path, line),
+                        want.blame(path, line),
+                        "case {case} {path}:{line}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Every shape error of `from_json` keeps its exact message.
+#[test]
+fn from_json_shape_errors_keep_their_messages() {
+    let w = r#"{"path":"a.c","content":"x"}"#;
+    let commit = |fields: &str| format!(r#"{{"commits":[{fields}]}}"#);
+    for (text, want) in [
+        ("{}".to_string(), r#"history spec: missing "commits" array"#),
+        (
+            r#"{"commits":{}}"#.to_string(),
+            r#"history spec: missing "commits" array"#,
+        ),
+        ("[]".to_string(), r#"history spec: missing "commits" array"#),
+        (commit("{}"), r#"commit #0: missing "writes""#),
+        (commit("1"), r#"commit #0: missing "writes""#),
+        (
+            commit(r#"{"writes":{}}"#),
+            r#"commit #0: "writes" must be an array"#,
+        ),
+        (
+            commit(r#"{"writes":[{"content":"x"}]}"#),
+            r#"commit #0 write #0: bad "path""#,
+        ),
+        (
+            commit(&format!(
+                r#"{{"writes":[{w},{{"path":"b.c","content":7}}]}}"#
+            )),
+            r#"commit #0 write #1: bad "content""#,
+        ),
+        (
+            commit(r#"{"writes":["a.c"]}"#),
+            r#"commit #0 write #0: bad "path""#,
+        ),
+        (
+            commit(&format!(r#"{{"writes":[{w}]}}"#)),
+            r#"commit #0: missing "author""#,
+        ),
+        (
+            commit(&format!(r#"{{"writes":[{w}],"author":1}}"#)),
+            r#"commit #0: "author" must be a string"#,
+        ),
+        (
+            commit(&format!(r#"{{"writes":[{w}],"author":"a"}}"#)),
+            r#"commit #0: missing "timestamp""#,
+        ),
+        (
+            commit(&format!(
+                r#"{{"writes":[{w}],"author":"a","timestamp":1.5}}"#
+            )),
+            r#"commit #0: "timestamp" must be an integer"#,
+        ),
+        (
+            commit(&format!(r#"{{"writes":[{w}],"author":"a","timestamp":1}}"#)),
+            r#"commit #0: missing "message""#,
+        ),
+        (
+            commit(concat!(
+                r#"{"writes":[],"author":"a","timestamp":1,"message":"m"},"#,
+                r#"{"writes":[],"author":"a","timestamp":1,"message":null}"#
+            )),
+            r#"commit #1: "message" must be a string"#,
+        ),
+        (
+            "not json".to_string(),
+            "JSON error at byte 0: expected `null`",
+        ),
+        (
+            r#"{"commits":["#.to_string(),
+            "JSON error at byte 12: expected a JSON value",
+        ),
+    ] {
+        assert_eq!(
+            HistorySpec::from_json(&text),
+            Err(want.to_string()),
+            "{text}"
+        );
     }
 }

@@ -96,6 +96,14 @@ grep -q '"throughput_rps"' BENCH_serve.json
 grep -q '"serve/sustained_p99"' BENCH_serve.json
 tools/perfgate
 
+# repobench: the repository benchmark's own tests (repobench/tests) — the
+# oracle tamper tests (each workload's ground-truth check rejects a
+# tampered result) and the per-layer ledger, whose unattributed time is
+# recomputed from the Chrome trace. repobench is a package of its own
+# outside the workspace, so `cargo test --workspace` does not reach it.
+echo "==> cargo test --release --manifest-path repobench/Cargo.toml"
+cargo test --release --manifest-path repobench/Cargo.toml
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
