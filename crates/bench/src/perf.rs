@@ -49,7 +49,7 @@ use valuecheck::{
     suppress::SuppressStore,
 };
 use vc_ir::Program;
-use vc_obs::{FoldedProfile, Json, ObsSession};
+use vc_obs::{FoldedProfile, Json, ObsSession, MAIN_TID};
 use vc_vcs::HistorySpec;
 use vc_workload::{generate, generate_life, AppProfile, LifeProfile};
 
@@ -221,10 +221,13 @@ pub fn run_perf(config: &PerfConfig) -> (PerfReport, PerfReport) {
             let obs = ObsSession::new();
             let analysis = run_with_obs(prog, &app.repo, &opts, obs.clone());
             std::hint::black_box(&analysis);
-            // Per-stage self time from the folded profile. The sequential
-            // pipeline puts each stage on the main lane with no sub-spans,
-            // so self time here is the stage's full wall time.
-            let folded = FoldedProfile::from_records(&obs.tracer.records());
+            // Per-stage self time from the folded main lane, where the
+            // pipeline puts each stage with no sub-spans (self time is the
+            // stage's wall time). The one-per-function worker-lane spans
+            // are left out: folding them would time this harness.
+            let mut records = obs.tracer.records();
+            records.retain(|r| r.tid == MAIN_TID);
+            let folded = FoldedProfile::from_records(&records);
             for (i, stage) in stage_names.iter().enumerate() {
                 stage_ns[i] += folded
                     .top_self(usize::MAX)

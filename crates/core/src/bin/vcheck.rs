@@ -153,7 +153,6 @@ use valuecheck::{
     incremental::SnapshotStore,
     pipeline::{
         run_sentinel,
-        run_with_obs,
         Options, //
     },
     project::{load_dir, load_dir_or_empty},
@@ -989,57 +988,21 @@ fn scan_main(mut args: impl Iterator<Item = String>) -> ! {
         let _g = obs.install();
         parse_mem.finish();
     }
-    obs.registry.add(
-        vc_obs::names::HARDEN_PARSE_FAILURES,
-        parse_errors.len() as u64,
-    );
-    obs.registry
-        .add(vc_obs::names::RECOVER_LEX_ERRORS, recover_stats.lex_errors);
-    obs.registry.add(
-        vc_obs::names::RECOVER_PARSE_ERRORS,
-        recover_stats.parse_errors,
-    );
-    obs.registry.add(
-        vc_obs::names::RECOVER_POISONED_STMTS,
-        recover_stats.poisoned_stmts,
-    );
-    obs.registry.add(
-        vc_obs::names::RECOVER_FUNCTIONS_DROPPED,
-        recover_stats.functions_dropped,
-    );
-    obs.registry.add(
-        vc_obs::names::RECOVER_FILES_DROPPED,
-        recover_stats.files_dropped,
-    );
 
     if sconf.resume && sconf.journal.is_none() {
         sconf.journal = Some(dir.join("scan.journal"));
     }
     sconf.fingerprint_salt = salt_strings(&defines);
 
-    // `--fail-fast` wants panics to propagate to the top of the process,
-    // which the sequential path does naturally; everything else runs under
-    // the supervised executor (output is identical either way).
-    let mut analysis = if fail_fast {
-        run_with_obs(&prog, &project.repo, &opts, obs.clone())
-    } else {
-        run_sentinel(&prog, &project.repo, &opts, &sconf, obs.clone())
-    };
+    // Every scan runs under the supervised executor. Under `--fail-fast`
+    // (isolation off) the first panic stops the workers and propagates out
+    // of `run_sentinel` to the top of the process.
+    let mut analysis = run_sentinel(&prog, &project.repo, &opts, &sconf, obs.clone());
     // Front-end failures go ahead of the analysis-stage ones, in input
-    // order: one splice instead of repeated `insert(0, ..)` (which is both
-    // quadratic and order-reversing).
-    let front_end_failures = parse_errors
-        .iter()
-        .map(|e| valuecheck::harden::FailureRecord {
-            stage: valuecheck::harden::FailStage::Parse,
-            file: e.file().to_string(),
-            function: e.function().map(str::to_string),
-            message: e.to_string(),
-        });
+    // order.
     analysis
         .report
-        .failures
-        .splice(0..0, front_end_failures.collect::<Vec<_>>());
+        .splice_parse_failures(&obs.registry, &parse_errors, &recover_stats);
     eprintln!(
         "vcheck: {} unused definitions, {} cross-scope, {} pruned, {} reported",
         analysis.raw_candidates,

@@ -49,6 +49,10 @@ use crate::{
         FailureRecord,
         HardenConfig, //
     },
+    sentinel::{
+        detect_program_sentinel,
+        SentinelConfig, //
+    },
 };
 
 /// Detector configuration.
@@ -71,22 +75,12 @@ impl Default for DetectConfig {
     }
 }
 
-/// Detects unused-definition candidates in one function. Builds a one-off
-/// summary and demand oracle; pipeline callers share them across functions
-/// instead (see [`detect_program_hardened`]).
-pub fn detect_function(prog: &Program, fid: FuncId) -> Vec<Candidate> {
-    let interner = SigInterner::new(prog);
-    let oracle = DemandPointer::new(prog, vc_pointer::Config::default(), true);
-    let summary = build_summary(prog.func(fid), interner.sig_of(fid), Budget::UNLIMITED);
-    detect_from_summary(prog.func(fid), fid, &summary, Some(&oracle))
-}
-
 /// One detection unit: build the function's summary under the liveness
 /// [`Budget`], then derive its candidates. When the fixpoint is cut short
 /// the candidates are still produced — from the partial facts — but marked
 /// [`Candidate::low_confidence`] (the degradation ladder's "keep, don't
 /// drop" tier).
-pub(crate) fn detect_unit(
+fn detect_unit(
     prog: &Program,
     fid: FuncId,
     sig: SigId,
@@ -99,12 +93,51 @@ pub(crate) fn detect_unit(
     (summary, cands)
 }
 
+/// The one detection unit runner, shared by the sentinel executor (and so
+/// by sequential detection, which is the executor at one job), the serve
+/// engine's cache misses, and incremental mode.
+///
+/// The `unit.<name>` span (on Chrome-trace lane `tid` of the installed
+/// session) and the worker allocation scope open *inside* the
+/// [`harden::isolated`] boundary: a panicking unit unwinds through their
+/// drop glue, so the span still flushes (tagged `panicked`) and the
+/// allocation window still closes. Then the `detect` failpoint fires and
+/// the unit runs under the liveness budget. `Err` carries the panic
+/// message; with isolation off the panic propagates.
+pub(crate) fn run_unit(
+    prog: &Program,
+    fid: FuncId,
+    oracle: Option<&DemandPointer>,
+    interner: &SigInterner,
+    hconf: HardenConfig,
+    tid: u32,
+) -> Result<(FnSummary, Vec<Candidate>), String> {
+    let f = prog.func(fid);
+    harden::isolated(hconf.isolate, || {
+        let _unit_span = match vc_obs::ObsSession::current() {
+            Some(obs) => obs
+                .tracer
+                .span_on(&["unit.", &f.name].concat(), "detect", tid),
+            None => vc_obs::Span::disabled(),
+        };
+        let _unit_mem = vc_obs::MemScope::enter(vc_obs::alloc::SCOPE_WORKER);
+        harden::failpoint(FailStage::Detect, &f.name);
+        detect_unit(
+            prog,
+            fid,
+            interner.sig_of(fid),
+            oracle,
+            hconf.liveness_budget,
+        )
+    })
+}
+
 /// Derives candidates from an already-built summary: each dead store
 /// becomes one candidate, classified into the paper's scenarios. The
 /// summary's dead list is in the detector's historical discovery order
 /// (blocks ascending, instructions descending), so the final sort produces
 /// byte-identical reports.
-pub(crate) fn detect_from_summary(
+fn detect_from_summary(
     f: &Function,
     fid: FuncId,
     summary: &FnSummary,
@@ -206,6 +239,80 @@ pub struct DetectOutcome {
     pub liveness_degraded: usize,
 }
 
+/// One detection unit's result, as [`DetectOutcome::fold`] consumes it.
+#[derive(Debug)]
+pub(crate) enum UnitOutcome {
+    /// The unit completed, possibly on a cut-short liveness fixpoint.
+    Done {
+        /// Whether the liveness budget ran out.
+        exhausted: bool,
+        /// The unit's summary, handed to the prune stage. `None` for
+        /// journal-replayed units: summaries are not journaled, and the
+        /// prune stage rebuilds them on demand.
+        summary: Option<FnSummary>,
+        /// The unit's candidates.
+        candidates: Vec<Candidate>,
+    },
+    /// The unit was poisoned; the message says why (the panic payload, or
+    /// the executor's reason for giving up on it).
+    Poisoned(String),
+}
+
+impl From<Result<(FnSummary, Vec<Candidate>), String>> for UnitOutcome {
+    fn from(result: Result<(FnSummary, Vec<Candidate>), String>) -> UnitOutcome {
+        match result {
+            Ok((summary, candidates)) => UnitOutcome::Done {
+                exhausted: summary.exhausted,
+                summary: Some(summary),
+                candidates,
+            },
+            Err(message) => UnitOutcome::Poisoned(message),
+        }
+    }
+}
+
+impl DetectOutcome {
+    /// Folds one unit's result into the outcome. Every detection path
+    /// records its units here, and nowhere else: a completed unit counts
+    /// `harden.degraded.liveness` when its fixpoint was cut short and
+    /// contributes its summary and candidates; a poisoned unit counts
+    /// `harden.poisoned.detect` and contributes its [`detect_failure`].
+    pub(crate) fn fold(&mut self, prog: &Program, fid: FuncId, unit: UnitOutcome) {
+        match unit {
+            UnitOutcome::Done {
+                exhausted,
+                summary,
+                candidates,
+            } => {
+                if exhausted {
+                    self.liveness_degraded += 1;
+                    vc_obs::counter_inc(vc_obs::names::HARDEN_DEGRADED_LIVENESS);
+                }
+                if let Some(summary) = summary {
+                    self.summaries.insert(fid, summary);
+                }
+                self.candidates.extend(candidates);
+            }
+            UnitOutcome::Poisoned(message) => {
+                vc_obs::counter_inc(vc_obs::names::HARDEN_POISONED_DETECT);
+                self.failures.push(detect_failure(prog, fid, message));
+            }
+        }
+    }
+}
+
+/// The detect-stage failure record of a poisoned unit (also what the scan
+/// journal stores for it).
+pub(crate) fn detect_failure(prog: &Program, fid: FuncId, message: String) -> FailureRecord {
+    let f = prog.func(fid);
+    FailureRecord {
+        stage: FailStage::Detect,
+        file: prog.source.name(f.file).to_string(),
+        function: Some(f.name.clone()),
+        message,
+    }
+}
+
 /// Detects candidates across the whole program.
 ///
 /// Builds the demand pointer oracle once (when enabled) and shares it
@@ -228,22 +335,21 @@ pub fn detect_program(prog: &Program, config: DetectConfig) -> Vec<Candidate> {
 ///   counted as `harden.degraded.liveness`;
 /// - panic inside one function's detection → that function is poisoned
 ///   (`harden.poisoned.detect`), everything else proceeds.
+///
+/// This is the [`sentinel`](crate::sentinel) executor at one job and one
+/// attempt per unit: there is no separate sequential loop, so the two
+/// can never disagree.
 pub fn detect_program_hardened(
     prog: &Program,
     config: DetectConfig,
     hconf: HardenConfig,
 ) -> DetectOutcome {
-    let mut out = DetectOutcome::default();
-    let oracle = demand_oracle(prog, config, hconf);
-    let interner = SigInterner::new(prog);
-    detect_with(prog, oracle.as_ref(), &interner, hconf, &mut out);
-    finalize_pointer_stage(oracle.as_ref(), &mut out);
-    out
+    detect_program_sentinel(prog, config, hconf, &SentinelConfig::sequential())
 }
 
 /// Builds the demand pointer oracle (component partition only — no
-/// solving). Shared by the sequential detection loop above, the parallel
-/// [`sentinel`](crate::sentinel) executor, and the serve engine.
+/// solving). Shared by the [`sentinel`](crate::sentinel) executor, the
+/// serve engine, and incremental mode.
 pub(crate) fn demand_oracle(
     prog: &Program,
     config: DetectConfig,
@@ -288,51 +394,6 @@ pub(crate) fn finalize_pointer_stage(oracle: Option<&DemandPointer>, out: &mut D
     } else if o.degraded() {
         out.pointer_degraded = true;
         vc_obs::counter_inc(vc_obs::names::HARDEN_DEGRADED_POINTER);
-    }
-}
-
-/// Per-function detection loop over a shared demand oracle, inserting each
-/// completed function's summary into `out.summaries` for the prune stage.
-fn detect_with(
-    prog: &Program,
-    oracle: Option<&DemandPointer>,
-    interner: &SigInterner,
-    hconf: HardenConfig,
-    out: &mut DetectOutcome,
-) {
-    vc_obs::counter_add(vc_obs::names::DETECT_FUNCTIONS, prog.funcs.len() as u64);
-    for fi in 0..prog.funcs.len() {
-        let fid = FuncId(fi as u32);
-        let f = prog.func(fid);
-        let detected = harden::isolated(hconf.isolate, || {
-            harden::failpoint(FailStage::Detect, &f.name);
-            detect_unit(
-                prog,
-                fid,
-                interner.sig_of(fid),
-                oracle,
-                hconf.liveness_budget,
-            )
-        });
-        match detected {
-            Ok((summary, cands)) => {
-                if summary.exhausted {
-                    out.liveness_degraded += 1;
-                    vc_obs::counter_inc(vc_obs::names::HARDEN_DEGRADED_LIVENESS);
-                }
-                out.summaries.insert(fid, summary);
-                out.candidates.extend(cands);
-            }
-            Err(message) => {
-                vc_obs::counter_inc(vc_obs::names::HARDEN_POISONED_DETECT);
-                out.failures.push(FailureRecord {
-                    stage: FailStage::Detect,
-                    file: prog.source.name(f.file).to_string(),
-                    function: Some(f.name.clone()),
-                    message,
-                });
-            }
-        }
     }
 }
 

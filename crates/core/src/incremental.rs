@@ -33,34 +33,35 @@ use std::{
     sync::Arc,
 };
 
-use vc_dataflow::summary::{
-    SigInterner,
-    Summaries, //
-};
+use vc_dataflow::summary::SigInterner;
 use vc_ir::{
     program::BuildError,
     FuncId,
     Program, //
 };
-use vc_obs::Budget;
-use vc_pointer::demand::DemandPointer;
+use vc_obs::ObsSession;
 use vc_vcs::{
     CommitId,
     Repository, //
 };
 
 use crate::{
-    authorship::AuthorshipCtx,
-    candidate::Candidate,
-    detect::detect_unit,
-    prune::{
-        prune,
-        PeerScope,
-        PeerStats,
-        PruneConfig, //
+    detect::{
+        demand_oracle,
+        finalize_pointer_stage,
+        run_unit,
+        DetectOutcome, //
     },
+    harden::FailureRecord,
+    pipeline::{
+        build_sources,
+        history_at,
+        run_detected,
+        sources_at,
+        Options, //
+    },
+    prune::PruneConfig,
     rank::{
-        rank,
         RankConfig,
         Ranked, //
     },
@@ -77,6 +78,10 @@ pub struct CommitFindings {
     pub analysed_functions: usize,
     /// Ranked findings within the changed functions.
     pub findings: Vec<Ranked>,
+    /// Units of work that failed and were isolated (a poisoned changed
+    /// function, a poisoned authorship lookup, a degraded prune or rank
+    /// stage), as in a batch scan's report.
+    pub failures: Vec<FailureRecord>,
 }
 
 /// Memoizes built [`Program`]s by snapshot content, for commit replays.
@@ -113,17 +118,14 @@ impl SnapshotCache {
         commit: CommitId,
         defines: &[String],
     ) -> Result<Arc<Program>, BuildError> {
-        let tree = repo.snapshot_at(commit);
-        let mut sources: Vec<(&str, &str)> =
-            tree.iter().map(|(p, c)| (p.as_str(), c.as_str())).collect();
-        sources.sort_by_key(|(p, _)| p.to_string());
-        let key = snapshot_key(&sources, defines);
+        let tree = sources_at(repo, commit);
+        let key = snapshot_key(&tree, defines);
         if let Some(prog) = self.programs.get(&key) {
             vc_obs::counter_inc(vc_obs::names::INCREMENTAL_CACHE_HITS);
             return Ok(prog.clone());
         }
         vc_obs::counter_inc(vc_obs::names::INCREMENTAL_CACHE_MISSES);
-        let prog = Arc::new(Program::build(&sources, defines)?);
+        let prog = Arc::new(build_sources(&tree, defines)?);
         self.programs.insert(key, prog.clone());
         Ok(prog)
     }
@@ -309,18 +311,8 @@ impl SnapshotStore {
     /// Replaces the stored run with `findings` for `commit`. The program is
     /// needed to resolve file names and compute drift-stable fingerprints.
     pub fn record(&mut self, prog: &vc_ir::Program, commit: CommitId, findings: &[Ranked]) {
-        self.commit = Some(commit);
-        self.findings = crate::delta::fingerprint_ranked(prog, findings)
-            .into_iter()
-            .map(|f| StoredFinding {
-                function: f.function,
-                variable: f.variable,
-                line: f.line,
-                file: f.file,
-                scenario: f.scenario,
-                fingerprint: f.fingerprint.0,
-            })
-            .collect();
+        let fingerprinted = crate::delta::fingerprint_ranked(prog, findings);
+        *self = SnapshotStore::from_findings(commit, &fingerprinted);
     }
 
     /// The stored fingerprints as a suppression set (`vcheck delta
@@ -361,11 +353,7 @@ pub fn analyze_commit_stored(
     rank_config: &RankConfig,
 ) -> Result<(CommitFindings, SnapshotStore), BuildError> {
     let previous = SnapshotStore::load(store_path);
-    let tree = repo.snapshot_at(commit);
-    let mut sources: Vec<(&str, &str)> =
-        tree.iter().map(|(p, c)| (p.as_str(), c.as_str())).collect();
-    sources.sort_by_key(|(p, _)| p.to_string());
-    let prog = Program::build(&sources, defines)?;
+    let prog = build_sources(&sources_at(repo, commit), defines)?;
     let findings = analyze_commit_in(&prog, repo, commit, prune_config, rank_config);
     let mut next = SnapshotStore::default();
     next.record(&prog, commit, &findings.findings);
@@ -386,24 +374,9 @@ pub(crate) fn content_hash(text: &str) -> u64 {
 }
 
 /// FNV-1a over the snapshot contents and defines.
-fn snapshot_key(sources: &[(&str, &str)], defines: &[String]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h ^= 0xFF; // Field separator, so ("ab","c") != ("a","bc").
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    };
-    for (p, c) in sources {
-        eat(p.as_bytes());
-        eat(c.as_bytes());
-    }
-    for d in defines {
-        eat(d.as_bytes());
-    }
-    h
+fn snapshot_key(sources: &[(String, String)], defines: &[String]) -> u64 {
+    let fields = sources.iter().flat_map(|(p, c)| [p, c]).chain(defines);
+    fields.fold(crate::FNV_SEED, |h, f| crate::fnv1a(h, f.as_bytes()))
 }
 
 /// [`analyze_commit`] with snapshot memoization: repeated trees (reverts,
@@ -439,11 +412,7 @@ pub fn analyze_commit(
     prune_config: &PruneConfig,
     rank_config: &RankConfig,
 ) -> Result<CommitFindings, BuildError> {
-    let tree = repo.snapshot_at(commit);
-    let mut sources: Vec<(&str, &str)> =
-        tree.iter().map(|(p, c)| (p.as_str(), c.as_str())).collect();
-    sources.sort_by_key(|(p, _)| p.to_string());
-    let prog = Program::build(&sources, defines)?;
+    let prog = build_sources(&sources_at(repo, commit), defines)?;
     Ok(analyze_commit_in(
         &prog,
         repo,
@@ -455,11 +424,17 @@ pub fn analyze_commit(
 
 /// The incremental fast path: analyses `commit` against a program already
 /// built for that snapshot (the equivalent of the paper's pre-compiled
-/// bitcode). Detection runs only for the changed files' functions, each
-/// producing its summary once; pointer facts are resolved on demand per
-/// indirect-call candidate; peer statistics are scoped (via
-/// redundant-summary elimination) to the callees and signatures the
-/// surviving candidates actually reference.
+/// bitcode). Detection runs `run_unit` only for the changed files'
+/// functions, each producing its summary once; pointer facts are resolved
+/// on demand per indirect-call candidate. The rest is a batch scan's back
+/// half, with authorship and ranking against the history as of `commit`;
+/// peer statistics are scoped (via redundant-summary elimination) to the
+/// callees and signatures the surviving candidates actually reference.
+///
+/// When `commit` is not `repo`'s head, that history is a replay of every
+/// commit up to `commit`. A caller analysing many historical commits
+/// should pass each one's checkout (`repo.checkout(commit)`), whose head
+/// it is, and pay the replay once per commit outside its hot loop.
 pub fn analyze_commit_in(
     prog: &Program,
     repo: &Repository,
@@ -479,55 +454,50 @@ pub fn analyze_commit_in(
         .filter(|f| changed.contains(&f.name))
         .map(|f| f.id)
         .collect();
+    let opts = Options {
+        prune: *prune_config,
+        rank: *rank_config,
+        ..Options::paper()
+    };
 
-    let interner = SigInterner::new(prog);
-    let oracle = DemandPointer::new(prog, vc_pointer::Config::default(), true);
-    let mut summaries = Summaries::default();
-    let mut candidates: Vec<Candidate> = Vec::new();
     let mut analysed = 0usize;
-    for (fi, f) in prog.funcs.iter().enumerate() {
-        if !changed_ids.contains(&f.file) {
-            continue;
+    let history = history_at(repo, commit);
+    let analysis = run_detected(prog, &history, &opts, ObsSession::current_or_new(), || {
+        let oracle = demand_oracle(prog, opts.detect, opts.harden);
+        let interner = SigInterner::new(prog);
+        let mut out = DetectOutcome::default();
+        for (fi, f) in prog.funcs.iter().enumerate() {
+            if !changed_ids.contains(&f.file) {
+                continue;
+            }
+            analysed += 1;
+            let fid = FuncId(fi as u32);
+            let result = run_unit(
+                prog,
+                fid,
+                oracle.as_ref(),
+                &interner,
+                opts.harden,
+                vc_obs::MAIN_TID,
+            );
+            out.fold(prog, fid, result.into());
         }
-        analysed += 1;
-        let fid = FuncId(fi as u32);
-        let (summary, cands) = detect_unit(
-            prog,
-            fid,
-            interner.sig_of(fid),
-            Some(&oracle),
-            Budget::UNLIMITED,
-        );
-        summaries.insert(fid, summary);
-        candidates.extend(cands);
-    }
+        vc_obs::counter_add(vc_obs::names::DETECT_FUNCTIONS, analysed as u64);
+        finalize_pointer_stage(oracle.as_ref(), &mut out);
+        out
+    });
 
     vc_obs::counter_inc(vc_obs::names::INCREMENTAL_COMMITS);
     vc_obs::counter_add(
         vc_obs::names::INCREMENTAL_FUNCTIONS_ANALYSED,
         analysed as u64,
     );
-
-    let ctx = AuthorshipCtx::new(prog, repo);
-    let attributed: Vec<_> = ctx
-        .attribute_all(&candidates)
-        .into_iter()
-        .filter(|a| a.cross_scope)
-        .collect();
-    // Peer statistics scoped to what the candidates actually reference:
-    // the §8.6 incremental fast path (summaries are only built for
-    // functions sharing a relevant callee or signature; everything else is
-    // eliminated before analysis).
-    let scope = PeerScope::from_items(&interner, &attributed);
-    let peers = PeerStats::compute_with(prog, interner, &mut summaries, Some(&scope));
-    let outcome = prune(prog, prune_config, &peers, &summaries, attributed);
-    let findings = rank(prog, repo, rank_config, outcome.kept);
-
     CommitFindings {
         commit,
         changed_files: changed.into_iter().collect(),
         analysed_functions: analysed,
-        findings,
+        findings: analysis.ranked,
+        failures: analysis.report.failures,
     }
 }
 
@@ -579,6 +549,56 @@ mod tests {
         assert_eq!(findings.analysed_functions, 1);
         assert_eq!(findings.findings.len(), 1);
         assert_eq!(findings.findings[0].item.candidate.var_name, "x");
+    }
+
+    #[test]
+    fn historical_commit_is_blamed_against_its_own_history() {
+        let mut repo = Repository::new();
+        let alice = repo.add_author("alice");
+        let bob = repo.add_author("bob");
+        repo.commit(
+            alice,
+            1,
+            "init",
+            vec![write("a.c", "void fa(void) {\nint x = 1;\nuse(x);\n}\n")],
+        );
+        let c = repo.commit(
+            bob,
+            2,
+            "overwrite x",
+            vec![write(
+                "a.c",
+                "void fa(void) {\nint x = 1;\nx = 2;\nuse(x);\n}\n",
+            )],
+        );
+        // Later alice re-touches bob's line: at head she owns it, so the
+        // overwrite is no longer cross-scope — but at `c` it was bob's.
+        repo.commit(
+            alice,
+            3,
+            "whitespace",
+            vec![write(
+                "a.c",
+                "void fa(void) {\nint x = 1;\nx = 2; \nuse(x);\n}\n",
+            )],
+        );
+        let analyse = |repo: &Repository| {
+            analyze_commit(
+                repo,
+                c,
+                &[],
+                &PruneConfig::default(),
+                &RankConfig::default(),
+            )
+            .unwrap()
+        };
+        let historical = analyse(&repo);
+        let checked_out = analyse(&repo.checkout(c));
+        assert_eq!(historical.findings.len(), 1);
+        assert_eq!(
+            format!("{:?}", historical.findings),
+            format!("{:?}", checked_out.findings)
+        );
     }
 
     #[test]

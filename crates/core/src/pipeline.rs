@@ -9,12 +9,18 @@
 //! per-run view over those spans, so timing semantics are unchanged from
 //! the old ad-hoc `Instant` pairs.
 
-use std::time::Duration;
+use std::{borrow::Cow, time::Duration};
 
 use vc_dataflow::summary::SigInterner;
-use vc_ir::Program;
+use vc_ir::{
+    program::BuildError,
+    Program, //
+};
 use vc_obs::ObsSession;
-use vc_vcs::Repository;
+use vc_vcs::{
+    CommitId,
+    Repository, //
+};
 
 use crate::{
     authorship::{
@@ -22,8 +28,8 @@ use crate::{
         AuthorshipCtx, //
     },
     detect::{
-        detect_program_hardened,
-        DetectConfig, //
+        DetectConfig,
+        DetectOutcome, //
     },
     harden::{
         self,
@@ -146,28 +152,21 @@ pub fn run(prog: &Program, repo: &Repository, opts: &Options) -> Analysis {
 /// Runs the full ValueCheck pipeline, recording spans and metrics into
 /// `obs`. The session is installed on the current thread for the duration
 /// of the run so instrumentation deep in the analysis crates reaches it.
+/// Detection is the [`sentinel`](crate::sentinel) executor at one job and
+/// one attempt per unit.
 pub fn run_with_obs(
     prog: &Program,
     repo: &Repository,
     opts: &Options,
     obs: ObsSession,
 ) -> Analysis {
-    let _guard = obs.install();
-    let run_span = obs.span("pipeline.run", "pipeline");
-
-    let detect_span = obs.span("stage.detect", "pipeline");
-    let detect_mem = vc_obs::MemScope::enter(vc_obs::alloc::SCOPE_DETECT);
-    let outcome = detect_program_hardened(prog, opts.detect, opts.harden);
-    detect_mem.finish();
-    let detect_time = detect_span.end();
-
-    run_stages(prog, repo, opts, obs, outcome, detect_time, run_span)
+    run_sentinel(prog, repo, opts, &SentinelConfig::sequential(), obs)
 }
 
 /// Runs the pipeline with the sentinel executor driving the detection
 /// stage: `sconf.jobs` supervised workers, optional journal durability, and
 /// `--resume` replay. Everything downstream of detection — and the report
-/// bytes — is identical to [`run_with_obs`].
+/// bytes — is independent of the worker count.
 pub fn run_sentinel(
     prog: &Program,
     repo: &Repository,
@@ -175,12 +174,27 @@ pub fn run_sentinel(
     sconf: &SentinelConfig,
     obs: ObsSession,
 ) -> Analysis {
+    run_detected(prog, repo, opts, obs, || {
+        detect_program_sentinel(prog, opts.detect, opts.harden, sconf)
+    })
+}
+
+/// One pipeline run around a detection pass: installs `obs`, opens the
+/// `pipeline.run` span, runs `detect` as `stage.detect`, then the shared
+/// back half ([`run_stages`]).
+pub(crate) fn run_detected(
+    prog: &Program,
+    repo: &Repository,
+    opts: &Options,
+    obs: ObsSession,
+    detect: impl FnOnce() -> DetectOutcome,
+) -> Analysis {
     let _guard = obs.install();
     let run_span = obs.span("pipeline.run", "pipeline");
 
     let detect_span = obs.span("stage.detect", "pipeline");
     let detect_mem = vc_obs::MemScope::enter(vc_obs::alloc::SCOPE_DETECT);
-    let outcome = detect_program_sentinel(prog, opts.detect, opts.harden, sconf);
+    let outcome = detect();
     detect_mem.finish();
     let detect_time = detect_span.end();
 
@@ -193,7 +207,7 @@ pub fn run_sentinel(
 #[derive(Clone, Debug)]
 pub struct RevisionAnalysis {
     /// The analysed commit.
-    pub commit: vc_vcs::CommitId,
+    pub commit: CommitId,
     /// The program built from the commit's snapshot (sources sorted by
     /// path, so unit order — and report bytes — are revision-determined).
     pub prog: Program,
@@ -207,19 +221,14 @@ pub struct RevisionAnalysis {
 /// would have seen it.
 pub fn run_at_commit(
     repo: &Repository,
-    commit: vc_vcs::CommitId,
+    commit: CommitId,
     defines: &[String],
     opts: &Options,
     sconf: &SentinelConfig,
     obs: ObsSession,
-) -> Result<RevisionAnalysis, vc_ir::program::BuildError> {
-    let tree = repo.snapshot_at(commit);
-    let mut sources: Vec<(&str, &str)> =
-        tree.iter().map(|(p, c)| (p.as_str(), c.as_str())).collect();
-    sources.sort_by_key(|(p, _)| p.to_string());
-    let prog = Program::build(&sources, defines)?;
-    let repo_at = repo.checkout(commit);
-    let analysis = run_sentinel(&prog, &repo_at, opts, sconf, obs);
+) -> Result<RevisionAnalysis, BuildError> {
+    let prog = build_sources(&sources_at(repo, commit), defines)?;
+    let analysis = run_sentinel(&prog, &history_at(repo, commit), opts, sconf, obs);
     Ok(RevisionAnalysis {
         commit,
         prog,
@@ -227,16 +236,45 @@ pub fn run_at_commit(
     })
 }
 
+/// A commit's snapshot as `(path, content)` pairs, sorted by path so unit
+/// order — and report bytes — are revision-determined. Pair it with
+/// [`history_at`] so a revision is blamed and ranked against its own history.
+pub(crate) fn sources_at(repo: &Repository, commit: CommitId) -> Vec<(String, String)> {
+    let mut tree: Vec<(String, String)> = repo.snapshot_at(commit).into_iter().collect();
+    tree.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    tree
+}
+
+/// The history truncated at `commit`, exactly as a checkout at that point
+/// would see it: `repo` itself when `commit` is its head, otherwise a
+/// replay of every commit up to `commit`.
+pub(crate) fn history_at(repo: &Repository, commit: CommitId) -> Cow<'_, Repository> {
+    if repo.head() == Some(commit) {
+        Cow::Borrowed(repo)
+    } else {
+        Cow::Owned(repo.checkout(commit))
+    }
+}
+
+/// Builds a program from owned `(path, content)` pairs, in their order.
+pub(crate) fn build_sources(
+    tree: &[(String, String)],
+    defines: &[String],
+) -> Result<Program, BuildError> {
+    let sources: Vec<(&str, &str)> = tree.iter().map(|(p, c)| (p.as_str(), c.as_str())).collect();
+    Program::build(&sources, defines)
+}
+
 /// Everything downstream of detection: authorship, cross-scope filtering,
 /// pruning, ranking, report assembly, and the funnel accounting. Shared by
-/// the sequential and sentinel front halves — and by the serve warm path —
-/// so all produce identical output for identical detection outcomes.
+/// batch scans, incremental mode and the serve warm path, so all produce
+/// identical output for identical detection outcomes.
 pub(crate) fn run_stages(
     prog: &Program,
     repo: &Repository,
     opts: &Options,
     obs: ObsSession,
-    outcome: crate::detect::DetectOutcome,
+    outcome: DetectOutcome,
     detect_time: Duration,
     run_span: vc_obs::Span,
 ) -> Analysis {

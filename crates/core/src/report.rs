@@ -1,12 +1,22 @@
 //! Final bug reports: serializable rows plus CSV and JSON rendering,
 //! matching the artifact's `detected.csv` output.
 
-use vc_obs::Json;
+use vc_ir::program::{
+    BuildError,
+    RecoverStats, //
+};
+use vc_obs::{
+    Json,
+    Registry, //
+};
 use vc_vcs::Repository;
 
 use crate::{
     candidate::Scenario,
-    harden::FailureRecord,
+    harden::{
+        FailStage,
+        FailureRecord, //
+    },
     rank::Ranked, //
 };
 
@@ -77,6 +87,33 @@ impl Report {
             rows,
             failures: Vec::new(),
         }
+    }
+
+    /// Accounts for a recovering build's front end: splices one parse-stage
+    /// failure per build error, in input order, ahead of the analysis-stage
+    /// failures, and adds `harden.parse_failures` and the `recover.*`
+    /// counters to `registry`. Batch scans and serve replies both account
+    /// for their front end through here.
+    pub fn splice_parse_failures(
+        &mut self,
+        registry: &Registry,
+        errors: &[BuildError],
+        stats: &RecoverStats,
+    ) {
+        use vc_obs::names;
+        registry.add(names::HARDEN_PARSE_FAILURES, errors.len() as u64);
+        registry.add(names::RECOVER_LEX_ERRORS, stats.lex_errors);
+        registry.add(names::RECOVER_PARSE_ERRORS, stats.parse_errors);
+        registry.add(names::RECOVER_POISONED_STMTS, stats.poisoned_stmts);
+        registry.add(names::RECOVER_FUNCTIONS_DROPPED, stats.functions_dropped);
+        registry.add(names::RECOVER_FILES_DROPPED, stats.files_dropped);
+        let front = errors.iter().map(|e| FailureRecord {
+            stage: FailStage::Parse,
+            file: e.file().to_string(),
+            function: e.function().map(str::to_string),
+            message: e.to_string(),
+        });
+        self.failures.splice(0..0, front);
     }
 
     /// Renders the report as CSV (header + rows).

@@ -5,15 +5,16 @@
 //! [`harden`](crate::harden) isolates faults *within* a run; this module
 //! makes the run itself durable and concurrent:
 //!
-//! - **Executor.** The per-function detection loop becomes a work queue of
-//!   [`ScanUnit`]s drained by N worker threads (`vcheck --jobs N`). Each
-//!   unit runs inside the existing `harden` isolation boundary; a
-//!   supervisor loop enforces per-unit deadlines, requeues timed-out and
-//!   panicked units with capped exponential backoff, revives poisoned
-//!   workers, and converts units that exhaust their attempt budget into
-//!   [`FailureRecord`]s. Results merge **deterministically** in unit
-//!   (function-index) order, so report output is byte-identical regardless
-//!   of `--jobs`.
+//! - **Executor.** Per-function detection becomes a work queue of scan
+//!   units (one function each) drained by N workers (`vcheck --jobs N`),
+//!   the calling thread among them; sequential detection is one worker.
+//!   Each unit runs through `detect::run_unit`, inside the `harden`
+//!   isolation boundary; a supervisor thread enforces per-unit deadlines,
+//!   requeues timed-out and panicked units with capped exponential
+//!   backoff, revives poisoned workers, and converts units that exhaust
+//!   their attempt budget into [`FailureRecord`]s. Results merge
+//!   **deterministically** in unit (function-index) order, so report
+//!   output is byte-identical regardless of `--jobs`.
 //! - **Durability.** An append-only journal (`scan.journal`) records each
 //!   unit's completion — candidates or permanent failure — as one
 //!   checksummed record, with batched fsyncs. `vcheck --resume` replays the
@@ -34,7 +35,8 @@
 //! with the replayed units.
 
 use std::{
-    collections::{BTreeMap, HashMap, VecDeque},
+    any::Any,
+    collections::{BTreeMap, VecDeque},
     fs,
     io::{self, Seek as _, Write as _},
     panic::{catch_unwind, AssertUnwindSafe},
@@ -44,10 +46,7 @@ use std::{
     time::{Duration, Instant},
 };
 
-use vc_dataflow::summary::{
-    FnSummary,
-    SigInterner, //
-};
+use vc_dataflow::summary::SigInterner;
 use vc_ir::{
     FileId,
     FuncId,
@@ -68,11 +67,14 @@ use crate::{
     },
     detect::{
         demand_oracle,
-        detect_unit,
+        detect_failure,
         finalize_pointer_stage,
+        run_unit,
         DetectConfig,
-        DetectOutcome, //
+        DetectOutcome,
+        UnitOutcome, //
     },
+    fnv1a,
     harden::{
         self,
         FailStage,
@@ -80,6 +82,7 @@ use crate::{
         FailureRecord,
         HardenConfig, //
     },
+    FNV_SEED,
 };
 
 /// On-disk format version of the scan journal. Bumped whenever the record
@@ -154,6 +157,16 @@ impl SentinelConfig {
             .unwrap_or(1)
     }
 
+    /// Sequential detection: one worker, one attempt per unit (a poisoned
+    /// unit fails at once, as it always has without the executor).
+    pub(crate) fn sequential() -> SentinelConfig {
+        SentinelConfig {
+            jobs: 1,
+            retry: 1,
+            ..SentinelConfig::default()
+        }
+    }
+
     /// The backoff before retry attempt `attempt` (1-based).
     fn backoff(&self, attempt: u32) -> Duration {
         let factor = 1u32 << attempt.saturating_sub(1).min(16);
@@ -161,13 +174,6 @@ impl SentinelConfig {
             .saturating_mul(factor)
             .min(self.backoff_cap)
     }
-}
-
-/// One schedulable unit of scan work: a single function's detection.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ScanUnit {
-    /// Function index in the program (also the journal unit key).
-    pub unit: usize,
 }
 
 // ---------------------------------------------------------------------------
@@ -206,20 +212,6 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 // ---------------------------------------------------------------------------
 // Record encoding
 // ---------------------------------------------------------------------------
-
-/// FNV-1a 64-bit, the workspace's standard content hash.
-fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
-    let mut h = h;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    // Field separator so ("ab","c") != ("a","bc").
-    h ^= 0xFF;
-    h.wrapping_mul(0x0000_0100_0000_01B3)
-}
-
-const FNV_SEED: u64 = 0xCBF2_9CE4_8422_2325;
 
 /// Escapes a string for the tab/`|`/`,`-delimited journal grammar.
 fn esc(s: &str) -> String {
@@ -798,34 +790,48 @@ struct Task {
     attempt: u32,
 }
 
-#[derive(Debug)]
+/// The attempt a worker is running.
+#[derive(Clone, Copy, Debug)]
 struct Running {
-    attempt: u32,
+    task: Task,
     started: Instant,
-    worker: usize,
-}
-
-#[derive(Debug)]
-enum UnitOutcome {
-    Ok {
-        candidates: Vec<Candidate>,
-        exhausted: bool,
-        /// The function's summary, handed to the prune stage. `None` for
-        /// journal-replayed units (summaries are not journaled; the prune
-        /// stage rebuilds on demand).
-        summary: Option<FnSummary>,
-    },
-    Fail(FailureRecord),
 }
 
 #[derive(Debug, Default)]
 struct ExecState {
     ready: VecDeque<Task>,
     delayed: Vec<(Instant, Task)>,
-    in_flight: HashMap<usize, Running>,
-    outcomes: BTreeMap<usize, UnitOutcome>,
+    /// What each worker is running, indexed by worker. The supervisor
+    /// clears a slot to abandon its attempt.
+    in_flight: Vec<Option<Running>>,
+    /// Resolved outcomes waiting for a lower unit to resolve.
+    pending: BTreeMap<usize, UnitOutcome>,
+    /// The next unit to fold: every unit below it is folded into `out`.
+    next: usize,
+    out: DetectOutcome,
     remaining: usize,
+    /// Units a worker scanned to completion, counted into
+    /// `sentinel.units_completed` once the scan ends.
+    completed: u64,
     shutdown: bool,
+}
+
+impl ExecState {
+    /// Folds a resolved unit into `out` in unit (function-index) order,
+    /// whatever order units resolve in, so the outcome is byte-identical
+    /// for any worker count and any resume point.
+    fn settle(&mut self, prog: &Program, unit: usize, outcome: UnitOutcome) {
+        if unit != self.next {
+            self.pending.insert(unit, outcome);
+            return;
+        }
+        self.out.fold(prog, FuncId(unit as u32), outcome);
+        self.next += 1;
+        while let Some(outcome) = self.pending.remove(&self.next) {
+            self.out.fold(prog, FuncId(self.next as u32), outcome);
+            self.next += 1;
+        }
+    }
 }
 
 struct Shared<'p> {
@@ -839,6 +845,9 @@ struct Shared<'p> {
     journal: Option<Mutex<JournalWriter>>,
     obs: ObsSession,
     failplan: FailpointPlan,
+    /// The payload of a panic that escaped a worker with isolation off,
+    /// re-raised on the calling thread once every worker has stopped.
+    escaped: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
 impl Shared<'_> {
@@ -846,27 +855,28 @@ impl Shared<'_> {
     /// count down. Must be called at most once per unit.
     fn resolve(&self, state: &mut ExecState, unit: usize, outcome: UnitOutcome) {
         if let Some(j) = &self.journal {
+            let fid = FuncId(unit as u32);
             let rec = match &outcome {
-                UnitOutcome::Ok {
+                UnitOutcome::Done {
                     candidates,
                     exhausted,
                     ..
                 } => UnitRecord::Ok {
                     unit,
-                    func: self.prog.func(FuncId(unit as u32)).name.clone(),
+                    func: self.prog.func(fid).name.clone(),
                     exhausted: *exhausted,
                     candidates: candidates.clone(),
                 },
-                UnitOutcome::Fail(failure) => UnitRecord::Fail {
+                UnitOutcome::Poisoned(message) => UnitRecord::Fail {
                     unit,
-                    failure: failure.clone(),
+                    failure: detect_failure(self.prog, fid, message.clone()),
                 },
             };
             // A failed journal write is not fatal to the scan — the run
             // completes in memory; only resumability degrades.
             let _ = lock(j).append(&rec);
         }
-        state.outcomes.insert(unit, outcome);
+        state.settle(self.prog, unit, outcome);
         state.remaining -= 1;
         if state.remaining == 0 {
             state.shutdown = true;
@@ -889,44 +899,55 @@ impl Shared<'_> {
                     attempt: attempts_done,
                 },
             ));
+            // The supervisor sleeps until the earliest backoff expiry.
+            self.cv.notify_all();
         } else {
             vc_obs::counter_inc(vc_obs::names::SENTINEL_FAILED_PERMANENT);
-            vc_obs::counter_inc(vc_obs::names::HARDEN_POISONED_DETECT);
-            let f = self.prog.func(FuncId(unit as u32));
-            self.resolve(
-                state,
-                unit,
-                UnitOutcome::Fail(FailureRecord {
-                    stage: FailStage::Detect,
-                    file: self.prog.source.name(f.file).to_string(),
-                    function: Some(f.name.clone()),
-                    message,
-                }),
-            );
+            self.resolve(state, unit, UnitOutcome::Poisoned(message));
         }
     }
 
     /// Requeues everything a dead worker had in flight.
     fn reap_worker(&self, worker: usize, message: &str) {
         let mut state = lock(&self.state);
-        let stuck: Vec<(usize, u32)> = state
-            .in_flight
-            .iter()
-            .filter(|(_, r)| r.worker == worker)
-            .map(|(u, r)| (*u, r.attempt))
-            .collect();
-        for (unit, attempt) in stuck {
-            state.in_flight.remove(&unit);
+        if let Some(r) = state.in_flight[worker].take() {
             vc_obs::counter_inc(vc_obs::names::SENTINEL_REQUEUES);
-            self.retry_or_fail(&mut state, unit, attempt, format!("worker died: {message}"));
+            let message = format!("worker died: {message}");
+            self.retry_or_fail(&mut state, r.task.unit, r.task.attempt, message);
         }
         self.cv.notify_all();
     }
 }
 
+/// One worker: its incarnation wrapper around [`worker_loop`]. A panic
+/// that escapes the unit isolation boundary poisons the worker; revive it
+/// and requeue whatever it was running. With isolation off the panic
+/// instead stops the scan: every worker and the supervisor wind down, and
+/// [`detect_program_sentinel`] re-raises it on the calling thread.
+fn run_worker(shared: &Shared<'_>, worker: usize) {
+    let _obs = shared.obs.install();
+    let _fp = shared.failplan.install();
+    loop {
+        match catch_unwind(AssertUnwindSafe(|| worker_loop(shared, worker))) {
+            Ok(()) => break,
+            Err(payload) => {
+                if !shared.hconf.isolate {
+                    lock(&shared.escaped).get_or_insert(payload);
+                    lock(&shared.state).shutdown = true;
+                    shared.cv.notify_all();
+                    break;
+                }
+                vc_obs::counter_inc(vc_obs::names::SENTINEL_WORKER_REPLACED);
+                let msg = harden::panic_message(payload);
+                shared.reap_worker(worker, &msg);
+            }
+        }
+    }
+}
+
 /// The inner worker loop: drain tasks until shutdown. Panics escaping this
 /// function (i.e. escaping the per-unit isolation boundary) poison the
-/// worker; the incarnation wrapper in [`run_executor`] revives it.
+/// worker; [`run_worker`] revives it.
 fn worker_loop(shared: &Shared<'_>, worker: usize) {
     let tid = MAIN_TID + 1 + worker as u32;
     let _worker_span =
@@ -938,95 +959,59 @@ fn worker_loop(shared: &Shared<'_>, worker: usize) {
         let task = {
             let mut state = lock(&shared.state);
             loop {
-                if let Some(task) = state.ready.pop_front() {
-                    state.in_flight.insert(
-                        task.unit,
-                        Running {
-                            attempt: task.attempt,
-                            started: Instant::now(),
-                            worker,
-                        },
-                    );
-                    break task;
-                }
                 if state.shutdown {
                     return;
                 }
-                // The timeout doubles as the supervisor-less wakeup for
-                // delayed (backoff) tasks.
-                let (next, _) = shared
-                    .cv
-                    .wait_timeout(state, Duration::from_millis(1))
-                    .map(|(g, t)| (g, t))
-                    .unwrap_or_else(|e| {
-                        let (g, t) = e.into_inner();
-                        (g, t)
+                if let Some(task) = state.ready.pop_front() {
+                    state.in_flight[worker] = Some(Running {
+                        task,
+                        started: Instant::now(),
                     });
-                state = next;
-                promote_delayed(&mut state);
+                    break task;
+                }
+                // The supervisor wakes us when it promotes a backoff task,
+                // and everyone when the scan ends or stops.
+                state = shared.cv.wait(state).unwrap_or_else(|e| e.into_inner());
             }
         };
 
         let fid = FuncId(task.unit as u32);
-        let f = shared.prog.func(fid);
         // The worker-stage failpoint fires *outside* the per-unit isolation
         // boundary: it simulates a poisoned worker, not a poisoned unit.
-        harden::failpoint(FailStage::Worker, &f.name);
-        let result = harden::isolated(shared.hconf.isolate, || {
-            // The unit span and allocation scope live *inside* the isolation
-            // boundary: a panicking unit unwinds through their drop glue, so
-            // the span still flushes (tagged `panicked`) and the allocation
-            // window still closes instead of silently vanishing.
-            let _unit_span =
-                shared
-                    .obs
-                    .tracer
-                    .span_on(&format!("unit.{}", f.name), "sentinel", tid);
-            let _unit_mem = vc_obs::MemScope::enter(vc_obs::alloc::SCOPE_WORKER);
-            harden::failpoint(FailStage::Detect, &f.name);
-            detect_unit(
-                shared.prog,
-                fid,
-                shared.interner.sig_of(fid),
-                shared.oracle,
-                shared.hconf.liveness_budget,
-            )
-        });
+        harden::failpoint(FailStage::Worker, &shared.prog.func(fid).name);
+        let result = run_unit(
+            shared.prog,
+            fid,
+            shared.oracle,
+            shared.interner,
+            shared.hconf,
+            tid,
+        );
 
         let mut state = lock(&shared.state);
-        let current = state.in_flight.get(&task.unit).map(|r| r.attempt);
-        if current != Some(task.attempt) || state.outcomes.contains_key(&task.unit) {
+        if state.in_flight[worker].take().is_none() {
             // The supervisor abandoned this attempt (deadline) while we were
             // computing it; the unit lives in a newer epoch now.
             vc_obs::counter_inc(vc_obs::names::SENTINEL_STALE_RESULTS);
             continue;
         }
-        state.in_flight.remove(&task.unit);
         match result {
-            Ok((summary, candidates)) => {
-                vc_obs::counter_inc(vc_obs::names::SENTINEL_UNITS_COMPLETED);
-                let exhausted = summary.exhausted;
-                shared.resolve(
-                    &mut state,
-                    task.unit,
-                    UnitOutcome::Ok {
-                        candidates,
-                        exhausted,
-                        summary: Some(summary),
-                    },
-                );
+            Ok(done) => {
+                state.completed += 1;
+                shared.resolve(&mut state, task.unit, Ok(done).into());
             }
             Err(message) => {
                 shared.retry_or_fail(&mut state, task.unit, task.attempt, message);
             }
         }
-        shared.cv.notify_all();
     }
 }
 
-/// Moves delayed (backoff) tasks whose time has come into the ready queue.
-fn promote_delayed(state: &mut ExecState) {
+/// Moves delayed (backoff) tasks whose time has come into the ready queue;
+/// returns whether it promoted any.
+fn promote_delayed(state: &mut ExecState) -> bool {
     let now = Instant::now();
+    let ready = state.ready.len();
     let mut i = 0;
     while i < state.delayed.len() {
         if state.delayed[i].0 <= now {
@@ -1037,77 +1022,88 @@ fn promote_delayed(state: &mut ExecState) {
         }
     }
     // Deterministic pickup order within a promotion batch.
-    state
-        .ready
-        .make_contiguous()
-        .sort_by_key(|t| (t.unit, t.attempt));
+    let promoted = state.ready.len() > ready;
+    if promoted {
+        state
+            .ready
+            .make_contiguous()
+            .sort_by_key(|t| (t.unit, t.attempt));
+    }
+    promoted
 }
 
-/// The supervisor loop, run on the spawning thread: promotes backoff tasks,
-/// enforces per-unit deadlines, and returns when every unit is resolved.
+/// The supervisor loop, on a thread of its own: promotes backoff tasks,
+/// enforces per-unit deadlines, and returns when every unit is resolved or
+/// a panic escaped a worker with isolation off.
+///
+/// It sleeps until it has something to do: every half millisecond while a
+/// unit deadline is set, until the earliest backoff expiry while a retry
+/// is delayed, and otherwise until the condvar wakes it (a retry was
+/// delayed, the last unit resolved, or a worker stopped the scan).
 fn supervise(shared: &Shared<'_>) {
+    let mut state = lock(&shared.state);
     loop {
-        {
-            let mut state = lock(&shared.state);
-            if state.remaining == 0 {
-                state.shutdown = true;
-                shared.cv.notify_all();
-                return;
-            }
-            promote_delayed(&mut state);
-            if let Some(deadline) = shared.sconf.unit_deadline {
-                let late: Vec<(usize, u32)> = state
-                    .in_flight
-                    .iter()
-                    .filter(|(_, r)| r.started.elapsed() > deadline)
-                    .map(|(u, r)| (*u, r.attempt))
-                    .collect();
-                for (unit, attempt) in late {
-                    // Abandon the attempt: the stale worker's result will be
-                    // discarded by the epoch check when it eventually lands.
-                    state.in_flight.remove(&unit);
-                    vc_obs::counter_inc(vc_obs::names::SENTINEL_REQUEUES);
-                    vc_obs::counter_inc(vc_obs::names::SENTINEL_DEADLINE_TIMEOUTS);
-                    self_retry(shared, &mut state, unit, attempt, deadline);
+        if state.remaining == 0 || state.shutdown {
+            state.shutdown = true;
+            shared.cv.notify_all();
+            return;
+        }
+        if promote_delayed(&mut state) {
+            shared.cv.notify_all();
+        }
+        if let Some(deadline) = shared.sconf.unit_deadline {
+            for worker in 0..state.in_flight.len() {
+                let Some(r) = state.in_flight[worker] else {
+                    continue;
+                };
+                if r.started.elapsed() <= deadline {
+                    continue;
                 }
-            }
-            if !state.ready.is_empty() {
-                shared.cv.notify_all();
+                // Abandon the attempt: the stale worker finds its slot
+                // empty when its result eventually lands, and discards it.
+                state.in_flight[worker] = None;
+                vc_obs::counter_inc(vc_obs::names::SENTINEL_REQUEUES);
+                vc_obs::counter_inc(vc_obs::names::SENTINEL_DEADLINE_TIMEOUTS);
+                let message = format!("unit deadline exceeded ({} ms)", deadline.as_millis());
+                shared.retry_or_fail(&mut state, r.task.unit, r.task.attempt, message);
             }
         }
-        thread::sleep(Duration::from_micros(500));
+        let now = Instant::now();
+        let deadline_poll = shared
+            .sconf
+            .unit_deadline
+            .map(|_| Duration::from_micros(500));
+        let poll = state
+            .delayed
+            .iter()
+            .map(|(at, _)| at.saturating_duration_since(now))
+            .chain(deadline_poll)
+            .min();
+        state = match poll {
+            Some(timeout) => {
+                shared
+                    .cv
+                    .wait_timeout(state, timeout)
+                    .unwrap_or_else(|e| e.into_inner())
+                    .0
+            }
+            None => shared.cv.wait(state).unwrap_or_else(|e| e.into_inner()),
+        };
     }
-}
-
-fn self_retry(
-    shared: &Shared<'_>,
-    state: &mut ExecState,
-    unit: usize,
-    attempt: u32,
-    deadline: Duration,
-) {
-    shared.retry_or_fail(
-        state,
-        unit,
-        attempt,
-        format!("unit deadline exceeded ({} ms)", deadline.as_millis()),
-    );
 }
 
 /// Runs the supervised parallel detection scan.
 ///
-/// This is the parallel, durable sibling of
-/// [`detect_program_hardened`](crate::detect::detect_program_hardened):
-/// identical inputs produce a byte-identical [`DetectOutcome`] regardless
-/// of worker count, journal presence, or how many units were replayed from
-/// a previous interrupted run.
+/// [`detect_program_hardened`](crate::detect::detect_program_hardened) is
+/// this executor at one job: identical inputs produce a byte-identical
+/// [`DetectOutcome`] regardless of worker count, journal presence, or how
+/// many units were replayed from a previous interrupted run.
 pub fn detect_program_sentinel(
     prog: &Program,
     config: DetectConfig,
     hconf: HardenConfig,
     sconf: &SentinelConfig,
 ) -> DetectOutcome {
-    let mut out = DetectOutcome::default();
     vc_obs::counter_add(vc_obs::names::DETECT_FUNCTIONS, prog.funcs.len() as u64);
     let total = prog.funcs.len();
     vc_obs::counter_add(vc_obs::names::SENTINEL_UNITS, total as u64);
@@ -1118,11 +1114,11 @@ pub fn detect_program_sentinel(
     let interner = SigInterner::new(prog);
 
     // Journal replay (resume) or creation.
-    let fingerprint = scan_fingerprint(prog, config, &hconf, sconf);
     let mut replayed: BTreeMap<usize, UnitRecord> = BTreeMap::new();
     let journal = match &sconf.journal {
         None => None,
         Some(path) => {
+            let fingerprint = scan_fingerprint(prog, config, &hconf, sconf);
             let writer = if sconf.resume {
                 let replay = Replay::load(path, fingerprint);
                 vc_obs::counter_add(
@@ -1177,13 +1173,32 @@ pub fn detect_program_sentinel(
     );
 
     // Queue every unit not already checkpointed, in unit order.
-    let mut state = ExecState::default();
+    let jobs = sconf.effective_jobs().clamp(1, total.max(1));
+    let mut state = ExecState {
+        in_flight: vec![None; jobs],
+        ..ExecState::default()
+    };
     for unit in 0..total {
         if !replayed.contains_key(&unit) {
             state.ready.push_back(Task { unit, attempt: 0 });
         }
     }
     state.remaining = state.ready.len();
+    for (unit, rec) in replayed {
+        let outcome = match rec {
+            UnitRecord::Ok {
+                exhausted,
+                candidates,
+                ..
+            } => UnitOutcome::Done {
+                exhausted,
+                summary: None,
+                candidates,
+            },
+            UnitRecord::Fail { failure, .. } => UnitOutcome::Poisoned(failure.message),
+        };
+        state.settle(prog, unit, outcome);
+    }
 
     let shared = Shared {
         prog,
@@ -1196,78 +1211,33 @@ pub fn detect_program_sentinel(
         journal,
         obs: ObsSession::current_or_new(),
         failplan: FailpointPlan::current(),
+        escaped: Mutex::new(None),
     };
 
     if lock(&shared.state).remaining > 0 {
-        let jobs = sconf.effective_jobs().clamp(1, total.max(1));
+        let shared = &shared;
         thread::scope(|scope| {
-            for worker in 0..jobs {
-                let shared = &shared;
-                scope.spawn(move || {
-                    let _obs = shared.obs.install();
-                    let _fp = shared.failplan.install();
-                    // Incarnation wrapper: a panic that escapes the unit
-                    // isolation boundary poisons the worker; revive it and
-                    // requeue whatever it was running.
-                    loop {
-                        match catch_unwind(AssertUnwindSafe(|| worker_loop(shared, worker))) {
-                            Ok(()) => break,
-                            Err(payload) => {
-                                if !shared.hconf.isolate {
-                                    std::panic::resume_unwind(payload);
-                                }
-                                vc_obs::counter_inc(vc_obs::names::SENTINEL_WORKER_REPLACED);
-                                let msg = harden::panic_message(payload);
-                                shared.reap_worker(worker, &msg);
-                            }
-                        }
-                    }
-                });
+            scope.spawn(move || {
+                let _obs = shared.obs.install();
+                supervise(shared);
+            });
+            for worker in 1..jobs {
+                scope.spawn(move || run_worker(shared, worker));
             }
-            supervise(&shared);
+            // The calling thread is worker 0: detection stays on the thread
+            // that built the program and runs the stages after it.
+            run_worker(shared, 0);
         });
     }
+    if let Some(payload) = lock(&shared.escaped).take() {
+        std::panic::resume_unwind(payload);
+    }
 
-    // Deterministic merge: journal-replayed and freshly-scanned units
-    // interleave in unit (function-index) order, which is exactly the
-    // sequential loop's order — the report is byte-identical for any
-    // worker count and any resume point.
-    let outcomes = std::mem::take(&mut lock(&shared.state).outcomes);
-    let mut merged: BTreeMap<usize, UnitOutcome> = outcomes;
-    for (unit, rec) in replayed {
-        let outcome = match rec {
-            UnitRecord::Ok {
-                exhausted,
-                candidates,
-                ..
-            } => UnitOutcome::Ok {
-                candidates,
-                exhausted,
-                summary: None,
-            },
-            UnitRecord::Fail { failure, .. } => UnitOutcome::Fail(failure),
-        };
-        merged.insert(unit, outcome);
+    let mut state = shared.state.into_inner().unwrap_or_else(|e| e.into_inner());
+    if state.completed > 0 {
+        vc_obs::counter_add(vc_obs::names::SENTINEL_UNITS_COMPLETED, state.completed);
     }
-    for (unit, outcome) in merged {
-        match outcome {
-            UnitOutcome::Ok {
-                candidates,
-                exhausted,
-                summary,
-            } => {
-                if exhausted {
-                    out.liveness_degraded += 1;
-                    vc_obs::counter_inc(vc_obs::names::HARDEN_DEGRADED_LIVENESS);
-                }
-                if let Some(s) = summary {
-                    out.summaries.insert(FuncId(unit as u32), s);
-                }
-                out.candidates.extend(candidates);
-            }
-            UnitOutcome::Fail(failure) => out.failures.push(failure),
-        }
-    }
+    let mut out = std::mem::take(&mut state.out);
     if let Some(j) = &shared.journal {
         let _ = lock(j).sync();
     }
@@ -1578,9 +1548,11 @@ mod tests {
         // A worker-stage failpoint fires outside the unit isolation
         // boundary, killing the worker thread itself. Disarm after the
         // first hit so the revived incarnation can finish the scan.
+        // The sequential reference runs first: it is the executor too, so
+        // the armed worker failpoint would fire in it as well.
+        let seq = detect_program_hardened(&p, DetectConfig::default(), HardenConfig::default());
         let plan = FailpointPlan::current();
         let _fp = harden::arm_failpoint(FailStage::Worker, "f");
-        let seq = detect_program_hardened(&p, DetectConfig::default(), HardenConfig::default());
 
         let handle = thread::spawn({
             let p = Program::build(&[("a.c", SRC)], &[]).unwrap();
@@ -1611,6 +1583,30 @@ mod tests {
         let snap = session.registry.snapshot();
         assert!(snap.counter(vc_obs::names::SENTINEL_WORKER_REPLACED) >= 1);
         assert!(snap.counter(vc_obs::names::SENTINEL_REQUEUES) >= 1);
+    }
+
+    #[test]
+    fn escaped_panic_without_isolation_propagates_instead_of_hanging() {
+        // With isolation off (`vcheck --fail-fast`) a panicking unit must
+        // stop the executor and re-raise on the calling thread, not leave
+        // the supervisor waiting forever on a unit that will never resolve.
+        let (tx, rx) = std::sync::mpsc::channel();
+        thread::spawn(move || {
+            let _fp = harden::arm_failpoint(FailStage::Detect, "g");
+            let hconf = HardenConfig {
+                isolate: false,
+                ..HardenConfig::default()
+            };
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                detect_program_sentinel(&prog(), DetectConfig::default(), hconf, &sconf(1))
+            }));
+            let _ = tx.send(run.map_err(harden::panic_message));
+        });
+        let result = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the executor hung on a panic that escaped its worker");
+        let message = result.expect_err("the unit's panic must propagate");
+        assert!(message.contains("injected fault"), "{message}");
     }
 
     #[test]

@@ -105,12 +105,14 @@ use vc_pointer::demand::DemandPointer;
 use crate::{
     candidate::Candidate,
     delta::{fingerprint_ranked, Finding},
-    detect::{demand_oracle, detect_unit, finalize_pointer_stage, DetectOutcome},
+    detect::{demand_oracle, finalize_pointer_stage, run_unit, DetectOutcome, UnitOutcome},
     eventlog::{now_ms, EventLog},
+    fnv1a,
     harden::{self, FailStage, FailureRecord},
     incremental::SnapshotStore,
     pipeline::{run_stages, Options},
     project::{load_dir_or_empty, Project},
+    FNV_SEED,
 };
 
 /// Daemon configuration.
@@ -164,7 +166,6 @@ impl Default for ServeConfig {
 #[derive(Clone, Debug)]
 struct CachedUnit {
     candidates: Vec<Candidate>,
-    exhausted: bool,
     /// The function's dataflow summary, reused by the prune stage on a
     /// warm hit instead of re-solving liveness/defs (`summary.reused`).
     summary: FnSummary,
@@ -215,21 +216,11 @@ pub struct ScanResponse {
     pub pruned: usize,
 }
 
-const FNV_SEED: u64 = 0xCBF2_9CE4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-fn fnv1a_field(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    (h ^ 0xFF).wrapping_mul(FNV_PRIME)
-}
-
 fn tree_checksum(sources: &[(String, String)]) -> u64 {
     let mut h = FNV_SEED;
     for (name, content) in sources {
-        h = fnv1a_field(h, name.as_bytes());
-        h = fnv1a_field(h, content.as_bytes());
+        h = fnv1a(h, name.as_bytes());
+        h = fnv1a(h, content.as_bytes());
     }
     h
 }
@@ -256,18 +247,18 @@ fn pointer_fingerprint(fid: FuncId, f: &vc_ir::Function, oracle: Option<&DemandP
                     Some(o) => o.resolve_fn_ptr(fid, *t),
                     None => Vec::new(),
                 };
-                h = fnv1a_field(h, &t.0.to_le_bytes());
+                h = fnv1a(h, &t.0.to_le_bytes());
                 for n in &names {
-                    h = fnv1a_field(h, n.as_bytes());
+                    h = fnv1a(h, n.as_bytes());
                 }
             }
         }
     }
     if !any {
-        return fnv1a_field(h, &[0]);
+        return fnv1a(h, &[0]);
     }
     let degraded = oracle.map(|o| o.degraded()).unwrap_or(false);
-    fnv1a_field(h, &[1, oracle.is_some() as u8, degraded as u8])
+    fnv1a(h, &[1, oracle.is_some() as u8, degraded as u8])
 }
 
 /// The warm scan engine: everything `vcheck serve` does to a request,
@@ -367,22 +358,6 @@ impl ServeEngine {
             Program::build_recovering_cached(&refs, &self.config.defines, &mut self.parse_cache);
         parse_mem.finish();
         parse_span.end();
-        obs.registry.add(
-            vc_obs::names::HARDEN_PARSE_FAILURES,
-            parse_errors.len() as u64,
-        );
-        obs.registry
-            .add(vc_obs::names::RECOVER_LEX_ERRORS, stats.lex_errors);
-        obs.registry
-            .add(vc_obs::names::RECOVER_PARSE_ERRORS, stats.parse_errors);
-        obs.registry
-            .add(vc_obs::names::RECOVER_POISONED_STMTS, stats.poisoned_stmts);
-        obs.registry.add(
-            vc_obs::names::RECOVER_FUNCTIONS_DROPPED,
-            stats.functions_dropped,
-        );
-        obs.registry
-            .add(vc_obs::names::RECOVER_FILES_DROPPED, stats.files_dropped);
 
         // --- Dirty closure: changed files, plus callers/callees of their
         // functions by name. Everything in it re-runs unconditionally
@@ -428,17 +403,10 @@ impl ServeEngine {
             detect_time,
             run_span,
         );
-        // Front-end failures splice ahead, mirroring `vcheck scan`.
-        let front: Vec<FailureRecord> = parse_errors
-            .iter()
-            .map(|e| FailureRecord {
-                stage: FailStage::Parse,
-                file: e.file().to_string(),
-                function: e.function().map(str::to_string),
-                message: e.to_string(),
-            })
-            .collect();
-        analysis.report.failures.splice(0..0, front);
+        // Front-end failures splice ahead, exactly as in `vcheck scan`.
+        analysis
+            .report
+            .splice_parse_failures(&obs.registry, &parse_errors, &stats);
 
         // --- Delta classification against the previous reply. ---
         let current = fingerprint_ranked(&prog, &analysis.ranked);
@@ -554,8 +522,10 @@ impl ServeEngine {
     /// The warm detection pass: the demand pointer oracle is partitioned
     /// fresh (components solve lazily, only when an indirect call's
     /// fingerprint or detection needs them), per-function results come
-    /// from the unit cache when clean and not dirty. Mirrors
-    /// `detect_program_hardened` exactly on a cold cache.
+    /// from the unit cache when clean and not dirty, and misses run through
+    /// the shared unit runner. Hits and misses alike are recorded through
+    /// [`DetectOutcome::fold`], so a cold cache reports exactly what
+    /// `detect_program_hardened` does.
     fn detect_warm(
         &mut self,
         prog: &Program,
@@ -569,10 +539,10 @@ impl ServeEngine {
         let interner = SigInterner::new(prog);
         let config_salt = {
             let mut h = FNV_SEED;
-            h = fnv1a_field(h, format!("{:?}", opts.detect).as_bytes());
-            h = fnv1a_field(h, format!("{:?}", hconf).as_bytes());
+            h = fnv1a(h, format!("{:?}", opts.detect).as_bytes());
+            h = fnv1a(h, format!("{:?}", hconf).as_bytes());
             for d in &self.config.defines {
-                h = fnv1a_field(h, d.as_bytes());
+                h = fnv1a(h, d.as_bytes());
             }
             h
         };
@@ -619,85 +589,64 @@ impl ServeEngine {
             let pf = pointer_fingerprint(fid, f, oracle.as_ref());
             let key = {
                 let mut h = config_salt;
-                h = fnv1a_field(h, &f.file.0.to_le_bytes());
-                h = fnv1a_field(h, prog.source.name(f.file).as_bytes());
+                h = fnv1a(h, &f.file.0.to_le_bytes());
+                h = fnv1a(h, prog.source.name(f.file).as_bytes());
                 let ch = *file_hash.entry(f.file).or_insert_with(|| {
                     let content = prog
                         .source
                         .file(f.file)
                         .map(|s| s.content.as_str())
                         .unwrap_or("");
-                    fnv1a_field(FNV_SEED, content.as_bytes())
+                    fnv1a(FNV_SEED, content.as_bytes())
                 });
-                h = fnv1a_field(h, &ch.to_le_bytes());
-                h = fnv1a_field(h, f.name.as_bytes());
-                h = fnv1a_field(h, &ordinal.to_le_bytes());
-                fnv1a_field(h, &pf.to_le_bytes())
+                h = fnv1a(h, &ch.to_le_bytes());
+                h = fnv1a(h, f.name.as_bytes());
+                h = fnv1a(h, &ordinal.to_le_bytes());
+                fnv1a(h, &pf.to_le_bytes())
             };
             if !dirty.contains(&f.name) {
                 if let Some(unit) = self.units.get(&key) {
                     hits += 1;
                     vc_obs::counter_inc(vc_obs::names::SERVE_UNIT_HITS);
                     vc_obs::counter_inc(vc_obs::names::SUMMARY_REUSED);
-                    if unit.exhausted {
-                        out.liveness_degraded += 1;
-                        vc_obs::counter_inc(vc_obs::names::HARDEN_DEGRADED_LIVENESS);
-                    }
                     // Rebind: the function's global id may have shifted
                     // when other files gained or lost functions; its file,
                     // spans, and locals are pinned by the key.
-                    out.candidates.extend(unit.candidates.iter().map(|c| {
-                        let mut c = c.clone();
-                        c.func = fid;
-                        c
-                    }));
+                    let candidates = unit
+                        .candidates
+                        .iter()
+                        .map(|c| Candidate {
+                            func: fid,
+                            ..c.clone()
+                        })
+                        .collect();
                     let mut summary = unit.summary.clone();
                     summary.sig = interner.sig_of(fid);
-                    out.summaries.insert(fid, summary);
                     next_units.insert(key, unit.clone());
+                    out.fold(prog, fid, Ok((summary, candidates)).into());
                     continue;
                 }
             }
             misses += 1;
             vc_obs::counter_inc(vc_obs::names::SERVE_UNIT_MISSES);
-            let detected = harden::isolated(hconf.isolate, || {
-                harden::failpoint(FailStage::Detect, &f.name);
-                detect_unit(
-                    prog,
-                    fid,
-                    interner.sig_of(fid),
-                    oracle.as_ref(),
-                    hconf.liveness_budget,
-                )
-            });
-            match detected {
-                Ok((summary, cands)) => {
-                    let exhausted = summary.exhausted;
-                    if exhausted {
-                        out.liveness_degraded += 1;
-                        vc_obs::counter_inc(vc_obs::names::HARDEN_DEGRADED_LIVENESS);
-                    }
-                    next_units.insert(
-                        key,
-                        CachedUnit {
-                            candidates: cands.clone(),
-                            exhausted,
-                            summary: summary.clone(),
-                        },
-                    );
-                    out.summaries.insert(fid, summary);
-                    out.candidates.extend(cands);
-                }
-                Err(message) => {
-                    vc_obs::counter_inc(vc_obs::names::HARDEN_POISONED_DETECT);
-                    out.failures.push(FailureRecord {
-                        stage: FailStage::Detect,
-                        file: prog.source.name(f.file).to_string(),
-                        function: Some(f.name.clone()),
-                        message,
-                    });
-                }
+            let detected = run_unit(
+                prog,
+                fid,
+                oracle.as_ref(),
+                &interner,
+                hconf,
+                vc_obs::MAIN_TID,
+            );
+            if let Ok((summary, candidates)) = &detected {
+                next_units.insert(
+                    key,
+                    CachedUnit {
+                        candidates: candidates.clone(),
+                        summary: summary.clone(),
+                    },
+                );
             }
+            out.fold(prog, fid, UnitOutcome::from(detected));
         }
         // Generational sweep: entries the current tree did not touch die.
         let swept = self
@@ -1387,19 +1336,12 @@ mod tests {
     /// the oracle the warm engine must match byte-for-byte.
     fn cold_canonical(dir: &Path, opts: &Options) -> Vec<u8> {
         let project = load_dir_or_empty(dir).unwrap();
-        let (prog, errors, _) = Program::build_recovering(&project.source_refs(), &[]);
-        let mut analysis =
-            crate::pipeline::run_with_obs(&prog, &project.repo, opts, ObsSession::new());
-        let front: Vec<FailureRecord> = errors
-            .iter()
-            .map(|e| FailureRecord {
-                stage: FailStage::Parse,
-                file: e.file().to_string(),
-                function: e.function().map(str::to_string),
-                message: e.to_string(),
-            })
-            .collect();
-        analysis.report.failures.splice(0..0, front);
+        let (prog, errors, stats) = Program::build_recovering(&project.source_refs(), &[]);
+        let obs = ObsSession::new();
+        let mut analysis = crate::pipeline::run_with_obs(&prog, &project.repo, opts, obs.clone());
+        analysis
+            .report
+            .splice_parse_failures(&obs.registry, &errors, &stats);
         analysis.report.canonical_bytes()
     }
 

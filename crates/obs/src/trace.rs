@@ -7,7 +7,10 @@
 //! directly, nesting inferred from timestamp containment.
 
 use std::{
-    sync::{Arc, Mutex},
+    sync::{
+        atomic::{AtomicU32, Ordering},
+        Arc, Mutex,
+    },
     time::{Duration, Instant},
 };
 
@@ -65,7 +68,6 @@ pub struct CounterSample {
 struct Inner {
     records: Vec<SpanRecord>,
     counters: Vec<CounterSample>,
-    depth: u32,
 }
 
 /// Locks a tracer mutex even when a panicking thread poisoned it: span
@@ -80,6 +82,7 @@ fn lock(m: &Mutex<Inner>) -> std::sync::MutexGuard<'_, Inner> {
 #[derive(Debug)]
 pub struct Tracer {
     epoch: Instant,
+    depth: AtomicU32,
     inner: Mutex<Inner>,
 }
 
@@ -87,6 +90,7 @@ impl Default for Tracer {
     fn default() -> Self {
         Tracer {
             epoch: Instant::now(),
+            depth: AtomicU32::new(0),
             inner: Mutex::new(Inner::default()),
         }
     }
@@ -108,12 +112,7 @@ impl Tracer {
     /// executor gives each worker its own lane so worker activity renders
     /// side by side in `chrome://tracing` / Perfetto.
     pub fn span_on(self: &Arc<Tracer>, name: &str, cat: &str, tid: u32) -> Span {
-        let depth = {
-            let mut g = lock(&self.inner);
-            let d = g.depth;
-            g.depth += 1;
-            d
-        };
+        let depth = self.depth.fetch_add(1, Ordering::Relaxed);
         Span {
             tracer: Some(self.clone()),
             name: name.to_string(),
@@ -125,20 +124,23 @@ impl Tracer {
         }
     }
 
+    /// Microseconds from the tracer's epoch to `t`.
+    fn micros(&self, t: Instant) -> u64 {
+        let us = t.saturating_duration_since(self.epoch).as_micros();
+        us.min(u64::MAX as u128) as u64
+    }
+
     fn finish(&self, span: &mut Span) -> Duration {
-        let elapsed = span.start.elapsed();
-        let start_us = span
-            .start
-            .saturating_duration_since(self.epoch)
-            .as_micros()
-            .min(u64::MAX as u128) as u64;
+        let now = Instant::now();
+        let start_us = self.micros(span.start);
         // Derive the duration from a truncated *end* timestamp rather than
-        // truncating `elapsed` directly: truncation is then monotone in real
-        // time, so a child's recorded interval can never poke out of its
-        // parent's by a sub-microsecond rounding artefact.
-        let end_us = self.epoch.elapsed().as_micros().min(u64::MAX as u128) as u64;
+        // truncating the elapsed time directly: truncation is then monotone
+        // in real time, so a child's recorded interval can never poke out
+        // of its parent's by a sub-microsecond rounding artefact.
+        let end_us = self.micros(now);
+        // Every recorded span was opened by `span_on`, which counted it.
+        self.depth.fetch_sub(1, Ordering::Relaxed);
         let mut g = lock(&self.inner);
-        g.depth = g.depth.saturating_sub(1);
         g.records.push(SpanRecord {
             name: std::mem::take(&mut span.name),
             cat: std::mem::take(&mut span.cat),
@@ -148,7 +150,7 @@ impl Tracer {
             tid: span.tid,
             panicked: std::thread::panicking(),
         });
-        elapsed
+        now.saturating_duration_since(span.start)
     }
 
     /// All finished spans, in completion order.
@@ -159,7 +161,7 @@ impl Tracer {
     /// Records a counter sample (exported as a Chrome `"ph": "C"` counter
     /// event), timestamped "now" against the tracer's epoch.
     pub fn counter(&self, name: &str, value: i64) {
-        let ts_us = self.epoch.elapsed().as_micros().min(u64::MAX as u128) as u64;
+        let ts_us = self.micros(Instant::now());
         lock(&self.inner).counters.push(CounterSample {
             name: name.to_string(),
             ts_us,

@@ -5,18 +5,25 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# Every `cargo test` step runs under this wall-clock bound, so a hung
+# executor fails the gate instead of stalling it. Generous: the slowest
+# step takes a few minutes.
+bounded() {
+    timeout 1800 "$@"
+}
+
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
 echo "==> cargo test --workspace -q"
-cargo test --workspace -q
+bounded cargo test --workspace -q
 
 # faults: the 32-seed fault-injection sweep (crates/workload/tests/faults.rs)
 # — every seeded run must survive truncated files, degenerate CFGs, absurd
 # arity, missing blame, and an injected panic, with a balanced funnel and
 # exactly one piece of evidence per fault.
 echo "==> cargo test -p vc-workload --test faults -q (32 seeds)"
-cargo test -p vc-workload --test faults -q
+bounded cargo test -p vc-workload --test faults -q
 
 # recovery: the parse-recovery corruption sweep
 # (crates/workload/tests/recovery.rs) — 32 seeded apps, each corrupted five
@@ -26,26 +33,26 @@ cargo test -p vc-workload --test faults -q
 # parse failure per corruption, and byte-identical reports across --jobs
 # and a journaled --resume on corrupted input.
 echo "==> cargo test -p vc-workload --test recovery -q (32 seeds x 5 corruption kinds)"
-cargo test -p vc-workload --test recovery -q
+bounded cargo test -p vc-workload --test recovery -q
 
 # crash: the kill-at-random-point sweep (crates/workload/tests/crash.rs) —
 # child processes abort mid-journal-append (clean and torn) at every grid
 # offset; resuming from the survivor journal must lose and duplicate
 # nothing. Bounded seeds keep this step well under a minute.
 echo "==> cargo test -p vc-workload --test crash -q (kill-point sweep)"
-cargo test -p vc-workload --test crash -q
+bounded cargo test -p vc-workload --test crash -q
 
 # sentinel: byte-identical reports and --stats across --jobs 1/2/8, journal
 # replay idempotence, and the fault sweep under parallel workers.
 echo "==> cargo test -p vc-workload --test sentinel -q"
-cargo test -p vc-workload --test sentinel -q
+bounded cargo test -p vc-workload --test sentinel -q
 
 # delta: differential scans over generated two-commit workloads — the
 # planted new/fixed/persisting split is recovered exactly, pure line drift
 # never misclassifies a finding, and the delta report is byte-identical for
 # --jobs 1 vs --jobs 4 and across a journaled resume.
 echo "==> cargo test -p vc-workload --test delta -q"
-cargo test -p vc-workload --test delta -q
+bounded cargo test -p vc-workload --test delta -q
 
 # history: lifecycle replays over generated multi-commit workloads
 # (crates/workload/tests/history.rs) — every planted bug's scripted fate
@@ -55,7 +62,7 @@ cargo test -p vc-workload --test delta -q
 # findings database is byte-identical for --jobs 1 vs --jobs 4 and across
 # a journaled resume.
 echo "==> cargo test -p vc-workload --test history -q"
-cargo test -p vc-workload --test history -q
+bounded cargo test -p vc-workload --test history -q
 
 # serve: chaos-proven recovery of the warm scan daemon
 # (crates/core/tests/chaos.rs) — seeded request streams against the real
@@ -66,8 +73,8 @@ cargo test -p vc-workload --test history -q
 # protocol/funnel counters. The memory observatory (chaos_mem.rs) holds
 # live_bytes inside a fixed band over 200 warm cycles.
 echo "==> cargo test -p valuecheck --test chaos --test chaos_mem -q (serve chaos)"
-cargo test -p valuecheck --test chaos -q
-cargo test -p valuecheck --test chaos_mem -q
+bounded cargo test -p valuecheck --test chaos -q
+bounded cargo test -p valuecheck --test chaos_mem -q
 
 # summaries: the per-function summary layer (crates/core/tests/summaries.rs)
 # — dead-store facts built exactly once per function per cold scan
@@ -77,7 +84,15 @@ cargo test -p valuecheck --test chaos_mem -q
 # warm+cold, and cursor prune decisions identical to the pre-summary
 # inline rescan on generated truth workloads.
 echo "==> cargo test -p valuecheck --test summaries -q (summary layer)"
-cargo test -p valuecheck --test summaries -q
+bounded cargo test -p valuecheck --test summaries -q
+
+# units: the detection unit contract (crates/core/tests/units.rs) — the
+# sequential path, the sentinel executor at 1 and 4 jobs, a cold serve
+# scan and incremental analysis report identical candidates, failure
+# records and harden.poisoned.detect / harden.degraded.liveness /
+# detect.functions, for a poisoned unit and a liveness-exhausted unit.
+echo "==> cargo test -p valuecheck --test units -q (one unit runner)"
+bounded cargo test -p valuecheck --test units -q
 
 # bench: the perf observatory (crates/bench/src/perf.rs) — a deterministic
 # scaled scan measured median-of-N, written as BENCH_scan.json /
@@ -102,7 +117,7 @@ tools/perfgate
 # recomputed from the Chrome trace. repobench is a package of its own
 # outside the workspace, so `cargo test --workspace` does not reach it.
 echo "==> cargo test --release --manifest-path repobench/Cargo.toml"
-cargo test --release --manifest-path repobench/Cargo.toml
+bounded cargo test --release --manifest-path repobench/Cargo.toml
 
 echo "==> cargo fmt --check"
 cargo fmt --check
