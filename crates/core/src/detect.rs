@@ -15,6 +15,8 @@
 //! pointer-closed component — only to resolve indirect-call callees
 //! ([`vc_pointer::demand::DemandPointer`]).
 
+use std::sync::Arc;
+
 use vc_dataflow::summary::{
     build_summary,
     CallTarget,
@@ -246,10 +248,11 @@ pub(crate) enum UnitOutcome {
     Done {
         /// Whether the liveness budget ran out.
         exhausted: bool,
-        /// The unit's summary, handed to the prune stage. `None` for
-        /// journal-replayed units: summaries are not journaled, and the
-        /// prune stage rebuilds them on demand.
-        summary: Option<FnSummary>,
+        /// The unit's summary, handed to the prune stage (and, in serve,
+        /// shared with the unit cache). `None` for journal-replayed units:
+        /// summaries are not journaled, and the prune stage rebuilds them
+        /// on demand.
+        summary: Option<Arc<FnSummary>>,
         /// The unit's candidates.
         candidates: Vec<Candidate>,
     },
@@ -263,7 +266,7 @@ impl From<Result<(FnSummary, Vec<Candidate>), String>> for UnitOutcome {
         match result {
             Ok((summary, candidates)) => UnitOutcome::Done {
                 exhausted: summary.exhausted,
-                summary: Some(summary),
+                summary: Some(Arc::new(summary)),
                 candidates,
             },
             Err(message) => UnitOutcome::Poisoned(message),

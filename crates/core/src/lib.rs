@@ -80,6 +80,17 @@ pub(crate) fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     (h ^ 0xFF).wrapping_mul(PRIME)
 }
 
+/// Adds per-unit counters tallied over a loop, once each. A zero tally is
+/// skipped, so a counter no unit touched stays absent from the snapshot
+/// exactly as with per-unit increments.
+pub(crate) fn counters_add(tallies: &[(&str, u64)]) {
+    for &(name, n) in tallies {
+        if n > 0 {
+            vc_obs::counter_add(name, n);
+        }
+    }
+}
+
 pub use authorship::{
     Attributed,
     AuthorshipCtx, //

@@ -213,6 +213,7 @@ impl PeerStats {
                 stats.retval.entry(callee.clone()).or_default().0 = sites.len();
             }
         }
+        let (mut eliminated, mut reused) = (0u64, 0u64);
         for (fi, f) in prog.funcs.iter().enumerate() {
             let fid = FuncId(fi as u32);
             let sig = stats.sigs.sig_of(fid);
@@ -223,10 +224,11 @@ impl PeerStats {
             if !sig_relevant && !calls_relevant {
                 // Redundant-summary elimination: no peer question this
                 // candidate set asks can reach this function.
-                vc_obs::counter_inc(vc_obs::names::SUMMARY_ELIMINATED);
+                eliminated += 1;
                 continue;
             }
-            let summary = summaries.get_or_build(f, fid, sig);
+            let (summary, hit) = summaries.get_or_build(f, fid, sig);
+            reused += hit as u64;
             // Dead retval stores.
             if calls_relevant {
                 for d in &summary.dead {
@@ -253,6 +255,10 @@ impl PeerStats {
                 }
             }
         }
+        crate::counters_add(&[
+            (vc_obs::names::SUMMARY_ELIMINATED, eliminated),
+            (vc_obs::names::SUMMARY_REUSED, reused),
+        ]);
         stats
     }
 

@@ -50,15 +50,19 @@
 //! (resolved indirect callees + degradation flag — a constant for the
 //! common function with no indirect calls, so no pointer component is
 //! solved on its behalf), the preprocessor defines, and the detect/harden
-//! configuration. Each cached unit carries the function's [`FnSummary`]
-//! alongside its candidates, so a warm hit hands the prune stage its
-//! summary without rebuilding dataflow facts (counted under
-//! `summary.reused`).
-//! Any input that could change a function's analysis changes its key, so
-//! a stale entry is unreachable rather than wrong. On top of the keys,
-//! the dirty closure (functions in changed files, plus callers and
-//! callees of changed functions by name) is re-analyzed unconditionally.
-//! Both caches sweep generationally: entries not used by the current
+//! configuration. The key does not bind what lowering reads from *other*
+//! files — a callee's prototype decides whether an ignored call result
+//! gets its implicit store, and global types and struct layouts shape the
+//! IR too — so each cached unit also records a structural hash of the
+//! lowered function, and a hit requires the key *and* that hash to match.
+//! Each cached unit carries the function's [`FnSummary`] behind an `Arc`
+//! alongside its candidates, so a warm hit hands the prune stage the same
+//! summary without rebuilding or copying it (counted under
+//! `summary.reused`); only a shifted signature id copies it, once. On top
+//! of the keys, the dirty closure (functions in changed files, plus
+//! callers and callees of changed functions by name) is re-analyzed
+//! unconditionally. Both caches sweep generationally: a hit moves its
+//! entry into the next generation, and entries not used by the current
 //! request are dropped, bounding memory across thousands of requests.
 //!
 //! ## Telemetry (DESIGN.md §16)
@@ -84,6 +88,7 @@
 
 use std::{
     collections::{HashMap, HashSet},
+    hash::{Hash, Hasher},
     io::{self, BufRead, Write},
     panic::{catch_unwind, AssertUnwindSafe},
     path::{Path, PathBuf},
@@ -100,7 +105,7 @@ use vc_ir::{
     Program, //
 };
 use vc_obs::{Json, ObsSession};
-use vc_pointer::demand::DemandPointer;
+use vc_pointer::{demand::DemandPointer, fasthash::FastHasher};
 
 use crate::{
     candidate::Candidate,
@@ -163,12 +168,17 @@ impl Default for ServeConfig {
 /// poisoned (panicking) functions re-run on every request so their failure
 /// records keep appearing, and deadline-skipped functions were never
 /// analyzed at all.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct CachedUnit {
     candidates: Vec<Candidate>,
-    /// The function's dataflow summary, reused by the prune stage on a
+    /// The function's dataflow summary, shared with the prune stage on a
     /// warm hit instead of re-solving liveness/defs (`summary.reused`).
-    summary: FnSummary,
+    summary: Arc<FnSummary>,
+    /// Structural hash of the lowered [`vc_ir::Function`] the unit was
+    /// computed from. A hit requires it to match: lowering also reads
+    /// other files (callee prototypes, global types, struct layouts), which
+    /// the content key does not bind.
+    ir_hash: u64,
 }
 
 /// Warm state carried between requests.
@@ -604,51 +614,87 @@ impl ServeEngine {
                 h = fnv1a(h, &ordinal.to_le_bytes());
                 fnv1a(h, &pf.to_le_bytes())
             };
-            if !dirty.contains(&f.name) {
-                if let Some(unit) = self.units.get(&key) {
-                    hits += 1;
-                    vc_obs::counter_inc(vc_obs::names::SERVE_UNIT_HITS);
-                    vc_obs::counter_inc(vc_obs::names::SUMMARY_REUSED);
-                    // Rebind: the function's global id may have shifted
-                    // when other files gained or lost functions; its file,
-                    // spans, and locals are pinned by the key.
-                    let candidates = unit
-                        .candidates
-                        .iter()
-                        .map(|c| Candidate {
-                            func: fid,
-                            ..c.clone()
-                        })
-                        .collect();
-                    let mut summary = unit.summary.clone();
-                    summary.sig = interner.sig_of(fid);
-                    next_units.insert(key, unit.clone());
-                    out.fold(prog, fid, Ok((summary, candidates)).into());
-                    continue;
+            let ir_hash = {
+                let mut h = FastHasher::default();
+                f.hash(&mut h);
+                h.finish()
+            };
+            let hit = !dirty.contains(&f.name)
+                && self.units.get(&key).is_some_and(|u| u.ir_hash == ir_hash);
+            if hit {
+                // The entry moves into the next generation; its summary is
+                // shared, not copied.
+                let mut unit = self.units.remove(&key).expect("hit entry is cached");
+                hits += 1;
+                // Rebind: the function's global id may have shifted when
+                // other files gained or lost functions; its file, spans,
+                // and locals are pinned by the key.
+                let candidates = unit
+                    .candidates
+                    .iter()
+                    .map(|c| Candidate {
+                        func: fid,
+                        ..c.clone()
+                    })
+                    .collect();
+                // Signature ids are program-wide, so they shift when
+                // another file adds a signature: only then is the summary
+                // copied, once, and the copy cached.
+                let sig = interner.sig_of(fid);
+                if unit.summary.sig != sig {
+                    unit.summary = Arc::new(FnSummary {
+                        sig,
+                        ..FnSummary::clone(&unit.summary)
+                    });
                 }
+                let summary = Arc::clone(&unit.summary);
+                next_units.insert(key, unit);
+                out.fold(
+                    prog,
+                    fid,
+                    UnitOutcome::Done {
+                        exhausted: summary.exhausted,
+                        summary: Some(summary),
+                        candidates,
+                    },
+                );
+                continue;
             }
             misses += 1;
-            vc_obs::counter_inc(vc_obs::names::SERVE_UNIT_MISSES);
-            let detected = run_unit(
+            let unit = UnitOutcome::from(run_unit(
                 prog,
                 fid,
                 oracle.as_ref(),
                 &interner,
                 hconf,
                 vc_obs::MAIN_TID,
-            );
-            if let Ok((summary, candidates)) = &detected {
+            ));
+            if let UnitOutcome::Done {
+                summary: Some(summary),
+                candidates,
+                ..
+            } = &unit
+            {
                 next_units.insert(
                     key,
                     CachedUnit {
                         candidates: candidates.clone(),
-                        summary: summary.clone(),
+                        summary: Arc::clone(summary),
+                        ir_hash,
                     },
                 );
             }
-            out.fold(prog, fid, UnitOutcome::from(detected));
+            out.fold(prog, fid, unit);
         }
+        crate::counters_add(&[
+            (vc_obs::names::SERVE_UNIT_HITS, hits),
+            (vc_obs::names::SUMMARY_REUSED, hits),
+            (vc_obs::names::SERVE_UNIT_MISSES, misses),
+        ]);
         // Generational sweep: entries the current tree did not touch die.
+        // Hits already moved out of `self.units`, so what is left there
+        // and absent from the next generation is exactly the old keys the
+        // current tree no longer reaches.
         let swept = self
             .units
             .keys()
@@ -1293,6 +1339,7 @@ where
 mod tests {
     use super::*;
     use std::fs;
+    use vc_dataflow::summary::SigId;
 
     /// A `Write` the test can keep reading after the daemon takes it.
     #[derive(Clone, Default)]
@@ -1374,6 +1421,89 @@ mod tests {
         assert_eq!(
             canonical_of(&third),
             cold_canonical(&dir, &Options::paper())
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn declaration_edit_in_another_file_invalidates_warm_unit() {
+        // `b.c`'s IR depends on `a.c`: only a declared non-void callee gets
+        // the implicit `[tmp] = ext(...)` store. Adding the prototype to
+        // `a.c` leaves `b.c`'s bytes, and so its unit key, unchanged.
+        let dir = tree(
+            "decledit",
+            &[
+                ("a.c", "int other(void) { return 0; }\n"),
+                ("b.c", "int f(int n) {\n ext(n);\n return 0;\n}\n"),
+            ],
+        );
+        let mut eng = ServeEngine::new(&dir, ServeConfig::default()).unwrap();
+        let first = eng.scan(None).unwrap();
+        assert_eq!(first.raw_candidates, 0);
+        fs::write(
+            dir.join("a.c"),
+            "int ext(int n);\nint other(void) { return 0; }\n",
+        )
+        .unwrap();
+        let warm = eng.scan(None).unwrap();
+        let cold = cold_canonical(&dir, &Options::paper());
+        assert_eq!(
+            warm.raw_candidates, 1,
+            "the ignored `ext` result is a candidate"
+        );
+        assert_eq!(
+            warm.unit_hits, 0,
+            "f's lowered IR changed, so its unit misses"
+        );
+        assert_eq!(canonical_of(&warm), cold);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn shifted_signature_ids_copy_cached_summaries() {
+        let b = "int g(char *p) {\n int y = 1;\n y = 2;\n return y;\n}\n";
+        let dir = tree(
+            "sigshift",
+            &[("a.c", "int first(int x) { return x; }\n"), ("b.c", b)],
+        );
+        let mut served = ServeEngine::new(&dir, ServeConfig::default()).unwrap();
+        let mut probed = ServeEngine::new(&dir, ServeConfig::default()).unwrap();
+        served.scan(None).unwrap();
+        probed.scan(None).unwrap();
+        // A new leading signature in `a.c` shifts the `SigId` of `b.c`'s
+        // cached `g`.
+        fs::write(
+            dir.join("a.c"),
+            "int lead(long a, long b) { return 0; }\nint first(int x) { return x; }\n",
+        )
+        .unwrap();
+
+        let warm = served.scan(None).unwrap();
+        assert_eq!(warm.unit_hits, 1, "g stays warm");
+        assert_eq!(canonical_of(&warm), cold_canonical(&dir, &Options::paper()));
+
+        let project = load_dir_or_empty(&dir).unwrap();
+        let (prog, _, _) = Program::build_recovering(&project.source_refs(), &[]);
+        let dirty = probed.dirty_closure(&prog, &project);
+        let cached_sigs: Vec<SigId> = probed.units.values().map(|u| u.summary.sig).collect();
+        assert!(cached_sigs.contains(&SigId(1)), "g was cached under id 1");
+        let (outcome, _, hits, _) = probed.detect_warm(&prog, &dirty, None);
+        assert_eq!(hits, 1);
+        let interner = SigInterner::new(&prog);
+        for fi in 0..prog.funcs.len() {
+            let fid = FuncId(fi as u32);
+            let summary = outcome
+                .summaries
+                .get(fid)
+                .expect("every unit has a summary");
+            assert_eq!(summary.sig, interner.sig_of(fid), "{}", prog.func(fid).name);
+        }
+        let g = FuncId(2);
+        assert_eq!(prog.func(g).name, "g");
+        assert_eq!(
+            interner.sig_of(g),
+            SigId(2),
+            "g's signature id moved 1 -> 2"
         );
         let _ = fs::remove_dir_all(&dir);
     }

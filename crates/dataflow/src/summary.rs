@@ -28,12 +28,16 @@
 //!
 //! Summaries are content-addressable by construction (nothing in them
 //! depends on ids outside the function except the interned signature), so
-//! the serve daemon caches them across warm requests keyed by file content.
+//! the serve daemon caches them across warm requests keyed by file content
+//! and the lowered function's structural hash.
 
-use std::collections::{
-    BTreeMap,
-    BTreeSet,
-    HashMap, //
+use std::{
+    collections::{
+        BTreeMap,
+        BTreeSet,
+        HashMap, //
+    },
+    sync::Arc,
 };
 
 use vc_ir::{
@@ -479,6 +483,8 @@ pub fn build_summary(f: &Function, sig: SigId, budget: Budget) -> FnSummary {
 
 /// A store of per-function summaries for one scan.
 ///
+/// Entries are shared [`Arc`]s: the detect stage and the serve daemon's
+/// unit cache hand the same summary to the prune stage without copying it.
 /// `get_or_build` hands out full-confidence summaries: a cached summary
 /// built under an exhausted budget is rebuilt unbudgeted on first full
 /// demand (the prune passes were never budget-limited), replacing the
@@ -486,13 +492,13 @@ pub fn build_summary(f: &Function, sig: SigId, budget: Budget) -> FnSummary {
 #[derive(Debug, Default)]
 pub struct Summaries {
     /// Indexed by `FuncId` (function ids are dense), `None` until built.
-    map: Vec<Option<FnSummary>>,
+    map: Vec<Option<Arc<FnSummary>>>,
     held: usize,
 }
 
 impl Summaries {
     /// Inserts a summary computed elsewhere (the detect loop, a warm cache).
-    pub fn insert(&mut self, fid: FuncId, summary: FnSummary) {
+    pub fn insert(&mut self, fid: FuncId, summary: impl Into<Arc<FnSummary>>) {
         let i = fid.0 as usize;
         if i >= self.map.len() {
             self.map.resize_with(i + 1, || None);
@@ -500,29 +506,24 @@ impl Summaries {
         if self.map[i].is_none() {
             self.held += 1;
         }
-        self.map[i] = Some(summary);
+        self.map[i] = Some(summary.into());
     }
 
     /// The summary of `fid`, if present.
     pub fn get(&self, fid: FuncId) -> Option<&FnSummary> {
-        self.map.get(fid.0 as usize).and_then(|o| o.as_ref())
+        self.map.get(fid.0 as usize).and_then(|o| o.as_deref())
     }
 
-    /// The full-confidence summary of `fid`: reused when cached (counted as
-    /// `summary.reused`), built unbudgeted otherwise — also when the cached
-    /// entry is partial from budget exhaustion.
-    pub fn get_or_build(&mut self, f: &Function, fid: FuncId, sig: SigId) -> &FnSummary {
-        let rebuild = match self.get(fid) {
-            Some(s) => s.exhausted,
-            None => true,
-        };
-        if rebuild {
-            let s = build_summary(f, sig, Budget::UNLIMITED);
-            self.insert(fid, s);
-        } else {
-            vc_obs::counter_inc(vc_obs::names::SUMMARY_REUSED);
+    /// The full-confidence summary of `fid`, and whether it was reused:
+    /// cached entries are reused, missing ones built unbudgeted — also
+    /// when the cached entry is partial from budget exhaustion. The caller
+    /// counts the reuses as `summary.reused`, once per pass.
+    pub fn get_or_build(&mut self, f: &Function, fid: FuncId, sig: SigId) -> (&FnSummary, bool) {
+        let reused = matches!(self.get(fid), Some(s) if !s.exhausted);
+        if !reused {
+            self.insert(fid, build_summary(f, sig, Budget::UNLIMITED));
         }
-        self.map[fid.0 as usize].as_ref().unwrap()
+        (self.get(fid).expect("cached or just built"), reused)
     }
 
     /// Number of summaries held.
@@ -666,13 +667,14 @@ mod tests {
         assert!(partial.exhausted);
         let mut store = Summaries::default();
         store.insert(FuncId(0), partial);
-        let full = store.get_or_build(&p.funcs[0], FuncId(0), sig);
+        let (full, reused) = store.get_or_build(&p.funcs[0], FuncId(0), sig);
         assert!(!full.exhausted);
         // Partial entry was rebuilt, not reused.
-        assert_eq!(obs.registry.counter(vc_obs::names::SUMMARY_REUSED), 0);
+        assert!(!reused);
         assert_eq!(obs.registry.counter(vc_obs::names::SUMMARY_BUILT), 2);
         // A second full demand reuses.
-        store.get_or_build(&p.funcs[0], FuncId(0), sig);
-        assert_eq!(obs.registry.counter(vc_obs::names::SUMMARY_REUSED), 1);
+        let (_, reused) = store.get_or_build(&p.funcs[0], FuncId(0), sig);
+        assert!(reused);
+        assert_eq!(obs.registry.counter(vc_obs::names::SUMMARY_BUILT), 2);
     }
 }

@@ -291,7 +291,7 @@ pub enum UnOp {
 }
 
 /// Binary operator kinds.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum BinOp {
     Add,
     Sub,

@@ -52,7 +52,7 @@ impl VarKey {
 }
 
 /// An operand of an instruction.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Operand {
     /// A value temporary.
     Temp(TempId),
@@ -115,7 +115,7 @@ impl Place {
 }
 
 /// Unary operation kinds at the IR level.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum IrUnOp {
     /// Arithmetic negation.
     Neg,
@@ -126,7 +126,7 @@ pub enum IrUnOp {
 }
 
 /// The callee of a call instruction.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Callee {
     /// A direct call to a named function.
     Direct(String),
@@ -137,7 +137,7 @@ pub enum Callee {
 /// How the stored value of a `Store` was produced; used by the detector to
 /// classify candidates (return values, parameter entries) and by the cursor
 /// pruner (self-increment by a constant).
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash, Default)]
 pub enum StoreInfo {
     /// An ordinary store.
     #[default]
@@ -164,7 +164,7 @@ pub enum StoreInfo {
 }
 
 /// One IR instruction.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub enum Inst {
     /// `dst = load place`.
     Load {
@@ -260,7 +260,7 @@ impl Inst {
 }
 
 /// A basic-block terminator.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub enum Terminator {
     /// Unconditional branch.
     Br(BlockId),
@@ -304,7 +304,7 @@ impl Terminator {
 }
 
 /// A basic block: straight-line instructions plus one terminator.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub struct BasicBlock {
     /// Instructions in execution order.
     pub insts: Vec<Inst>,
@@ -313,7 +313,7 @@ pub struct BasicBlock {
 }
 
 /// Why a local slot exists.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum LocalKind {
     /// A named source-level variable.
     Named,
@@ -325,7 +325,7 @@ pub enum LocalKind {
 }
 
 /// Metadata for one local slot.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub struct LocalInfo {
     /// Source-level name (synthetic slots get `$`-prefixed names).
     pub name: String,
@@ -340,7 +340,7 @@ pub struct LocalInfo {
 }
 
 /// Metadata for one parameter.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub struct ParamInfo {
     /// Parameter name.
     pub name: String,
@@ -355,7 +355,7 @@ pub struct ParamInfo {
 }
 
 /// Where a temp's value came from; a per-function parallel table.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum TempOrigin {
     /// Result of a direct call to the named function.
     Call(String),
@@ -374,7 +374,7 @@ pub enum TempOrigin {
 }
 
 /// A lowered function.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub struct Function {
     /// Function name.
     pub name: String,

@@ -94,6 +94,14 @@ bounded cargo test -p valuecheck --test summaries -q
 echo "==> cargo test -p valuecheck --test units -q (one unit runner)"
 bounded cargo test -p valuecheck --test units -q
 
+# serve_alloc: the warm-hit allocation guard (crates/core/tests/serve_alloc.rs)
+# — a warm rescan of 200 unchanged functions, each with two dead stores,
+# must stay under a fixed number of detect-stage allocations per unit-cache
+# hit: hits share their cached summary and move their cache entry instead
+# of deep-copying either.
+echo "==> cargo test -p valuecheck --test serve_alloc -q (warm-hit allocations)"
+bounded cargo test -p valuecheck --test serve_alloc -q
+
 # bench: the perf observatory (crates/bench/src/perf.rs) — a deterministic
 # scaled scan measured median-of-N, written as BENCH_scan.json /
 # BENCH_stages.json. The serve_bench step is the sustained-throughput case:
