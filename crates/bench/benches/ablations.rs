@@ -23,6 +23,10 @@ use valuecheck::{
     },
 };
 use vc_bench::harness::Harness;
+use vc_dataflow::summary::{
+    SigInterner,
+    Summaries, //
+};
 use vc_ir::Program;
 use vc_pointer::{
     Config as PtConfig,
@@ -82,7 +86,8 @@ fn peer_thresholds(h: &mut Harness) {
         .into_iter()
         .filter(|a| a.cross_scope)
         .collect();
-    let peers = PeerStats::compute(&prog);
+    let mut summaries = Summaries::default();
+    let peers = PeerStats::compute_with(&prog, SigInterner::new(&prog), &mut summaries, None);
 
     h.group("peer_threshold_sweep").sample_size(20);
     for min_occ in [2usize, 5, 10, 20] {
@@ -91,7 +96,9 @@ fn peer_thresholds(h: &mut Harness) {
             ..PruneConfig::default()
         };
         h.bench(&min_occ.to_string(), || {
-            prune(&prog, &config, &peers, attributed.clone()).kept.len()
+            prune(&prog, &config, &peers, &summaries, attributed.clone())
+                .kept
+                .len()
         });
     }
 }
@@ -109,7 +116,8 @@ fn prune_order(h: &mut Harness) {
         .into_iter()
         .filter(|a| a.cross_scope)
         .collect();
-    let peers = PeerStats::compute(&prog);
+    let mut summaries = Summaries::default();
+    let peers = PeerStats::compute_with(&prog, SigInterner::new(&prog), &mut summaries, None);
 
     let configs: [(&str, PruneConfig); 5] = [
         ("all", PruneConfig::default()),
@@ -121,7 +129,9 @@ fn prune_order(h: &mut Harness) {
     h.group("prune_single_pattern").sample_size(20);
     for (label, config) in configs {
         h.bench(label, || {
-            prune(&prog, &config, &peers, attributed.clone()).kept.len()
+            prune(&prog, &config, &peers, &summaries, attributed.clone())
+                .kept
+                .len()
         });
     }
 }

@@ -22,7 +22,13 @@ use valuecheck::{
     },
 };
 use vc_bench::harness::Harness;
-use vc_dataflow::liveness::live_variables;
+use vc_dataflow::{
+    liveness::live_variables,
+    summary::{
+        SigInterner,
+        Summaries, //
+    },
+};
 use vc_ir::{
     cfg::Cfg,
     Program, //
@@ -74,14 +80,29 @@ fn main() {
         .filter(|a| a.cross_scope)
         .collect();
     h.bench("pruning", || {
-        let peers = PeerStats::compute(&prog);
-        prune(&prog, &PruneConfig::default(), &peers, attributed.clone())
-            .kept
-            .len()
+        let mut summaries = Summaries::default();
+        let peers = PeerStats::compute_with(&prog, SigInterner::new(&prog), &mut summaries, None);
+        prune(
+            &prog,
+            &PruneConfig::default(),
+            &peers,
+            &summaries,
+            attributed.clone(),
+        )
+        .kept
+        .len()
     });
 
-    let peers = PeerStats::compute(&prog);
-    let kept = prune(&prog, &PruneConfig::default(), &peers, attributed).kept;
+    let mut summaries = Summaries::default();
+    let peers = PeerStats::compute_with(&prog, SigInterner::new(&prog), &mut summaries, None);
+    let kept = prune(
+        &prog,
+        &PruneConfig::default(),
+        &peers,
+        &summaries,
+        attributed,
+    )
+    .kept;
     h.bench("familiarity_ranking", || {
         rank(&prog, &app.repo, &RankConfig::default(), kept.clone()).len()
     });

@@ -35,41 +35,93 @@ impl std::fmt::Display for LexError {
 
 impl std::error::Error for LexError {}
 
-struct Lexer<'a> {
-    src: &'a [u8],
-    pos: usize,
-    line: u32,
-    col: u32,
-    file: FileId,
+/// One file's tokens with the text they index.
+pub(crate) struct Lexed {
+    /// The token stream, terminated by [`TokenKind::Eof`] unless a strict
+    /// lex stopped at an error.
+    pub(crate) tokens: Vec<Token>,
+    /// Decoded text of string literals and guard symbols, indexed by
+    /// `Str`/`HashIf`/`HashIfNot`.
+    pub(crate) strings: Vec<String>,
+    /// Every diagnostic, in source order; a strict lex keeps only the first.
+    pub(crate) errors: Vec<LexError>,
+}
+
+impl Lexed {
+    /// The lexed file, or its first error.
+    pub(crate) fn strict(mut self) -> Result<Lexed, LexError> {
+        match self.errors.pop() {
+            Some(e) => Err(e),
+            None => Ok(self),
+        }
+    }
+}
+
+/// Lexes `src` into tokens. With `recover`, every region that fails to
+/// tokenise becomes a [`TokenKind::Error`] token and lexing goes on;
+/// without it, lexing stops at the first error.
+pub(crate) fn lex_file(file: FileId, src: &str, recover: bool) -> Lexed {
+    let mut lx = Lexer {
+        src,
+        bytes: src.as_bytes(),
+        pos: 0,
+        line: 1,
+        col: 1,
+        file,
+        tok: Mark {
+            pos: 0,
+            at: LineCol::new(1, 1),
+        },
+        strings: Vec::new(),
+    };
+    let mut tokens = Vec::new();
+    let mut errors = Vec::new();
+    loop {
+        let before = lx.pos;
+        let tok = match lx.next_token() {
+            Ok(tok) => tok,
+            Err(e) => {
+                errors.push(e);
+                if !recover {
+                    break;
+                }
+                // Guarantee progress even for a zero-consumption error.
+                if lx.pos == before {
+                    lx.bump();
+                }
+                lx.token(TokenKind::Error)
+            }
+        };
+        tokens.push(tok);
+        if tok.kind == TokenKind::Eof {
+            break;
+        }
+    }
+    Lexed {
+        tokens,
+        strings: lx.strings,
+        errors,
+    }
 }
 
 /// Lexes `src` into a token stream terminated by [`TokenKind::Eof`].
+///
+/// Identifiers carry no text: [`Token::text`] slices it from `src`. The
+/// decoded text of string literals and guard symbols stays with the
+/// parser, which reads it through the `Str`/`HashIf`/`HashIfNot` indices.
 ///
 /// # Examples
 ///
 /// ```
 /// use vc_ir::{lexer::lex, span::FileId, token::TokenKind};
-/// let toks = lex(FileId(0), "int x = 3;").unwrap();
+/// let src = "int x = 3;";
+/// let toks = lex(FileId(0), src).unwrap();
 /// assert!(matches!(toks[0].kind, TokenKind::KwInt));
+/// assert_eq!(toks[1].text(src), "x");
 /// assert!(matches!(toks.last().unwrap().kind, TokenKind::Eof));
 /// ```
 pub fn lex(file: FileId, src: &str) -> Result<Vec<Token>, LexError> {
-    let mut lx = Lexer {
-        src: src.as_bytes(),
-        pos: 0,
-        line: 1,
-        col: 1,
-        file,
-    };
-    let mut out = Vec::new();
-    loop {
-        let tok = lx.next_token()?;
-        let done = matches!(tok.kind, TokenKind::Eof);
-        out.push(tok);
-        if done {
-            return Ok(out);
-        }
-    }
+    lex_file(file, src, false).strict().map(|l| l.tokens)
 }
 
 /// Lexes `src` like [`lex`], but never gives up: every region that fails to
@@ -84,63 +136,51 @@ pub fn lex(file: FileId, src: &str) -> Result<Vec<Token>, LexError> {
 ///
 /// ```
 /// use vc_ir::{lexer::lex_recovering, span::FileId, token::TokenKind};
-/// let (toks, errs) = lex_recovering(FileId(0), "int x = \"oops\nint y;");
+/// let src = "int x = \"oops\nint y;";
+/// let (toks, errs) = lex_recovering(FileId(0), src);
 /// assert_eq!(errs.len(), 1);
 /// assert!(toks.iter().any(|t| matches!(t.kind, TokenKind::Error)));
 /// // Lexing resumed on the next line:
-/// assert!(toks.iter().any(|t| matches!(&t.kind, TokenKind::Ident(s) if s == "y")));
+/// assert!(toks.iter().any(|t| t.kind == TokenKind::Ident && t.text(src) == "y"));
 /// ```
 pub fn lex_recovering(file: FileId, src: &str) -> (Vec<Token>, Vec<LexError>) {
-    let mut lx = Lexer {
-        src: src.as_bytes(),
-        pos: 0,
-        line: 1,
-        col: 1,
-        file,
-    };
-    let mut out = Vec::new();
-    let mut errors = Vec::new();
-    loop {
-        let before = lx.pos;
-        match lx.next_token() {
-            Ok(tok) => {
-                let done = matches!(tok.kind, TokenKind::Eof);
-                out.push(tok);
-                if done {
-                    return (out, errors);
-                }
-            }
-            Err(e) => {
-                let start = e.span.start;
-                errors.push(e);
-                // Guarantee progress even for a zero-consumption error.
-                if lx.pos == before {
-                    lx.bump();
-                }
-                out.push(Token {
-                    kind: TokenKind::Error,
-                    span: Span {
-                        file,
-                        start,
-                        end: lx.here(),
-                    },
-                });
-            }
-        }
-    }
+    let l = lex_file(file, src, true);
+    (l.tokens, l.errors)
+}
+
+/// A source position as both a byte offset and a line/column.
+#[derive(Clone, Copy)]
+struct Mark {
+    pos: usize,
+    at: LineCol,
+}
+
+struct Lexer<'a> {
+    src: &'a str,
+    bytes: &'a [u8],
+    pos: usize,
+    line: u32,
+    col: u32,
+    file: FileId,
+    /// Start of the token being lexed; errors and tokens begin here.
+    tok: Mark,
+    strings: Vec<String>,
 }
 
 impl<'a> Lexer<'a> {
-    fn here(&self) -> LineCol {
-        LineCol::new(self.line, self.col)
+    fn here(&self) -> Mark {
+        Mark {
+            pos: self.pos,
+            at: LineCol::new(self.line, self.col),
+        }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
+        self.bytes.get(self.pos).copied()
     }
 
     fn peek2(&self) -> Option<u8> {
-        self.src.get(self.pos + 1).copied()
+        self.bytes.get(self.pos + 1).copied()
     }
 
     fn bump(&mut self) -> Option<u8> {
@@ -155,13 +195,34 @@ impl<'a> Lexer<'a> {
         Some(c)
     }
 
-    fn error(&self, start: LineCol, message: impl Into<String>) -> LexError {
+    /// Consumes a run of `[A-Za-z0-9_]` in one step and returns it. The run
+    /// holds no newline, so only the column moves.
+    fn eat_word(&mut self) -> &'a str {
+        let from = self.pos;
+        let len = self.bytes[from..]
+            .iter()
+            .take_while(|&&c| c == b'_' || c.is_ascii_alphanumeric())
+            .count();
+        self.pos += len;
+        self.col += len as u32;
+        &self.src[from..self.pos]
+    }
+
+    /// Stores decoded text in the string table and returns its index.
+    fn intern(&mut self, text: String) -> u32 {
+        let i = u32::try_from(self.strings.len())
+            .expect("a file under 8 GiB holds fewer than 2^32 literals and guards");
+        self.strings.push(text);
+        i
+    }
+
+    fn error(&self, message: impl Into<String>) -> LexError {
         LexError {
             message: message.into(),
             span: Span {
                 file: self.file,
-                start,
-                end: self.here(),
+                start: self.tok.at,
+                end: LineCol::new(self.line, self.col),
             },
         }
     }
@@ -186,7 +247,10 @@ impl<'a> Lexer<'a> {
                     self.bump();
                     loop {
                         match self.peek() {
-                            None => return Err(self.error(start, "unterminated block comment")),
+                            None => {
+                                self.tok = start;
+                                return Err(self.error("unterminated block comment"));
+                            }
                             Some(b'*') if self.peek2() == Some(b'/') => {
                                 self.bump();
                                 self.bump();
@@ -205,72 +269,81 @@ impl<'a> Lexer<'a> {
 
     fn next_token(&mut self) -> Result<Token, LexError> {
         self.skip_trivia()?;
-        let start = self.here();
+        self.tok = self.here();
         let Some(c) = self.peek() else {
-            return Ok(self.token(start, TokenKind::Eof));
+            return Ok(self.token(TokenKind::Eof));
         };
         match c {
-            b'#' => self.lex_directive(start),
-            b'"' => self.lex_string(start),
-            b'\'' => self.lex_char(start),
-            b'0'..=b'9' => self.lex_number(start),
-            c if c == b'_' || (c as char).is_ascii_alphabetic() => self.lex_ident(start),
-            b'[' if self.peek2() == Some(b'[') => self.lex_bracket_attr(start),
-            _ => self.lex_operator(start),
+            b'#' => self.lex_directive(),
+            b'"' => self.lex_string(),
+            b'\'' => self.lex_char(),
+            b'0'..=b'9' => self.lex_number(),
+            c if c == b'_' || c.is_ascii_alphabetic() => self.lex_ident(),
+            b'[' if self.peek2() == Some(b'[') => self.lex_bracket_attr(),
+            _ => self.lex_operator(),
         }
     }
 
-    fn token(&self, start: LineCol, kind: TokenKind) -> Token {
+    /// The token from the current token start to here.
+    fn token(&self, kind: TokenKind) -> Token {
         Token {
             kind,
             span: Span {
                 file: self.file,
-                start,
-                end: self.here(),
+                start: self.tok.at,
+                end: LineCol::new(self.line, self.col),
             },
+            lo: self.tok.pos,
+            hi: self.pos,
         }
     }
 
-    fn lex_directive(&mut self, start: LineCol) -> Result<Token, LexError> {
+    fn lex_directive(&mut self) -> Result<Token, LexError> {
         // Consume to end of line; directives are line-oriented.
-        let mut text = String::new();
         while let Some(c) = self.peek() {
             if c == b'\n' {
                 break;
             }
-            text.push(self.bump().expect("peeked") as char);
+            self.bump();
         }
-        let mut parts = text.split_whitespace();
-        let head = parts.next().unwrap_or("");
-        let arg = parts.next().unwrap_or("").to_string();
+        // Each byte reads as one char (Latin-1), so a non-ASCII byte splits
+        // words exactly when `char::is_whitespace` says it does.
+        let mut words = self.bytes[self.tok.pos..self.pos]
+            .split(|&c| (c as char).is_whitespace())
+            .filter(|w| !w.is_empty());
+        let head = words.next().unwrap_or_default();
+        let arg = words.next().unwrap_or_default();
         let kind = match head {
-            "#if" | "#ifdef" => {
-                if arg.is_empty() {
-                    return Err(self.error(start, "missing guard symbol after #if"));
-                }
-                TokenKind::HashIf(arg)
+            b"#if" | b"#ifdef" if arg.is_empty() => {
+                return Err(self.error("missing guard symbol after #if"))
             }
-            "#ifndef" => {
-                if arg.is_empty() {
-                    return Err(self.error(start, "missing guard symbol after #ifndef"));
-                }
-                TokenKind::HashIfNot(arg)
+            b"#if" | b"#ifdef" => TokenKind::HashIf(self.intern(latin1(arg))),
+            b"#ifndef" if arg.is_empty() => {
+                return Err(self.error("missing guard symbol after #ifndef"))
             }
-            "#else" => TokenKind::HashElse,
-            "#endif" => TokenKind::HashEndif,
-            other => return Err(self.error(start, format!("unsupported directive `{other}`"))),
+            b"#ifndef" => TokenKind::HashIfNot(self.intern(latin1(arg))),
+            b"#else" => TokenKind::HashElse,
+            b"#endif" => TokenKind::HashEndif,
+            other => return Err(self.error(format!("unsupported directive `{}`", latin1(other)))),
         };
-        Ok(self.token(start, kind))
+        Ok(self.token(kind))
     }
 
-    fn lex_string(&mut self, start: LineCol) -> Result<Token, LexError> {
+    fn lex_string(&mut self) -> Result<Token, LexError> {
         self.bump(); // Opening quote.
-        let mut s = String::new();
+
+        // Sized to the bytes before the next quote or newline, which holds
+        // the whole ASCII text of a literal without escaped quotes.
+        let run = self.bytes[self.pos..]
+            .iter()
+            .position(|&c| c == b'"' || c == b'\n')
+            .unwrap_or(self.bytes.len() - self.pos);
+        let mut s = String::with_capacity(run);
         loop {
             match self.peek() {
                 // A raw newline cannot appear in a MiniC string; leaving it
                 // unconsumed lets `lex_recovering` resume on the next line.
-                None | Some(b'\n') => return Err(self.error(start, "unterminated string literal")),
+                None | Some(b'\n') => return Err(self.error("unterminated string literal")),
                 Some(b'"') => {
                     self.bump();
                     break;
@@ -279,7 +352,7 @@ impl<'a> Lexer<'a> {
                     self.bump();
                     let esc = self
                         .bump()
-                        .ok_or_else(|| self.error(start, "unterminated escape"))?;
+                        .ok_or_else(|| self.error("unterminated escape"))?;
                     s.push(unescape(esc) as char);
                 }
                 Some(c) => {
@@ -288,73 +361,59 @@ impl<'a> Lexer<'a> {
                 }
             }
         }
-        Ok(self.token(start, TokenKind::Str(s)))
+        let i = self.intern(s);
+        Ok(self.token(TokenKind::Str(i)))
     }
 
-    fn lex_char(&mut self, start: LineCol) -> Result<Token, LexError> {
+    fn lex_char(&mut self) -> Result<Token, LexError> {
         self.bump(); // Opening quote.
         let c = match self.bump() {
-            None => return Err(self.error(start, "unterminated char literal")),
+            None => return Err(self.error("unterminated char literal")),
             Some(b'\\') => {
                 let esc = self
                     .bump()
-                    .ok_or_else(|| self.error(start, "unterminated escape"))?;
+                    .ok_or_else(|| self.error("unterminated escape"))?;
                 unescape(esc)
             }
             Some(c) => c,
         };
         if self.bump() != Some(b'\'') {
-            return Err(self.error(start, "char literal must be a single character"));
+            return Err(self.error("char literal must be a single character"));
         }
-        Ok(self.token(start, TokenKind::Int(c as i64)))
+        Ok(self.token(TokenKind::Int(c as i64)))
     }
 
-    fn lex_number(&mut self, start: LineCol) -> Result<Token, LexError> {
-        let mut text = String::new();
+    fn lex_number(&mut self) -> Result<Token, LexError> {
         let hex = self.peek() == Some(b'0') && matches!(self.peek2(), Some(b'x') | Some(b'X'));
         if hex {
             self.bump();
             self.bump();
         }
-        while let Some(c) = self.peek() {
-            if (c as char).is_ascii_alphanumeric() || c == b'_' {
-                text.push(self.bump().expect("peeked") as char);
-            } else {
-                break;
-            }
-        }
+        let text = self.eat_word();
         // Strip C suffixes (u, l, ul, ull...).
         let digits = text.trim_end_matches(['u', 'U', 'l', 'L']);
         let radix = if hex { 16 } else { 10 };
         let value = i64::from_str_radix(digits, radix)
-            .map_err(|_| self.error(start, format!("invalid integer literal `{text}`")))?;
-        Ok(self.token(start, TokenKind::Int(value)))
+            .map_err(|_| self.error(format!("invalid integer literal `{text}`")))?;
+        Ok(self.token(TokenKind::Int(value)))
     }
 
-    fn lex_ident(&mut self, start: LineCol) -> Result<Token, LexError> {
-        let mut text = String::new();
-        while let Some(c) = self.peek() {
-            if c == b'_' || (c as char).is_ascii_alphanumeric() {
-                text.push(self.bump().expect("peeked") as char);
-            } else {
-                break;
-            }
-        }
+    fn lex_ident(&mut self) -> Result<Token, LexError> {
+        let text = self.eat_word();
         if text == "__attribute__" {
-            return self.lex_gnu_attr(start);
+            return self.lex_gnu_attr();
         }
-        let kind = TokenKind::keyword(&text).unwrap_or(TokenKind::Ident(text));
-        Ok(self.token(start, kind))
+        Ok(self.token(TokenKind::keyword(text).unwrap_or(TokenKind::Ident)))
     }
 
     /// Lexes `__attribute__((unused))` (the identifier part is consumed).
-    fn lex_gnu_attr(&mut self, start: LineCol) -> Result<Token, LexError> {
+    fn lex_gnu_attr(&mut self) -> Result<Token, LexError> {
         self.skip_trivia()?;
-        let mut inner = String::new();
+        let from = self.pos;
         let mut depth = 0usize;
         loop {
             match self.peek() {
-                None => return Err(self.error(start, "unterminated __attribute__")),
+                None => return Err(self.error("unterminated __attribute__")),
                 Some(b'(') => {
                     depth += 1;
                     self.bump();
@@ -363,51 +422,64 @@ impl<'a> Lexer<'a> {
                     self.bump();
                     depth = depth
                         .checked_sub(1)
-                        .ok_or_else(|| self.error(start, "unbalanced __attribute__"))?;
+                        .ok_or_else(|| self.error("unbalanced __attribute__"))?;
                     if depth == 0 {
                         break;
                     }
                 }
-                Some(c) => {
-                    inner.push(c as char);
+                Some(_) => {
                     self.bump();
                 }
             }
         }
-        if inner.contains("unused") {
-            Ok(self.token(start, TokenKind::AttrUnused))
-        } else {
-            Err(self.error(start, format!("unsupported attribute `{inner}`")))
-        }
+        // The attribute's text is everything but its parentheses.
+        let inner = self.bytes[from..self.pos]
+            .iter()
+            .copied()
+            .filter(|&c| c != b'(' && c != b')');
+        self.attr_token(inner)
     }
 
     /// Lexes `[[maybe_unused]]`-style attributes.
-    fn lex_bracket_attr(&mut self, start: LineCol) -> Result<Token, LexError> {
+    fn lex_bracket_attr(&mut self) -> Result<Token, LexError> {
         self.bump();
         self.bump();
-        let mut inner = String::new();
-        loop {
+        let from = self.pos;
+        let to = loop {
             match self.peek() {
-                None => return Err(self.error(start, "unterminated [[attribute]]")),
+                None => return Err(self.error("unterminated [[attribute]]")),
                 Some(b']') if self.peek2() == Some(b']') => {
+                    let to = self.pos;
                     self.bump();
                     self.bump();
-                    break;
+                    break to;
                 }
-                Some(c) => {
-                    inner.push(c as char);
+                Some(_) => {
                     self.bump();
                 }
             }
-        }
-        if inner.contains("unused") {
-            Ok(self.token(start, TokenKind::AttrUnused))
+        };
+        self.attr_token(self.bytes[from..to].iter().copied())
+    }
+
+    /// An attribute whose text mentions `unused` is [`TokenKind::AttrUnused`];
+    /// any other is unsupported.
+    fn attr_token(&self, inner: impl Iterator<Item = u8> + Clone) -> Result<Token, LexError> {
+        let mut window = [0u8; 6];
+        let unused = inner.clone().any(|c| {
+            window.rotate_left(1);
+            window[5] = c;
+            &window == b"unused"
+        });
+        if unused {
+            Ok(self.token(TokenKind::AttrUnused))
         } else {
-            Err(self.error(start, format!("unsupported attribute `{inner}`")))
+            let text: String = inner.map(|c| c as char).collect();
+            Err(self.error(format!("unsupported attribute `{text}`")))
         }
     }
 
-    fn lex_operator(&mut self, start: LineCol) -> Result<Token, LexError> {
+    fn lex_operator(&mut self) -> Result<Token, LexError> {
         use TokenKind::*;
         let c = self.bump().expect("caller checked peek");
         let next = self.peek();
@@ -459,12 +531,16 @@ impl<'a> Lexer<'a> {
             (b'>', _) => Gt,
             (b'=', Some(b'=')) => two(self, EqEq),
             (b'=', _) => Eq,
-            (c, _) => {
-                return Err(self.error(start, format!("unexpected character `{}`", c as char)))
-            }
+            (c, _) => return Err(self.error(format!("unexpected character `{}`", c as char))),
         };
-        Ok(self.token(start, kind))
+        Ok(self.token(kind))
     }
+}
+
+/// Decodes bytes one char per byte (Latin-1): how string literals, guard
+/// symbols and diagnostics read non-ASCII bytes.
+fn latin1(bytes: &[u8]) -> String {
+    bytes.iter().map(|&c| c as char).collect()
 }
 
 fn unescape(c: u8) -> u8 {
@@ -481,53 +557,74 @@ fn unescape(c: u8) -> u8 {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    /// Each token as its kind plus its source text.
+    fn lexed(src: &str) -> Vec<(TokenKind, &str)> {
         lex(FileId(0), src)
             .unwrap()
             .into_iter()
-            .map(|t| t.kind)
+            .map(|t| (t.kind, t.text(src)))
             .collect()
+    }
+
+    fn kinds(src: &str) -> Vec<TokenKind> {
+        lexed(src).into_iter().map(|(k, _)| k).collect()
     }
 
     #[test]
     fn lexes_simple_declaration() {
         use TokenKind::*;
         assert_eq!(
-            kinds("int x = 42;"),
-            vec![KwInt, Ident("x".into()), Eq, Int(42), Semi, Eof]
+            lexed("int x = 42;"),
+            vec![
+                (KwInt, "int"),
+                (Ident, "x"),
+                (Eq, "="),
+                (Int(42), "42"),
+                (Semi, ";"),
+                (Eof, "")
+            ]
         );
     }
 
     #[test]
     fn lexes_hex_and_suffixed_literals() {
         use TokenKind::*;
-        assert_eq!(kinds("0x10 10UL"), vec![Int(16), Int(10), Eof]);
+        assert_eq!(
+            lexed("0x10 10UL"),
+            vec![(Int(16), "0x10"), (Int(10), "10UL"), (Eof, "")]
+        );
     }
 
     #[test]
     fn lexes_char_literal_as_int() {
         use TokenKind::*;
-        assert_eq!(kinds("'a' '\\0'"), vec![Int(97), Int(0), Eof]);
+        assert_eq!(
+            lexed("'a' '\\0'"),
+            vec![(Int(97), "'a'"), (Int(0), "'\\0'"), (Eof, "")]
+        );
     }
 
     #[test]
     fn lexes_two_char_operators() {
         use TokenKind::*;
+        let src = "++ -- -> <= >= == != && || += <<";
         assert_eq!(
-            kinds("++ -- -> <= >= == != && || += <<"),
+            kinds(src),
             vec![
                 PlusPlus, MinusMinus, Arrow, LtEq, GtEq, EqEq, BangEq, AmpAmp, PipePipe, PlusEq,
                 Shl, Eof
             ]
         );
+        let texts: Vec<&str> = lexed(src).into_iter().map(|(_, t)| t).collect();
+        assert_eq!(texts.join(" ").trim_end(), src);
     }
 
     #[test]
     fn skips_line_and_block_comments() {
         use TokenKind::*;
         assert_eq!(
-            kinds("/* a */ x // b\n y"),
-            vec![Ident("x".into()), Ident("y".into()), Eof]
+            lexed("/* a */ x // b\n y"),
+            vec![(Ident, "x"), (Ident, "y"), (Eof, "")]
         );
     }
 
@@ -538,28 +635,37 @@ mod tests {
         assert_eq!(toks[1].span.start.line, 2);
         assert_eq!(toks[2].span.start.line, 3);
         assert_eq!(toks[2].span.start.col, 3);
+        assert_eq!((toks[2].lo, toks[2].hi), (6, 7));
     }
 
     #[test]
     fn lexes_preprocessor_directives() {
         use TokenKind::*;
+        let src = "#ifdef USE_ICMP\nx\n#else\n#endif";
         assert_eq!(
-            kinds("#ifdef USE_ICMP\nx\n#else\n#endif"),
+            lexed(src),
             vec![
-                HashIf("USE_ICMP".into()),
-                Ident("x".into()),
-                HashElse,
-                HashEndif,
-                Eof
+                (HashIf(0), "#ifdef USE_ICMP"),
+                (Ident, "x"),
+                (HashElse, "#else"),
+                (HashEndif, "#endif"),
+                (Eof, "")
             ]
         );
+        assert_eq!(lex_file(FileId(0), src, false).strings, ["USE_ICMP"]);
     }
 
     #[test]
     fn lexes_unused_attributes() {
         use TokenKind::*;
-        assert_eq!(kinds("[[maybe_unused]]"), vec![AttrUnused, Eof]);
-        assert_eq!(kinds("__attribute__((unused))"), vec![AttrUnused, Eof]);
+        assert_eq!(
+            lexed("[[maybe_unused]]"),
+            vec![(AttrUnused, "[[maybe_unused]]"), (Eof, "")]
+        );
+        assert_eq!(
+            lexed("__attribute__((unused))"),
+            vec![(AttrUnused, "__attribute__((unused))"), (Eof, "")]
+        );
     }
 
     #[test]
@@ -574,33 +680,33 @@ mod tests {
 
     #[test]
     fn recovering_collects_every_error_and_keeps_lexing() {
-        let (toks, errs) = lex_recovering(FileId(0), "int a;\n@@ $$\n#include <x>\nint b;\n");
+        let src = "int a;\n@@ $$\n#include <x>\nint b;\n";
+        let (toks, errs) = lex_recovering(FileId(0), src);
         // `@`, `$` twice each plus the unsupported directive.
         assert_eq!(errs.len(), 5);
         let idents: Vec<_> = toks
             .iter()
-            .filter_map(|t| match &t.kind {
-                TokenKind::Ident(s) => Some(s.as_str()),
-                _ => None,
-            })
+            .filter(|t| t.kind == TokenKind::Ident)
+            .map(|t| t.text(src))
             .collect();
         assert_eq!(idents, vec!["a", "b"]);
-        assert_eq!(
-            toks.iter()
-                .filter(|t| matches!(t.kind, TokenKind::Error))
-                .count(),
-            5
-        );
+        let errors: Vec<_> = toks
+            .iter()
+            .filter(|t| t.kind == TokenKind::Error)
+            .map(|t| t.text(src))
+            .collect();
+        assert_eq!(errors, vec!["@", "@", "$", "$", "#include <x>"]);
     }
 
     #[test]
     fn recovering_unterminated_string_resumes_next_line() {
-        let (toks, errs) = lex_recovering(FileId(0), "log(\"oops;\nint keep = 1;\n");
+        let src = "log(\"oops;\nint keep = 1;\n";
+        let (toks, errs) = lex_recovering(FileId(0), src);
         assert_eq!(errs.len(), 1);
         assert!(errs[0].message.contains("unterminated string"));
         assert!(toks
             .iter()
-            .any(|t| matches!(&t.kind, TokenKind::Ident(s) if s == "keep")));
+            .any(|t| t.kind == TokenKind::Ident && t.text(src) == "keep"));
     }
 
     #[test]
@@ -611,16 +717,27 @@ mod tests {
         assert!(errs.is_empty());
         assert_eq!(strict.len(), toks.len());
         for (a, b) in strict.iter().zip(&toks) {
-            assert_eq!(a.kind, b.kind);
+            assert_eq!((a.kind, a.span, a.lo, a.hi), (b.kind, b.span, b.lo, b.hi));
         }
     }
 
     #[test]
     fn string_escapes() {
-        let toks = lex(FileId(0), r#""a\n\t""#).unwrap();
-        match &toks[0].kind {
-            TokenKind::Str(s) => assert_eq!(s, "a\n\t"),
-            other => panic!("unexpected {other:?}"),
-        }
+        let src = r#""a\n\t""#;
+        assert_eq!(
+            lexed(src),
+            vec![(TokenKind::Str(0), src), (TokenKind::Eof, "")]
+        );
+        assert_eq!(lex_file(FileId(0), src, false).strings, ["a\n\t"]);
+    }
+
+    #[test]
+    fn error_token_inside_a_multibyte_char_has_empty_text() {
+        let src = "x \u{e9}";
+        let (toks, errs) = lex_recovering(FileId(0), src);
+        assert_eq!(errs.len(), 2);
+        assert_eq!(toks[1].kind, TokenKind::Error);
+        assert_eq!((toks[1].lo, toks[1].hi), (2, 3));
+        assert_eq!(toks[1].text(src), "");
     }
 }

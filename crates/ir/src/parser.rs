@@ -34,8 +34,7 @@ use crate::{
         UnOp, //
     },
     lexer::{
-        lex,
-        lex_recovering,
+        lex_file,
         LexError, //
     },
     span::{
@@ -85,9 +84,11 @@ impl From<crate::lexer::LexError> for ParseError {
 /// assert_eq!(m.items.len(), 1);
 /// ```
 pub fn parse(file: FileId, src: &str) -> Result<Module, ParseError> {
-    let tokens = lex(file, src)?;
+    let lexed = lex_file(file, src, false).strict()?;
     let mut p = Parser {
-        tokens,
+        src,
+        tokens: lexed.tokens,
+        strings: lexed.strings,
         pos: 0,
         guards: Vec::new(),
         recovery: None,
@@ -123,9 +124,9 @@ pub struct Recovered {
 }
 
 /// Parses with panic-mode error recovery, never failing outright: lexing
-/// uses [`lex_recovering`], statement errors poison only the region up to
-/// the next `;`/`}` at the current brace depth, and top-level errors drop
-/// only the offending item.
+/// recovers as [`crate::lexer::lex_recovering`] does, statement errors
+/// poison only the region up to the next `;`/`}` at the current brace
+/// depth, and top-level errors drop only the offending item.
 ///
 /// # Examples
 ///
@@ -147,9 +148,11 @@ pub fn parse_recovering(file: FileId, src: &str) -> (Module, Vec<ParseError>) {
 /// and records each parse error's recovery fate (function attribution,
 /// dropped vs. poisoned) for per-function failure reporting.
 pub fn parse_with_recovery(file: FileId, src: &str) -> Recovered {
-    let (tokens, lex_errors) = lex_recovering(file, src);
+    let lexed = lex_file(file, src, true);
     let mut p = Parser {
-        tokens,
+        src,
+        tokens: lexed.tokens,
+        strings: lexed.strings,
         pos: 0,
         guards: Vec::new(),
         recovery: Some(RecoveryState::default()),
@@ -159,7 +162,7 @@ pub fn parse_with_recovery(file: FileId, src: &str) -> Recovered {
         .expect("recovery-mode module() never fails outright");
     Recovered {
         module,
-        lex_errors,
+        lex_errors: lexed.errors,
         diags: p.recovery.expect("recovery state intact").diags,
     }
 }
@@ -167,24 +170,29 @@ pub fn parse_with_recovery(file: FileId, src: &str) -> Recovered {
 #[derive(Default)]
 struct RecoveryState {
     diags: Vec<RecoveredDiag>,
-    current_func: Option<String>,
+    /// The name token of the function whose body is being parsed.
+    current_func: Option<Token>,
 }
 
-struct Parser {
+struct Parser<'s> {
+    src: &'s str,
     tokens: Vec<Token>,
+    /// The lexer's string table; each entry is moved out when its token is
+    /// consumed.
+    strings: Vec<String>,
     pos: usize,
     guards: Vec<Guard>,
     recovery: Option<RecoveryState>,
 }
 
-impl Parser {
-    fn peek(&self) -> &TokenKind {
-        &self.tokens[self.pos].kind
+impl Parser<'_> {
+    fn peek(&self) -> TokenKind {
+        self.tokens[self.pos].kind
     }
 
-    fn peek_at(&self, n: usize) -> &TokenKind {
+    fn peek_at(&self, n: usize) -> TokenKind {
         let idx = (self.pos + n).min(self.tokens.len() - 1);
-        &self.tokens[idx].kind
+        self.tokens[idx].kind
     }
 
     fn span(&self) -> Span {
@@ -196,14 +204,14 @@ impl Parser {
     }
 
     fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos].clone();
+        let t = self.tokens[self.pos];
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
         t
     }
 
-    fn eat(&mut self, kind: &TokenKind) -> bool {
+    fn eat(&mut self, kind: TokenKind) -> bool {
         if self.peek() == kind {
             self.bump();
             true
@@ -213,26 +221,39 @@ impl Parser {
     }
 
     fn expect(&mut self, kind: TokenKind) -> Result<Token, ParseError> {
-        if self.peek() == &kind {
+        if self.peek() == kind {
             Ok(self.bump())
         } else {
             Err(self.error(format!(
                 "expected {}, found {}",
                 kind.describe(),
-                self.peek().describe()
+                self.found()
             )))
         }
     }
 
+    /// Describes the current token for an error message.
+    fn found(&self) -> String {
+        self.tokens[self.pos].describe(self.src, &self.strings)
+    }
+
+    /// The name of an identifier token, allocated for the AST.
+    fn name(&self, tok: Token) -> String {
+        tok.text(self.src).to_owned()
+    }
+
+    /// Moves a string-table entry out; each is read by exactly one token,
+    /// once, when that token is consumed.
+    fn take_string(&mut self, i: u32) -> String {
+        std::mem::take(&mut self.strings[i as usize])
+    }
+
     fn expect_ident(&mut self) -> Result<(String, Span), ParseError> {
-        match self.peek().clone() {
-            TokenKind::Ident(name) => {
-                let sp = self.span();
-                self.bump();
-                Ok((name, sp))
-            }
-            other => Err(self.error(format!("expected identifier, found {}", other.describe()))),
+        if self.peek() != TokenKind::Ident {
+            return Err(self.error(format!("expected identifier, found {}", self.found())));
         }
+        let tok = self.bump();
+        Ok((self.name(tok), tok.span))
     }
 
     fn error(&self, message: impl Into<String>) -> ParseError {
@@ -249,7 +270,8 @@ impl Parser {
     }
 
     fn current_func(&self) -> Option<String> {
-        self.recovery.as_ref().and_then(|r| r.current_func.clone())
+        let tok = self.recovery.as_ref()?.current_func?;
+        Some(self.name(tok))
     }
 
     fn record(&mut self, error: ParseError, function: Option<String>, dropped_item: bool) {
@@ -265,10 +287,16 @@ impl Parser {
     /// Applies one preprocessor-directive token to the guard stack without
     /// ever failing; used while skipping a discarded region so guard
     /// bookkeeping stays balanced across the recovery.
-    fn apply_directive_tolerant(&mut self, kind: &TokenKind) {
+    fn apply_directive_tolerant(&mut self, kind: TokenKind) {
         match kind {
-            TokenKind::HashIf(s) => self.guards.push(Guard::Defined(s.clone())),
-            TokenKind::HashIfNot(s) => self.guards.push(Guard::NotDefined(s.clone())),
+            TokenKind::HashIf(i) => {
+                let sym = self.take_string(i);
+                self.guards.push(Guard::Defined(sym));
+            }
+            TokenKind::HashIfNot(i) => {
+                let sym = self.take_string(i);
+                self.guards.push(Guard::NotDefined(sym));
+            }
             TokenKind::HashElse => {
                 if let Some(top) = self.guards.pop() {
                     self.guards.push(top.negate());
@@ -288,7 +316,7 @@ impl Parser {
     fn sync_stmt(&mut self) -> Result<(), ParseError> {
         let mut depth = 0usize;
         loop {
-            match self.peek().clone() {
+            match self.peek() {
                 TokenKind::Eof => {
                     return Err(self.error("unexpected end of input inside block"));
                 }
@@ -309,7 +337,7 @@ impl Parser {
                 | TokenKind::HashIfNot(_)
                 | TokenKind::HashElse
                 | TokenKind::HashEndif) => {
-                    self.apply_directive_tolerant(&dir);
+                    self.apply_directive_tolerant(dir);
                     self.bump();
                 }
                 _ => {
@@ -330,7 +358,7 @@ impl Parser {
         let mut braces = 0usize;
         let mut parens = 0usize;
         loop {
-            match self.peek().clone() {
+            match self.peek() {
                 TokenKind::Eof => return,
                 TokenKind::LBrace => {
                     braces += 1;
@@ -361,7 +389,7 @@ impl Parser {
                 | TokenKind::HashIfNot(_)
                 | TokenKind::HashElse
                 | TokenKind::HashEndif) => {
-                    self.apply_directive_tolerant(&dir);
+                    self.apply_directive_tolerant(dir);
                     self.bump();
                 }
                 _ => {
@@ -374,18 +402,12 @@ impl Parser {
     /// Best-effort name for a dropped item: the first identifier directly
     /// followed by `(` in the discarded token range.
     fn guess_func_name(&self, from: usize) -> Option<String> {
-        let to = self.pos.min(self.tokens.len());
-        for i in from..to {
-            if let TokenKind::Ident(name) = &self.tokens[i].kind {
-                if matches!(
-                    self.tokens.get(i + 1).map(|t| &t.kind),
-                    Some(TokenKind::LParen)
-                ) {
-                    return Some(name.clone());
-                }
-            }
-        }
-        None
+        // The `(` may sit just past the range.
+        let to = (self.pos + 1).min(self.tokens.len());
+        self.tokens[from..to]
+            .windows(2)
+            .find(|w| w[0].kind == TokenKind::Ident && w[1].kind == TokenKind::LParen)
+            .map(|w| self.name(w[0]))
     }
 
     /// Consumes any preprocessor directives at the current position,
@@ -393,13 +415,15 @@ impl Parser {
     /// (recorded as a diagnostic instead when recovering).
     fn drain_directives(&mut self) -> Result<(), ParseError> {
         loop {
-            match self.peek().clone() {
-                TokenKind::HashIf(sym) => {
+            match self.peek() {
+                TokenKind::HashIf(i) => {
                     self.bump();
+                    let sym = self.take_string(i);
                     self.guards.push(Guard::Defined(sym));
                 }
-                TokenKind::HashIfNot(sym) => {
+                TokenKind::HashIfNot(i) => {
                     self.bump();
+                    let sym = self.take_string(i);
                     self.guards.push(Guard::NotDefined(sym));
                 }
                 TokenKind::HashElse => {
@@ -467,20 +491,21 @@ impl Parser {
 
     fn item(&mut self) -> Result<Item, ParseError> {
         if matches!(self.peek(), TokenKind::KwStruct)
-            && matches!(self.peek_at(1), TokenKind::Ident(_))
+            && matches!(self.peek_at(1), TokenKind::Ident)
             && matches!(self.peek_at(2), TokenKind::LBrace)
         {
             return Ok(Item::Struct(self.struct_def()?));
         }
-        let is_static = self.eat(&TokenKind::KwStatic);
+        let is_static = self.eat(TokenKind::KwStatic);
         let ty = self.parse_type()?;
+        let name_tok = self.tokens[self.pos];
         let (name, name_span) = self.expect_ident()?;
         if matches!(self.peek(), TokenKind::LParen) {
-            self.function_tail(is_static, ty, name, name_span)
+            self.function_tail(is_static, ty, name, name_tok)
         } else {
             // Global variable.
             let ty = self.array_suffix(ty)?;
-            let init = if self.eat(&TokenKind::Eq) {
+            let init = if self.eat(TokenKind::Eq) {
                 Some(self.expr()?)
             } else {
                 None
@@ -501,7 +526,7 @@ impl Parser {
         let (name, _) = self.expect_ident()?;
         self.expect(TokenKind::LBrace)?;
         let mut fields = Vec::new();
-        while !self.eat(&TokenKind::RBrace) {
+        while !self.eat(TokenKind::RBrace) {
             let ty = self.parse_type()?;
             let (fname, fspan) = self.expect_ident()?;
             let ty = self.array_suffix(ty)?;
@@ -525,11 +550,12 @@ impl Parser {
         is_static: bool,
         ret: Type,
         name: String,
-        span: Span,
+        name_tok: Token,
     ) -> Result<Item, ParseError> {
+        let span = name_tok.span;
         self.expect(TokenKind::LParen)?;
         let mut params = Vec::new();
-        if !self.eat(&TokenKind::RParen) {
+        if !self.eat(TokenKind::RParen) {
             if matches!(self.peek(), TokenKind::KwVoid)
                 && matches!(self.peek_at(1), TokenKind::RParen)
             {
@@ -538,14 +564,14 @@ impl Parser {
             } else {
                 loop {
                     params.push(self.param()?);
-                    if !self.eat(&TokenKind::Comma) {
+                    if !self.eat(TokenKind::Comma) {
                         self.expect(TokenKind::RParen)?;
                         break;
                     }
                 }
             }
         }
-        if self.eat(&TokenKind::Semi) {
+        if self.eat(TokenKind::Semi) {
             return Ok(Item::FuncDecl(FuncDecl {
                 name,
                 ret,
@@ -554,7 +580,7 @@ impl Parser {
             }));
         }
         if let Some(r) = &mut self.recovery {
-            r.current_func = Some(name.clone());
+            r.current_func = Some(name_tok);
         }
         let body = self.block();
         if let Some(r) = &mut self.recovery {
@@ -572,11 +598,11 @@ impl Parser {
     }
 
     fn param(&mut self) -> Result<Param, ParseError> {
-        let mut unused_attr = self.eat(&TokenKind::AttrUnused);
+        let mut unused_attr = self.eat(TokenKind::AttrUnused);
         let ty = self.parse_type()?;
-        unused_attr |= self.eat(&TokenKind::AttrUnused);
+        unused_attr |= self.eat(TokenKind::AttrUnused);
         let (name, span) = self.expect_ident()?;
-        unused_attr |= self.eat(&TokenKind::AttrUnused);
+        unused_attr |= self.eat(TokenKind::AttrUnused);
         let ty = self.array_suffix(ty)?;
         Ok(Param {
             name,
@@ -604,21 +630,21 @@ impl Parser {
     }
 
     fn parse_type(&mut self) -> Result<Type, ParseError> {
-        self.eat(&TokenKind::KwConst);
-        let mut ty = match self.peek().clone() {
+        self.eat(TokenKind::KwConst);
+        let mut ty = match self.peek() {
             TokenKind::KwInt => {
                 self.bump();
                 Type::Int
             }
             TokenKind::KwUnsigned => {
                 self.bump();
-                self.eat(&TokenKind::KwInt);
+                self.eat(TokenKind::KwInt);
                 Type::Uint
             }
             TokenKind::KwLong => {
                 self.bump();
-                self.eat(&TokenKind::KwLong);
-                self.eat(&TokenKind::KwInt);
+                self.eat(TokenKind::KwLong);
+                self.eat(TokenKind::KwInt);
                 Type::Long
             }
             TokenKind::KwChar => {
@@ -642,27 +668,25 @@ impl Parser {
                 let (name, _) = self.expect_ident()?;
                 Type::Struct(name)
             }
-            other => return Err(self.error(format!("expected a type, found {}", other.describe()))),
+            _ => return Err(self.error(format!("expected a type, found {}", self.found()))),
         };
-        self.eat(&TokenKind::KwConst);
-        while self.eat(&TokenKind::Star) {
-            self.eat(&TokenKind::KwConst);
+        self.eat(TokenKind::KwConst);
+        while self.eat(TokenKind::Star) {
+            self.eat(TokenKind::KwConst);
             ty = ty.ptr_to();
         }
         Ok(ty)
     }
 
     fn array_suffix(&mut self, ty: Type) -> Result<Type, ParseError> {
-        if self.eat(&TokenKind::LBracket) {
-            let n = match self.peek().clone() {
+        if self.eat(TokenKind::LBracket) {
+            let n = match self.peek() {
                 TokenKind::Int(v) if v >= 0 => {
                     self.bump();
                     v as usize
                 }
-                other => {
-                    return Err(
-                        self.error(format!("expected array length, found {}", other.describe()))
-                    )
+                _ => {
+                    return Err(self.error(format!("expected array length, found {}", self.found())))
                 }
             };
             self.expect(TokenKind::RBracket)?;
@@ -681,7 +705,7 @@ impl Parser {
         let mut stmts = Vec::new();
         loop {
             self.drain_directives()?;
-            if self.eat(&TokenKind::RBrace) {
+            if self.eat(TokenKind::RBrace) {
                 if self.guards.len() != depth {
                     match &saved_guards {
                         Some(saved) => {
@@ -739,7 +763,7 @@ impl Parser {
     }
 
     fn stmt_kind(&mut self) -> Result<StmtKind, ParseError> {
-        match self.peek().clone() {
+        match self.peek() {
             TokenKind::LBrace => Ok(StmtKind::Block(self.block()?)),
             TokenKind::KwIf => self.if_stmt(),
             TokenKind::KwWhile => self.while_stmt(),
@@ -789,11 +813,11 @@ impl Parser {
 
     fn decl_stmt(&mut self) -> Result<StmtKind, ParseError> {
         let ty = self.parse_type()?;
-        let mut unused_attr = self.eat(&TokenKind::AttrUnused);
+        let mut unused_attr = self.eat(TokenKind::AttrUnused);
         let (name, _) = self.expect_ident()?;
-        unused_attr |= self.eat(&TokenKind::AttrUnused);
+        unused_attr |= self.eat(TokenKind::AttrUnused);
         let ty = self.array_suffix(ty)?;
-        let init = if self.eat(&TokenKind::Eq) {
+        let init = if self.eat(TokenKind::Eq) {
             Some(self.expr()?)
         } else {
             None
@@ -813,7 +837,7 @@ impl Parser {
         let cond = self.expr()?;
         self.expect(TokenKind::RParen)?;
         let then = self.block_or_single()?;
-        let els = if self.eat(&TokenKind::KwElse) {
+        let els = if self.eat(TokenKind::KwElse) {
             if matches!(self.peek(), TokenKind::KwIf) {
                 // `else if` chains become a nested single-statement block.
                 let nested = self.stmt()?;
@@ -860,7 +884,7 @@ impl Parser {
         let mut pending_values: Vec<i64> = Vec::new();
         loop {
             self.drain_directives()?;
-            if self.eat(&TokenKind::RBrace) {
+            if self.eat(TokenKind::RBrace) {
                 if !pending_values.is_empty() {
                     // Trailing labels with an empty body select nothing.
                     cases.push(SwitchCase {
@@ -870,9 +894,9 @@ impl Parser {
                 }
                 break;
             }
-            if self.eat(&TokenKind::KwCase) {
-                let negative = self.eat(&TokenKind::Minus);
-                let value = match self.peek().clone() {
+            if self.eat(TokenKind::KwCase) {
+                let negative = self.eat(TokenKind::Minus);
+                let value = match self.peek() {
                     TokenKind::Int(v) => {
                         self.bump();
                         if negative {
@@ -881,10 +905,10 @@ impl Parser {
                             v
                         }
                     }
-                    other => {
+                    _ => {
                         return Err(self.error(format!(
                             "expected a constant case label, found {}",
-                            other.describe()
+                            self.found()
                         )))
                     }
                 };
@@ -892,7 +916,7 @@ impl Parser {
                 pending_values.push(value);
                 continue;
             }
-            if self.eat(&TokenKind::KwDefault) {
+            if self.eat(TokenKind::KwDefault) {
                 self.expect(TokenKind::Colon)?;
                 let body = self.case_body()?;
                 if default.is_some() {
@@ -947,7 +971,7 @@ impl Parser {
     fn for_stmt(&mut self) -> Result<StmtKind, ParseError> {
         self.expect(TokenKind::KwFor)?;
         self.expect(TokenKind::LParen)?;
-        let init = if self.eat(&TokenKind::Semi) {
+        let init = if self.eat(TokenKind::Semi) {
             None
         } else {
             let guards = self.guards.clone();
@@ -1034,7 +1058,7 @@ impl Parser {
 
     fn ternary_expr(&mut self) -> Result<Expr, ParseError> {
         let cond = self.binary_expr(0)?;
-        if !self.eat(&TokenKind::Question) {
+        if !self.eat(TokenKind::Question) {
             return Ok(cond);
         }
         let then = self.expr()?;
@@ -1051,39 +1075,41 @@ impl Parser {
         })
     }
 
-    fn binop_at(&self, level: usize) -> Option<BinOp> {
-        // Precedence levels from lowest to highest.
-        let op = match (level, self.peek()) {
-            (0, TokenKind::PipePipe) => BinOp::Or,
-            (1, TokenKind::AmpAmp) => BinOp::And,
-            (2, TokenKind::Pipe) => BinOp::BitOr,
-            (3, TokenKind::Caret) => BinOp::BitXor,
-            (4, TokenKind::Amp) => BinOp::BitAnd,
-            (5, TokenKind::EqEq) => BinOp::Eq,
-            (5, TokenKind::BangEq) => BinOp::Ne,
-            (6, TokenKind::Lt) => BinOp::Lt,
-            (6, TokenKind::LtEq) => BinOp::Le,
-            (6, TokenKind::Gt) => BinOp::Gt,
-            (6, TokenKind::GtEq) => BinOp::Ge,
-            (7, TokenKind::Shl) => BinOp::Shl,
-            (7, TokenKind::Shr) => BinOp::Shr,
-            (8, TokenKind::Plus) => BinOp::Add,
-            (8, TokenKind::Minus) => BinOp::Sub,
-            (9, TokenKind::Star) => BinOp::Mul,
-            (9, TokenKind::Slash) => BinOp::Div,
-            (9, TokenKind::Percent) => BinOp::Rem,
+    /// The binary operator at the current token and its precedence level,
+    /// from 0 (`||`, loosest) to 9 (`*`, tightest).
+    fn binop(&self) -> Option<(BinOp, u8)> {
+        Some(match self.peek() {
+            TokenKind::PipePipe => (BinOp::Or, 0),
+            TokenKind::AmpAmp => (BinOp::And, 1),
+            TokenKind::Pipe => (BinOp::BitOr, 2),
+            TokenKind::Caret => (BinOp::BitXor, 3),
+            TokenKind::Amp => (BinOp::BitAnd, 4),
+            TokenKind::EqEq => (BinOp::Eq, 5),
+            TokenKind::BangEq => (BinOp::Ne, 5),
+            TokenKind::Lt => (BinOp::Lt, 6),
+            TokenKind::LtEq => (BinOp::Le, 6),
+            TokenKind::Gt => (BinOp::Gt, 6),
+            TokenKind::GtEq => (BinOp::Ge, 6),
+            TokenKind::Shl => (BinOp::Shl, 7),
+            TokenKind::Shr => (BinOp::Shr, 7),
+            TokenKind::Plus => (BinOp::Add, 8),
+            TokenKind::Minus => (BinOp::Sub, 8),
+            TokenKind::Star => (BinOp::Mul, 9),
+            TokenKind::Slash => (BinOp::Div, 9),
+            TokenKind::Percent => (BinOp::Rem, 9),
             _ => return None,
-        };
-        Some(op)
+        })
     }
 
-    fn binary_expr(&mut self, level: usize) -> Result<Expr, ParseError> {
-        const TOP: usize = 10;
-        if level >= TOP {
-            return self.unary_expr();
-        }
-        let mut lhs = self.binary_expr(level + 1)?;
-        while let Some(op) = self.binop_at(level) {
+    /// Precedence climbing: parses a chain of binary operators whose levels
+    /// are all at least `min_level`. Each right operand only takes
+    /// operators that bind tighter, so equal levels associate left.
+    fn binary_expr(&mut self, min_level: u8) -> Result<Expr, ParseError> {
+        let mut lhs = self.unary_expr()?;
+        while let Some((op, level)) = self.binop() {
+            if level < min_level {
+                break;
+            }
             self.bump();
             let rhs = self.binary_expr(level + 1)?;
             let span = lhs.span.to(rhs.span);
@@ -1101,7 +1127,7 @@ impl Parser {
 
     fn unary_expr(&mut self) -> Result<Expr, ParseError> {
         let start = self.span();
-        let kind = match self.peek().clone() {
+        let kind = match self.peek() {
             TokenKind::Minus => {
                 self.bump();
                 let e = self.unary_expr()?;
@@ -1191,23 +1217,19 @@ impl Parser {
     fn postfix_expr(&mut self) -> Result<Expr, ParseError> {
         let mut e = self.primary_expr()?;
         loop {
-            match self.peek().clone() {
+            match self.peek() {
                 TokenKind::LParen => {
-                    let callee = match &e.kind {
-                        ExprKind::Var(name) => name.clone(),
-                        _ => {
-                            return Err(self.error(
-                                "calls are only supported through a named callee or pointer \
-                                 variable",
-                            ))
-                        }
+                    let ExprKind::Var(callee) = e.kind else {
+                        return Err(self.error(
+                            "calls are only supported through a named callee or pointer variable",
+                        ));
                     };
                     self.bump();
                     let mut args = Vec::new();
-                    if !self.eat(&TokenKind::RParen) {
+                    if !self.eat(TokenKind::RParen) {
                         loop {
                             args.push(self.expr()?);
-                            if !self.eat(&TokenKind::Comma) {
+                            if !self.eat(TokenKind::Comma) {
                                 self.expect(TokenKind::RParen)?;
                                 break;
                             }
@@ -1270,14 +1292,14 @@ impl Parser {
 
     fn primary_expr(&mut self) -> Result<Expr, ParseError> {
         let span = self.span();
-        let kind = match self.peek().clone() {
+        let kind = match self.peek() {
             TokenKind::Int(v) => {
                 self.bump();
                 ExprKind::IntLit(v)
             }
-            TokenKind::Str(s) => {
+            TokenKind::Str(i) => {
                 self.bump();
-                ExprKind::StrLit(s)
+                ExprKind::StrLit(self.take_string(i))
             }
             TokenKind::KwTrue => {
                 self.bump();
@@ -1291,9 +1313,9 @@ impl Parser {
                 self.bump();
                 ExprKind::Null
             }
-            TokenKind::Ident(name) => {
-                self.bump();
-                ExprKind::Var(name)
+            TokenKind::Ident => {
+                let tok = self.bump();
+                ExprKind::Var(self.name(tok))
             }
             TokenKind::LParen => {
                 self.bump();
@@ -1301,12 +1323,7 @@ impl Parser {
                 self.expect(TokenKind::RParen)?;
                 return Ok(e);
             }
-            other => {
-                return Err(self.error(format!(
-                    "expected an expression, found {}",
-                    other.describe()
-                )))
-            }
+            _ => return Err(self.error(format!("expected an expression, found {}", self.found()))),
         };
         Ok(Expr { kind, span })
     }

@@ -3,15 +3,19 @@
 use crate::span::Span;
 
 /// The kind of a lexed token.
-#[derive(Clone, Debug, PartialEq, Eq)]
+///
+/// Kinds carry no text. An identifier's name is its token's source range;
+/// the decoded text of a string literal or guard symbol lives in the
+/// lexer's per-file string table, which `Str`/`HashIf`/`HashIfNot` index.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TokenKind {
     // Literals and identifiers.
     /// An integer literal (decimal, hex `0x..`, or char constant folded to its value).
     Int(i64),
-    /// A string literal, without the surrounding quotes.
-    Str(String),
-    /// An identifier or keyword candidate.
-    Ident(String),
+    /// A string literal; indexes its unquoted, unescaped text.
+    Str(u32),
+    /// An identifier that is not a keyword; its name is the token's text.
+    Ident,
 
     // Keywords.
     KwInt,
@@ -89,10 +93,10 @@ pub enum TokenKind {
     AttrUnused,
 
     // Preprocessor directives (line-oriented, surfaced as tokens).
-    /// `#if NAME`, `#ifdef NAME` — the payload is the guard symbol.
-    HashIf(String),
-    /// `#ifndef NAME`.
-    HashIfNot(String),
+    /// `#if NAME`, `#ifdef NAME` — indexes the guard symbol.
+    HashIf(u32),
+    /// `#ifndef NAME` — indexes the guard symbol.
+    HashIfNot(u32),
     /// `#else`.
     HashElse,
     /// `#endif`.
@@ -139,12 +143,13 @@ impl TokenKind {
         })
     }
 
-    /// A short human-readable description used in parse errors.
-    pub fn describe(&self) -> String {
+    /// A short human-readable description of a kind that carries no
+    /// text, used for the expected token in parse errors.
+    pub fn describe(self) -> String {
         match self {
             TokenKind::Int(v) => format!("integer `{v}`"),
             TokenKind::Str(_) => "string literal".into(),
-            TokenKind::Ident(s) => format!("identifier `{s}`"),
+            TokenKind::Ident => "identifier".into(),
             TokenKind::Error => "invalid token".into(),
             TokenKind::Eof => "end of input".into(),
             other => format!("{other:?}"),
@@ -152,11 +157,37 @@ impl TokenKind {
     }
 }
 
-/// A token with its source span.
-#[derive(Clone, Debug)]
+/// A token with its source span and byte range.
+#[derive(Clone, Copy, Debug)]
 pub struct Token {
     /// What was lexed.
     pub kind: TokenKind,
     /// Where it was lexed.
     pub span: Span,
+    /// Byte offset of the token's first byte in the source.
+    pub lo: usize,
+    /// Byte offset one past the token's last byte.
+    pub hi: usize,
+}
+
+impl Token {
+    /// The token's source text. Every token's range lies on character
+    /// boundaries except an [`TokenKind::Error`] token's, which may cut a
+    /// multi-byte character; its text is then empty.
+    pub fn text<'s>(&self, src: &'s str) -> &'s str {
+        src.get(self.lo..self.hi).unwrap_or("")
+    }
+
+    /// A short human-readable description used in parse errors: the
+    /// identifier's name or the guard symbol (from `strings`, the lexer's
+    /// string table for `src`), otherwise [`TokenKind::describe`]. Only an
+    /// identifier's range is sliced from `src`.
+    pub(crate) fn describe(&self, src: &str, strings: &[String]) -> String {
+        match self.kind {
+            TokenKind::Ident => format!("identifier `{}`", self.text(src)),
+            TokenKind::HashIf(i) => format!("HashIf({:?})", strings[i as usize]),
+            TokenKind::HashIfNot(i) => format!("HashIfNot({:?})", strings[i as usize]),
+            kind => kind.describe(),
+        }
+    }
 }

@@ -15,6 +15,11 @@ bounded() {
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
+# all-targets: benches, examples and tests compile too, so an API change
+# that breaks a bench target fails the gate instead of rotting unnoticed.
+echo "==> cargo build --release --workspace --all-targets"
+cargo build --release --workspace --all-targets
+
 echo "==> cargo test --workspace -q"
 bounded cargo test --workspace -q
 
@@ -101,6 +106,14 @@ bounded cargo test -p valuecheck --test units -q
 # of deep-copying either.
 echo "==> cargo test -p valuecheck --test serve_alloc -q (warm-hit allocations)"
 bounded cargo test -p valuecheck --test serve_alloc -q
+
+# lex_alloc: the front-end allocation guard (crates/ir/tests/lex_alloc.rs)
+# — lexing a 200-function file allocates only the decoded text of its
+# string literals and guard symbols plus vector growth (tokens are `Copy`
+# ranges into the source), and parse_with_recovery stays under a fixed
+# number of allocations per token.
+echo "==> cargo test -p vc-ir --test lex_alloc -q (front-end allocations)"
+bounded cargo test -p vc-ir --test lex_alloc -q
 
 # bench: the perf observatory (crates/bench/src/perf.rs) — a deterministic
 # scaled scan measured median-of-N, written as BENCH_scan.json /
