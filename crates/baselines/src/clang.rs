@@ -217,12 +217,12 @@ fn collect_expr(e: &Expr, read_pos: bool, vars: &mut HashMap<String, VarStats>) 
 mod tests {
     use super::*;
     use vc_ir::{
-        parser::parse,
-        span::FileId, //
+        span::FileId,
+        testing::parse_clean, //
     };
 
     fn run(src: &str) -> Vec<Finding> {
-        let m = parse(FileId(0), src).unwrap();
+        let m = parse_clean(FileId(0), src);
         clang_unused(&[("a.c".to_string(), m)])
     }
 

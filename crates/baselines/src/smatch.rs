@@ -294,12 +294,12 @@ fn for_each_call(s: &Stmt, f: &mut impl FnMut(&str)) {
 mod tests {
     use super::*;
     use vc_ir::{
-        parser::parse,
-        span::FileId, //
+        span::FileId,
+        testing::parse_clean, //
     };
 
     fn run(src: &str) -> Vec<Finding> {
-        let m = parse(FileId(0), src).unwrap();
+        let m = parse_clean(FileId(0), src);
         smatch_unused(&[("a.c".to_string(), m)])
     }
 

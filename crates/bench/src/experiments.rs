@@ -41,7 +41,7 @@ use vc_familiarity::{
     Metrics, //
 };
 use vc_ir::{
-    parser::parse,
+    testing::parse_clean,
     Program, //
 };
 use vc_workload::{
@@ -263,12 +263,7 @@ pub fn table5(runs: &[AppRun]) -> Output {
             .sources
             .iter()
             .enumerate()
-            .map(|(i, (p, s))| {
-                (
-                    p.clone(),
-                    parse(vc_ir::FileId(i as u32), s).expect("generated source parses"),
-                )
-            })
+            .map(|(i, (p, s))| (p.clone(), parse_clean(vc_ir::FileId(i as u32), s)))
             .collect();
         let clang = clang_unused(&modules);
         let (cf, cr) = count_real(r, clang.iter().map(|f| f.function.as_str()));
@@ -492,11 +487,7 @@ pub fn table7(runs: &[AppRun]) -> Output {
         let recent: Vec<_> = commits.iter().rev().take(20).map(|c| c.id).collect();
         let mut revisions = Vec::new();
         for &c in &recent {
-            let tree = r.app.repo.snapshot_at(c);
-            let mut sources: Vec<(&str, &str)> =
-                tree.iter().map(|(p, s)| (p.as_str(), s.as_str())).collect();
-            sources.sort_by_key(|(p, _)| p.to_string());
-            let prog = Program::build(&sources, &r.app.defines).expect("snapshot builds");
+            let prog = build_tree(&r.app.repo.snapshot_at(c), &r.app.defines);
             revisions.push((c, prog, r.app.repo.checkout(c)));
         }
         let t0 = Instant::now();

@@ -43,7 +43,7 @@ use std::{
 
 use valuecheck::{
     history::history_scan,
-    pipeline::{run_with_obs, Options},
+    pipeline::{run_sentinel, Options},
     sentinel::SentinelConfig,
     serve::{ServeConfig, ServeEngine},
     suppress::SuppressStore,
@@ -219,7 +219,8 @@ pub fn run_perf(config: &PerfConfig) -> (PerfReport, PerfReport) {
         injected_delay();
         for (app, prog) in &apps {
             let obs = ObsSession::new();
-            let analysis = run_with_obs(prog, &app.repo, &opts, obs.clone());
+            let sequential = SentinelConfig::sequential();
+            let analysis = run_sentinel(prog, &app.repo, &opts, &sequential, obs.clone());
             std::hint::black_box(&analysis);
             // Per-stage self time from the folded main lane, where the
             // pipeline puts each stage with no sub-spans (self time is the

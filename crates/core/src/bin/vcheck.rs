@@ -47,7 +47,7 @@
 //!   --resume             replay the journal and skip already-completed
 //!                        units (implies --journal; default path is
 //!                        <project-dir>/scan.journal)
-//!   --fail-fast          debugging mode: abort on the first parse error or
+//!   --fail-fast          debugging mode: abort on the first build error or
 //!                        panic instead of isolating and continuing
 //! ```
 //!
@@ -63,7 +63,8 @@
 //!
 //! The `delta` subcommand scans two revisions of the project's history and
 //! classifies every finding as new / fixed / persisting using drift-stable
-//! fingerprints (see DESIGN.md §10):
+//! fingerprints — or unscanned, when the new revision failed to parse its
+//! function (each revision's failures go to stderr; see DESIGN.md §10):
 //!
 //! ```text
 //!   --from REV           old revision (HEAD, HEAD~N, or a commit id)
@@ -146,12 +147,14 @@ use valuecheck::{
         DeltaStatus, //
     },
     eventlog,
+    harden::FailureRecord,
     history::{
         history_scan,
         tracks_to_csv, //
     },
     incremental::SnapshotStore,
     pipeline::{
+        build_tree,
         run_sentinel,
         Options, //
     },
@@ -165,7 +168,6 @@ use valuecheck::{
     serve::{run_daemon, ServeConfig, ServeEngine},
     suppress::SuppressStore,
 };
-use vc_ir::Program;
 use vc_obs::ObsSession;
 use vc_vcs::{
     CommitId,
@@ -217,6 +219,96 @@ fn resolve_rev(repo: &Repository, s: &str) -> Option<CommitId> {
     commits.iter().find(|c| c.id.0 == n).map(|c| c.id)
 }
 
+/// The argument after `flag`, parsed as a number; exits 2 without one.
+fn number<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> T {
+    args.next()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| die(&format!("{flag} needs a number")))
+}
+
+/// The argument after `flag`, as a path; exits 2 without one.
+fn path(args: &mut impl Iterator<Item = String>, flag: &str) -> PathBuf {
+    PathBuf::from(
+        args.next()
+            .unwrap_or_else(|| die(&format!("{flag} needs a path"))),
+    )
+}
+
+/// Applies `flag` when it is one of the analysis options every scanning
+/// subcommand shares (`--define`, `--all`, `--no-rank`, `--no-prune`);
+/// `false` when it is not.
+fn analysis_flag(
+    flag: &str,
+    args: &mut impl Iterator<Item = String>,
+    defines: &mut Vec<String>,
+    opts: &mut Options,
+) -> bool {
+    match flag {
+        "--define" => defines.push(
+            args.next()
+                .unwrap_or_else(|| die("--define needs a symbol")),
+        ),
+        "--all" => opts.cross_scope_only = false,
+        "--no-rank" => {
+            opts.rank = RankConfig {
+                enabled: false,
+                ..RankConfig::default()
+            };
+        }
+        "--no-prune" => {
+            opts.prune = PruneConfig {
+                config_dependency: false,
+                cursor: false,
+                unused_hints: false,
+                peer_definitions: false,
+                ..PruneConfig::default()
+            };
+        }
+        _ => return false,
+    }
+    true
+}
+
+/// Applies `flag` when it is a sentinel executor option (`--jobs`,
+/// `--retry`, `--unit-deadline-ms`, `--journal`, `--resume`); `false` when
+/// it is not.
+fn sentinel_flag(
+    flag: &str,
+    args: &mut impl Iterator<Item = String>,
+    sconf: &mut SentinelConfig,
+) -> bool {
+    match flag {
+        "--jobs" => sconf.jobs = number(args, flag),
+        "--retry" => sconf.retry = number::<u32>(args, flag).max(1),
+        "--unit-deadline-ms" => {
+            sconf.unit_deadline = Some(std::time::Duration::from_millis(number(args, flag)));
+        }
+        "--journal" => sconf.journal = Some(path(args, flag)),
+        "--resume" => sconf.resume = true,
+        _ => return false,
+    }
+    true
+}
+
+/// `r`'s value; on error, exits 2 naming `path`.
+fn or_die<T>(r: Result<T, impl std::fmt::Display>, path: &std::path::Path) -> T {
+    r.unwrap_or_else(|e| die(&format!("{}: {e}", path.display())))
+}
+
+/// Prints a run's failure records to stderr, headed by `prefix`.
+fn print_failures(prefix: &str, failures: &[FailureRecord]) {
+    if failures.is_empty() {
+        return;
+    }
+    eprintln!(
+        "{prefix}{} unit(s) of work failed and were isolated:",
+        failures.len()
+    );
+    for f in failures {
+        eprintln!("vcheck:   {f}");
+    }
+}
+
 fn delta_main(mut args: impl Iterator<Item = String>) -> ! {
     let mut dir: Option<PathBuf> = None;
     let mut defines: Vec<String> = Vec::new();
@@ -231,77 +323,19 @@ fn delta_main(mut args: impl Iterator<Item = String>) -> ! {
     let mut sconf = SentinelConfig::default();
 
     while let Some(a) = args.next() {
+        if analysis_flag(&a, &mut args, &mut defines, &mut opts)
+            || sentinel_flag(&a, &mut args, &mut sconf)
+        {
+            continue;
+        }
         match a.as_str() {
             "--from" => from_rev = Some(args.next().unwrap_or_else(|| die("--from needs a REV"))),
             "--to" => to_rev = Some(args.next().unwrap_or_else(|| die("--to needs a REV"))),
-            "--baseline" => {
-                baseline = Some(PathBuf::from(
-                    args.next()
-                        .unwrap_or_else(|| die("--baseline needs a path")),
-                ));
-            }
-            "--write-baseline" => {
-                write_baseline = Some(PathBuf::from(
-                    args.next()
-                        .unwrap_or_else(|| die("--write-baseline needs a path")),
-                ));
-            }
-            "--define" => {
-                defines.push(
-                    args.next()
-                        .unwrap_or_else(|| die("--define needs a symbol")),
-                );
-            }
-            "--all" => opts.cross_scope_only = false,
-            "--no-rank" => {
-                opts.rank = RankConfig {
-                    enabled: false,
-                    ..RankConfig::default()
-                };
-            }
-            "--no-prune" => {
-                opts.prune = PruneConfig {
-                    config_dependency: false,
-                    cursor: false,
-                    unused_hints: false,
-                    peer_definitions: false,
-                    ..PruneConfig::default()
-                };
-            }
+            "--baseline" => baseline = Some(path(&mut args, &a)),
+            "--write-baseline" => write_baseline = Some(path(&mut args, &a)),
             "--json" => json = true,
             "--stats" => stats = true,
-            "--metrics-json" => {
-                metrics_json = Some(PathBuf::from(
-                    args.next()
-                        .unwrap_or_else(|| die("--metrics-json needs a path")),
-                ));
-            }
-            "--jobs" => {
-                sconf.jobs = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--jobs needs a number"));
-            }
-            "--retry" => {
-                let k: u32 = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--retry needs a number"));
-                sconf.retry = k.max(1);
-            }
-            "--unit-deadline-ms" => {
-                let ms: u64 = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--unit-deadline-ms needs a number"));
-                sconf.unit_deadline = Some(std::time::Duration::from_millis(ms));
-            }
-            "--journal" => {
-                sconf.journal = Some(PathBuf::from(
-                    args.next().unwrap_or_else(|| die("--journal needs a path")),
-                ));
-            }
-            "--resume" => sconf.resume = true,
+            "--metrics-json" => metrics_json = Some(path(&mut args, &a)),
             "--help" | "-h" => {
                 eprintln!(
                     "Usage: vcheck delta <project-dir> --from REV --to REV [--baseline FILE] \
@@ -321,7 +355,7 @@ fn delta_main(mut args: impl Iterator<Item = String>) -> ! {
     let from_rev = from_rev.unwrap_or_else(|| die("delta needs --from REV"));
     let to_rev = to_rev.unwrap_or_else(|| die("delta needs --to REV"));
 
-    let project = load_dir(&dir).unwrap_or_else(|e| die(&format!("{}: {e}", dir.display())));
+    let project = or_die(load_dir(&dir), &dir);
     if !project.has_history {
         die("delta needs a history.json (two revisions to compare)");
     }
@@ -359,14 +393,21 @@ fn delta_main(mut args: impl Iterator<Item = String>) -> ! {
     )
     .unwrap_or_else(|e| die(&format!("build failed: {e}")));
 
+    let report = &outcome.report;
     if let Some(path) = &write_baseline {
-        let store = SnapshotStore::from_findings(to, &outcome.to.findings);
-        store
-            .save(path)
-            .unwrap_or_else(|e| die(&format!("{}: {e}", path.display())));
+        // Findings the `to` scan could not look at are presumed present.
+        let unscanned = report
+            .rows
+            .iter()
+            .filter(|r| r.status == DeltaStatus::Unscanned);
+        let findings: Vec<_> = (outcome.to.findings.iter())
+            .chain(unscanned.map(|r| &r.finding))
+            .cloned()
+            .collect();
+        let store = SnapshotStore::from_findings(to, &findings);
+        or_die(store.save(path), path);
     }
 
-    let report = &outcome.report;
     eprintln!(
         "vcheck delta: {} new, {} fixed, {} persisting, {} churned, {} suppressed (commit {} -> \
          {})",
@@ -378,6 +419,20 @@ fn delta_main(mut args: impl Iterator<Item = String>) -> ! {
         from.0,
         to.0,
     );
+    for scan in [&outcome.from, &outcome.to] {
+        print_failures(
+            &format!("vcheck delta: commit {}: ", scan.commit.0),
+            &scan.analysis.report.failures,
+        );
+    }
+    let unscanned = report.count(DeltaStatus::Unscanned);
+    if unscanned > 0 {
+        eprintln!(
+            "vcheck delta: {unscanned} finding(s) sit in code commit {} failed to scan; they are \
+             reported as unscanned, not fixed",
+            to.0
+        );
+    }
     if json {
         println!("{}", report.to_json());
     } else {
@@ -390,7 +445,7 @@ fn delta_main(mut args: impl Iterator<Item = String>) -> ! {
     }
     if let Some(path) = metrics_json {
         let text = snapshot.to_json_export().to_string_pretty();
-        std::fs::write(&path, text).unwrap_or_else(|e| die(&format!("{}: {e}", path.display())));
+        or_die(std::fs::write(&path, text), &path);
     }
     std::process::exit(if report.has_new() { 1 } else { 0 });
 }
@@ -407,79 +462,17 @@ fn history_main(mut args: impl Iterator<Item = String>) -> ! {
     let mut sconf = SentinelConfig::default();
 
     while let Some(a) = args.next() {
+        if analysis_flag(&a, &mut args, &mut defines, &mut opts)
+            || sentinel_flag(&a, &mut args, &mut sconf)
+        {
+            continue;
+        }
         match a.as_str() {
-            "--db" => {
-                db_path = Some(PathBuf::from(
-                    args.next().unwrap_or_else(|| die("--db needs a path")),
-                ));
-            }
-            "--suppress" => {
-                suppress_path = Some(PathBuf::from(
-                    args.next()
-                        .unwrap_or_else(|| die("--suppress needs a path")),
-                ));
-            }
-            "--lifecycle-json" => {
-                lifecycle_json = Some(PathBuf::from(
-                    args.next()
-                        .unwrap_or_else(|| die("--lifecycle-json needs a path")),
-                ));
-            }
-            "--define" => {
-                defines.push(
-                    args.next()
-                        .unwrap_or_else(|| die("--define needs a symbol")),
-                );
-            }
-            "--all" => opts.cross_scope_only = false,
-            "--no-rank" => {
-                opts.rank = RankConfig {
-                    enabled: false,
-                    ..RankConfig::default()
-                };
-            }
-            "--no-prune" => {
-                opts.prune = PruneConfig {
-                    config_dependency: false,
-                    cursor: false,
-                    unused_hints: false,
-                    peer_definitions: false,
-                    ..PruneConfig::default()
-                };
-            }
+            "--db" => db_path = Some(path(&mut args, &a)),
+            "--suppress" => suppress_path = Some(path(&mut args, &a)),
+            "--lifecycle-json" => lifecycle_json = Some(path(&mut args, &a)),
             "--stats" => stats = true,
-            "--metrics-json" => {
-                metrics_json = Some(PathBuf::from(
-                    args.next()
-                        .unwrap_or_else(|| die("--metrics-json needs a path")),
-                ));
-            }
-            "--jobs" => {
-                sconf.jobs = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--jobs needs a number"));
-            }
-            "--retry" => {
-                let k: u32 = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--retry needs a number"));
-                sconf.retry = k.max(1);
-            }
-            "--unit-deadline-ms" => {
-                let ms: u64 = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--unit-deadline-ms needs a number"));
-                sconf.unit_deadline = Some(std::time::Duration::from_millis(ms));
-            }
-            "--journal" => {
-                sconf.journal = Some(PathBuf::from(
-                    args.next().unwrap_or_else(|| die("--journal needs a path")),
-                ));
-            }
-            "--resume" => sconf.resume = true,
+            "--metrics-json" => metrics_json = Some(path(&mut args, &a)),
             "--help" | "-h" => {
                 eprintln!(
                     "Usage: vcheck history <project-dir> [--db FILE] [--suppress FILE] \
@@ -497,7 +490,7 @@ fn history_main(mut args: impl Iterator<Item = String>) -> ! {
     }
     let dir = dir.unwrap_or_else(|| die("missing <project-dir>"));
 
-    let project = load_dir(&dir).unwrap_or_else(|e| die(&format!("{}: {e}", dir.display())));
+    let project = or_die(load_dir(&dir), &dir);
     if !project.has_history {
         die("history needs a history.json (commits to replay)");
     }
@@ -524,16 +517,10 @@ fn history_main(mut args: impl Iterator<Item = String>) -> ! {
     .unwrap_or_else(|e| die(&format!("build failed: {e}")));
 
     let db_path = db_path.unwrap_or_else(|| dir.join("findings.lifedb"));
-    outcome
-        .db
-        .save(&db_path)
-        .unwrap_or_else(|e| die(&format!("{}: {e}", db_path.display())));
+    or_die(outcome.db.save(&db_path), &db_path);
     if let Some(path) = &suppress_path {
         // Persist the maintenance: advanced lines, healed fingerprints.
-        outcome
-            .suppress
-            .save(path)
-            .unwrap_or_else(|e| die(&format!("{}: {e}", path.display())));
+        or_die(outcome.suppress.save(path), path);
     }
 
     let funnel = outcome.db.funnel();
@@ -546,6 +533,9 @@ fn history_main(mut args: impl Iterator<Item = String>) -> ! {
         funnel.live,
         outcome.head.map(|c| c.0 as i64).unwrap_or(-1),
     );
+    for (commit, failures) in &outcome.failures {
+        print_failures(&format!("vcheck history: commit {}: ", commit.0), failures);
+    }
     print!("{}", tracks_to_csv(&outcome.db));
 
     let snapshot = obs.registry.snapshot();
@@ -555,11 +545,11 @@ fn history_main(mut args: impl Iterator<Item = String>) -> ! {
     }
     if let Some(path) = lifecycle_json {
         let text = outcome.db.to_json_export().to_string_pretty();
-        std::fs::write(&path, text).unwrap_or_else(|e| die(&format!("{}: {e}", path.display())));
+        or_die(std::fs::write(&path, text), &path);
     }
     if let Some(path) = metrics_json {
         let text = snapshot.to_json_export().to_string_pretty();
-        std::fs::write(&path, text).unwrap_or_else(|e| die(&format!("{}: {e}", path.display())));
+        or_die(std::fs::write(&path, text), &path);
     }
     std::process::exit(if funnel.live > 0 { 1 } else { 0 });
 }
@@ -569,86 +559,28 @@ fn serve_main(mut args: impl Iterator<Item = String>) -> ! {
     let mut config = ServeConfig::default();
 
     while let Some(a) = args.next() {
+        if analysis_flag(&a, &mut args, &mut config.defines, &mut config.opts) {
+            continue;
+        }
         match a.as_str() {
-            "--define" => {
-                config.defines.push(
-                    args.next()
-                        .unwrap_or_else(|| die("--define needs a symbol")),
-                );
-            }
-            "--all" => config.opts.cross_scope_only = false,
-            "--no-rank" => {
-                config.opts.rank = RankConfig {
-                    enabled: false,
-                    ..RankConfig::default()
-                };
-            }
-            "--no-prune" => {
-                config.opts.prune = PruneConfig {
-                    config_dependency: false,
-                    cursor: false,
-                    unused_hints: false,
-                    peer_definitions: false,
-                    ..PruneConfig::default()
-                };
-            }
             "--deadline-ms" => {
-                let ms: u64 = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--deadline-ms needs a number"));
-                config.deadline = Some(std::time::Duration::from_millis(ms));
+                config.deadline = Some(std::time::Duration::from_millis(number(&mut args, &a)));
             }
-            "--queue-depth" => {
-                let n: usize = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--queue-depth needs a number"));
-                config.queue_depth = n.max(1);
-            }
+            "--queue-depth" => config.queue_depth = number::<usize>(&mut args, &a).max(1),
             "--budget-steps" => {
-                let n: u64 = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--budget-steps needs a number"));
-                config.opts.harden = config.opts.harden.with_step_budget(n);
+                config.opts.harden = config.opts.harden.with_step_budget(number(&mut args, &a));
             }
             "--budget-ms" => {
-                let n: u64 = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--budget-ms needs a number"));
-                config.opts.harden = config.opts.harden.with_time_budget_ms(n);
+                config.opts.harden = config
+                    .opts
+                    .harden
+                    .with_time_budget_ms(number(&mut args, &a));
             }
-            "--snapshot" => {
-                config.snapshot = Some(PathBuf::from(
-                    args.next()
-                        .unwrap_or_else(|| die("--snapshot needs a path")),
-                ));
-            }
-            "--trace" => {
-                config.trace = Some(PathBuf::from(
-                    args.next().unwrap_or_else(|| die("--trace needs a path")),
-                ));
-            }
-            "--metrics-json" => {
-                config.metrics_json = Some(PathBuf::from(
-                    args.next()
-                        .unwrap_or_else(|| die("--metrics-json needs a path")),
-                ));
-            }
-            "--event-log" => {
-                config.event_log = Some(PathBuf::from(
-                    args.next()
-                        .unwrap_or_else(|| die("--event-log needs a path")),
-                ));
-            }
-            "--event-log-max-bytes" => {
-                config.event_log_max_bytes = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--event-log-max-bytes needs a number"));
-            }
+            "--snapshot" => config.snapshot = Some(path(&mut args, &a)),
+            "--trace" => config.trace = Some(path(&mut args, &a)),
+            "--metrics-json" => config.metrics_json = Some(path(&mut args, &a)),
+            "--event-log" => config.event_log = Some(path(&mut args, &a)),
+            "--event-log-max-bytes" => config.event_log_max_bytes = number(&mut args, &a),
             "--help" | "-h" => {
                 eprintln!(
                     "Usage: vcheck serve <project-dir> [--define SYM]... [--all] [--no-rank] \
@@ -667,8 +599,7 @@ fn serve_main(mut args: impl Iterator<Item = String>) -> ! {
         }
     }
     let dir = dir.unwrap_or_else(|| die("missing <project-dir>"));
-    let engine =
-        ServeEngine::new(&dir, config).unwrap_or_else(|e| die(&format!("{}: {e}", dir.display())));
+    let engine = or_die(ServeEngine::new(&dir, config), &dir);
     eprintln!(
         "vcheck serve: watching {} (JSON lines on stdin)",
         dir.display()
@@ -757,102 +688,22 @@ fn scan_main(mut args: impl Iterator<Item = String>) -> ! {
     let mut sconf = SentinelConfig::default();
 
     while let Some(a) = args.next() {
+        if analysis_flag(&a, &mut args, &mut defines, &mut opts)
+            || sentinel_flag(&a, &mut args, &mut sconf)
+        {
+            continue;
+        }
         match a.as_str() {
-            "--define" => {
-                defines.push(
-                    args.next()
-                        .unwrap_or_else(|| die("--define needs a symbol")),
-                );
-            }
-            "--deadline-ms" => {
-                deadline_ms = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| die("--deadline-ms needs a number")),
-                );
-            }
-            "--all" => opts.cross_scope_only = false,
-            "--no-rank" => {
-                opts.rank = RankConfig {
-                    enabled: false,
-                    ..RankConfig::default()
-                };
-            }
-            "--no-prune" => {
-                opts.prune = PruneConfig {
-                    config_dependency: false,
-                    cursor: false,
-                    unused_hints: false,
-                    peer_definitions: false,
-                    ..PruneConfig::default()
-                };
-            }
-            "--top" => {
-                top = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| die("--top needs a number")),
-                );
-            }
+            "--deadline-ms" => deadline_ms = Some(number(&mut args, &a)),
+            "--top" => top = Some(number(&mut args, &a)),
             "--json" => json = true,
             "--stats" => stats = true,
-            "--budget-steps" => {
-                let n: u64 = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--budget-steps needs a number"));
-                opts.harden = opts.harden.with_step_budget(n);
-            }
-            "--budget-ms" => {
-                let n: u64 = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--budget-ms needs a number"));
-                opts.harden = opts.harden.with_time_budget_ms(n);
-            }
-            "--jobs" => {
-                sconf.jobs = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--jobs needs a number"));
-            }
-            "--retry" => {
-                let k: u32 = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--retry needs a number"));
-                sconf.retry = k.max(1);
-            }
-            "--unit-deadline-ms" => {
-                let ms: u64 = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--unit-deadline-ms needs a number"));
-                sconf.unit_deadline = Some(std::time::Duration::from_millis(ms));
-            }
-            "--journal" => {
-                sconf.journal = Some(PathBuf::from(
-                    args.next().unwrap_or_else(|| die("--journal needs a path")),
-                ));
-            }
-            "--resume" => sconf.resume = true,
+            "--budget-steps" => opts.harden = opts.harden.with_step_budget(number(&mut args, &a)),
+            "--budget-ms" => opts.harden = opts.harden.with_time_budget_ms(number(&mut args, &a)),
             "--fail-fast" => fail_fast = true,
-            "--metrics-json" => {
-                metrics_json = Some(PathBuf::from(
-                    args.next()
-                        .unwrap_or_else(|| die("--metrics-json needs a path")),
-                ));
-            }
-            "--trace" => {
-                trace = Some(PathBuf::from(
-                    args.next().unwrap_or_else(|| die("--trace needs a path")),
-                ));
-            }
-            "--profile" => {
-                profile = Some(PathBuf::from(
-                    args.next().unwrap_or_else(|| die("--profile needs a path")),
-                ));
-            }
+            "--metrics-json" => metrics_json = Some(path(&mut args, &a)),
+            "--trace" => trace = Some(path(&mut args, &a)),
+            "--profile" => profile = Some(path(&mut args, &a)),
             "--help" | "-h" => {
                 eprintln!(
                     "Usage: vcheck <project-dir> [--define SYM]... [--all] [--no-rank] \
@@ -878,8 +729,7 @@ fn scan_main(mut args: impl Iterator<Item = String>) -> ! {
     // A directory with no `.c` files is a clean project (empty report,
     // exit 0), not a usage error — CI can point vcheck at a repo that
     // happens to contain no C sources.
-    let project =
-        load_dir_or_empty(&dir).unwrap_or_else(|e| die(&format!("{}: {e}", dir.display())));
+    let project = or_die(load_dir_or_empty(&dir), &dir);
     if !project.has_history && !project.sources.is_empty() {
         eprintln!(
             "vcheck: no history.json found — using a single-author working-tree history; \
@@ -898,11 +748,8 @@ fn scan_main(mut args: impl Iterator<Item = String>) -> ! {
             defines: defines.clone(),
             ..ServeConfig::default()
         };
-        let mut engine = ServeEngine::new(&dir, config)
-            .unwrap_or_else(|e| die(&format!("{}: {e}", dir.display())));
-        let resp = engine
-            .scan(Some(ms))
-            .unwrap_or_else(|e| die(&format!("{}: {e}", dir.display())));
+        let mut engine = or_die(ServeEngine::new(&dir, config), &dir);
+        let resp = or_die(engine.scan(Some(ms)), &dir);
         eprintln!(
             "vcheck: {} unused definitions, {} cross-scope, {} pruned, {} reported",
             resp.raw_candidates,
@@ -916,15 +763,7 @@ fn scan_main(mut args: impl Iterator<Item = String>) -> ! {
                  low-confidence (exit 3)"
             );
         }
-        if !resp.report.failures.is_empty() {
-            eprintln!(
-                "vcheck: {} unit(s) of work failed and were isolated:",
-                resp.report.failures.len()
-            );
-            for f in &resp.report.failures {
-                eprintln!("vcheck:   {f}");
-            }
-        }
+        print_failures("vcheck: ", &resp.report.failures);
         let mut report = resp.report.clone();
         if let Some(n) = top {
             report.rows.truncate(n);
@@ -944,8 +783,7 @@ fn scan_main(mut args: impl Iterator<Item = String>) -> ! {
                 .snapshot()
                 .to_json_export()
                 .to_string_pretty();
-            std::fs::write(&path, text)
-                .unwrap_or_else(|e| die(&format!("{}: {e}", path.display())));
+            or_die(std::fs::write(&path, text), &path);
         }
         let code = if resp.deadline_exceeded {
             3
@@ -962,26 +800,23 @@ fn scan_main(mut args: impl Iterator<Item = String>) -> ! {
         opts.harden.isolate = false;
     }
     let parse_mem = vc_obs::MemScope::enter(vc_obs::alloc::SCOPE_PARSE);
-    let (prog, parse_errors, recover_stats) = if fail_fast {
-        let prog = Program::build(&project.source_refs(), &defines)
-            .unwrap_or_else(|e| die(&format!("build failed: {e}")));
-        (prog, Vec::new(), vc_ir::program::RecoverStats::default())
-    } else {
-        // Recovering build: corrupted regions cost only themselves. Each
-        // error is function-granular when recovery could isolate it, so say
-        // which function was dropped/degraded rather than implying the
-        // whole file was skipped.
-        let (prog, errors, stats) = Program::build_recovering(&project.source_refs(), &defines);
-        for e in &errors {
-            match e.function() {
-                Some(func) => eprintln!("vcheck: skipping function {func}: {e}"),
-                None => eprintln!("vcheck: skipping file: {e}"),
-            }
+    // Recovering build: corrupted regions cost only themselves. Each error
+    // is function-granular when recovery could isolate it, so say which
+    // function was dropped/degraded rather than implying the whole file was
+    // skipped. `--fail-fast` stops at the first one instead.
+    let built = build_tree(&project.source_refs(), &defines);
+    let (Ok((_, errors, _)) | Err(errors)) = &built;
+    if let Some(e) = errors.first().filter(|_| fail_fast) {
+        die(&format!("build failed: {e}"));
+    }
+    for e in errors {
+        match e.function() {
+            Some(func) => eprintln!("vcheck: skipping function {func}: {e}"),
+            None => eprintln!("vcheck: skipping file: {e}"),
         }
-        if prog.funcs.is_empty() && !errors.is_empty() {
-            die("every source file failed to parse");
-        }
-        (prog, errors, stats)
+    }
+    let Ok((prog, parse_errors, recover_stats)) = built else {
+        die("every source file failed to parse");
     };
     {
         // The flush needs the session installed to reach its registry.
@@ -1010,15 +845,7 @@ fn scan_main(mut args: impl Iterator<Item = String>) -> ! {
         analysis.prune_outcome.total_pruned(),
         analysis.detected()
     );
-    if !analysis.report.failures.is_empty() {
-        eprintln!(
-            "vcheck: {} unit(s) of work failed and were isolated:",
-            analysis.report.failures.len()
-        );
-        for f in &analysis.report.failures {
-            eprintln!("vcheck:   {f}");
-        }
-    }
+    print_failures("vcheck: ", &analysis.report.failures);
 
     let mut report = analysis.report.clone();
     if let Some(n) = top {
@@ -1038,11 +865,11 @@ fn scan_main(mut args: impl Iterator<Item = String>) -> ! {
     }
     if let Some(path) = metrics_json {
         let text = snapshot.to_json_export().to_string_pretty();
-        std::fs::write(&path, text).unwrap_or_else(|e| die(&format!("{}: {e}", path.display())));
+        or_die(std::fs::write(&path, text), &path);
     }
     if let Some(path) = trace {
         let text = obs.tracer.to_chrome_json().to_string_pretty();
-        std::fs::write(&path, text).unwrap_or_else(|e| die(&format!("{}: {e}", path.display())));
+        or_die(std::fs::write(&path, text), &path);
     }
     if let Some(path) = profile {
         // The canonical ("logical") view: worker lanes spliced under the
@@ -1052,8 +879,10 @@ fn scan_main(mut args: impl Iterator<Item = String>) -> ! {
         // byte-identical across --jobs. Self-times live in the --stats
         // top-frames table.
         let folded = vc_obs::FoldedProfile::logical(&obs.tracer.records());
-        std::fs::write(&path, folded.render(vc_obs::Weight::Samples))
-            .unwrap_or_else(|e| die(&format!("{}: {e}", path.display())));
+        or_die(
+            std::fs::write(&path, folded.render(vc_obs::Weight::Samples)),
+            &path,
+        );
     }
     std::process::exit(if report.rows.is_empty() { 0 } else { 1 });
 }

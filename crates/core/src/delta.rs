@@ -30,7 +30,10 @@
 //!
 //! What remains on the new side is `new` (or `suppressed` when its
 //! fingerprint appears in a `--baseline` set); what remains on the old side
-//! is `fixed`. The classified rows render as CSV and JSON ([`DeltaReport`])
+//! is `fixed` — unless the new revision's scan could not look at it: a
+//! finding whose function (or whole file) is named by one of the new
+//! revision's failure records is `unscanned` instead
+//! ([`DeltaReport::mark_unscanned`]). The classified rows render as CSV and JSON ([`DeltaReport`])
 //! with the same byte-determinism guarantees as the main report: identical
 //! for any `--jobs` value and across journal resumes.
 
@@ -58,10 +61,13 @@ use vc_vcs::{
 use crate::{
     candidate::Scenario,
     fnv1a,
+    harden::FailureRecord,
     pipeline::{
-        run_at_commit,
-        Options,
-        RevisionAnalysis, //
+        build_at,
+        history_at,
+        run_sentinel,
+        Analysis,
+        Options, //
     },
     rank::Ranked,
     sentinel::SentinelConfig,
@@ -233,6 +239,10 @@ pub enum DeltaStatus {
     Churned,
     /// Would be `New`, but its fingerprint is in the baseline set.
     Suppressed,
+    /// Would be `Fixed`, but the new revision's scan failed on the
+    /// finding's function or file (a parse or analysis failure), so it is
+    /// not known to be gone.
+    Unscanned,
 }
 
 impl DeltaStatus {
@@ -244,6 +254,7 @@ impl DeltaStatus {
             DeltaStatus::Persisting => "persisting",
             DeltaStatus::Churned => "churned",
             DeltaStatus::Suppressed => "suppressed",
+            DeltaStatus::Unscanned => "unscanned",
         }
     }
 }
@@ -258,10 +269,10 @@ pub struct DeltaRow {
     pub finding: Finding,
     /// Line in the old revision (`None` for `new`/`suppressed`).
     pub old_line: Option<u32>,
-    /// Line in the new revision (`None` for `fixed`).
+    /// Line in the new revision (`None` for `fixed`/`unscanned`).
     pub new_line: Option<u32>,
     /// The old-side fingerprint of a matched finding (`Some` for
-    /// `persisting`/`churned`/`fixed`). Differs from `finding.fingerprint`
+    /// `persisting`/`churned`/`fixed`/`unscanned`). Differs from `finding.fingerprint`
     /// exactly when the pair was made by the line-map fallback — this is
     /// what lets the lifecycle scanner follow one finding's identity across
     /// an edit to its own definition line.
@@ -286,6 +297,27 @@ impl DeltaReport {
     /// `vcheck delta` exits 1 exactly when this is true).
     pub fn has_new(&self) -> bool {
         self.rows.iter().any(|r| r.status == DeltaStatus::New)
+    }
+
+    /// Reclassifies `fixed` rows as `unscanned` where `failures` (the new
+    /// revision's failure records) name the finding's function in its file,
+    /// or its whole file: a finding in code the new scan could not analyse
+    /// is not evidence of a fix.
+    pub fn mark_unscanned(&mut self, failures: &[FailureRecord]) {
+        if failures.is_empty() {
+            return;
+        }
+        let unscanned = |f: &Finding| {
+            failures
+                .iter()
+                .any(|r| r.file == f.file && r.function.as_ref().is_none_or(|g| *g == f.function))
+        };
+        for row in &mut self.rows {
+            if row.status == DeltaStatus::Fixed && unscanned(&row.finding) {
+                row.status = DeltaStatus::Unscanned;
+            }
+        }
+        sort_rows(&mut self.rows);
     }
 
     /// Records `delta.*` counters into the installed observability session.
@@ -326,9 +358,10 @@ impl DeltaReport {
         out
     }
 
-    /// Renders as pretty-printed JSON: a summary object plus the rows.
+    /// Renders as pretty-printed JSON: a summary object plus the rows. The
+    /// summary counts `unscanned` rows only when there are any.
     pub fn to_json(&self) -> String {
-        let summary = Json::Obj(vec![
+        let mut summary = vec![
             ("new".into(), Json::Int(self.count(DeltaStatus::New) as i64)),
             (
                 "fixed".into(),
@@ -346,7 +379,11 @@ impl DeltaReport {
                 "suppressed".into(),
                 Json::Int(self.count(DeltaStatus::Suppressed) as i64),
             ),
-        ]);
+        ];
+        let unscanned = self.count(DeltaStatus::Unscanned);
+        if unscanned > 0 {
+            summary.push(("unscanned".into(), Json::Int(unscanned as i64)));
+        }
         let rows = self
             .rows
             .iter()
@@ -379,7 +416,7 @@ impl DeltaReport {
             })
             .collect();
         Json::Obj(vec![
-            ("summary".into(), summary),
+            ("summary".into(), Json::Obj(summary)),
             ("rows".into(), Json::Arr(rows)),
         ])
         .to_string_pretty()
@@ -577,6 +614,12 @@ pub fn classify(
             });
         }
     }
+    sort_rows(&mut rows);
+    DeltaReport { rows }
+}
+
+/// Sorts rows into the report's canonical order.
+fn sort_rows(rows: &mut [DeltaRow]) {
     rows.sort_by(|a, b| {
         (
             a.status,
@@ -595,23 +638,31 @@ pub fn classify(
                 b.finding.fingerprint,
             ))
     });
-    DeltaReport { rows }
 }
 
-/// One side of a differential scan: the revision analysis plus its
-/// fingerprinted findings and snapshot sources.
+/// One side of a differential scan: the revision's program and pipeline
+/// run plus its fingerprinted findings and snapshot sources.
 #[derive(Clone, Debug)]
 pub struct RevScan {
-    /// The pipeline run at the revision.
-    pub rev: RevisionAnalysis,
+    /// The scanned commit.
+    pub commit: CommitId,
+    /// The program built from the commit's snapshot.
+    pub prog: Program,
+    /// The pipeline run at the revision; its report's failures start with
+    /// the build's parse failures, as a `vcheck <dir>` scan's do.
+    pub analysis: Analysis,
     /// Fingerprinted findings of that run.
     pub findings: Vec<Finding>,
     /// The revision's file contents (for line mapping and baselines).
     pub sources: HashMap<String, String>,
 }
 
-/// Scans one revision through the sentinel executor and fingerprints its
-/// findings.
+/// Scans one revision the way `vcheck <dir>` scans a tree and fingerprints
+/// its findings: the snapshot is built with recovery ([`build_at`]), run
+/// through the sentinel executor with authorship/blame against the history
+/// truncated at the commit, and its parse failures and `recover.*` counters
+/// are spliced into the run. `Err` only when nothing in the revision could
+/// be salvaged.
 pub fn scan_revision(
     repo: &Repository,
     commit: CommitId,
@@ -620,11 +671,17 @@ pub fn scan_revision(
     sconf: &SentinelConfig,
     obs: ObsSession,
 ) -> Result<RevScan, BuildError> {
-    let rev = run_at_commit(repo, commit, defines, opts, sconf, obs)?;
-    let findings = fingerprint_ranked(&rev.prog, &rev.analysis.ranked);
+    let (prog, errors, stats) = build_at(repo, commit, defines)?;
+    let mut analysis = run_sentinel(&prog, &history_at(repo, commit), opts, sconf, obs);
+    analysis
+        .report
+        .splice_parse_failures(&analysis.obs.registry, &errors, &stats);
+    let findings = fingerprint_ranked(&prog, &analysis.ranked);
     let sources = repo.snapshot_at(commit);
     Ok(RevScan {
-        rev,
+        commit,
+        prog,
+        analysis,
         findings,
         sources,
     })
@@ -687,13 +744,14 @@ pub fn delta_scan(
         &side_sentinel(sconf, "to"),
         obs.clone(),
     )?;
-    let report = classify(
+    let mut report = classify(
         &from_scan.findings,
         &to_scan.findings,
         &from_scan.sources,
         &to_scan.sources,
         baseline,
     );
+    report.mark_unscanned(&to_scan.analysis.report.failures);
     report.record_metrics();
     delta_mem.finish();
     span.end();

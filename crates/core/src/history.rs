@@ -1,9 +1,11 @@
 //! Whole-history lifecycle replay (`vcheck history`).
 //!
 //! [`history_scan`] replays **every commit** of a repository through the
-//! scan pipeline — each revision runs under the sentinel executor with its
-//! own journal suffix (`.c<N>`), so a replay is parallel, crash-safe, and
-//! resumable — and threads the per-revision findings through the
+//! scan pipeline — each revision is built with recovery as `vcheck <dir>`
+//! builds a tree (a corrupted revision costs only its broken functions) and
+//! runs under the sentinel executor with its own journal suffix (`.c<N>`),
+//! so a replay is parallel, crash-safe, and resumable — and threads the
+//! per-revision findings through the
 //! [`classify`](crate::delta::classify) matcher to follow each
 //! drift-stable fingerprint from the commit it was born at to the commit
 //! it was fixed, suppressed, or last seen at. The event stream and the
@@ -16,7 +18,10 @@
 //! Track continuity rides on [`DeltaRow::old_fingerprint`]: a line-map
 //! match re-keys the *current* fingerprint while the track keeps the
 //! fingerprint it was born with, so one finding is one track even when
-//! its own definition line gets edited along the way.
+//! its own definition line gets edited along the way. A finding whose
+//! function (or file) a revision failed to scan is `unscanned` there, not
+//! fixed: its track records no event and carries the last-seen finding
+//! into the next revision's comparison.
 //!
 //! Everything here is deterministic: classified rows arrive in canonical
 //! order, so the serialized [`LifeDb`] is byte-identical for any
@@ -48,6 +53,7 @@ use crate::{
         Fingerprint,
         RevScan, //
     },
+    harden::FailureRecord,
     lifedb::{
         CommitAgg,
         FinalState,
@@ -76,6 +82,10 @@ pub struct HistoryOutcome {
     pub head: Option<CommitId>,
     /// Number of commits replayed.
     pub commits: usize,
+    /// The failure records of every revision that had any (parse failures
+    /// first, as a `vcheck <dir>` scan of that tree reports them), in
+    /// commit order.
+    pub failures: Vec<(CommitId, Vec<FailureRecord>)>,
 }
 
 /// One track summarised for the CLI table: born-at, last-seen, final
@@ -208,10 +218,11 @@ pub fn history_scan(
     // Current fingerprint → track id (born fingerprint) of each live track.
     let mut live: HashMap<u64, Fingerprint> = HashMap::new();
     let mut prev: Option<RevScan> = None;
+    let mut failures: Vec<(CommitId, Vec<FailureRecord>)> = Vec::new();
 
     for &commit in &commits {
         vc_obs::counter_inc(names::LIFE_COMMITS);
-        let scan = scan_revision(
+        let mut scan = scan_revision(
             repo,
             commit,
             defines,
@@ -224,6 +235,7 @@ pub fn history_scan(
         // commits ride the delta classifier, using `old_fingerprint` to
         // stay on a track across line-map re-keys.
         let mut next_live: HashMap<u64, Fingerprint> = HashMap::new();
+        let mut unscanned: Vec<Finding> = Vec::new();
         match &prev {
             None => {
                 let mut born: Vec<&Finding> = scan.findings.iter().collect();
@@ -239,15 +251,19 @@ pub fn history_scan(
                 // The store's coordinates move with this revision step so
                 // the nearby-line fallback keeps working under drift.
                 suppress.advance(&p.sources, &scan.sources);
-                let report = classify(
+                let mut report = classify(
                     &p.findings,
                     &scan.findings,
                     &p.sources,
                     &scan.sources,
                     &HashSet::new(),
                 );
+                report.mark_unscanned(&scan.analysis.report.failures);
                 for row in &report.rows {
                     record_row(commit, row, &live, &mut next_live, &mut db);
+                    if row.status == DeltaStatus::Unscanned {
+                        unscanned.push(row.finding.clone());
+                    }
                 }
             }
         }
@@ -273,7 +289,7 @@ pub fn history_scan(
         }
 
         // The commit's candidate funnel, prune patterns broken out.
-        let analysis = &scan.rev.analysis;
+        let analysis = &scan.analysis;
         db.aggs.push(CommitAgg {
             commit,
             raw: analysis.raw_candidates as u64,
@@ -289,7 +305,13 @@ pub fn history_scan(
                 .collect(),
             reported: analysis.ranked.len() as u64,
         });
+        if !analysis.report.failures.is_empty() {
+            failures.push((commit, analysis.report.failures.clone()));
+        }
 
+        // An unscanned finding stays on the comparison side, so the next
+        // revision that scans its function decides its fate.
+        scan.findings.extend(unscanned);
         prev = Some(scan);
     }
 
@@ -304,6 +326,7 @@ pub fn history_scan(
         suppress,
         head: commits.last().copied(),
         commits: commits.len(),
+        failures,
     })
 }
 
@@ -354,6 +377,12 @@ fn record_row(
             let track = old_track.expect("fixed row carries old_fingerprint");
             vc_obs::counter_inc(names::LIFE_FIXED);
             db.push_event(event_for(commit, track, &row.finding, LifeEventKind::Fixed));
+        }
+        // The revision could not scan the finding's function: no event, and
+        // the track stays live under the finding's last-seen fingerprint.
+        DeltaStatus::Unscanned => {
+            let track = old_track.expect("unscanned row carries old_fingerprint");
+            next_live.insert(row.finding.fingerprint.0, track);
         }
         // The replay classifies with an empty baseline; `suppressed` rows
         // cannot occur (suppression is handled by the annotation/store

@@ -3,14 +3,9 @@
 //! The paper integrates ValueCheck into development by analysing "only the
 //! changed functions and the affected files in a commit", bringing per-commit
 //! cost under five seconds. This module does the same: given a commit, it
-//! rebuilds the program from the snapshot at that commit but runs detection
-//! only for functions defined in the files the commit touched.
-//!
-//! Replaying many commits rebuilds the same snapshots repeatedly (adjacent
-//! commits share most of their tree); [`SnapshotCache`] memoizes built
-//! [`Program`]s by a content hash, and every commit analysed through
-//! [`analyze_commit_cached`] records `incremental.cache.hits` /
-//! `incremental.cache.misses` into the installed observability session.
+//! rebuilds the program from the snapshot at that commit — with recovery,
+//! as every revision build does — but runs detection only for functions
+//! defined in the files the commit touched.
 //!
 //! [`SnapshotStore`] persists the previous run's findings to disk so a
 //! follow-up run can diff against them. The store is written by a tool that
@@ -26,11 +21,9 @@
 use std::{
     collections::{
         BTreeSet,
-        HashMap,
         HashSet, //
     },
     path::Path,
-    sync::Arc,
 };
 
 use vc_dataflow::summary::SigInterner;
@@ -54,10 +47,9 @@ use crate::{
     },
     harden::FailureRecord,
     pipeline::{
-        build_sources,
+        build_at,
         history_at,
         run_detected,
-        sources_at,
         Options, //
     },
     prune::PruneConfig,
@@ -65,6 +57,7 @@ use crate::{
         RankConfig,
         Ranked, //
     },
+    report::Report,
 };
 
 /// The findings for one commit.
@@ -78,57 +71,12 @@ pub struct CommitFindings {
     pub analysed_functions: usize,
     /// Ranked findings within the changed functions.
     pub findings: Vec<Ranked>,
-    /// Units of work that failed and were isolated (a poisoned changed
+    /// Units of work that failed and were isolated (a function the
+    /// snapshot's build could not parse or lower, a poisoned changed
     /// function, a poisoned authorship lookup, a degraded prune or rank
-    /// stage), as in a batch scan's report.
+    /// stage), as in a batch scan's report. Parse failures cover the whole
+    /// snapshot, not only the changed files.
     pub failures: Vec<FailureRecord>,
-}
-
-/// Memoizes built [`Program`]s by snapshot content, for commit replays.
-///
-/// Keys hash the sorted `(path, content)` pairs of the snapshot plus the
-/// preprocessor defines, so two commits with identical trees (e.g. a revert)
-/// share one build.
-#[derive(Debug, Default)]
-pub struct SnapshotCache {
-    programs: HashMap<u64, Arc<Program>>,
-}
-
-impl SnapshotCache {
-    /// An empty cache.
-    pub fn new() -> SnapshotCache {
-        SnapshotCache::default()
-    }
-
-    /// Number of distinct snapshots built so far.
-    pub fn len(&self) -> usize {
-        self.programs.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.programs.is_empty()
-    }
-
-    /// The program for `commit`'s snapshot, building it on first sight.
-    /// Records a cache hit or miss into the installed observability session.
-    pub fn program_at(
-        &mut self,
-        repo: &Repository,
-        commit: CommitId,
-        defines: &[String],
-    ) -> Result<Arc<Program>, BuildError> {
-        let tree = sources_at(repo, commit);
-        let key = snapshot_key(&tree, defines);
-        if let Some(prog) = self.programs.get(&key) {
-            vc_obs::counter_inc(vc_obs::names::INCREMENTAL_CACHE_HITS);
-            return Ok(prog.clone());
-        }
-        vc_obs::counter_inc(vc_obs::names::INCREMENTAL_CACHE_MISSES);
-        let prog = Arc::new(build_sources(&tree, defines)?);
-        self.programs.insert(key, prog.clone());
-        Ok(prog)
-    }
 }
 
 /// On-disk format version of [`SnapshotStore`]. Bumped whenever the line
@@ -308,13 +256,6 @@ impl SnapshotStore {
         Ok(())
     }
 
-    /// Replaces the stored run with `findings` for `commit`. The program is
-    /// needed to resolve file names and compute drift-stable fingerprints.
-    pub fn record(&mut self, prog: &vc_ir::Program, commit: CommitId, findings: &[Ranked]) {
-        let fingerprinted = crate::delta::fingerprint_ranked(prog, findings);
-        *self = SnapshotStore::from_findings(commit, &fingerprinted);
-    }
-
     /// The stored fingerprints as a suppression set (`vcheck delta
     /// --baseline`).
     pub fn fingerprint_set(&self) -> HashSet<u64> {
@@ -341,27 +282,6 @@ impl SnapshotStore {
     }
 }
 
-/// [`analyze_commit`] with on-disk persistence: loads the previous run's
-/// findings from `store_path` (recovering from corruption transparently),
-/// analyses `commit`, and saves the new findings back.
-pub fn analyze_commit_stored(
-    store_path: &Path,
-    repo: &Repository,
-    commit: CommitId,
-    defines: &[String],
-    prune_config: &PruneConfig,
-    rank_config: &RankConfig,
-) -> Result<(CommitFindings, SnapshotStore), BuildError> {
-    let previous = SnapshotStore::load(store_path);
-    let prog = build_sources(&sources_at(repo, commit), defines)?;
-    let findings = analyze_commit_in(&prog, repo, commit, prune_config, rank_config);
-    let mut next = SnapshotStore::default();
-    next.record(&prog, commit, &findings.findings);
-    // A failed save is not fatal: the next run just starts cold.
-    let _ = next.save(store_path);
-    Ok((findings, previous))
-}
-
 /// FNV-1a over a text blob — the content checksum shared by the on-disk
 /// stores (snapshot, suppression, lifecycle DB).
 pub(crate) fn content_hash(text: &str) -> u64 {
@@ -373,38 +293,20 @@ pub(crate) fn content_hash(text: &str) -> u64 {
     h
 }
 
-/// FNV-1a over the snapshot contents and defines.
-fn snapshot_key(sources: &[(String, String)], defines: &[String]) -> u64 {
-    let fields = sources.iter().flat_map(|(p, c)| [p, c]).chain(defines);
-    fields.fold(crate::FNV_SEED, |h, f| crate::fnv1a(h, f.as_bytes()))
-}
-
-/// [`analyze_commit`] with snapshot memoization: repeated trees (reverts,
-/// rebuilt replays) reuse the cached [`Program`].
-pub fn analyze_commit_cached(
-    cache: &mut SnapshotCache,
-    repo: &Repository,
-    commit: CommitId,
-    defines: &[String],
-    prune_config: &PruneConfig,
-    rank_config: &RankConfig,
-) -> Result<CommitFindings, BuildError> {
-    let prog = cache.program_at(repo, commit, defines)?;
-    Ok(analyze_commit_in(
-        &prog,
-        repo,
-        commit,
-        prune_config,
-        rank_config,
-    ))
-}
-
 /// Analyses the snapshot at `commit`, detecting only in its changed files.
 ///
 /// Program-wide context (signatures, call sites, peer statistics) still
 /// comes from the full snapshot — detection is local, the supporting indexes
 /// are not, matching the paper's design where analysis runs per bitcode file
 /// against whole-project metadata.
+///
+/// The snapshot is built with recovery, as `vcheck <dir>` builds a tree:
+/// its parse failures lead [`CommitFindings::failures`] and its `recover.*`
+/// counters land in the installed observability session. Both describe the
+/// whole snapshot, exactly as a `vcheck <dir>` scan of that tree reports
+/// them — a broken function in a file the commit did not touch shows up
+/// (and is counted) again at every commit analysed. `Err` only when
+/// nothing in the snapshot could be salvaged.
 pub fn analyze_commit(
     repo: &Repository,
     commit: CommitId,
@@ -412,14 +314,12 @@ pub fn analyze_commit(
     prune_config: &PruneConfig,
     rank_config: &RankConfig,
 ) -> Result<CommitFindings, BuildError> {
-    let prog = build_sources(&sources_at(repo, commit), defines)?;
-    Ok(analyze_commit_in(
-        &prog,
-        repo,
-        commit,
-        prune_config,
-        rank_config,
-    ))
+    let (prog, errors, stats) = build_at(repo, commit, defines)?;
+    let mut findings = analyze_commit_in(&prog, repo, commit, prune_config, rank_config);
+    let mut front = Report::default();
+    front.splice_parse_failures(&ObsSession::current_or_new().registry, &errors, &stats);
+    findings.failures.splice(0..0, front.failures);
+    Ok(findings)
 }
 
 /// The incremental fast path: analyses `commit` against a program already
@@ -549,6 +449,28 @@ mod tests {
         assert_eq!(findings.analysed_functions, 1);
         assert_eq!(findings.findings.len(), 1);
         assert_eq!(findings.findings[0].item.candidate.var_name, "x");
+
+        // The next run sees these findings through a store, which doubles
+        // as a baseline suppression set.
+        let (prog, _, _) = build_at(&repo, c, &[]).unwrap();
+        let fingerprinted = crate::delta::fingerprint_ranked(&prog, &findings.findings);
+        let path = temp_path("stored-run");
+        let store = SnapshotStore::from_findings(c, &fingerprinted);
+        store.save(&path).unwrap();
+        let previous = SnapshotStore::load(&path);
+        std::fs::remove_file(&path).ok();
+        assert_eq!(previous, store);
+        let stored = &previous.findings[0];
+        assert_eq!(
+            (stored.variable.as_str(), stored.file.as_str()),
+            ("x", "a.c")
+        );
+        assert_eq!(stored.scenario, "overwritten");
+        assert_ne!(
+            stored.fingerprint, 0,
+            "stored findings carry a real fingerprint"
+        );
+        assert_eq!(previous.fingerprint_set().len(), 1);
     }
 
     #[test]
@@ -623,41 +545,43 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_cache_hits_on_identical_trees() {
-        let mut repo = Repository::new();
-        let a = repo.add_author("a");
-        let v1 = "int f(void) { return 1; }\n";
-        let v2 = "int f(void) { return 2; }\n";
-        let c1 = repo.commit(a, 1, "v1", vec![write("a.c", v1)]);
-        let c2 = repo.commit(a, 2, "v2", vec![write("a.c", v2)]);
-        let c3 = repo.commit(a, 3, "revert to v1", vec![write("a.c", v1)]);
+    fn corrupted_commit_costs_only_its_broken_function() {
+        let (repo, clean, broken) = vc_workload::corrupted_history();
+        let analyse = |commit: CommitId| {
+            let obs = ObsSession::new();
+            let _g = obs.install();
+            let (prune, rank) = (PruneConfig::default(), RankConfig::default());
+            let findings = analyze_commit(&repo, commit, &[], &prune, &rank)
+                .expect("a snapshot with salvageable functions must analyse");
+            (findings, obs.registry.snapshot())
+        };
+        let (before, _) = analyse(clean);
+        let (after, counters) = analyse(broken);
+        assert_eq!(counters.counter(vc_obs::names::INCREMENTAL_COMMITS), 1);
 
-        let obs = vc_obs::ObsSession::new();
-        let _g = obs.install();
-        let mut cache = SnapshotCache::new();
-        for c in [c1, c2, c3] {
-            analyze_commit_cached(
-                &mut cache,
-                &repo,
-                c,
-                &[],
-                &PruneConfig::default(),
-                &RankConfig::default(),
-            )
-            .unwrap();
+        // The oracle: `vcheck <dir>`'s front-end accounting of the same tree.
+        let tree = repo.snapshot_at(broken);
+        let sources: Vec<(&str, &str)> =
+            tree.iter().map(|(p, c)| (p.as_str(), c.as_str())).collect();
+        let (_, errors, stats) = Program::build_recovering(&sources, &[]);
+        let oracle = ObsSession::new();
+        let mut report = Report::default();
+        report.splice_parse_failures(&oracle.registry, &errors, &stats);
+        assert_eq!(report.failures.len(), 2);
+        assert_eq!(after.failures, report.failures);
+        for (name, value) in oracle.registry.snapshot().counters {
+            assert_eq!(counters.counter(&name), value, "{name}");
         }
-        // c3's tree is identical to c1's: two builds, one hit.
-        assert_eq!(cache.len(), 2);
-        assert_eq!(
-            obs.registry
-                .counter(vc_obs::names::INCREMENTAL_CACHE_MISSES),
-            2
-        );
-        assert_eq!(
-            obs.registry.counter(vc_obs::names::INCREMENTAL_CACHE_HITS),
-            1
-        );
-        assert_eq!(obs.registry.counter(vc_obs::names::INCREMENTAL_COMMITS), 3);
+
+        // Both planted findings keep their clean-revision fingerprints.
+        let fingerprints = |commit: CommitId, findings: &[Ranked]| {
+            let (prog, _, _) = build_at(&repo, commit, &[]).unwrap();
+            let found = crate::delta::fingerprint_ranked(&prog, findings);
+            found.into_iter().map(|f| f.fingerprint).collect::<Vec<_>>()
+        };
+        let kept = fingerprints(broken, &after.findings);
+        assert_eq!(kept.len(), 2);
+        assert_eq!(kept, fingerprints(clean, &before.findings));
     }
 
     fn temp_path(name: &str) -> std::path::PathBuf {
@@ -827,66 +751,6 @@ mod tests {
                 .counter(vc_obs::names::HARDEN_SNAPSHOT_RECOVERED),
             0
         );
-    }
-
-    #[test]
-    fn analyze_commit_stored_persists_findings_across_runs() {
-        let path = temp_path("stored-run");
-        std::fs::remove_file(&path).ok();
-        let mut repo = Repository::new();
-        let alice = repo.add_author("alice");
-        let bob = repo.add_author("bob");
-        repo.commit(
-            alice,
-            1,
-            "init",
-            vec![write("a.c", "void fa(void) {\nint x = 1;\nuse(x);\n}\n")],
-        );
-        let c = repo.commit(
-            bob,
-            2,
-            "rework fa",
-            vec![write(
-                "a.c",
-                "void fa(void) {\nint x = 1;\nx = 2;\nuse(x);\n}\n",
-            )],
-        );
-        let (findings, previous) = analyze_commit_stored(
-            &path,
-            &repo,
-            c,
-            &[],
-            &PruneConfig::default(),
-            &RankConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(findings.findings.len(), 1);
-        assert_eq!(previous, SnapshotStore::default(), "first run is cold");
-        // Second run sees the first run's store.
-        let (_, previous) = analyze_commit_stored(
-            &path,
-            &repo,
-            c,
-            &[],
-            &PruneConfig::default(),
-            &RankConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(previous.commit, Some(c));
-        assert_eq!(previous.findings.len(), 1);
-        assert_eq!(previous.findings[0].variable, "x");
-        assert_eq!(previous.findings[0].file, "a.c");
-        assert_eq!(previous.findings[0].scenario, "overwritten");
-        assert_ne!(
-            previous.findings[0].fingerprint, 0,
-            "stored findings carry a real fingerprint"
-        );
-        assert_eq!(
-            previous.fingerprint_set().len(),
-            1,
-            "the store doubles as a baseline suppression set"
-        );
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

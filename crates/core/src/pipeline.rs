@@ -13,7 +13,10 @@ use std::{borrow::Cow, time::Duration};
 
 use vc_dataflow::summary::SigInterner;
 use vc_ir::{
-    program::BuildError,
+    program::{
+        BuildError,
+        RecoverStats, //
+    },
     Program, //
 };
 use vc_obs::ObsSession;
@@ -142,31 +145,28 @@ impl Analysis {
     }
 }
 
-/// Runs the full ValueCheck pipeline over a program and its history,
-/// recording into the thread's installed [`ObsSession`] (or a fresh
-/// detached one when none is installed).
+/// Runs the full ValueCheck pipeline over a program and its history, with
+/// the zero-config defaults: detection is the [`sentinel`](crate::sentinel)
+/// executor at one job and one attempt per unit
+/// ([`SentinelConfig::sequential`]), recording into the thread's installed
+/// [`ObsSession`] (or a fresh detached one when none is installed).
 pub fn run(prog: &Program, repo: &Repository, opts: &Options) -> Analysis {
-    run_with_obs(prog, repo, opts, ObsSession::current_or_new())
-}
-
-/// Runs the full ValueCheck pipeline, recording spans and metrics into
-/// `obs`. The session is installed on the current thread for the duration
-/// of the run so instrumentation deep in the analysis crates reaches it.
-/// Detection is the [`sentinel`](crate::sentinel) executor at one job and
-/// one attempt per unit.
-pub fn run_with_obs(
-    prog: &Program,
-    repo: &Repository,
-    opts: &Options,
-    obs: ObsSession,
-) -> Analysis {
-    run_sentinel(prog, repo, opts, &SentinelConfig::sequential(), obs)
+    run_sentinel(
+        prog,
+        repo,
+        opts,
+        &SentinelConfig::sequential(),
+        ObsSession::current_or_new(),
+    )
 }
 
 /// Runs the pipeline with the sentinel executor driving the detection
 /// stage: `sconf.jobs` supervised workers, optional journal durability, and
-/// `--resume` replay. Everything downstream of detection — and the report
-/// bytes — is independent of the worker count.
+/// `--resume` replay, recording spans and metrics into `obs`. The session
+/// is installed on the current thread for the duration of the run so
+/// instrumentation deep in the analysis crates reaches it. Everything
+/// downstream of detection — and the report bytes — is independent of the
+/// worker count.
 pub fn run_sentinel(
     prog: &Program,
     repo: &Repository,
@@ -201,48 +201,36 @@ pub(crate) fn run_detected(
     run_stages(prog, repo, opts, obs, outcome, detect_time, run_span)
 }
 
-/// A pipeline run against one historical revision: the program built from
-/// that revision's snapshot plus the analysis of it. The differential
-/// scanner ([`crate::delta`]) runs one of these per side.
-#[derive(Clone, Debug)]
-pub struct RevisionAnalysis {
-    /// The analysed commit.
-    pub commit: CommitId,
-    /// The program built from the commit's snapshot (sources sorted by
-    /// path, so unit order — and report bytes — are revision-determined).
-    pub prog: Program,
-    /// The pipeline result.
-    pub analysis: Analysis,
+/// Builds a tree the way every scan does: with recovery, so a corrupted
+/// region costs only its function. `Err` carries every build error when
+/// nothing was salvaged — the condition under which `vcheck <dir>` exits
+/// 2; otherwise the build errors and [`RecoverStats`] come back with the
+/// program for [`Report::splice_parse_failures`].
+pub fn build_tree(
+    sources: &[(&str, &str)],
+    defines: &[String],
+) -> Result<(Program, Vec<BuildError>, RecoverStats), Vec<BuildError>> {
+    let (prog, errors, stats) = Program::build_recovering(sources, defines);
+    if prog.funcs.is_empty() && !errors.is_empty() {
+        Err(errors)
+    } else {
+        Ok((prog, errors, stats))
+    }
 }
 
-/// Runs the sentinel pipeline against the snapshot at `commit`: the program
-/// is rebuilt from that revision's tree and authorship/blame run against the
-/// history truncated at the commit, exactly as a checkout at that point
-/// would have seen it.
-pub fn run_at_commit(
+/// [`build_tree`] over the snapshot at `commit`, sorted by path so unit
+/// order — and report bytes — are revision-determined. `Err` is the first
+/// build error. Pair it with [`history_at`] so a revision is blamed and
+/// ranked against its own history.
+pub(crate) fn build_at(
     repo: &Repository,
     commit: CommitId,
     defines: &[String],
-    opts: &Options,
-    sconf: &SentinelConfig,
-    obs: ObsSession,
-) -> Result<RevisionAnalysis, BuildError> {
-    let prog = build_sources(&sources_at(repo, commit), defines)?;
-    let analysis = run_sentinel(&prog, &history_at(repo, commit), opts, sconf, obs);
-    Ok(RevisionAnalysis {
-        commit,
-        prog,
-        analysis,
-    })
-}
-
-/// A commit's snapshot as `(path, content)` pairs, sorted by path so unit
-/// order — and report bytes — are revision-determined. Pair it with
-/// [`history_at`] so a revision is blamed and ranked against its own history.
-pub(crate) fn sources_at(repo: &Repository, commit: CommitId) -> Vec<(String, String)> {
+) -> Result<(Program, Vec<BuildError>, RecoverStats), BuildError> {
     let mut tree: Vec<(String, String)> = repo.snapshot_at(commit).into_iter().collect();
     tree.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    tree
+    let sources: Vec<(&str, &str)> = tree.iter().map(|(p, c)| (p.as_str(), c.as_str())).collect();
+    build_tree(&sources, defines).map_err(|mut errors| errors.swap_remove(0))
 }
 
 /// The history truncated at `commit`, exactly as a checkout at that point
@@ -254,15 +242,6 @@ pub(crate) fn history_at(repo: &Repository, commit: CommitId) -> Cow<'_, Reposit
     } else {
         Cow::Owned(repo.checkout(commit))
     }
-}
-
-/// Builds a program from owned `(path, content)` pairs, in their order.
-pub(crate) fn build_sources(
-    tree: &[(String, String)],
-    defines: &[String],
-) -> Result<Program, BuildError> {
-    let sources: Vec<(&str, &str)> = tree.iter().map(|(p, c)| (p.as_str(), c.as_str())).collect();
-    Program::build(&sources, defines)
 }
 
 /// Everything downstream of detection: authorship, cross-scope filtering,

@@ -92,8 +92,9 @@ impl Report {
     /// Accounts for a recovering build's front end: splices one parse-stage
     /// failure per build error, in input order, ahead of the analysis-stage
     /// failures, and adds `harden.parse_failures` and the `recover.*`
-    /// counters to `registry`. Batch scans and serve replies both account
-    /// for their front end through here.
+    /// counters to `registry`. Batch scans, serve replies, revision scans
+    /// and incremental analysis all account for their front end through
+    /// here.
     pub fn splice_parse_failures(
         &mut self,
         registry: &Registry,

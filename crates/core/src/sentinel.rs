@@ -158,8 +158,9 @@ impl SentinelConfig {
     }
 
     /// Sequential detection: one worker, one attempt per unit (a poisoned
-    /// unit fails at once, as it always has without the executor).
-    pub(crate) fn sequential() -> SentinelConfig {
+    /// unit fails at once, as it always has without the executor). The
+    /// configuration behind [`pipeline::run`](crate::pipeline::run).
+    pub fn sequential() -> SentinelConfig {
         SentinelConfig {
             jobs: 1,
             retry: 1,

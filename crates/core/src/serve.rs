@@ -1385,7 +1385,13 @@ mod tests {
         let project = load_dir_or_empty(dir).unwrap();
         let (prog, errors, stats) = Program::build_recovering(&project.source_refs(), &[]);
         let obs = ObsSession::new();
-        let mut analysis = crate::pipeline::run_with_obs(&prog, &project.repo, opts, obs.clone());
+        let mut analysis = crate::pipeline::run_sentinel(
+            &prog,
+            &project.repo,
+            opts,
+            &crate::sentinel::SentinelConfig::sequential(),
+            obs.clone(),
+        );
         analysis
             .report
             .splice_parse_failures(&obs.registry, &errors, &stats);

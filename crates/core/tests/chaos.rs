@@ -21,8 +21,9 @@ use std::{
 
 use valuecheck::{
     harden::{FailStage, FailureRecord},
-    pipeline::{run_with_obs, Options},
+    pipeline::{run_sentinel, Options},
     project::load_dir_or_empty,
+    sentinel::SentinelConfig,
 };
 use vc_ir::Program;
 use vc_obs::{Json, ObsSession};
@@ -35,7 +36,13 @@ use vc_workload::chaos::{generate_chaos, ChaosStep};
 fn cold_canonical(dir: &Path) -> Vec<u8> {
     let project = load_dir_or_empty(dir).expect("oracle loads the tree");
     let (prog, errors, _) = Program::build_recovering(&project.source_refs(), &[]);
-    let mut analysis = run_with_obs(&prog, &project.repo, &Options::paper(), ObsSession::new());
+    let mut analysis = run_sentinel(
+        &prog,
+        &project.repo,
+        &Options::paper(),
+        &SentinelConfig::sequential(),
+        ObsSession::new(),
+    );
     let front: Vec<FailureRecord> = errors
         .iter()
         .map(|e| FailureRecord {

@@ -194,3 +194,86 @@ fn whole_file_loss_uses_the_file_level_diagnostic() {
     );
     let _ = fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn fail_fast_exits_two_on_the_first_recovering_build_error() {
+    let broken = "int broken(void) { int x = $$; use(x); }\n";
+    let dir = project("failfast", &[("a.c", &format!("{BUGGY_FN}{broken}"))]);
+    let run = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_vcheck"))
+            .arg(&dir)
+            .args(args)
+            .output()
+            .expect("vcheck runs")
+    };
+    let out = run(&["--fail-fast"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    // Stray bytes are invalid tokens to the recovering front end, so the
+    // first error is the parser's, not the lexer's.
+    assert_eq!(
+        stderr.lines().last(),
+        Some(
+            "vcheck: build failed: a.c: parse error at 7:28: expected an expression, found \
+             invalid token"
+        ),
+        "stderr: {stderr}"
+    );
+    assert!(out.stdout.is_empty(), "no report on a fail-fast abort");
+
+    // On a clean tree `--fail-fast` changes nothing but the unwind boundary.
+    fs::write(dir.join("a.c"), BUGGY_FN).unwrap();
+    let (plain, fast) = (run(&[]), run(&["--fail-fast"]));
+    assert_eq!(fast.status.code(), Some(1));
+    assert_eq!(fast.stdout, plain.stdout);
+    assert_eq!(fast.stderr, plain.stderr);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn delta_and_history_show_a_revisions_failures_and_keep_its_findings_open() {
+    let (repo, _, broken) = vc_workload::truncated_history();
+    let dir = project("truncated", &[("a.c", &repo.snapshot_at(broken)["a.c"])]);
+    let spec = vc_vcs::HistorySpec::from_repo(&repo).to_json();
+    fs::write(dir.join("history.json"), spec).unwrap();
+    let run = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_vcheck"))
+            .args(args)
+            .arg(&dir)
+            .output()
+            .expect("vcheck runs");
+        let text = |b: Vec<u8>| String::from_utf8(b).unwrap();
+        (out.status.code(), text(out.stdout), text(out.stderr))
+    };
+    let failure = format!(
+        "commit {}: 1 unit(s) of work failed and were isolated:\nvcheck:   [parse] alpha in a.c:",
+        broken.0
+    );
+
+    let baseline = dir.join("baseline.vc");
+    let baseline_arg = baseline.to_str().unwrap();
+    let mut delta: Vec<&str> = "delta --from HEAD~1 --to HEAD --write-baseline"
+        .split(' ')
+        .collect();
+    delta.push(baseline_arg);
+    let (code, stdout, stderr) = run(&delta);
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+    assert!(stderr.contains(&format!("delta: {failure}")), "{stderr}");
+    assert!(stderr.contains("1 finding(s) sit in code"), "{stderr}");
+    let rows: Vec<Vec<&str>> = stdout
+        .lines()
+        .skip(1)
+        .map(|l| l.split(',').collect())
+        .collect();
+    let statuses: Vec<_> = rows.iter().map(|r| (r[0], r[5])).collect();
+    assert_eq!(statuses, [("persisting", "beta"), ("unscanned", "alpha")]);
+    // The unscanned finding is presumed present, so the baseline keeps it.
+    let stored = valuecheck::incremental::SnapshotStore::load(&baseline).fingerprint_set();
+    assert_eq!(stored.len(), 2);
+
+    let (code, stdout, stderr) = run(&["history"]);
+    assert_eq!(code, Some(1), "stderr: {stderr}");
+    assert!(stderr.contains(&format!("history: {failure}")), "{stderr}");
+    assert!(stderr.contains(", 0 fixed,") && !stdout.contains(",fixed,"));
+    let _ = fs::remove_dir_all(&dir);
+}

@@ -13,9 +13,10 @@ use valuecheck::{
         HardenConfig, //
     },
     pipeline::{
-        run_with_obs,
+        run_sentinel,
         Options, //
     },
+    sentinel::SentinelConfig,
 };
 use vc_dataflow::{
     live_variables,
@@ -188,7 +189,8 @@ fn budget_exhaustion_on_stress_degrades_but_still_reports() {
         ..Options::paper()
     };
     let obs = vc_obs::ObsSession::new();
-    let analysis = run_with_obs(&prog, &repo, &opts, obs.clone());
+    let sequential = SentinelConfig::sequential();
+    let analysis = run_sentinel(&prog, &repo, &opts, &sequential, obs.clone());
     assert!(
         obs.registry.counter("harden.degraded.liveness") >= 1,
         "the stress function must exhaust its liveness budget"

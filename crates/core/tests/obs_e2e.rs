@@ -4,9 +4,12 @@
 //! adds up, the analysis-layer counters are live, and the exported Chrome
 //! trace parses and nests correctly.
 
-use valuecheck::pipeline::{
-    run_with_obs,
-    Options, //
+use valuecheck::{
+    pipeline::{
+        run_sentinel,
+        Options, //
+    },
+    sentinel::SentinelConfig,
 };
 use vc_ir::Program;
 use vc_obs::{
@@ -78,7 +81,8 @@ fn two_author_setup() -> (Program, Repository) {
 fn funnel_counters_are_consistent_with_the_analysis() {
     let (prog, repo) = two_author_setup();
     let obs = ObsSession::new();
-    let analysis = run_with_obs(&prog, &repo, &Options::paper(), obs.clone());
+    let sequential = SentinelConfig::sequential();
+    let analysis = run_sentinel(&prog, &repo, &Options::paper(), &sequential, obs.clone());
     let snap = obs.registry.snapshot();
 
     let raw = snap.counter("funnel.raw");
@@ -106,7 +110,8 @@ fn funnel_counters_are_consistent_with_the_analysis() {
 fn analysis_layers_record_nonzero_counters() {
     let (prog, repo) = two_author_setup();
     let obs = ObsSession::new();
-    let _ = run_with_obs(&prog, &repo, &Options::paper(), obs.clone());
+    let sequential = SentinelConfig::sequential();
+    let _ = run_sentinel(&prog, &repo, &Options::paper(), &sequential, obs.clone());
     let snap = obs.registry.snapshot();
 
     assert!(snap.counter("dataflow.solves") > 0);
@@ -127,7 +132,8 @@ fn analysis_layers_record_nonzero_counters() {
 fn chrome_trace_parses_and_spans_nest() {
     let (prog, repo) = two_author_setup();
     let obs = ObsSession::new();
-    let _ = run_with_obs(&prog, &repo, &Options::paper(), obs.clone());
+    let sequential = SentinelConfig::sequential();
+    let _ = run_sentinel(&prog, &repo, &Options::paper(), &sequential, obs.clone());
 
     // The exported trace is valid JSON with the Chrome trace_event shape.
     let text = obs.tracer.to_chrome_json().to_string_pretty();

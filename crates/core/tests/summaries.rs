@@ -14,7 +14,7 @@ use valuecheck::{
     authorship::AuthorshipCtx,
     detect::{detect_program_hardened, DetectConfig},
     harden::HardenConfig,
-    pipeline::{run_sentinel, run_with_obs, Options},
+    pipeline::{run_sentinel, Options},
     prune::{prune, PeerStats, PruneConfig},
     sentinel::SentinelConfig,
     serve::{ServeConfig, ServeEngine},
@@ -29,7 +29,7 @@ fn build_app(seed: u64) -> (Program, vc_vcs::Repository) {
     profile.seed = seed.wrapping_mul(9001) ^ 0x51AB;
     profile.name = format!("summaries{seed}");
     let app = generate(&profile);
-    let (prog, errors) = Program::build_lenient(&app.source_refs(), &app.defines);
+    let (prog, errors, _) = Program::build_recovering(&app.source_refs(), &app.defines);
     assert!(errors.is_empty(), "clean app must build cleanly");
     (prog, app.repo)
 }
@@ -38,7 +38,8 @@ fn build_app(seed: u64) -> (Program, vc_vcs::Repository) {
 fn cold_scan_builds_each_summary_exactly_once() {
     let (prog, repo) = build_app(1);
     let obs = ObsSession::new();
-    let analysis = run_with_obs(&prog, &repo, &Options::paper(), obs.clone());
+    let sequential = SentinelConfig::sequential();
+    let analysis = run_sentinel(&prog, &repo, &Options::paper(), &sequential, obs.clone());
     assert!(
         !analysis.report.rows.is_empty(),
         "the generated app must produce findings for the counters to mean anything"
@@ -120,7 +121,13 @@ fn warm_serve_rescan_reuses_summaries_without_rebuilding() {
 fn cold_canonical(dir: &Path) -> Vec<u8> {
     let project = valuecheck::project::load_dir_or_empty(dir).unwrap();
     let (prog, _errors, _) = Program::build_recovering(&project.source_refs(), &[]);
-    let analysis = run_with_obs(&prog, &project.repo, &Options::paper(), ObsSession::new());
+    let analysis = run_sentinel(
+        &prog,
+        &project.repo,
+        &Options::paper(),
+        &SentinelConfig::sequential(),
+        ObsSession::new(),
+    );
     analysis.report.canonical_bytes()
 }
 

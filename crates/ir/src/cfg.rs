@@ -127,15 +127,10 @@ impl Cfg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{
-        parser::parse,
-        program::Program,
-        span::FileId, //
-    };
+    use crate::program::Program;
 
     fn lower(src: &str) -> Function {
-        let m = parse(FileId(0), src).unwrap();
-        let prog = Program::from_modules(vec![("test.c".into(), m)], &[]).unwrap();
+        let prog = Program::build(&[("test.c", src)], &[]).unwrap();
         prog.funcs.into_iter().next().unwrap()
     }
 

@@ -37,30 +37,18 @@ impl std::error::Error for LexError {}
 
 /// One file's tokens with the text they index.
 pub(crate) struct Lexed {
-    /// The token stream, terminated by [`TokenKind::Eof`] unless a strict
-    /// lex stopped at an error.
+    /// The token stream, terminated by [`TokenKind::Eof`].
     pub(crate) tokens: Vec<Token>,
     /// Decoded text of string literals and guard symbols, indexed by
     /// `Str`/`HashIf`/`HashIfNot`.
     pub(crate) strings: Vec<String>,
-    /// Every diagnostic, in source order; a strict lex keeps only the first.
+    /// Every diagnostic, in source order.
     pub(crate) errors: Vec<LexError>,
 }
 
-impl Lexed {
-    /// The lexed file, or its first error.
-    pub(crate) fn strict(mut self) -> Result<Lexed, LexError> {
-        match self.errors.pop() {
-            Some(e) => Err(e),
-            None => Ok(self),
-        }
-    }
-}
-
-/// Lexes `src` into tokens. With `recover`, every region that fails to
-/// tokenise becomes a [`TokenKind::Error`] token and lexing goes on;
-/// without it, lexing stops at the first error.
-pub(crate) fn lex_file(file: FileId, src: &str, recover: bool) -> Lexed {
+/// Lexes `src` into tokens. Every region that fails to tokenise becomes a
+/// [`TokenKind::Error`] token and lexing goes on.
+pub(crate) fn lex_file(file: FileId, src: &str) -> Lexed {
     let mut lx = Lexer {
         src,
         bytes: src.as_bytes(),
@@ -82,9 +70,6 @@ pub(crate) fn lex_file(file: FileId, src: &str, recover: bool) -> Lexed {
             Ok(tok) => tok,
             Err(e) => {
                 errors.push(e);
-                if !recover {
-                    break;
-                }
                 // Guarantee progress even for a zero-consumption error.
                 if lx.pos == before {
                     lx.bump();
@@ -104,30 +89,14 @@ pub(crate) fn lex_file(file: FileId, src: &str, recover: bool) -> Lexed {
     }
 }
 
-/// Lexes `src` into a token stream terminated by [`TokenKind::Eof`].
+/// Lexes `src` into a token stream terminated by [`TokenKind::Eof`], never
+/// giving up: every region that fails to tokenise is surfaced as a
+/// [`TokenKind::Error`] token and its diagnostic is collected, so the parser
+/// can recover past bad bytes instead of losing the whole file.
 ///
 /// Identifiers carry no text: [`Token::text`] slices it from `src`. The
 /// decoded text of string literals and guard symbols stays with the
 /// parser, which reads it through the `Str`/`HashIf`/`HashIfNot` indices.
-///
-/// # Examples
-///
-/// ```
-/// use vc_ir::{lexer::lex, span::FileId, token::TokenKind};
-/// let src = "int x = 3;";
-/// let toks = lex(FileId(0), src).unwrap();
-/// assert!(matches!(toks[0].kind, TokenKind::KwInt));
-/// assert_eq!(toks[1].text(src), "x");
-/// assert!(matches!(toks.last().unwrap().kind, TokenKind::Eof));
-/// ```
-pub fn lex(file: FileId, src: &str) -> Result<Vec<Token>, LexError> {
-    lex_file(file, src, false).strict().map(|l| l.tokens)
-}
-
-/// Lexes `src` like [`lex`], but never gives up: every region that fails to
-/// tokenise is surfaced as a [`TokenKind::Error`] token and its diagnostic is
-/// collected, so the parser can recover past bad bytes instead of losing the
-/// whole file.
 ///
 /// A string literal broken by a raw newline errors *at* the newline without
 /// consuming it, so recovery resumes on the next source line.
@@ -139,12 +108,15 @@ pub fn lex(file: FileId, src: &str) -> Result<Vec<Token>, LexError> {
 /// let src = "int x = \"oops\nint y;";
 /// let (toks, errs) = lex_recovering(FileId(0), src);
 /// assert_eq!(errs.len(), 1);
+/// assert!(matches!(toks[0].kind, TokenKind::KwInt));
+/// assert_eq!(toks[1].text(src), "x");
 /// assert!(toks.iter().any(|t| matches!(t.kind, TokenKind::Error)));
 /// // Lexing resumed on the next line:
 /// assert!(toks.iter().any(|t| t.kind == TokenKind::Ident && t.text(src) == "y"));
+/// assert!(matches!(toks.last().unwrap().kind, TokenKind::Eof));
 /// ```
 pub fn lex_recovering(file: FileId, src: &str) -> (Vec<Token>, Vec<LexError>) {
-    let l = lex_file(file, src, true);
+    let l = lex_file(file, src);
     (l.tokens, l.errors)
 }
 
@@ -557,13 +529,11 @@ fn unescape(c: u8) -> u8 {
 mod tests {
     use super::*;
 
-    /// Each token as its kind plus its source text.
+    /// Each token of a clean lex as its kind plus its source text.
     fn lexed(src: &str) -> Vec<(TokenKind, &str)> {
-        lex(FileId(0), src)
-            .unwrap()
-            .into_iter()
-            .map(|t| (t.kind, t.text(src)))
-            .collect()
+        let (toks, errs) = lex_recovering(FileId(0), src);
+        assert!(errs.is_empty(), "{errs:?}");
+        toks.into_iter().map(|t| (t.kind, t.text(src))).collect()
     }
 
     fn kinds(src: &str) -> Vec<TokenKind> {
@@ -630,7 +600,8 @@ mod tests {
 
     #[test]
     fn tracks_line_numbers() {
-        let toks = lex(FileId(0), "a\nb\n  c").unwrap();
+        let (toks, errs) = lex_recovering(FileId(0), "a\nb\n  c");
+        assert!(errs.is_empty());
         assert_eq!(toks[0].span.start.line, 1);
         assert_eq!(toks[1].span.start.line, 2);
         assert_eq!(toks[2].span.start.line, 3);
@@ -652,7 +623,7 @@ mod tests {
                 (Eof, "")
             ]
         );
-        assert_eq!(lex_file(FileId(0), src, false).strings, ["USE_ICMP"]);
+        assert_eq!(lex_file(FileId(0), src).strings, ["USE_ICMP"]);
     }
 
     #[test]
@@ -670,12 +641,12 @@ mod tests {
 
     #[test]
     fn rejects_unterminated_string() {
-        assert!(lex(FileId(0), "\"abc").is_err());
+        assert_eq!(lex_recovering(FileId(0), "\"abc").1.len(), 1);
     }
 
     #[test]
     fn rejects_unknown_directive() {
-        assert!(lex(FileId(0), "#include <stdio.h>").is_err());
+        assert_eq!(lex_recovering(FileId(0), "#include <stdio.h>").1.len(), 1);
     }
 
     #[test]
@@ -710,25 +681,13 @@ mod tests {
     }
 
     #[test]
-    fn recovering_matches_strict_lex_on_clean_input() {
-        let src = "int f(void) { return 0x10; } /* c */ #ifdef A\n#endif";
-        let strict = lex(FileId(0), src).unwrap();
-        let (toks, errs) = lex_recovering(FileId(0), src);
-        assert!(errs.is_empty());
-        assert_eq!(strict.len(), toks.len());
-        for (a, b) in strict.iter().zip(&toks) {
-            assert_eq!((a.kind, a.span, a.lo, a.hi), (b.kind, b.span, b.lo, b.hi));
-        }
-    }
-
-    #[test]
     fn string_escapes() {
         let src = r#""a\n\t""#;
         assert_eq!(
             lexed(src),
             vec![(TokenKind::Str(0), src), (TokenKind::Eof, "")]
         );
-        assert_eq!(lex_file(FileId(0), src, false).strings, ["a\n\t"]);
+        assert_eq!(lex_file(FileId(0), src).strings, ["a\n\t"]);
     }
 
     #[test]

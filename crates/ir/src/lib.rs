@@ -13,8 +13,10 @@
 //! - ignored call results become stores to synthetic slots
 //!   (`[tmp] = printf(...)`).
 //!
-//! The pipeline is [`parser::parse`] → [`program::Program::build`] →
-//! per-function [`ir::Function`]s with [`cfg::Cfg`]s.
+//! The pipeline is [`parser::parse_recovering`] →
+//! [`program::Program::build_recovering`] → per-function [`ir::Function`]s
+//! with [`cfg::Cfg`]s. Recovery is the only mode: a corrupted region costs
+//! only its statement or item, and every diagnostic is collected.
 
 pub mod ast;
 pub mod cfg;

@@ -492,16 +492,13 @@ fn term_str(t: &Terminator) -> String {
 mod tests {
     use super::*;
     use crate::{
-        parser::parse,
-        span::FileId, //
+        span::FileId,
+        testing::parse_clean, //
     };
 
     fn round_trip(src: &str) {
-        let m1 = parse(FileId(0), src).unwrap();
-        let printed1 = module_to_source(&m1);
-        let m2 = parse(FileId(0), &printed1)
-            .unwrap_or_else(|e| panic!("re-parse failed: {e}\nprinted:\n{printed1}"));
-        let printed2 = module_to_source(&m2);
+        let printed1 = module_to_source(&parse_clean(FileId(0), src));
+        let printed2 = module_to_source(&parse_clean(FileId(0), &printed1));
         assert_eq!(printed1, printed2, "pretty-print not idempotent");
     }
 

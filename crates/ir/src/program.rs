@@ -26,7 +26,6 @@ use crate::{
         LowerError, //
     },
     parser::{
-        parse,
         parse_with_recovery,
         ParseError, //
     },
@@ -48,7 +47,7 @@ pub struct SourceFile {
     pub name: String,
     /// The file's id.
     pub id: FileId,
-    /// Raw content (may be empty when building from pre-parsed modules).
+    /// Raw content.
     pub content: String,
 }
 
@@ -97,7 +96,7 @@ impl SourceMap {
 /// An error raised while building a program.
 #[derive(Clone, Debug)]
 pub enum BuildError {
-    /// A parse failure. With recovery enabled this is function-granular:
+    /// A parse failure, function-granular where recovery could isolate it:
     /// `function: Some(..)` means only that item was dropped (or survived
     /// with poisoned statements); `None` means the whole file was lost.
     Parse {
@@ -366,7 +365,9 @@ pub struct CallSite {
 
 impl Program {
     /// Parses and lowers a set of `(file name, source)` pairs under the given
-    /// preprocessor configuration.
+    /// preprocessor configuration, for callers that need a clean tree: the
+    /// [`build_recovering`](Self::build_recovering) program when that build
+    /// reported no error, otherwise its first error.
     ///
     /// # Examples
     ///
@@ -374,42 +375,24 @@ impl Program {
     /// use vc_ir::program::Program;
     /// let prog = Program::build(&[("a.c", "int f(void) { return 1; }")], &[]).unwrap();
     /// assert_eq!(prog.funcs.len(), 1);
+    /// assert!(Program::build(&[("a.c", "int f(void) { return $; }")], &[]).is_err());
     /// ```
     pub fn build(sources: &[(&str, &str)], defines: &[String]) -> Result<Program, BuildError> {
-        let mut map = SourceMap::default();
-        let mut modules = Vec::new();
-        for (name, src) in sources {
-            let id = map.add((*name).to_string(), (*src).to_string());
-            let module = parse(id, src).map_err(|error| BuildError::Parse {
-                file: (*name).to_string(),
-                function: None,
-                error,
-            })?;
-            modules.push(((*name).to_string(), std::sync::Arc::new(module)));
-        }
-        Self::assemble(map, &modules, defines, None)
+        let (prog, errors, _) = Self::build_recovering(sources, defines);
+        errors.into_iter().next().map_or(Ok(prog), Err)
     }
 
-    /// Fault-tolerant [`build`](Self::build): parsing recovers at statement
-    /// and item granularity ([`parse_with_recovery`]), and a function that
-    /// fails to lower is skipped with its error collected, instead of
-    /// aborting the whole build. Every source file is still registered in
-    /// the [`SourceMap`] (so file ids and report paths stay stable); one
+    /// The fault-tolerant build: parsing recovers at statement and item
+    /// granularity ([`parse_with_recovery`]), and a function that fails to
+    /// lower is skipped with its error collected, instead of aborting the
+    /// whole build. Every source file is still registered in the
+    /// [`SourceMap`] (so file ids and report paths stay stable); one
     /// mangled function costs only itself.
     ///
-    /// Returns the partial program plus one [`BuildError`] per corrupted
-    /// function (or per file when nothing in it was salvageable), in input
-    /// order.
-    pub fn build_lenient(
-        sources: &[(&str, &str)],
-        defines: &[String],
-    ) -> (Program, Vec<BuildError>) {
-        let (prog, errors, _) = Self::build_recovering(sources, defines);
-        (prog, errors)
-    }
-
-    /// [`build_lenient`](Self::build_lenient) plus the [`RecoverStats`]
-    /// funnel describing what recovery had to do.
+    /// Returns the partial program, one [`BuildError`] per corrupted
+    /// function (or per file when nothing in it was salvageable) in input
+    /// order, and the [`RecoverStats`] funnel describing what recovery had
+    /// to do.
     ///
     /// Error granularity per file:
     /// - recovery salvaged nothing → one file-level `Parse` error
@@ -427,9 +410,9 @@ impl Program {
         Self::build_recovering_cached(sources, defines, &mut ParseCache::default())
     }
 
-    /// [`build_recovering`](Self::build_recovering) with a warm
-    /// [`ParseCache`]: files whose `(position, name, content)` triple is
-    /// unchanged since the previous build reuse their recovered parse
+    /// The one build: [`build_recovering`](Self::build_recovering) with a
+    /// warm [`ParseCache`]. Files whose `(position, name, content)` triple
+    /// is unchanged since the previous build reuse their recovered parse
     /// (module, diagnostics, and stats) instead of re-lexing. Assembly —
     /// signature collection and lowering — always runs fresh over the full
     /// module set, so the resulting [`Program`] is byte-for-byte the one a
@@ -467,36 +450,18 @@ impl Program {
         // Generational sweep: only files present in this build survive, so
         // a long-lived cache cannot grow past the current tree.
         cache.entries = next;
-        let prog = Self::assemble(map, &modules, defines, Some(&mut errors))
-            .expect("lenient assembly collects errors instead of failing");
+        let prog = Self::assemble(map, &modules, defines, &mut errors);
         (prog, errors, stats)
     }
 
-    /// Builds a program from already-parsed modules.
-    pub fn from_modules(
-        modules: Vec<(String, Module)>,
-        defines: &[String],
-    ) -> Result<Program, BuildError> {
-        let mut map = SourceMap::default();
-        for (name, _) in &modules {
-            map.add(name.clone(), String::new());
-        }
-        let modules: Vec<(String, std::sync::Arc<Module>)> = modules
-            .into_iter()
-            .map(|(n, m)| (n, std::sync::Arc::new(m)))
-            .collect();
-        Self::assemble(map, &modules, defines, None)
-    }
-
-    /// Pass 1 + 2 over parsed modules. With `errors: Some(..)` the build is
-    /// lenient: a function that fails to lower is recorded there and
-    /// skipped. With `None`, the first lowering error aborts the build.
+    /// Pass 1 + 2 over parsed modules. A function that fails to lower is
+    /// recorded in `errors` and skipped.
     fn assemble(
         source: SourceMap,
         modules: &[(String, std::sync::Arc<Module>)],
         defines: &[String],
-        mut errors: Option<&mut Vec<BuildError>>,
-    ) -> Result<Program, BuildError> {
+        errors: &mut Vec<BuildError>,
+    ) -> Program {
         // Pass 1: collect structs, globals and every function signature.
         let mut types = TypeTable::new();
         let mut globals = HashMap::new();
@@ -553,17 +518,11 @@ impl Program {
                 if let Item::Func(f) = item {
                     match lower_function(&ctx, f) {
                         Ok(lowered) => funcs.push(lowered),
-                        Err(error) => {
-                            let err = BuildError::Lower {
-                                file: name.clone(),
-                                function: f.name.clone(),
-                                error,
-                            };
-                            match errors.as_deref_mut() {
-                                Some(sink) => sink.push(err),
-                                None => return Err(err),
-                            }
-                        }
+                        Err(error) => errors.push(BuildError::Lower {
+                            file: name.clone(),
+                            function: f.name.clone(),
+                            error,
+                        }),
                     }
                 }
             }
@@ -573,7 +532,7 @@ impl Program {
         for (i, f) in funcs.iter().enumerate() {
             func_index.entry(f.name.clone()).or_insert(FuncId(i as u32));
         }
-        Ok(Program {
+        Program {
             funcs,
             func_index,
             extern_funcs,
@@ -581,7 +540,7 @@ impl Program {
             types,
             source,
             call_index_cache: std::sync::OnceLock::new(),
-        })
+        }
     }
 
     /// Looks up a function id by name (first definition wins).
@@ -678,8 +637,8 @@ mod tests {
     }
 
     #[test]
-    fn lenient_build_skips_malformed_files_and_reports_spans() {
-        let (prog, errors) = Program::build_lenient(
+    fn recovering_build_skips_malformed_files_and_reports_spans() {
+        let (prog, errors, _) = Program::build_recovering(
             &[
                 ("good.c", "int ok(void) { return 1; }"),
                 ("bad.c", "int broken(void) { int x = 1;"),
@@ -756,12 +715,24 @@ mod tests {
     }
 
     #[test]
-    fn lenient_build_with_clean_input_matches_strict_build() {
-        let sources = [("a.c", "int f(void) { return 1; }")];
-        let strict = Program::build(&sources, &[]).unwrap();
-        let (lenient, errors) = Program::build_lenient(&sources, &[]);
-        assert!(errors.is_empty());
-        assert_eq!(strict.funcs.len(), lenient.funcs.len());
+    fn build_fails_with_the_first_recovering_error() {
+        let sources = [
+            ("a.c", "int f(void) { return 1; }"),
+            (
+                "b.c",
+                "int g(void) { return $; }\nint h(void) { return 1 2; }",
+            ),
+        ];
+        let (prog, errors, _) = Program::build_recovering(&sources, &[]);
+        assert_eq!(prog.funcs.len(), 3);
+        assert_eq!(errors.len(), 2);
+        let first = Program::build(&sources, &[]).unwrap_err();
+        assert_eq!(first.to_string(), errors[0].to_string());
+        assert_eq!(
+            first.to_string(),
+            "b.c: parse error at 1:22: expected an expression, found invalid token"
+        );
+        assert!(Program::build(&sources[..1], &[]).is_ok());
     }
 
     #[test]

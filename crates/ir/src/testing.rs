@@ -1,10 +1,27 @@
-//! Test support: deterministic random MiniC programs.
+//! Test support: deterministic random MiniC programs, and a parse that
+//! must be clean.
 //!
 //! Property tests across the workspace need "some arbitrary valid program".
 //! [`source_from_seed`] derives one deterministically from a `u64`, using a
 //! self-contained LCG so the crate needs no RNG dependency. Generated
 //! programs always parse, lower, and pass IR validation (checked by this
 //! module's own tests).
+
+use crate::{
+    ast::Module,
+    parser::parse_recovering,
+    span::FileId, //
+};
+
+/// Parses `src` and returns its module, panicking with the first
+/// diagnostic (and the source) unless the parse was clean.
+pub fn parse_clean(file: FileId, src: &str) -> Module {
+    let (module, errors) = parse_recovering(file, src);
+    if let Some(e) = errors.first() {
+        panic!("{e}\nsource:\n{src}");
+    }
+    module
+}
 
 /// A minimal LCG; constants from Numerical Recipes.
 struct Lcg(u64);

@@ -102,9 +102,8 @@ pub enum TokenKind {
     /// `#endif`.
     HashEndif,
 
-    /// A region the lexer could not tokenise. Only produced by
-    /// [`crate::lexer::lex_recovering`]; the strict [`crate::lexer::lex`]
-    /// entry point reports the same region as a hard `LexError` instead.
+    /// A region the lexer could not tokenise; its `LexError` is collected
+    /// beside the token stream.
     Error,
 
     /// End of input.

@@ -15,12 +15,12 @@ use vc_ir::{
         Module,
         StmtKind, //
     },
-    parser::{
-        parse,
-        parse_recovering, //
-    },
+    parser::parse_recovering,
     span::FileId,
-    testing::source_from_seed,
+    testing::{
+        parse_clean,
+        source_from_seed, //
+    },
 };
 use vc_obs::SplitMix64;
 use vc_workload::{
@@ -41,10 +41,12 @@ fn messages(src: &str) -> Vec<String> {
         .collect()
 }
 
-fn strict_message(src: &str) -> String {
-    parse(FileId(0), src)
-        .expect_err("source is malformed")
-        .to_string()
+/// The first diagnostic of a malformed source; lex errors come first.
+fn first_message(src: &str) -> String {
+    messages(src)
+        .into_iter()
+        .next()
+        .expect("source is malformed")
 }
 
 fn first_body(m: &Module) -> &[vc_ir::ast::Stmt] {
@@ -60,7 +62,7 @@ fn first_body(m: &Module) -> &[vc_ir::ast::Stmt] {
 #[test]
 fn string_literal_decodes_bytewise_as_latin1() {
     // `é` is the UTF-8 pair C3 A9; each byte becomes one char.
-    let m = parse(FileId(0), "void f(void) { log(\"h\u{e9}\\t!\"); }").unwrap();
+    let m = parse_clean(FileId(0), "void f(void) { log(\"h\u{e9}\\t!\"); }");
     let StmtKind::Expr(Expr {
         kind: ExprKind::Call { args, .. },
         ..
@@ -97,11 +99,10 @@ fn error_token_inside_a_multibyte_char_is_described_without_panicking() {
 #[test]
 fn guard_symbol_with_nbsp_keeps_its_latin1_split() {
     // NBSP is C2 A0; read as Latin-1, A0 is whitespace and C2 is not.
-    let m = parse(
+    let m = parse_clean(
         FileId(0),
         "void f(void) {\n#ifdef FOO\u{a0}BAR\nuse();\n#endif\n#ifndef \u{a0}X\nuse();\n#endif\n}\n",
-    )
-    .unwrap();
+    );
     let body = first_body(&m);
     assert_eq!(body[0].guards, [Guard::Defined("FOO\u{c2}".into())]);
     assert_eq!(body[1].guards, [Guard::NotDefined("\u{c2}".into())]);
@@ -110,47 +111,47 @@ fn guard_symbol_with_nbsp_keeps_its_latin1_split() {
 #[test]
 fn token_descriptions_are_unchanged() {
     assert_eq!(
-        strict_message("int f(void) { return x y; }"),
+        first_message("int f(void) { return x y; }"),
         "parse error at 1:24: expected Semi, found identifier `y`"
     );
     assert_eq!(
-        strict_message("int f(void) { return 1\n#ifdef A\n; }"),
+        first_message("int f(void) { return 1\n#ifdef A\n; }"),
         "parse error at 2:1: expected Semi, found HashIf(\"A\")"
     );
     assert_eq!(
-        strict_message("int f(void) { return 1\n#ifndef B\u{a0}C\n; }"),
+        first_message("int f(void) { return 1\n#ifndef B\u{a0}C\n; }"),
         "parse error at 2:1: expected Semi, found HashIfNot(\"B\u{c2}\")"
     );
     assert_eq!(
-        strict_message("int f(void) { return \"s\" 0x1F; }"),
+        first_message("int f(void) { return \"s\" 0x1F; }"),
         "parse error at 1:26: expected Semi, found integer `31`"
     );
     assert_eq!(
-        strict_message("struct 7 { int a; };"),
+        first_message("struct 7 { int a; };"),
         "parse error at 1:8: expected identifier, found integer `7`"
     );
     assert_eq!(
-        strict_message("int f(void) { int a = 0x; }"),
+        first_message("int f(void) { int a = 0x; }"),
         "parse error at 1:23: invalid integer literal ``"
     );
     assert_eq!(
-        strict_message("int f(void) { int a = 12abu; }"),
+        first_message("int f(void) { int a = 12abu; }"),
         "parse error at 1:23: invalid integer literal `12abu`"
     );
     assert_eq!(
-        strict_message("int f(void) { return 1 \"s\"; }"),
+        first_message("int f(void) { return 1 \"s\"; }"),
         "parse error at 1:24: expected Semi, found string literal"
     );
     assert_eq!(
-        strict_message("#include <x.h>\n"),
+        first_message("#include <x.h>\n"),
         "parse error at 1:1: unsupported directive `#include`"
     );
     assert_eq!(
-        strict_message("void f(int a __attribute__((c(o)ld))) { }"),
+        first_message("void f(int a __attribute__((c(o)ld))) { }"),
         "parse error at 1:14: unsupported attribute `cold`"
     );
     assert_eq!(
-        strict_message("void f(int a [[nodiscard]]) { }"),
+        first_message("void f(int a [[nodiscard]]) { }"),
         "parse error at 1:14: unsupported attribute `nodiscard`"
     );
 }

@@ -6,8 +6,12 @@
 //! replayed exactly.
 
 use vc_ir::{
-    lexer::lex, parser::parse, pretty::module_to_source, program::Program, span::FileId,
-    testing::source_from_seed, validate::validate_program,
+    lexer::lex_recovering,
+    pretty::module_to_source,
+    program::Program,
+    span::FileId,
+    testing::{parse_clean, source_from_seed},
+    validate::validate_program,
 };
 use vc_obs::SplitMix64;
 
@@ -38,25 +42,24 @@ fn lexer_is_total() {
     let mut rng = SplitMix64::new(0x1E7_5EED);
     for _ in 0..300 {
         let src = arbitrary_text(&mut rng, 200);
-        let _ = lex(FileId(0), &src);
+        let _ = lex_recovering(FileId(0), &src);
     }
 }
 
-/// The lexer either errors or produces a stream ending in Eof.
+/// Every token stream ends in Eof, whether or not the text lexed cleanly.
 #[test]
 fn lexer_streams_end_in_eof() {
     let mut rng = SplitMix64::new(0xE0F_5EED);
     for case in 0..300 {
         let src = tokenish_text(&mut rng, 120);
-        if let Ok(toks) = lex(FileId(0), &src) {
-            assert!(
-                matches!(
-                    toks.last().map(|t| &t.kind),
-                    Some(vc_ir::token::TokenKind::Eof)
-                ),
-                "case {case}: no Eof for {src:?}"
-            );
-        }
+        let (toks, _) = lex_recovering(FileId(0), &src);
+        assert!(
+            matches!(
+                toks.last().map(|t| &t.kind),
+                Some(vc_ir::token::TokenKind::Eof)
+            ),
+            "case {case}: no Eof for {src:?}"
+        );
     }
 }
 
@@ -68,11 +71,8 @@ fn pretty_print_round_trips() {
     for _ in 0..64 {
         let seed = rng.next_u64();
         let src = source_from_seed(seed);
-        let m1 = parse(FileId(0), &src).expect("generated source parses");
-        let p1 = module_to_source(&m1);
-        let m2 = parse(FileId(0), &p1)
-            .unwrap_or_else(|e| panic!("seed {seed}: re-parse failed: {e}\n{p1}"));
-        let p2 = module_to_source(&m2);
+        let p1 = module_to_source(&parse_clean(FileId(0), &src));
+        let p2 = module_to_source(&parse_clean(FileId(0), &p1));
         assert_eq!(p1, p2, "seed {seed}");
     }
 }

@@ -258,10 +258,6 @@ pub const SENTINEL_WORKER_REPLACED: &str = "sentinel.worker_replaced";
 // ---------------------------------------------------------------------------
 // Incremental scanning.
 
-/// Incremental cache hits (function skipped, prior result reused).
-pub const INCREMENTAL_CACHE_HITS: &str = "incremental.cache.hits";
-/// Incremental cache misses (function re-analysed).
-pub const INCREMENTAL_CACHE_MISSES: &str = "incremental.cache.misses";
 /// Commits walked by the incremental scanner.
 pub const INCREMENTAL_COMMITS: &str = "incremental.commits";
 /// Functions analysed across all incremental steps.
@@ -374,8 +370,6 @@ pub const ALL: &[&str] = &[
     SENTINEL_JOURNAL_DISCARDED,
     SENTINEL_JOURNAL_OPEN_FAILURES,
     SENTINEL_WORKER_REPLACED,
-    INCREMENTAL_CACHE_HITS,
-    INCREMENTAL_CACHE_MISSES,
     INCREMENTAL_COMMITS,
     INCREMENTAL_FUNCTIONS_ANALYSED,
     MEM_LIVE_BYTES,

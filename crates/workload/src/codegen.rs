@@ -759,19 +759,18 @@ pub fn prelim(
 mod tests {
     use super::*;
     use vc_ir::{
-        parser::parse,
-        span::FileId, //
+        span::FileId,
+        testing::parse_clean, //
     };
 
     fn parses(item: &Item) {
         for f in &item.funcs {
             for text in f.initial.iter().chain(f.edit.as_ref().map(|e| &e.text)) {
-                parse(FileId(0), text)
-                    .unwrap_or_else(|e| panic!("snippet for {} fails: {e}\n{text}", f.name));
+                parse_clean(FileId(0), text);
             }
         }
         for p in &item.protos {
-            parse(FileId(0), p).unwrap_or_else(|e| panic!("proto fails: {e}\n{p}"));
+            parse_clean(FileId(0), p);
         }
     }
 

@@ -19,10 +19,19 @@
 //! application — must be reported with the **same fingerprint** as a scan of
 //! the pristine sources, and the corrupted function must cost exactly one
 //! function-granular parse failure.
+//!
+//! [`corrupted_history`] carries the same contract across revisions: a
+//! commit that corrupts one function must cost a per-revision scan (delta,
+//! history, incremental) only that function.
 
-use vc_vcs::FileWrite;
+use vc_vcs::{
+    CommitId,
+    FileWrite,
+    Repository, //
+};
 
 use crate::{
+    delta::buggy_fn,
     generate::GeneratedApp,
     profile::{
         DAY,
@@ -217,6 +226,45 @@ pub fn corrupt(app: &mut GeneratedApp, ff: &FaultFile, kind: CorruptKind) -> Cor
             })
             .collect(),
     }
+}
+
+/// A two-commit history of `a.c`: `clean`, then `broken`. Returns the
+/// repository, the clean commit and the corrupted one.
+fn corrupted_revision(clean: String, broken: String) -> (Repository, CommitId, CommitId) {
+    let write = |content: String| {
+        vec![FileWrite {
+            path: "a.c".into(),
+            content,
+        }]
+    };
+    let mut repo = Repository::new();
+    let dev = repo.add_author("dev");
+    let clean_commit = repo.commit(dev, 1, "plant two bugs", write(clean));
+    let broken_commit = repo.commit(dev, 2, "corrupt a.c", write(broken));
+    (repo, clean_commit, broken_commit)
+}
+
+/// A two-commit history whose second revision is corrupted. The first
+/// commit writes `a.c` with two functions, `alpha` and `beta`, each holding
+/// one library-retval dead store (cross-scope even under a single author);
+/// the second appends `int broken(void) { int x = $$; use(x); }`, whose
+/// body holds lexer garbage. Returns the repository, the clean commit and
+/// the corrupted one.
+pub fn corrupted_history() -> (Repository, CommitId, CommitId) {
+    let clean = buggy_fn("alpha") + &buggy_fn("beta");
+    let broken = format!("{clean}int broken(void) {{ int x = $$; use(x); }}\n");
+    corrupted_revision(clean, broken)
+}
+
+/// Like [`corrupted_history`], but the corruption costs a finding: `a.c`
+/// holds `beta` then `alpha`, and the second revision is a truncated write
+/// that ends inside `alpha`'s body, so recovery drops `alpha` (and its
+/// finding) while `beta` survives.
+pub fn truncated_history() -> (Repository, CommitId, CommitId) {
+    let clean = buggy_fn("beta") + &buggy_fn("alpha");
+    let cut = clean.find("ret = calc_alpha").expect("alpha's overwrite") + "ret = calc_al".len();
+    let broken = clean[..cut].to_string();
+    corrupted_revision(clean, broken)
 }
 
 #[cfg(test)]

@@ -67,7 +67,7 @@ pub struct DeltaWorkload {
 
 /// One planted library-retval bug: `ret` is assigned from a library call,
 /// then overwritten before any read — the Fig. 8 acl pattern.
-fn buggy_fn(name: &str) -> String {
+pub(crate) fn buggy_fn(name: &str) -> String {
     format!(
         "int get_{name}(void);\nint calc_{name}(void);\nint {name}(void) {{\nint ret = \
          get_{name}();\nret = calc_{name}();\nif (ret) {{ sink_{name}(ret); }}\nreturn 0;\n}}\n"
@@ -75,7 +75,7 @@ fn buggy_fn(name: &str) -> String {
 }
 
 /// The fixed form: the first definition is read before being replaced.
-fn fixed_fn(name: &str) -> String {
+pub(crate) fn fixed_fn(name: &str) -> String {
     format!(
         "int get_{name}(void);\nint calc_{name}(void);\nint {name}(void) {{\nint ret = \
          get_{name}();\nlog_{name}(ret);\nret = calc_{name}();\nif (ret) {{ sink_{name}(ret); \

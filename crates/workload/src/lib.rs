@@ -57,7 +57,9 @@ pub use chaos::{
 };
 pub use corrupt::{
     corrupt,
+    corrupted_history,
     plant_fault_file,
+    truncated_history,
     BugFate,
     CorruptKind,
     Corruption,

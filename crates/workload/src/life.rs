@@ -28,6 +28,11 @@ use vc_vcs::{
     Repository, //
 };
 
+use crate::delta::{
+    buggy_fn,
+    fixed_fn, //
+};
+
 /// Shape of a generated lifecycle workload.
 #[derive(Clone, Debug)]
 pub struct LifeProfile {
@@ -88,14 +93,6 @@ pub struct LifeWorkload {
     pub expected_churned: Vec<String>,
 }
 
-/// One planted library-retval bug (the Fig. 8 acl pattern).
-fn buggy_fn(name: &str) -> String {
-    format!(
-        "int get_{name}(void);\nint calc_{name}(void);\nint {name}(void) {{\nint ret = \
-         get_{name}();\nret = calc_{name}();\nif (ret) {{ sink_{name}(ret); }}\nreturn 0;\n}}\n"
-    )
-}
-
 /// The same bug with a standalone suppression annotation covering the
 /// dead definition line. The annotation is a comment: parsing, the
 /// fingerprint, and the finding itself are unchanged — only reporting is.
@@ -103,15 +100,6 @@ fn annotated_fn(name: &str) -> String {
     buggy_fn(name).replace(
         &format!("int ret = get_{name}();"),
         &format!("// vcheck:allow(retval)\nint ret = get_{name}();"),
-    )
-}
-
-/// The fixed form: the first definition is read before being replaced.
-fn fixed_fn(name: &str) -> String {
-    format!(
-        "int get_{name}(void);\nint calc_{name}(void);\nint {name}(void) {{\nint ret = \
-         get_{name}();\nlog_{name}(ret);\nret = calc_{name}();\nif (ret) {{ sink_{name}(ret); \
-         }}\nreturn 0;\n}}\n"
     )
 }
 

@@ -51,7 +51,7 @@ fn build_program(seed: u64) -> Program {
     profile.seed = seed.wrapping_mul(104_729) ^ 0xC7A5;
     profile.name = format!("crash{seed}");
     let app = generate(&profile);
-    let (prog, errors) = Program::build_lenient(&app.source_refs(), &app.defines);
+    let (prog, errors, _) = Program::build_recovering(&app.source_refs(), &app.defines);
     assert!(errors.is_empty(), "clean app must build cleanly");
     prog
 }

@@ -3,8 +3,9 @@
 //! The generator plants a known new / fixed / persisting split
 //! ([`vc_workload::delta`]); these tests assert that `delta_scan` recovers
 //! exactly that split, that pure line drift never misclassifies a finding,
-//! and that the delta report is byte-identical across worker counts and
-//! across a journaled resume.
+//! that a corrupted revision recovers as a `vcheck <dir>` scan of its tree
+//! does, and that the delta report is byte-identical across worker counts
+//! and across a journaled resume.
 
 use std::collections::HashSet;
 use std::path::PathBuf;
@@ -12,16 +13,21 @@ use std::path::PathBuf;
 use valuecheck::{
     delta::{
         delta_scan,
-        DeltaStatus, //
+        DeltaStatus,
+        RevScan, //
     },
     pipeline::Options,
     sentinel::SentinelConfig,
 };
 use vc_obs::ObsSession;
 use vc_workload::{
+    corrupted_history,
     generate_delta,
+    truncated_history,
     DeltaProfile, //
 };
+
+mod common;
 
 fn temp_journal(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("vc-delta-{}-{}.journal", std::process::id(), name))
@@ -279,4 +285,66 @@ fn baseline_acknowledges_new_findings_without_touching_the_rest() {
             .counter(vc_obs::names::DELTA_SUPPRESSED),
         w.expected_new.len() as u64
     );
+}
+
+#[test]
+fn corrupted_revision_recovers_as_a_scan_does() {
+    let (repo, clean, broken) = corrupted_history();
+    let obs = ObsSession::new();
+    let outcome = delta_scan(
+        &repo,
+        clean,
+        broken,
+        &[],
+        &Options::paper(),
+        &SentinelConfig::default(),
+        &HashSet::new(),
+        obs.clone(),
+    )
+    .expect("a revision with salvageable functions must scan");
+
+    let (failures, counters) = common::head_scan(&repo);
+    assert_eq!(failures.len(), 2, "{failures:#?}");
+    assert_eq!(outcome.to.analysis.report.failures, failures);
+    assert!(outcome.from.analysis.report.failures.is_empty());
+    assert_eq!(common::front_end_counters(&obs), counters);
+
+    // Both planted findings persist under their clean-revision fingerprints.
+    let fingerprints = |scan: &RevScan| scan.findings.iter().map(|f| f.fingerprint).collect();
+    let kept: Vec<_> = fingerprints(&outcome.to);
+    assert_eq!(kept.len(), 2);
+    assert_eq!(kept, fingerprints(&outcome.from));
+    let persisting = functions_with(&outcome.report, DeltaStatus::Persisting);
+    assert_eq!(persisting, ["alpha", "beta"]);
+    assert_eq!(outcome.report.rows.len(), 2);
+}
+
+#[test]
+fn a_function_dropped_by_corruption_is_unscanned_not_fixed() {
+    let (repo, clean, broken) = truncated_history();
+    let obs = ObsSession::new();
+    let outcome = delta_scan(
+        &repo,
+        clean,
+        broken,
+        &[],
+        &Options::paper(),
+        &SentinelConfig::default(),
+        &HashSet::new(),
+        obs.clone(),
+    )
+    .expect("a revision with salvageable functions must scan");
+
+    let (failures, counters) = common::head_scan(&repo);
+    assert_eq!(failures.len(), 1, "{failures:#?}");
+    assert_eq!(failures[0].function.as_deref(), Some("alpha"));
+    assert_eq!(outcome.to.analysis.report.failures, failures);
+    assert_eq!(common::front_end_counters(&obs), counters);
+
+    // `alpha`'s finding is not known to be gone: it is `unscanned`, and
+    // nothing reads as fixed.
+    let report = &outcome.report;
+    assert_eq!(report.count(DeltaStatus::Fixed), 0);
+    assert_eq!(functions_with(report, DeltaStatus::Unscanned), ["alpha"]);
+    assert_eq!(functions_with(report, DeltaStatus::Persisting), ["beta"]);
 }

@@ -22,10 +22,11 @@ use valuecheck::{
         FailureRecord, //
     },
     pipeline::{
-        run_with_obs,
+        run_sentinel,
         Options, //
     },
     prune::PruneReason,
+    sentinel::SentinelConfig,
 };
 use vc_ir::Program;
 use vc_obs::ObsSession;
@@ -59,8 +60,14 @@ fn run_one_seed(seed: u64) {
 
     let obs = ObsSession::new();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let (prog, errors) = Program::build_lenient(&app.source_refs(), &app.defines);
-        let analysis = run_with_obs(&prog, &app.repo, &Options::paper(), obs.clone());
+        let (prog, errors, _) = Program::build_recovering(&app.source_refs(), &app.defines);
+        let analysis = run_sentinel(
+            &prog,
+            &app.repo,
+            &Options::paper(),
+            &SentinelConfig::sequential(),
+            obs.clone(),
+        );
         (analysis, errors)
     }));
     let (mut analysis, parse_errors) = outcome.unwrap_or_else(|_| {

@@ -5,8 +5,9 @@
 //! recovers exactly that script — every track's final state, the churn
 //! events, a balanced funnel (born = fixed + suppressed + live) — that a
 //! seeded suppression-store entry keeps covering its finding as the file
-//! drifts, and that the findings database is byte-identical across worker
-//! counts and across a journaled resume.
+//! drifts, that a corrupted revision recovers as a `vcheck <dir>` scan of
+//! its tree does, and that the findings database is byte-identical across
+//! worker counts and across a journaled resume.
 
 use std::path::PathBuf;
 
@@ -34,9 +35,13 @@ use vc_obs::{
     ObsSession, //
 };
 use vc_workload::{
+    corrupted_history,
     generate_life,
+    truncated_history,
     LifeProfile, //
 };
+
+mod common;
 
 fn temp_journal(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("vc-life-{}-{}.journal", std::process::id(), name))
@@ -259,4 +264,79 @@ fn journaled_resume_reproduces_the_db() {
     );
     assert_eq!(snap.counter("sentinel.units_scanned"), 0);
     cleanup(&journal);
+}
+
+#[test]
+fn corrupted_revision_recovers_as_a_scan_does() {
+    let (repo, clean, broken) = corrupted_history();
+    let obs = ObsSession::new();
+    let out = history_scan(
+        &repo,
+        &[],
+        &Options::paper(),
+        &SentinelConfig::default(),
+        SuppressStore::default(),
+        obs.clone(),
+    )
+    .expect("a revision with salvageable functions must replay");
+    assert_eq!(out.commits, 2);
+
+    // The clean revision adds zeros, so the replay's front-end counters
+    // are the corrupted revision's.
+    let (failures, counters) = common::head_scan(&repo);
+    assert_eq!(failures.len(), 2, "{failures:#?}");
+    assert_eq!(common::front_end_counters(&obs), counters);
+
+    // Both planted findings persist through the corrupted revision on the
+    // tracks, and under the fingerprints, they were born with.
+    let tracks: Vec<_> = track_rows(&out.db)
+        .into_iter()
+        .map(|r| (r.function, r.state, r.born, r.last))
+        .collect();
+    let live = |f: &str| (f.to_string(), FinalState::Live, clean, broken);
+    assert_eq!(tracks, [live("alpha"), live("beta")]);
+    for e in out.db.events.iter().filter(|e| e.commit == broken) {
+        assert_eq!(
+            (e.kind, e.fingerprint),
+            (LifeEventKind::Persisting, e.track)
+        );
+    }
+}
+
+#[test]
+fn a_function_dropped_by_corruption_keeps_its_track() {
+    let (mut repo, clean, broken) = truncated_history();
+    // A third commit restores the clean file.
+    let restore = vc_vcs::FileWrite {
+        path: "a.c".into(),
+        content: repo.snapshot_at(clean)["a.c"].clone(),
+    };
+    let dev = repo.add_author("dev");
+    let restored = repo.commit(dev, 3, "restore a.c", vec![restore]);
+    let obs = ObsSession::new();
+    let out = history_scan(
+        &repo,
+        &[],
+        &Options::paper(),
+        &SentinelConfig::default(),
+        SuppressStore::default(),
+        obs.clone(),
+    )
+    .expect("a revision with salvageable functions must replay");
+
+    // The truncated revision's failures are reported as its scan's.
+    let (failures, _) = common::head_scan(&repo.checkout(broken));
+    assert_eq!(failures.len(), 1, "{failures:#?}");
+    assert_eq!(out.failures, [(broken, failures)]);
+
+    // `alpha` is neither fixed nor reborn: its track records nothing at
+    // the truncated revision and lives on once the file is restored.
+    assert_eq!(obs.registry.counter(names::LIFE_FIXED), 0);
+    assert_eq!(obs.registry.counter(names::LIFE_BORN), 2);
+    let tracks: Vec<_> = track_rows(&out.db)
+        .into_iter()
+        .map(|r| (r.function, r.state, r.born, r.last))
+        .collect();
+    let live = |f: &str| (f.to_string(), FinalState::Live, clean, restored);
+    assert_eq!(tracks, [live("alpha"), live("beta")]);
 }

@@ -18,7 +18,6 @@ use valuecheck::{
     history::history_scan,
     pipeline::{
         run_sentinel,
-        run_with_obs,
         Options, //
     },
     sentinel::SentinelConfig,
@@ -52,7 +51,7 @@ fn build_app(seed: u64) -> (Program, vc_vcs::Repository) {
     profile.seed = seed.wrapping_mul(9973) ^ 0x9F0F;
     profile.name = format!("profiled{seed}");
     let app = generate(&profile);
-    let (prog, errors) = Program::build_lenient(&app.source_refs(), &app.defines);
+    let (prog, errors, _) = Program::build_recovering(&app.source_refs(), &app.defines);
     assert!(errors.is_empty(), "clean app must build cleanly");
     (prog, app.repo)
 }
@@ -119,7 +118,8 @@ fn per_root_self_times_sum_to_root_duration_within_tolerance() {
 fn mem_high_water_metrics_are_recorded() {
     let (prog, repo) = build_app(3);
     let obs = ObsSession::new();
-    run_with_obs(&prog, &repo, &Options::paper(), obs.clone());
+    let sequential = SentinelConfig::sequential();
+    run_sentinel(&prog, &repo, &Options::paper(), &sequential, obs.clone());
     let snap = obs.registry.snapshot();
 
     // The global allocator is installed in this binary, so every pipeline
@@ -215,7 +215,7 @@ fn panicking_unit_flushes_its_span_with_a_panicked_tag() {
     inject_faults(&mut app, 11);
     let _fp = arm_failpoint(FailStage::Detect, PANIC_NEEDLE);
 
-    let (prog, _errors) = Program::build_lenient(&app.source_refs(), &app.defines);
+    let (prog, _errors, _) = Program::build_recovering(&app.source_refs(), &app.defines);
     let sconf = SentinelConfig {
         jobs: 2,
         ..SentinelConfig::default()

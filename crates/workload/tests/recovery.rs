@@ -34,7 +34,6 @@ use valuecheck::{
     },
     pipeline::{
         run_sentinel,
-        run_with_obs,
         Analysis,
         Options, //
     },
@@ -78,7 +77,13 @@ fn scan(app: &GeneratedApp, label: &str) -> Scan {
     let obs = ObsSession::new();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         let (prog, errors, stats) = Program::build_recovering(&app.source_refs(), &app.defines);
-        let analysis = run_with_obs(&prog, &app.repo, &Options::paper(), obs.clone());
+        let analysis = run_sentinel(
+            &prog,
+            &app.repo,
+            &Options::paper(),
+            &SentinelConfig::sequential(),
+            obs.clone(),
+        );
         (prog, analysis, errors, stats)
     }));
     let (prog, analysis, errors, stats) =
@@ -294,7 +299,13 @@ fn corrupted_scans_are_byte_identical_across_jobs_and_resume() {
             corrupt(&mut app, &ff, kind);
             let (prog, _errors, _stats) =
                 Program::build_recovering(&app.source_refs(), &app.defines);
-            let seq = run_with_obs(&prog, &app.repo, &Options::paper(), ObsSession::new());
+            let seq = run_sentinel(
+                &prog,
+                &app.repo,
+                &Options::paper(),
+                &SentinelConfig::sequential(),
+                ObsSession::new(),
+            );
 
             let sconf = SentinelConfig {
                 jobs: 4,

@@ -15,7 +15,6 @@ use valuecheck::{
     },
     pipeline::{
         run_sentinel,
-        run_with_obs,
         Options, //
     },
     prune::PruneReason,
@@ -35,7 +34,7 @@ fn build_app(seed: u64) -> (Program, vc_vcs::Repository) {
     profile.seed = seed.wrapping_mul(6271) ^ 0x5E17;
     profile.name = format!("sentinel{seed}");
     let app = generate(&profile);
-    let (prog, errors) = Program::build_lenient(&app.source_refs(), &app.defines);
+    let (prog, errors, _) = Program::build_recovering(&app.source_refs(), &app.defines);
     assert!(errors.is_empty(), "clean app must build cleanly");
     (prog, app.repo)
 }
@@ -51,7 +50,13 @@ fn temp_journal(name: &str) -> PathBuf {
 #[test]
 fn report_and_stats_are_byte_identical_across_jobs() {
     let (prog, repo) = build_app(1);
-    let seq = run_with_obs(&prog, &repo, &Options::paper(), ObsSession::new());
+    let seq = run_sentinel(
+        &prog,
+        &repo,
+        &Options::paper(),
+        &SentinelConfig::sequential(),
+        ObsSession::new(),
+    );
     assert!(
         !seq.report.rows.is_empty(),
         "the generated app must produce findings for the comparison to mean anything"
@@ -127,7 +132,7 @@ fn fault_sweep_holds_under_parallel_workers() {
         let faults = inject_faults(&mut app, seed);
         let _fp = arm_failpoint(FailStage::Detect, PANIC_NEEDLE);
 
-        let (prog, _errors) = Program::build_lenient(&app.source_refs(), &app.defines);
+        let (prog, _errors, _) = Program::build_recovering(&app.source_refs(), &app.defines);
         let sconf = SentinelConfig {
             jobs: 4,
             ..SentinelConfig::default()

@@ -11,14 +11,7 @@
 
 use std::time::Instant;
 
-use valuecheck::{
-    incremental::{
-        analyze_commit_cached,
-        SnapshotCache, //
-    },
-    prune::PruneConfig,
-    rank::RankConfig,
-};
+use valuecheck::{incremental::analyze_commit, prune::PruneConfig, rank::RankConfig};
 use vc_obs::ObsSession;
 use vc_workload::{
     generate,
@@ -48,12 +41,10 @@ fn main() {
 
     let obs = ObsSession::new();
     let _guard = obs.install();
-    let mut cache = SnapshotCache::new();
     let mut total = 0.0f64;
     for (id, author, message) in commits.iter().rev() {
         let t0 = Instant::now();
-        let findings = analyze_commit_cached(
-            &mut cache,
+        let findings = analyze_commit(
             &app.repo,
             *id,
             &app.defines,
@@ -86,9 +77,7 @@ fn main() {
         total / commits.len() as f64
     );
     println!(
-        "snapshot cache: {} hits, {} misses; {} functions analysed in total",
-        obs.registry.counter("incremental.cache.hits"),
-        obs.registry.counter("incremental.cache.misses"),
+        "{} functions analysed in total",
         obs.registry.counter("incremental.functions_analysed"),
     );
 }

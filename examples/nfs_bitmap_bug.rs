@@ -23,7 +23,7 @@ use valuecheck::{
 };
 use vc_baselines::clang_unused;
 use vc_ir::{
-    parser::parse,
+    testing::parse_clean,
     FileId,
     Program, //
 };
@@ -106,7 +106,7 @@ int bitmap4_to_attrmask_t(int *bm, int *mask) {
 
     // Clang-style AST walking stays silent: `attr` is referenced, so it is
     // "used" (the precision gap the paper's §8.4.1 describes).
-    let module = parse(FileId(0), v2).expect("parses");
+    let module = parse_clean(FileId(0), v2);
     let clang = clang_unused(&[("attrs.c".to_string(), module)]);
     assert!(clang.is_empty());
     println!(

@@ -18,7 +18,7 @@ use vc_baselines::{
     smatch_unused, //
 };
 use vc_ir::{
-    parser::parse,
+    testing::parse_clean,
     FileId,
     Program, //
 };
@@ -210,7 +210,7 @@ fn figure_8_only_valuecheck_detects() {
     assert_eq!(analysis.ranked[0].item.candidate.var_name, "ret");
 
     // Clang: silent (ret is referenced).
-    let module = parse(FileId(0), v2).unwrap();
+    let module = parse_clean(FileId(0), v2);
     assert!(clang_unused(&[("acl.c".to_string(), module.clone())]).is_empty());
 
     // Smatch: silent on the unused-return pattern (syntactic read exists).

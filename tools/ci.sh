@@ -54,8 +54,11 @@ bounded cargo test -p vc-workload --test sentinel -q
 
 # delta: differential scans over generated two-commit workloads — the
 # planted new/fixed/persisting split is recovered exactly, pure line drift
-# never misclassifies a finding, and the delta report is byte-identical for
-# --jobs 1 vs --jobs 4 and across a journaled resume.
+# never misclassifies a finding, a corrupted revision recovers as `scan`
+# does (same failure records and recover.* counters as `vcheck <dir>` on
+# its tree, healthy findings under unchanged fingerprints), and the delta
+# report is byte-identical for --jobs 1 vs --jobs 4 and across a journaled
+# resume.
 echo "==> cargo test -p vc-workload --test delta -q"
 bounded cargo test -p vc-workload --test delta -q
 
@@ -63,7 +66,9 @@ bounded cargo test -p vc-workload --test delta -q
 # (crates/workload/tests/history.rs) — every planted bug's scripted fate
 # (live / fixed / suppressed / churned) is classified correctly, the
 # lifecycle funnel balances (born = fixed + suppressed + live), a seeded
-# suppression-store entry keeps covering its finding under drift, and the
+# suppression-store entry keeps covering its finding under drift, a
+# corrupted revision recovers as `scan` does (its healthy findings persist
+# on their tracks, same recover.* counters as `vcheck <dir>`), and the
 # findings database is byte-identical for --jobs 1 vs --jobs 4 and across
 # a journaled resume.
 echo "==> cargo test -p vc-workload --test history -q"
@@ -142,5 +147,14 @@ bounded cargo test --release --manifest-path repobench/Cargo.toml
 
 echo "==> cargo fmt --check"
 cargo fmt --check
+
+# loc: informational, never gating — the Rust line count of crates/, split
+# into src/ trees (library and binary code with their unit tests) and the
+# rest (integration tests, benches), so the net-negative line goal is
+# measured on every change.
+echo "==> Rust lines in crates/ (informational)"
+src_loc=$(find crates -name '*.rs' -path '*/src/*' -exec cat {} + | wc -l)
+test_loc=$(find crates -name '*.rs' ! -path '*/src/*' -exec cat {} + | wc -l)
+echo "loc: crates/ src $src_loc + tests $test_loc = $((src_loc + test_loc))"
 
 echo "ci: OK"
