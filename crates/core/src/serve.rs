@@ -2,12 +2,13 @@
 //!
 //! A long-lived loop speaking a JSON-lines protocol over stdin/stdout:
 //! one request object per line, one reply object per line. The daemon
-//! keeps parsed IR (a [`ParseCache`]), per-function detection results (a
-//! content-keyed unit cache), and the previous response's fingerprints
-//! warm, so re-scanning after a small edit re-analyzes only the dirty
-//! function closure — changed functions plus their callers and callees —
-//! while replying with bytes identical to a cold `vcheck scan` of the
-//! same tree.
+//! keeps lowered IR per file (a [`ParseCache`]), per-function detection
+//! results (a content-keyed unit cache), and the previous response's
+//! fingerprints warm, so re-scanning after a small edit re-lowers only
+//! the edited files (and files using a declaration the edit changed) and
+//! re-analyzes only the dirty function closure — changed functions plus
+//! their callers and callees — while replying with bytes identical to a
+//! cold `vcheck scan` of the same tree.
 //!
 //! ## Protocol
 //!
@@ -53,8 +54,10 @@
 //! configuration. The key does not bind what lowering reads from *other*
 //! files — a callee's prototype decides whether an ignored call result
 //! gets its implicit store, and global types and struct layouts shape the
-//! IR too — so each cached unit also records a structural hash of the
-//! lowered function, and a hit requires the key *and* that hash to match.
+//! IR too — so each cached unit also holds the lowered function it was
+//! computed from, and a hit requires the key *and* the same function: the
+//! same `Arc` the parse cache keeps handing out while those declarations
+//! are unchanged, or failing that, an equal structural hash.
 //! Each cached unit carries the function's [`FnSummary`] behind an `Arc`
 //! alongside its candidates, so a warm hit hands the prune stage the same
 //! summary without rebuilding or copying it (counted under
@@ -102,6 +105,7 @@ use vc_ir::{
     program::ParseCache,
     FileId,
     FuncId,
+    Function,
     Program, //
 };
 use vc_obs::{Json, ObsSession};
@@ -174,11 +178,25 @@ struct CachedUnit {
     /// The function's dataflow summary, shared with the prune stage on a
     /// warm hit instead of re-solving liveness/defs (`summary.reused`).
     summary: Arc<FnSummary>,
-    /// Structural hash of the lowered [`vc_ir::Function`] the unit was
-    /// computed from. A hit requires it to match: lowering also reads
-    /// other files (callee prototypes, global types, struct layouts), which
-    /// the content key does not bind.
-    ir_hash: u64,
+    /// The lowered function the unit was computed from. A hit requires the
+    /// program's function to be this one: lowering also reads other files
+    /// (callee prototypes, global types, struct layouts), which the content
+    /// key does not bind. The parse cache hands out the same `Arc` while
+    /// none of those declarations changed; a re-lowered function (or one
+    /// from a program built elsewhere) hits only if its structure hashes
+    /// the same.
+    func: Arc<Function>,
+}
+
+/// Whether `cached` and `current` are the same lowered function: the same
+/// allocation, or failing that, the same structural hash.
+fn same_ir(cached: &Arc<Function>, current: &Arc<Function>) -> bool {
+    let ir_hash = |f: &Function| {
+        let mut h = FastHasher::default();
+        f.hash(&mut h);
+        h.finish()
+    };
+    Arc::ptr_eq(cached, current) || ir_hash(cached) == ir_hash(current)
 }
 
 /// Warm state carried between requests.
@@ -242,7 +260,7 @@ fn tree_checksum(sources: &[(String, String)]) -> u64 {
 /// cannot observe the pointer stage at all (the precise aliased-read set
 /// is subsumed by the content-derived escape set), so they hash to a
 /// constant and never force a component solve.
-fn pointer_fingerprint(fid: FuncId, f: &vc_ir::Function, oracle: Option<&DemandPointer>) -> u64 {
+fn pointer_fingerprint(fid: FuncId, f: &Function, oracle: Option<&DemandPointer>) -> u64 {
     let mut h = FNV_SEED;
     let mut any = false;
     for bb in &f.blocks {
@@ -614,17 +632,14 @@ impl ServeEngine {
                 h = fnv1a(h, &ordinal.to_le_bytes());
                 fnv1a(h, &pf.to_le_bytes())
             };
-            let ir_hash = {
-                let mut h = FastHasher::default();
-                f.hash(&mut h);
-                h.finish()
-            };
+            let func = &prog.funcs[fi];
             let hit = !dirty.contains(&f.name)
-                && self.units.get(&key).is_some_and(|u| u.ir_hash == ir_hash);
+                && self.units.get(&key).is_some_and(|u| same_ir(&u.func, func));
             if hit {
                 // The entry moves into the next generation; its summary is
                 // shared, not copied.
                 let mut unit = self.units.remove(&key).expect("hit entry is cached");
+                unit.func = Arc::clone(func);
                 hits += 1;
                 // Rebind: the function's global id may have shifted when
                 // other files gained or lost functions; its file, spans,
@@ -680,7 +695,7 @@ impl ServeEngine {
                     CachedUnit {
                         candidates: candidates.clone(),
                         summary: Arc::clone(summary),
-                        ir_hash,
+                        func: Arc::clone(func),
                     },
                 );
             }

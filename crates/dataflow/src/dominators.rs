@@ -131,7 +131,7 @@ mod tests {
 
     fn func(src: &str) -> Function {
         let prog = Program::build(&[("a.c", src)], &[]).unwrap();
-        prog.funcs.into_iter().next().unwrap()
+        Function::clone(&prog.funcs[0])
     }
 
     /// Oracle: `a` dominates `b` iff removing `a` makes `b` unreachable.

@@ -169,7 +169,7 @@ mod tests {
 
     fn func(src: &str) -> Function {
         let prog = Program::build(&[("a.c", src)], &[]).unwrap();
-        prog.funcs.into_iter().next().unwrap()
+        Function::clone(&prog.funcs[0])
     }
 
     fn dead_names(src: &str) -> Vec<String> {

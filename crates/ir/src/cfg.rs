@@ -131,7 +131,7 @@ mod tests {
 
     fn lower(src: &str) -> Function {
         let prog = Program::build(&[("test.c", src)], &[]).unwrap();
-        prog.funcs.into_iter().next().unwrap()
+        Function::clone(&prog.funcs[0])
     }
 
     #[test]

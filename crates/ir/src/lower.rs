@@ -10,9 +10,12 @@
 //! mention are recorded in [`Function::guarded_mentions`] for the
 //! configuration-dependency pruner.
 
-use std::collections::{
-    BTreeSet,
-    HashMap, //
+use std::{
+    cell::RefCell,
+    collections::{
+        BTreeSet,
+        HashMap, //
+    }, //
 };
 
 use crate::{
@@ -47,6 +50,7 @@ use crate::{
     },
     span::Span,
     types::{
+        StructLayout,
         Type,
         TypeTable, //
     },
@@ -71,19 +75,74 @@ impl std::error::Error for LowerError {}
 
 /// Program-level context the lowerer consults: struct layouts, function
 /// signatures, and global names.
-pub struct LowerCtx<'a> {
+///
+/// Every lookup is recorded by a hash of the name, misses included, so a
+/// build can tell which declarations a lowered function depends on: it
+/// stays valid for as long as none of those names changes what it
+/// declares.
+pub(crate) struct LowerCtx<'a> {
     /// Struct layouts for field resolution.
-    pub types: &'a TypeTable,
+    pub(crate) types: &'a TypeTable,
     /// Return types of all known functions (defined or declared), by name.
-    pub func_ret: &'a HashMap<String, Type>,
-    /// Names of global variables with their types.
-    pub globals: &'a HashMap<String, Type>,
+    pub(crate) func_ret: &'a HashMap<&'a str, &'a Type>,
+    /// Global variables and their types, by name.
+    pub(crate) globals: &'a HashMap<String, Type>,
     /// Preprocessor symbols defined by the active configuration.
-    pub defines: &'a [String],
+    pub(crate) defines: &'a [String],
+    /// [`name_key`]s of the lookups made since the last
+    /// [`take_consulted`](Self::take_consulted).
+    pub(crate) consulted: RefCell<Vec<u64>>,
+}
+
+impl<'a> LowerCtx<'a> {
+    fn note(&self, name: &str) {
+        self.consulted.borrow_mut().push(name_key(name));
+    }
+
+    fn global(&self, name: &str) -> Option<&'a Type> {
+        self.note(name);
+        self.globals.get(name)
+    }
+
+    fn ret(&self, name: &str) -> Option<&'a Type> {
+        self.note(name);
+        self.func_ret.get(name).copied()
+    }
+
+    fn layout(&self, name: &str) -> Option<&'a StructLayout> {
+        self.note(name);
+        self.types.get(name)
+    }
+
+    /// The [`name_key`]s of every declaration looked up since the last
+    /// call, sorted and deduplicated.
+    pub(crate) fn take_consulted(&self) -> Vec<u64> {
+        let mut keys = std::mem::take(&mut *self.consulted.borrow_mut());
+        keys.sort_unstable();
+        keys.dedup();
+        keys
+    }
+}
+
+/// The key lowering records a declaration lookup under: FNV-1a over the
+/// name. Struct tags, globals and functions share one key space, so a
+/// collision only makes a dependency look wider than it is.
+pub(crate) fn name_key(name: &str) -> u64 {
+    fnv(FNV_SEED, name.as_bytes())
+}
+
+/// The FNV-1a offset basis.
+pub(crate) const FNV_SEED: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// FNV-1a over `bytes`, continuing from `h`.
+pub(crate) fn fnv(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
 }
 
 /// Lowers one function definition to IR.
-pub fn lower_function(ctx: &LowerCtx<'_>, def: &FuncDef) -> Result<Function, LowerError> {
+pub(crate) fn lower_function(ctx: &LowerCtx<'_>, def: &FuncDef) -> Result<Function, LowerError> {
     let mut lw = FuncLowerer {
         ctx,
         func_name: def.name.clone(),
@@ -404,9 +463,9 @@ impl<'a, 'b> FuncLowerer<'a, 'b> {
             ExprKind::Var(n) => {
                 if let Some(l) = self.lookup(n) {
                     self.locals[l.0 as usize].ty.clone()
-                } else if let Some(t) = self.ctx.globals.get(n) {
+                } else if let Some(t) = self.ctx.global(n) {
                     t.clone()
-                } else if self.ctx.func_ret.contains_key(n) {
+                } else if self.ctx.ret(n).is_some() {
                     Type::Void.ptr_to()
                 } else {
                     Type::Int
@@ -438,9 +497,7 @@ impl<'a, 'b> FuncLowerer<'a, 'b> {
                 }
             }
             ExprKind::Assign { lhs, .. } => self.expr_type(lhs),
-            ExprKind::Call { callee, .. } => {
-                self.ctx.func_ret.get(callee).cloned().unwrap_or(Type::Int)
-            }
+            ExprKind::Call { callee, .. } => self.ctx.ret(callee).cloned().unwrap_or(Type::Int),
             ExprKind::Member { base, field, .. } => {
                 let bt = self.expr_type(base);
                 let sname = match &bt {
@@ -453,7 +510,7 @@ impl<'a, 'b> FuncLowerer<'a, 'b> {
                 };
                 sname
                     .and_then(|n| {
-                        let layout = self.ctx.types.get(&n)?;
+                        let layout = self.ctx.layout(&n)?;
                         let idx = layout.field_index(field)?;
                         Some(layout.field_types[idx].clone())
                     })
@@ -481,8 +538,7 @@ impl<'a, 'b> FuncLowerer<'a, 'b> {
         };
         let layout = self
             .ctx
-            .types
-            .get(sname)
+            .layout(sname)
             .ok_or_else(|| self.err(span, format!("unknown struct `{sname}`")))?;
         layout
             .field_index(field)
@@ -793,13 +849,8 @@ impl<'a, 'b> FuncLowerer<'a, 'b> {
                 // Only a *declared* non-void callee produces the implicit
                 // definition: for unknown (library) functions without a
                 // prototype the return type is unknown, as in C.
-                let declared_nonvoid = |n: &str| {
-                    self.ctx
-                        .func_ret
-                        .get(n)
-                        .map(|t| *t != Type::Void)
-                        .unwrap_or(false)
-                };
+                let declared_nonvoid =
+                    |n: &str| self.ctx.ret(n).map(|t| *t != Type::Void).unwrap_or(false);
                 if let (Some(t), Callee::Direct(name)) = (dst, &callee_ir) {
                     if !declared_nonvoid(name) {
                         return Ok(());
@@ -807,7 +858,7 @@ impl<'a, 'b> FuncLowerer<'a, 'b> {
                     // The implicit definition `[tmp] = f(...)` of Table 1.
                     let slot = self.add_local(LocalInfo {
                         name: format!("$ret_{}_{}", name, span.start.line),
-                        ty: self.ctx.func_ret.get(name).cloned().unwrap_or(Type::Int),
+                        ty: self.ctx.ret(name).cloned().unwrap_or(Type::Int),
                         span,
                         unused_attr: false,
                         kind: LocalKind::Synthetic,
@@ -863,7 +914,7 @@ impl<'a, 'b> FuncLowerer<'a, 'b> {
                         span: e.span,
                     });
                     Ok(Operand::Temp(t))
-                } else if self.ctx.globals.contains_key(name) {
+                } else if self.ctx.global(name).is_some() {
                     let t = self.new_temp(TempOrigin::Load(Place::Global(name.clone())));
                     self.emit(Inst::Load {
                         dst: t,
@@ -871,7 +922,7 @@ impl<'a, 'b> FuncLowerer<'a, 'b> {
                         span: e.span,
                     });
                     Ok(Operand::Temp(t))
-                } else if self.ctx.func_ret.contains_key(name) {
+                } else if self.ctx.ret(name).is_some() {
                     Ok(Operand::FuncAddr(name.clone()))
                 } else {
                     Err(self.err(e.span, format!("unknown identifier `{name}`")))
@@ -906,9 +957,7 @@ impl<'a, 'b> FuncLowerer<'a, 'b> {
             ExprKind::AddrOf(inner) => {
                 match &inner.kind {
                     // `&func` yields the function address.
-                    ExprKind::Var(n)
-                        if self.lookup(n).is_none() && self.ctx.func_ret.contains_key(n) =>
-                    {
+                    ExprKind::Var(n) if self.lookup(n).is_none() && self.ctx.ret(n).is_some() => {
                         Ok(Operand::FuncAddr(n.clone()))
                     }
                     _ => {
@@ -1024,7 +1073,7 @@ impl<'a, 'b> FuncLowerer<'a, 'b> {
             ExprKind::Var(name) => {
                 if let Some(slot) = self.lookup(name) {
                     Ok(Place::Local(slot))
-                } else if self.ctx.globals.contains_key(name) {
+                } else if self.ctx.global(name).is_some() {
                     Ok(Place::Global(name.clone()))
                 } else {
                     Err(self.err(e.span, format!("unknown identifier `{name}`")))
@@ -1191,7 +1240,7 @@ impl<'a, 'b> FuncLowerer<'a, 'b> {
             });
             return Ok((Some(dst), Callee::Indirect(t)));
         }
-        if self.ctx.globals.contains_key(callee) {
+        if self.ctx.global(callee).is_some() {
             let t = self.new_temp(TempOrigin::Load(Place::Global(callee.to_string())));
             self.emit(Inst::Load {
                 dst: t,
@@ -1207,7 +1256,7 @@ impl<'a, 'b> FuncLowerer<'a, 'b> {
             });
             return Ok((Some(dst), Callee::Indirect(t)));
         }
-        let ret = self.ctx.func_ret.get(callee).cloned().unwrap_or(Type::Int);
+        let ret = self.ctx.ret(callee).cloned().unwrap_or(Type::Int);
         let dst = if ret == Type::Void {
             None
         } else {

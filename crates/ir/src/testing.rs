@@ -1,5 +1,5 @@
-//! Test support: deterministic random MiniC programs, and a parse that
-//! must be clean.
+//! Test support: deterministic random MiniC programs, a parse that must be
+//! clean, and a canonical text of a whole build.
 //!
 //! Property tests across the workspace need "some arbitrary valid program".
 //! [`source_from_seed`] derives one deterministically from a `u64`, using a
@@ -7,9 +7,17 @@
 //! programs always parse, lower, and pass IR validation (checked by this
 //! module's own tests).
 
+use std::collections::BTreeMap;
+
 use crate::{
     ast::Module,
     parser::parse_recovering,
+    pretty::function_to_ir_text,
+    program::{
+        BuildError,
+        Program,
+        RecoverStats, //
+    },
     span::FileId, //
 };
 
@@ -21,6 +29,30 @@ pub fn parse_clean(file: FileId, src: &str) -> Module {
         panic!("{e}\nsource:\n{src}");
     }
     module
+}
+
+/// Everything a build produced, as text, for tests that compare two builds
+/// byte for byte: each function's IR dump and full structure (spans,
+/// locals, types) in program order, the externs, the globals and struct
+/// layouts sorted by name, the errors, and the recovery stats.
+pub fn build_text(prog: &Program, errors: &[BuildError], stats: &RecoverStats) -> String {
+    let mut out = String::new();
+    for f in &prog.funcs {
+        out.push_str(&function_to_ir_text(f));
+        out.push_str(&format!("{f:?}\n"));
+    }
+    out.push_str(&format!("externs {:?}\n", prog.extern_funcs));
+    out.push_str(&format!(
+        "globals {:?}\n",
+        prog.globals.iter().collect::<BTreeMap<_, _>>()
+    ));
+    let types: BTreeMap<_, _> = prog.types.iter().map(|l| (&l.name, l)).collect();
+    out.push_str(&format!("types {types:?}\n"));
+    for e in errors {
+        out.push_str(&format!("error {e}\n"));
+    }
+    out.push_str(&format!("stats {stats:?}\n"));
+    out
 }
 
 /// A minimal LCG; constants from Numerical Recipes.

@@ -204,7 +204,8 @@ mod tests {
     #[test]
     fn detects_bad_branch_target() {
         let mut prog = Program::build(&[("a.c", "void f(void) { }")], &[]).unwrap();
-        prog.funcs[0].blocks[0].term = Terminator::Br(crate::ir::BlockId(99));
+        std::sync::Arc::make_mut(&mut prog.funcs[0]).blocks[0].term =
+            Terminator::Br(crate::ir::BlockId(99));
         assert!(validate_program(&prog).is_err());
     }
 
@@ -212,7 +213,9 @@ mod tests {
     fn detects_missing_temp_origin() {
         let mut prog = Program::build(&[("a.c", "int f(int x) { return x; }")], &[]).unwrap();
         // Truncate the origin table to invalidate the last temp.
-        prog.funcs[0].temp_origins.pop();
+        std::sync::Arc::make_mut(&mut prog.funcs[0])
+            .temp_origins
+            .pop();
         assert!(validate_program(&prog).is_err());
     }
 }

@@ -104,12 +104,15 @@ bounded cargo test -p valuecheck --test summaries -q
 echo "==> cargo test -p valuecheck --test units -q (one unit runner)"
 bounded cargo test -p valuecheck --test units -q
 
-# serve_alloc: the warm-hit allocation guard (crates/core/tests/serve_alloc.rs)
-# — a warm rescan of 200 unchanged functions, each with two dead stores,
-# must stay under a fixed number of detect-stage allocations per unit-cache
-# hit: hits share their cached summary and move their cache entry instead
-# of deep-copying either.
-echo "==> cargo test -p valuecheck --test serve_alloc -q (warm-hit allocations)"
+# serve_alloc: the warm-request allocation guards
+# (crates/core/tests/serve_alloc.rs) — a warm rescan of 200 unchanged
+# functions, each with two dead stores, must stay under a fixed number of
+# detect-stage allocations per unit-cache hit (hits share their cached
+# summary and move their cache entry instead of deep-copying either); and
+# after a probe function is appended to one of 20 files, the warm request's
+# parse-stage bytes must stay at or under 10% of the cold request's (the
+# parse cache keeps lowered files, so only the edited file re-lowers).
+echo "==> cargo test -p valuecheck --test serve_alloc -q (warm-request allocations)"
 bounded cargo test -p valuecheck --test serve_alloc -q
 
 # lex_alloc: the front-end allocation guard (crates/ir/tests/lex_alloc.rs)
@@ -119,6 +122,16 @@ bounded cargo test -p valuecheck --test serve_alloc -q
 # number of allocations per token.
 echo "==> cargo test -p vc-ir --test lex_alloc -q (front-end allocations)"
 bounded cargo test -p vc-ir --test lex_alloc -q
+
+# lowered_cache: the lowered-file cache differential
+# (crates/ir/tests/lowered_cache.rs) — seeded edit sequences on one warm
+# ParseCache (prototypes added, removed or retyped, global types changed,
+# struct fields added or reordered, names newly declared, defines switched,
+# files renamed, reordered, corrupted and restored); after every step the
+# warm build equals a cold build byte for byte, and an unreferenced new
+# function re-lowers exactly its own file.
+echo "==> cargo test -p vc-ir --test lowered_cache -q (lowered-file cache)"
+bounded cargo test -p vc-ir --test lowered_cache -q
 
 # bench: the perf observatory (crates/bench/src/perf.rs) — a deterministic
 # scaled scan measured median-of-N, written as BENCH_scan.json /
