@@ -63,7 +63,7 @@ use crate::{
     fnv1a,
     harden::FailureRecord,
     pipeline::{
-        build_at,
+        build_tree,
         history_at,
         run_sentinel,
         Analysis,
@@ -456,14 +456,14 @@ pub fn classify(
     // Pass 1: multiset fingerprint match, pairing in line order.
     let mut by_fp: HashMap<u64, VecDeque<usize>> = HashMap::new();
     let mut old_order: Vec<usize> = (0..old.len()).collect();
-    old_order.sort_by_key(|&i| (old[i].file.clone(), old[i].line, i));
+    old_order.sort_by(|&a, &b| (&old[a].file, old[a].line, a).cmp(&(&old[b].file, old[b].line, b)));
     for &i in &old_order {
         by_fp.entry(old[i].fingerprint.0).or_default().push_back(i);
     }
     let mut pair_of_new: Vec<Option<usize>> = vec![None; new.len()];
     let mut old_matched = vec![false; old.len()];
     let mut new_order: Vec<usize> = (0..new.len()).collect();
-    new_order.sort_by_key(|&j| (new[j].file.clone(), new[j].line, j));
+    new_order.sort_by(|&a, &b| (&new[a].file, new[a].line, a).cmp(&(&new[b].file, new[b].line, b)));
     for &j in &new_order {
         if let Some(q) = by_fp.get_mut(&new[j].fingerprint.0) {
             if let Some(i) = q.pop_front() {
@@ -486,8 +486,8 @@ pub fn classify(
             .or_insert_with(|| {
                 let old_text = old_sources.get(file)?;
                 let new_text = new_sources.get(file)?;
-                let old_lines: Vec<String> = old_text.lines().map(str::to_string).collect();
-                let new_lines: Vec<String> = new_text.lines().map(str::to_string).collect();
+                let old_lines: Vec<&str> = old_text.lines().collect();
+                let new_lines: Vec<&str> = new_text.lines().collect();
                 Some(LineMap::between(&old_lines, &new_lines))
             })
             .as_ref()
@@ -658,11 +658,11 @@ pub struct RevScan {
 }
 
 /// Scans one revision the way `vcheck <dir>` scans a tree and fingerprints
-/// its findings: the snapshot is built with recovery ([`build_at`]), run
-/// through the sentinel executor with authorship/blame against the history
-/// truncated at the commit, and its parse failures and `recover.*` counters
-/// are spliced into the run. `Err` only when nothing in the revision could
-/// be salvaged.
+/// its findings: the snapshot is built with recovery, run through the
+/// sentinel executor with authorship/blame against the history truncated
+/// at the commit, and its parse failures and `recover.*` counters are
+/// spliced into the run. `Err` only when nothing in the revision could be
+/// salvaged.
 pub fn scan_revision(
     repo: &Repository,
     commit: CommitId,
@@ -671,13 +671,45 @@ pub fn scan_revision(
     sconf: &SentinelConfig,
     obs: ObsSession,
 ) -> Result<RevScan, BuildError> {
-    let (prog, errors, stats) = build_at(repo, commit, defines)?;
-    let mut analysis = run_sentinel(&prog, &history_at(repo, commit), opts, sconf, obs);
+    let tree = repo.tree_at(commit);
+    scan_tree(
+        &history_at(repo, commit),
+        commit,
+        &tree,
+        defines,
+        opts,
+        sconf,
+        obs,
+    )
+}
+
+/// [`scan_revision`] over a revision already checked out: `history` is the
+/// history truncated at `commit` and `tree` its snapshot, sorted by path
+/// so unit order — and report bytes — are revision-determined. The owned
+/// [`RevScan::sources`] are copied from `tree` only after detection, so
+/// they are not alive while the revision is built and scanned.
+pub(crate) fn scan_tree(
+    history: &Repository,
+    commit: CommitId,
+    tree: &[(&str, &str)],
+    defines: &[String],
+    opts: &Options,
+    sconf: &SentinelConfig,
+    obs: ObsSession,
+) -> Result<RevScan, BuildError> {
+    let build_span = obs.span("history.build", "history");
+    let built = build_tree(tree, defines);
+    build_span.end();
+    let (prog, errors, stats) = built.map_err(|mut errors| errors.swap_remove(0))?;
+    let mut analysis = run_sentinel(&prog, history, opts, sconf, obs);
     analysis
         .report
         .splice_parse_failures(&analysis.obs.registry, &errors, &stats);
     let findings = fingerprint_ranked(&prog, &analysis.ranked);
-    let sources = repo.snapshot_at(commit);
+    let sources = tree
+        .iter()
+        .map(|&(path, content)| (path.to_string(), content.to_string()))
+        .collect();
     Ok(RevScan {
         commit,
         prog,

@@ -28,6 +28,7 @@
 //! `--jobs` value and across `--resume` after a mid-replay kill.
 
 use std::collections::{
+    BTreeMap,
     HashMap,
     HashSet, //
 };
@@ -45,13 +46,12 @@ use vc_vcs::{
 use crate::{
     delta::{
         classify,
-        scan_revision,
+        scan_tree,
         side_sentinel,
         DeltaRow,
         DeltaStatus,
         Finding,
-        Fingerprint,
-        RevScan, //
+        Fingerprint, //
     },
     harden::FailureRecord,
     lifedb::{
@@ -171,15 +171,16 @@ pub fn tracks_to_csv(db: &LifeDb) -> String {
     out
 }
 
-/// A finding's canonical iteration key within one commit.
-fn canon_key(f: &Finding) -> (String, String, String, u32, Fingerprint) {
-    (
-        f.file.clone(),
-        f.function.clone(),
-        f.variable.clone(),
-        f.line,
-        f.fingerprint,
-    )
+/// Orders findings canonically within one commit: by file, function,
+/// variable, line and fingerprint.
+fn canon_order(a: &&Finding, b: &&Finding) -> std::cmp::Ordering {
+    (&a.file, &a.function, &a.variable, a.line, a.fingerprint).cmp(&(
+        &b.file,
+        &b.function,
+        &b.variable,
+        b.line,
+        b.fingerprint,
+    ))
 }
 
 fn event_for(commit: CommitId, track: Fingerprint, f: &Finding, kind: LifeEventKind) -> LifeEvent {
@@ -198,9 +199,15 @@ fn event_for(commit: CommitId, track: Fingerprint, f: &Finding, kind: LifeEventK
 
 /// Replays every commit of `repo` and assembles the lifecycle database.
 ///
+/// The walk goes forward once: one running checkout grows by one commit
+/// per step ([`Repository::replay`]), so each commit is replayed once, and
+/// each revision's tree is one borrowed snapshot of the files the commits
+/// so far last wrote. At the head commit `repo` itself is the history.
+///
 /// `suppress` is the loaded suppression store (possibly empty); the
 /// returned outcome carries its advanced/healed successor. Counters
-/// (`life.*`, `suppress.*`) are recorded into `obs`.
+/// (`life.*`, `suppress.*`) are recorded into `obs`, and each commit is one
+/// `history.revision` span.
 pub fn history_scan(
     repo: &Repository,
     defines: &[String],
@@ -213,18 +220,41 @@ pub fn history_scan(
     let span = obs.span("history.scan", "history");
     let mem = vc_obs::MemScope::enter(vc_obs::alloc::SCOPE_HISTORY);
 
-    let commits: Vec<CommitId> = repo.commits().iter().map(|c| c.id).collect();
+    let head = repo.head();
     let mut db = LifeDb::default();
     // Current fingerprint → track id (born fingerprint) of each live track.
     let mut live: HashMap<u64, Fingerprint> = HashMap::new();
-    let mut prev: Option<RevScan> = None;
+    // The previous revision's findings and sources: all the next step
+    // compares against, so its program and report are dropped early.
+    let mut prev: Option<(Vec<Finding>, HashMap<String, String>)> = None;
     let mut failures: Vec<(CommitId, Vec<FailureRecord>)> = Vec::new();
+    let mut running = Some(repo.authors_only());
+    let mut tree: BTreeMap<&str, &str> = BTreeMap::new();
 
-    for &commit in &commits {
+    for c in repo.commits() {
+        let commit = c.id;
+        let revision_span = obs.span("history.revision", "history");
         vc_obs::counter_inc(names::LIFE_COMMITS);
-        let mut scan = scan_revision(
-            repo,
+
+        let checkout_span = obs.span("history.checkout", "history");
+        for w in &c.writes {
+            tree.insert(&w.path, &w.content);
+        }
+        let sources: Vec<(&str, &str)> = tree.iter().map(|(&path, &text)| (path, text)).collect();
+        let history = if head == Some(commit) {
+            running = None;
+            repo
+        } else {
+            let running = running.as_mut().expect("the head commit is the last one");
+            running.replay(c);
+            &*running
+        };
+        checkout_span.end();
+
+        let mut scan = scan_tree(
+            history,
             commit,
+            &sources,
             defines,
             opts,
             &side_sentinel(sconf, &format!("c{}", commit.0)),
@@ -234,12 +264,13 @@ pub fn history_scan(
         // Lifecycle events: the first commit births everything; later
         // commits ride the delta classifier, using `old_fingerprint` to
         // stay on a track across line-map re-keys.
+        let classify_span = obs.span("delta.classify", "delta");
         let mut next_live: HashMap<u64, Fingerprint> = HashMap::new();
         let mut unscanned: Vec<Finding> = Vec::new();
         match &prev {
             None => {
                 let mut born: Vec<&Finding> = scan.findings.iter().collect();
-                born.sort_by_key(|f| canon_key(f));
+                born.sort_by(canon_order);
                 for f in born {
                     let track = f.fingerprint;
                     next_live.insert(f.fingerprint.0, track);
@@ -247,14 +278,11 @@ pub fn history_scan(
                     db.push_event(event_for(commit, track, f, LifeEventKind::Born));
                 }
             }
-            Some(p) => {
-                // The store's coordinates move with this revision step so
-                // the nearby-line fallback keeps working under drift.
-                suppress.advance(&p.sources, &scan.sources);
+            Some((prev_findings, prev_sources)) => {
                 let mut report = classify(
-                    &p.findings,
+                    prev_findings,
                     &scan.findings,
-                    &p.sources,
+                    prev_sources,
                     &scan.sources,
                     &HashSet::new(),
                 );
@@ -268,14 +296,21 @@ pub fn history_scan(
             }
         }
         live = next_live;
+        classify_span.end();
 
         // Suppression: re-evaluated at every commit against the inline
-        // annotations of *this* revision plus the persisted store. The
-        // suppressed event lands after the track's lifecycle event, so a
-        // track suppressed at head finishes in the `suppressed` bucket.
+        // annotations of *this* revision plus the persisted store, whose
+        // coordinates first move with this revision step so the
+        // nearby-line fallback keeps working under drift. The suppressed
+        // event lands after the track's lifecycle event, so a track
+        // suppressed at head finishes in the `suppressed` bucket.
+        let suppress_span = obs.span("history.suppress", "history");
+        if let Some((_, prev_sources)) = &prev {
+            suppress.advance(prev_sources, &scan.sources);
+        }
         let inline = InlineSuppressions::from_sources(&scan.sources);
         let mut present: Vec<&Finding> = scan.findings.iter().collect();
-        present.sort_by_key(|f| canon_key(f));
+        present.sort_by(canon_order);
         for f in present {
             let by_inline = inline.allows(&f.file, f.line, &f.scenario);
             if by_inline {
@@ -287,6 +322,7 @@ pub fn history_scan(
                 db.push_event(event_for(commit, track, f, LifeEventKind::Suppressed));
             }
         }
+        suppress_span.end();
 
         // The commit's candidate funnel, prune patterns broken out.
         let analysis = &scan.analysis;
@@ -312,7 +348,8 @@ pub fn history_scan(
         // An unscanned finding stays on the comparison side, so the next
         // revision that scans its function decides its fate.
         scan.findings.extend(unscanned);
-        prev = Some(scan);
+        prev = Some((scan.findings, scan.sources));
+        revision_span.end();
     }
 
     let funnel = db.funnel();
@@ -324,8 +361,8 @@ pub fn history_scan(
     Ok(HistoryOutcome {
         db,
         suppress,
-        head: commits.last().copied(),
-        commits: commits.len(),
+        head,
+        commits: repo.commits().len(),
         failures,
     })
 }
@@ -469,6 +506,46 @@ mod tests {
         assert_eq!(rows[0].state, FinalState::Fixed);
         assert_eq!(rows[0].born, c1);
         assert_eq!(rows[0].last, c3);
+    }
+
+    #[test]
+    fn each_revision_is_blamed_against_its_own_history() {
+        let mut repo = Repository::new();
+        let alice = repo.add_author("alice");
+        let bob = repo.add_author("bob");
+        repo.commit(
+            alice,
+            1,
+            "init",
+            vec![write("a.c", "void fa(void) {\nint x = 1;\nuse(x);\n}\n")],
+        );
+        // bob overwrites alice's definition: cross-scope at this commit.
+        let c2 = repo.commit(
+            bob,
+            2,
+            "overwrite x",
+            vec![write(
+                "a.c",
+                "void fa(void) {\nint x = 1;\nx = 2;\nuse(x);\n}\n",
+            )],
+        );
+        // alice re-touches bob's line: no longer cross-scope from here on.
+        let c3 = repo.commit(
+            alice,
+            3,
+            "whitespace",
+            vec![write(
+                "a.c",
+                "void fa(void) {\nint x = 1;\nx = 2; \nuse(x);\n}\n",
+            )],
+        );
+        let out = run(&repo, &ObsSession::new());
+        let seen: Vec<(CommitId, LifeEventKind)> =
+            out.db.events.iter().map(|e| (e.commit, e.kind)).collect();
+        assert_eq!(
+            seen,
+            vec![(c2, LifeEventKind::Born), (c3, LifeEventKind::Fixed)]
+        );
     }
 
     #[test]

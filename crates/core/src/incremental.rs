@@ -47,7 +47,7 @@ use crate::{
     },
     harden::FailureRecord,
     pipeline::{
-        build_at,
+        build_tree,
         history_at,
         run_detected,
         Options, //
@@ -314,7 +314,8 @@ pub fn analyze_commit(
     prune_config: &PruneConfig,
     rank_config: &RankConfig,
 ) -> Result<CommitFindings, BuildError> {
-    let (prog, errors, stats) = build_at(repo, commit, defines)?;
+    let (prog, errors, stats) =
+        build_tree(&repo.tree_at(commit), defines).map_err(|mut errors| errors.swap_remove(0))?;
     let mut findings = analyze_commit_in(&prog, repo, commit, prune_config, rank_config);
     let mut front = Report::default();
     front.splice_parse_failures(&ObsSession::current_or_new().registry, &errors, &stats);
@@ -452,7 +453,7 @@ mod tests {
 
         // The next run sees these findings through a store, which doubles
         // as a baseline suppression set.
-        let (prog, _, _) = build_at(&repo, c, &[]).unwrap();
+        let (prog, _, _) = build_tree(&repo.tree_at(c), &[]).unwrap();
         let fingerprinted = crate::delta::fingerprint_ranked(&prog, &findings.findings);
         let path = temp_path("stored-run");
         let store = SnapshotStore::from_findings(c, &fingerprinted);
@@ -575,7 +576,7 @@ mod tests {
 
         // Both planted findings keep their clean-revision fingerprints.
         let fingerprints = |commit: CommitId, findings: &[Ranked]| {
-            let (prog, _, _) = build_at(&repo, commit, &[]).unwrap();
+            let (prog, _, _) = build_tree(&repo.tree_at(commit), &[]).unwrap();
             let found = crate::delta::fingerprint_ranked(&prog, findings);
             found.into_iter().map(|f| f.fingerprint).collect::<Vec<_>>()
         };

@@ -218,24 +218,12 @@ pub fn build_tree(
     }
 }
 
-/// [`build_tree`] over the snapshot at `commit`, sorted by path so unit
-/// order — and report bytes — are revision-determined. `Err` is the first
-/// build error. Pair it with [`history_at`] so a revision is blamed and
-/// ranked against its own history.
-pub(crate) fn build_at(
-    repo: &Repository,
-    commit: CommitId,
-    defines: &[String],
-) -> Result<(Program, Vec<BuildError>, RecoverStats), BuildError> {
-    let mut tree: Vec<(String, String)> = repo.snapshot_at(commit).into_iter().collect();
-    tree.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    let sources: Vec<(&str, &str)> = tree.iter().map(|(p, c)| (p.as_str(), c.as_str())).collect();
-    build_tree(&sources, defines).map_err(|mut errors| errors.swap_remove(0))
-}
-
 /// The history truncated at `commit`, exactly as a checkout at that point
 /// would see it: `repo` itself when `commit` is its head, otherwise a
-/// replay of every commit up to `commit`.
+/// replay of every commit up to `commit`. For one-off revisions: the two
+/// sides of `vcheck delta` and incremental analysis of one commit.
+/// `vcheck history` visits every commit in order and grows one running
+/// checkout instead ([`Repository::replay`]).
 pub(crate) fn history_at(repo: &Repository, commit: CommitId) -> Cow<'_, Repository> {
     if repo.head() == Some(commit) {
         Cow::Borrowed(repo)

@@ -50,13 +50,13 @@ pub const ALLOW_MARKER: &str = "vcheck:allow";
 const ANY_SCENARIO: &str = "all";
 
 /// Inline `// vcheck:allow(...)` annotations indexed from one revision's
-/// sources: `(file, line) → scenario` (with [`ANY_SCENARIO`] as the
-/// wildcard). Lines are the *covered* lines, not the annotation lines — a
-/// standalone annotation covers the line below it, a trailing one covers
-/// its own.
+/// sources: `file → line → scenario` (with [`ANY_SCENARIO`] as the
+/// wildcard), so a lookup borrows its file name. Lines are the *covered*
+/// lines, not the annotation lines — a standalone annotation covers the
+/// line below it, a trailing one covers its own.
 #[derive(Clone, Debug, Default)]
 pub struct InlineSuppressions {
-    allows: HashMap<(String, u32), String>,
+    allows: HashMap<String, HashMap<u32, String>>,
 }
 
 impl InlineSuppressions {
@@ -64,6 +64,7 @@ impl InlineSuppressions {
     pub fn from_sources(sources: &HashMap<String, String>) -> InlineSuppressions {
         let mut allows = HashMap::new();
         for (file, content) in sources {
+            let mut covers = HashMap::new();
             for (i, line) in content.lines().enumerate() {
                 let Some(comment_at) = line.find("//") else {
                     continue;
@@ -81,7 +82,10 @@ impl InlineSuppressions {
                 } else {
                     i as u32 + 1
                 };
-                allows.insert((file.clone(), covered), scenario);
+                covers.insert(covered, scenario);
+            }
+            if !covers.is_empty() {
+                allows.insert(file.clone(), covers);
             }
         }
         InlineSuppressions { allows }
@@ -89,7 +93,7 @@ impl InlineSuppressions {
 
     /// Whether an annotation covers `(file, line)` for `scenario`.
     pub fn allows(&self, file: &str, line: u32, scenario: &str) -> bool {
-        match self.allows.get(&(file.to_string(), line)) {
+        match self.allows.get(file).and_then(|covers| covers.get(&line)) {
             Some(s) => s == ANY_SCENARIO || s == scenario,
             None => false,
         }
@@ -97,7 +101,7 @@ impl InlineSuppressions {
 
     /// Number of annotations found.
     pub fn len(&self) -> usize {
-        self.allows.len()
+        self.allows.values().map(HashMap::len).sum()
     }
 
     /// Whether no annotations were found.
@@ -291,8 +295,8 @@ impl SuppressStore {
             let map = maps.entry(e.file.clone()).or_insert_with(|| {
                 let old_text = old_sources.get(&e.file)?;
                 let new_text = new_sources.get(&e.file)?;
-                let old_lines: Vec<String> = old_text.lines().map(str::to_string).collect();
-                let new_lines: Vec<String> = new_text.lines().map(str::to_string).collect();
+                let old_lines: Vec<&str> = old_text.lines().collect();
+                let new_lines: Vec<&str> = new_text.lines().collect();
                 Some(LineMap::between(&old_lines, &new_lines))
             });
             if let Some(mapped) = map.as_ref().and_then(|m| m.old_to_new_nearby(e.line)) {

@@ -26,8 +26,8 @@ pub enum Edit {
 const LCS_CELL_LIMIT: usize = 16_000_000;
 
 /// One hunk of a count-only edit script: the shared diff core behind
-/// [`diff_lines`] and the repository's blame replay, which moves kept lines
-/// instead of copying them.
+/// [`diff_lines`], [`LineMap::between`] and the repository's blame replay,
+/// which moves kept lines instead of copying them.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Hunk {
     /// The next `n` lines are unchanged.
@@ -197,7 +197,7 @@ pub fn patch(old: &[String], script: &[Edit]) -> Vec<String> {
 /// assert_eq!(map.old_to_new(1), Some(2)); // "a" shifted down by the insert
 /// assert_eq!(map.new_to_old(1), None); // "x" is new
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LineMap {
     /// `old_to_new[i]` is the new 1-based line of old line `i + 1`.
     old_to_new: Vec<Option<u32>>,
@@ -208,31 +208,40 @@ pub struct LineMap {
 impl LineMap {
     /// Builds the mapping from an edit script.
     pub fn new(script: &[Edit]) -> LineMap {
+        LineMap::from_hunks(script.iter().map(|edit| match edit {
+            Edit::Keep(n) => Hunk::Keep(*n),
+            Edit::Delete(n) => Hunk::Delete(*n),
+            Edit::Insert(lines) => Hunk::Insert(lines.len()),
+        }))
+    }
+
+    /// Builds the mapping by diffing two file contents directly, through
+    /// the count-only script: no line is copied.
+    pub fn between(old: &[impl AsRef<str>], new: &[impl AsRef<str>]) -> LineMap {
+        LineMap::from_hunks(diff_hunks(old, new))
+    }
+
+    fn from_hunks(script: impl IntoIterator<Item = Hunk>) -> LineMap {
         let mut old_to_new = Vec::new();
         let mut new_to_old = Vec::new();
-        for edit in script {
-            match edit {
-                Edit::Keep(n) => {
-                    for _ in 0..*n {
+        for hunk in script {
+            match hunk {
+                Hunk::Keep(n) => {
+                    for _ in 0..n {
                         let old_line = old_to_new.len() as u32 + 1;
                         let new_line = new_to_old.len() as u32 + 1;
                         old_to_new.push(Some(new_line));
                         new_to_old.push(Some(old_line));
                     }
                 }
-                Edit::Delete(n) => old_to_new.extend(std::iter::repeat_n(None, *n)),
-                Edit::Insert(lines) => new_to_old.extend(std::iter::repeat_n(None, lines.len())),
+                Hunk::Delete(n) => old_to_new.extend(std::iter::repeat_n(None, n)),
+                Hunk::Insert(n) => new_to_old.extend(std::iter::repeat_n(None, n)),
             }
         }
         LineMap {
             old_to_new,
             new_to_old,
         }
-    }
-
-    /// Builds the mapping by diffing two file contents directly.
-    pub fn between(old: &[String], new: &[String]) -> LineMap {
-        LineMap::new(&diff_lines(old, new))
     }
 
     /// The new-revision line of old-revision line `line` (1-based), if the

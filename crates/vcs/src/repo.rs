@@ -7,7 +7,10 @@
 //! full file contents; blame is maintained incrementally by diffing each
 //! write against the previous content.
 
-use std::collections::HashMap;
+use std::collections::{
+    BTreeMap,
+    HashMap, //
+};
 
 use crate::diff::{
     diff_hunks,
@@ -131,11 +134,7 @@ impl Repository {
             _ => timestamp,
         };
         let id = CommitId(self.commits.len() as u32);
-        for w in &writes {
-            self.apply_write(id, author, timestamp, w);
-            self.file_log.entry(w.path.clone()).or_default().push(id);
-        }
-        self.commits.push(Commit {
+        self.record(Commit {
             id,
             author,
             timestamp,
@@ -143,6 +142,47 @@ impl Repository {
             writes,
         });
         id
+    }
+
+    /// A repository with this one's authors and no commits: the start of
+    /// a replay that [`replay`](Repository::replay) extends one commit at a
+    /// time.
+    pub fn authors_only(&self) -> Repository {
+        Repository {
+            authors: self.authors.clone(),
+            ..Repository::default()
+        }
+    }
+
+    /// Appends `commit`, the next commit of a repository this one was
+    /// started from with [`authors_only`](Repository::authors_only), and
+    /// replays its writes into blame and the per-file logs. After replaying
+    /// every commit up to `c`, this repository equals `checkout(c)` of the
+    /// one it replays.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `commit` is not the next commit in this history.
+    pub fn replay(&mut self, commit: &Commit) {
+        assert_eq!(
+            commit.id,
+            CommitId(self.commits.len() as u32),
+            "replay must follow the history in order"
+        );
+        self.record(commit.clone());
+    }
+
+    /// Applies a commit's writes to blame and the per-file logs, then
+    /// appends it to the history.
+    fn record(&mut self, commit: Commit) {
+        for w in &commit.writes {
+            self.apply_write(commit.id, commit.author, commit.timestamp, w);
+            self.file_log
+                .entry(w.path.clone())
+                .or_default()
+                .push(commit.id);
+        }
+        self.commits.push(commit);
     }
 
     /// Replays one write into the blame state: kept records move from the
@@ -244,16 +284,22 @@ impl Repository {
 
     /// Reconstructs the full tree as of (and including) `at`, by replay.
     pub fn snapshot_at(&self, at: CommitId) -> HashMap<String, String> {
-        let mut tree: HashMap<String, String> = HashMap::new();
-        for c in &self.commits {
-            if c.id > at {
-                break;
-            }
+        self.tree_at(at)
+            .into_iter()
+            .map(|(path, content)| (path.to_string(), content.to_string()))
+            .collect()
+    }
+
+    /// The tree as of (and including) `at`, borrowed from the commits that
+    /// last wrote each file: `(path, content)` pairs sorted by path.
+    pub fn tree_at(&self, at: CommitId) -> Vec<(&str, &str)> {
+        let mut tree: BTreeMap<&str, &str> = BTreeMap::new();
+        for c in self.commits.iter().take_while(|c| c.id <= at) {
             for w in &c.writes {
-                tree.insert(w.path.clone(), w.content.clone());
+                tree.insert(&w.path, &w.content);
             }
         }
-        tree
+        tree.into_iter().collect()
     }
 
     /// The latest commit id, if any commit exists.
@@ -265,17 +311,17 @@ impl Repository {
     /// truncated history, blame and logs reflecting that point in time.
     ///
     /// This is the `git checkout <old>` equivalent the §3.1 preliminary
-    /// experiment needs to analyse a 2019 snapshot with 2019 blame.
+    /// experiment needs to analyse a 2019 snapshot with 2019 blame. It
+    /// replays every commit up to `at`, so a caller visiting many commits
+    /// in order should instead grow one [`authors_only`] repository with
+    /// [`replay`], one commit per step, as `vcheck history` does.
+    ///
+    /// [`authors_only`]: Repository::authors_only
+    /// [`replay`]: Repository::replay
     pub fn checkout(&self, at: CommitId) -> Repository {
-        let mut out = Repository::new();
-        for a in &self.authors {
-            out.add_author(a.name.clone());
-        }
-        for c in &self.commits {
-            if c.id > at {
-                break;
-            }
-            out.commit(c.author, c.timestamp, c.message.clone(), c.writes.clone());
+        let mut out = self.authors_only();
+        for c in self.commits.iter().take_while(|c| c.id <= at) {
+            out.replay(c);
         }
         out
     }

@@ -1,5 +1,6 @@
 //! Property tests for the VCS substrate: the diff/patch inverse law, blame
-//! coverage, checkout consistency, and the `history.json` loader.
+//! coverage, checkout consistency, the forward replay, line maps, and the
+//! `history.json` loader.
 //!
 //! Each property runs as a deterministic loop over cases drawn from a
 //! seeded [`SplitMix64`]; a failing case prints its case number so it can
@@ -11,13 +12,14 @@ use vc_vcs::{
         churn,
         diff_lines,
         patch,
-        Edit, //
+        Edit,
+        LineMap, //
     },
     spec::{
         CommitSpec,
         WriteSpec, //
     },
-    FileWrite, HistorySpec, Repository,
+    Commit, FileWrite, HistorySpec, Repository,
 };
 
 /// A random file as a vector of short lines over a tiny alphabet, so that
@@ -393,5 +395,116 @@ fn from_json_shape_errors_keep_their_messages() {
             Err(want.to_string()),
             "{text}"
         );
+    }
+}
+
+/// A commit's fields, for comparing two repositories' `commit_info`.
+fn commit_fields(c: &Commit) -> (u32, u32, i64, &str, Vec<(&str, &str)>) {
+    let writes = c
+        .writes
+        .iter()
+        .map(|w| (w.path.as_str(), w.content.as_str()))
+        .collect();
+    (c.id.0, c.author.0, c.timestamp, &c.message, writes)
+}
+
+/// Growing one authors-only repository by `replay`, commit by commit, gives
+/// at every commit the repository `checkout` materialises there, and the
+/// one `commit` had built by then: same blame of every line, `log` of every
+/// path, `commit_info` of every commit, contents and borrowed tree.
+#[test]
+fn forward_replay_matches_checkout_at_every_commit() {
+    let mut rng = SplitMix64::new(0xC9);
+    for case in 0..60 {
+        let repo = random_spec(&mut rng).build();
+        let mut running = repo.authors_only();
+        let mut grown = repo.authors_only();
+        assert_eq!(running.head(), None, "case {case}");
+        for c in repo.commits() {
+            running.replay(c);
+            grown.commit(c.author, c.timestamp, c.message.clone(), c.writes.clone());
+            let at = format!("case {case} commit {}", c.id.0);
+            for want in [repo.checkout(c.id), grown.clone()] {
+                assert_eq!(running.head(), want.head(), "{at}");
+                assert_eq!(running.author_count(), want.author_count(), "{at}");
+                assert_eq!(running.paths(), want.paths(), "{at}");
+                for id in want.commits().iter().map(|c| c.id) {
+                    assert_eq!(
+                        commit_fields(running.commit_info(id)),
+                        commit_fields(want.commit_info(id)),
+                        "{at}"
+                    );
+                }
+                for path in want.paths() {
+                    assert_eq!(running.log(path), want.log(path), "{at} {path}");
+                    assert_eq!(
+                        running.file_content(path),
+                        want.file_content(path),
+                        "{at} {path}"
+                    );
+                    let lines = want.line_count(path) as u32;
+                    assert_eq!(running.line_count(path), lines as usize, "{at} {path}");
+                    for line in 0..=lines + 1 {
+                        assert_eq!(
+                            running.blame(path, line),
+                            want.blame(path, line),
+                            "{at} {path}:{line}"
+                        );
+                    }
+                }
+            }
+            let mut snapshot: Vec<(String, String)> = repo.snapshot_at(c.id).into_iter().collect();
+            snapshot.sort();
+            let tree: Vec<(String, String)> = repo
+                .tree_at(c.id)
+                .into_iter()
+                .map(|(p, t)| (p.to_string(), t.to_string()))
+                .collect();
+            assert_eq!(tree, snapshot, "{at}");
+        }
+    }
+}
+
+/// `LineMap::between` over borrowed `&str` lines, built from the count-only
+/// script, equals the map built from `diff_lines`' copying script, on
+/// random edits of random files, empty ones included.
+#[test]
+fn line_map_between_borrowed_lines_matches_diff_lines() {
+    let mut rng = SplitMix64::new(0xCA);
+    for case in 0..300 {
+        let old = if case % 10 == 0 {
+            Vec::new()
+        } else {
+            random_lines(&mut rng, 40)
+        };
+        let new = match case % 4 {
+            // An unrelated file.
+            0 => random_lines(&mut rng, 40),
+            // Everything deleted.
+            1 if case % 20 == 1 => Vec::new(),
+            // A few line edits, insertions and deletions.
+            _ => {
+                let mut new = old.clone();
+                for _ in 0..rng.range_inclusive_usize(1, 4) {
+                    let at = rng.range_usize(0, new.len() + 1);
+                    match rng.range_usize(0, 3) {
+                        0 => new.insert(at, random_lines(&mut rng, 2).concat()),
+                        1 if at < new.len() => {
+                            new.remove(at);
+                        }
+                        _ if at < new.len() => new[at].push('!'),
+                        _ => new.push("tail".into()),
+                    }
+                }
+                new
+            }
+        };
+        let old_refs: Vec<&str> = old.iter().map(String::as_str).collect();
+        let new_refs: Vec<&str> = new.iter().map(String::as_str).collect();
+        let borrowed = LineMap::between(&old_refs, &new_refs);
+        let copied = LineMap::new(&diff_lines(&old, &new));
+        assert_eq!(borrowed, copied, "case {case}: {old:?} -> {new:?}");
+        assert_eq!(borrowed.old_len(), old.len(), "case {case}");
+        assert_eq!(borrowed.new_len(), new.len(), "case {case}");
     }
 }

@@ -115,6 +115,15 @@ bounded cargo test -p valuecheck --test units -q
 echo "==> cargo test -p valuecheck --test serve_alloc -q (warm-request allocations)"
 bounded cargo test -p valuecheck --test serve_alloc -q
 
+# history_alloc: the history-replay allocation guard
+# (crates/core/tests/history_alloc.rs) — `vcheck history` over 120 commits
+# of a 3000-line file, one line edited per commit, must stay under a fixed
+# number of allocations per commit on the replay thread (the walk replays
+# each commit once into one running checkout, snapshots each revision by
+# borrowing, and builds line maps without copying lines).
+echo "==> cargo test -p valuecheck --test history_alloc -q (history-replay allocations)"
+bounded cargo test -p valuecheck --test history_alloc -q
+
 # lex_alloc: the front-end allocation guard (crates/ir/tests/lex_alloc.rs)
 # — lexing a 200-function file allocates only the decoded text of its
 # string literals and guard symbols plus vector growth (tokens are `Copy`
