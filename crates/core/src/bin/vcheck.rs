@@ -14,7 +14,10 @@
 //!                        the remaining functions are skipped, the partial
 //!                        report is printed with every row marked
 //!                        low-confidence plus a `deadline exceeded` failure
-//!                        record, and vcheck exits 3
+//!                        record, and vcheck exits 3. The scan runs one-shot
+//!                        through the serve engine, so --jobs, --retry,
+//!                        --unit-deadline-ms, --journal, --resume and
+//!                        --fail-fast cannot be combined with it (exit 2)
 //!   --all                keep non-cross-scope unused definitions too
 //!   --no-rank            keep detection order instead of DOK ranking
 //!   --no-prune           disable all pruning patterns
@@ -152,7 +155,6 @@ use valuecheck::{
         history_scan,
         tracks_to_csv, //
     },
-    incremental::SnapshotStore,
     pipeline::{
         build_tree,
         run_sentinel,
@@ -166,6 +168,7 @@ use valuecheck::{
         SentinelConfig, //
     },
     serve::{run_daemon, ServeConfig, ServeEngine},
+    store::SnapshotStore,
     suppress::SuppressStore,
 };
 use vc_obs::ObsSession;
@@ -686,11 +689,16 @@ fn scan_main(mut args: impl Iterator<Item = String>) -> ! {
     let mut fail_fast = false;
     let mut deadline_ms: Option<u64> = None;
     let mut sconf = SentinelConfig::default();
+    // The first batch-executor flag given: a deadlined scan runs through
+    // the serve engine, which has no executor to apply it to.
+    let mut batch_only: Option<String> = None;
 
     while let Some(a) = args.next() {
-        if analysis_flag(&a, &mut args, &mut defines, &mut opts)
-            || sentinel_flag(&a, &mut args, &mut sconf)
-        {
+        if analysis_flag(&a, &mut args, &mut defines, &mut opts) {
+            continue;
+        }
+        if sentinel_flag(&a, &mut args, &mut sconf) {
+            batch_only.get_or_insert(a);
             continue;
         }
         match a.as_str() {
@@ -700,7 +708,10 @@ fn scan_main(mut args: impl Iterator<Item = String>) -> ! {
             "--stats" => stats = true,
             "--budget-steps" => opts.harden = opts.harden.with_step_budget(number(&mut args, &a)),
             "--budget-ms" => opts.harden = opts.harden.with_time_budget_ms(number(&mut args, &a)),
-            "--fail-fast" => fail_fast = true,
+            "--fail-fast" => {
+                fail_fast = true;
+                batch_only.get_or_insert_with(|| a.clone());
+            }
             "--metrics-json" => metrics_json = Some(path(&mut args, &a)),
             "--trace" => trace = Some(path(&mut args, &a)),
             "--profile" => profile = Some(path(&mut args, &a)),
@@ -725,6 +736,12 @@ fn scan_main(mut args: impl Iterator<Item = String>) -> ! {
         }
     }
     let dir = dir.unwrap_or_else(|| die("missing <project-dir>"));
+    if let (Some(_), Some(flag)) = (deadline_ms, &batch_only) {
+        die(&format!(
+            "{flag} cannot be combined with --deadline-ms (a deadlined scan runs one-shot \
+             through the serve engine, which has no batch executor)"
+        ));
+    }
 
     // A directory with no `.c` files is a clean project (empty report,
     // exit 0), not a usage error — CI can point vcheck at a repo that
@@ -773,18 +790,11 @@ fn scan_main(mut args: impl Iterator<Item = String>) -> ! {
         } else {
             print!("{}", report.to_csv());
         }
+        let snapshot = engine.obs().registry.snapshot();
         if stats {
-            eprint!("{}", engine.obs().registry.snapshot().render_text());
+            eprint!("{}", snapshot.render_text());
         }
-        if let Some(path) = metrics_json {
-            let text = engine
-                .obs()
-                .registry
-                .snapshot()
-                .to_json_export()
-                .to_string_pretty();
-            or_die(std::fs::write(&path, text), &path);
-        }
+        write_exports(engine.obs(), &snapshot, metrics_json, trace, profile);
         let code = if resp.deadline_exceeded {
             3
         } else if report.rows.is_empty() {
@@ -863,6 +873,19 @@ fn scan_main(mut args: impl Iterator<Item = String>) -> ! {
         let folded = vc_obs::FoldedProfile::from_records(&obs.tracer.records());
         eprint!("{}", folded.render_top(10));
     }
+    write_exports(&obs, &snapshot, metrics_json, trace, profile);
+    std::process::exit(if report.rows.is_empty() { 0 } else { 1 });
+}
+
+/// Writes a scan's `--metrics-json`, `--trace` and `--profile` files from
+/// its session and metrics snapshot.
+fn write_exports(
+    obs: &ObsSession,
+    snapshot: &vc_obs::MetricsSnapshot,
+    metrics_json: Option<PathBuf>,
+    trace: Option<PathBuf>,
+    profile: Option<PathBuf>,
+) {
     if let Some(path) = metrics_json {
         let text = snapshot.to_json_export().to_string_pretty();
         or_die(std::fs::write(&path, text), &path);
@@ -884,7 +907,6 @@ fn scan_main(mut args: impl Iterator<Item = String>) -> ! {
             &path,
         );
     }
-    std::process::exit(if report.rows.is_empty() { 0 } else { 1 });
 }
 
 fn die(msg: &str) -> ! {

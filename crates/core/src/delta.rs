@@ -70,6 +70,7 @@ use crate::{
         Options, //
     },
     rank::Ranked,
+    report::csv_escape,
     sentinel::SentinelConfig,
     FNV_SEED,
 };
@@ -428,16 +429,6 @@ impl DeltaReport {
         let mut out = self.to_csv().into_bytes();
         out.extend_from_slice(self.to_json().as_bytes());
         out
-    }
-}
-
-// Same quoting rules as the main report's CSV (kept private there; the two
-// must not drift apart, which `delta_csv_quotes_like_report` pins).
-fn csv_escape(s: &str) -> String {
-    if s.contains([',', '"', '\n', '\r']) {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
     }
 }
 
@@ -1101,17 +1092,6 @@ mod tests {
         assert_eq!(obs.registry.counter(names::DELTA_PERSISTING), 2);
         assert_eq!(obs.registry.counter(names::DELTA_NEW), 0);
         assert_eq!(obs.registry.counter(names::DELTA_FIXED), 0);
-    }
-
-    #[test]
-    fn delta_csv_quotes_like_report() {
-        // The delta CSV must keep the same quoting rules as the main
-        // report (commas, quotes, and newlines all force quoting).
-        assert_eq!(csv_escape("plain"), "plain");
-        assert_eq!(csv_escape("a,b"), "\"a,b\"");
-        assert_eq!(csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
-        assert_eq!(csv_escape("two\nlines"), "\"two\nlines\"");
-        assert_eq!(csv_escape("cr\rhere"), "\"cr\rhere\"");
     }
 
     #[test]

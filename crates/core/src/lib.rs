@@ -24,7 +24,8 @@
 //! and drives each fingerprint through the born → persisting → churned →
 //! fixed | suppressed lifecycle, persisting the event stream in a
 //! [`lifedb::LifeDb`] with suppression from [`suppress`]
-//! (`vcheck history`).
+//! (`vcheck history`); [`store`] is the one checksummed, atomically saved
+//! file format those stores and the [`store::SnapshotStore`] share.
 //!
 //! # Examples
 //!
@@ -63,6 +64,7 @@ pub mod rank;
 pub mod report;
 pub mod sentinel;
 pub mod serve;
+pub mod store;
 pub mod suppress;
 
 /// Offset basis of [`fnv1a`].

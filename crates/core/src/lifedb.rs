@@ -17,12 +17,11 @@
 //! **final state** is the kind of its last event: `fixed`, `suppressed`,
 //! or (anything else) still live.
 //!
-//! The database is a compact append-only text file with the same
-//! discipline as the snapshot store: version header, tab-separated
-//! records, trailing FNV-1a checksum, atomic save, never-failing load
-//! (degrading to empty under the shared `harden.snapshot_*` counters).
-//! Because the replay classifies rows in canonical order, the serialized
-//! bytes are identical for any `--jobs` value and across `--resume`.
+//! The database is a compact append-only text file in the one store
+//! format of [`crate::store`]; its load defects count under the snapshot
+//! store's `harden.snapshot_*` counters. Because the replay classifies
+//! rows in canonical order, the serialized bytes are identical for any
+//! `--jobs` value and across `--resume`.
 //!
 //! Beyond raw events the DB records one [`CommitAgg`] per commit — the
 //! candidate funnel including the per-pattern prune counts — and derives
@@ -47,11 +46,13 @@ use vc_vcs::CommitId;
 
 use crate::{
     delta::Fingerprint,
-    incremental::content_hash, //
+    store, //
 };
 
 /// On-disk format version of the lifecycle DB.
 pub const LIFEDB_FILE_VERSION: u32 = 1;
+
+const LIFEDB_MAGIC: &str = "vcheck-lifedb";
 
 /// What happened to one track at one commit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -327,154 +328,88 @@ impl LifeDb {
     /// Serialises the DB (including its checksum line). The byte output is
     /// canonical: replays with any worker count produce identical files.
     pub fn to_text(&self) -> String {
-        let mut out = format!("vcheck-lifedb v{LIFEDB_FILE_VERSION}\n");
-        for e in &self.events {
-            out.push_str(&format!(
-                "event {}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
-                e.commit.0,
-                e.track.to_hex(),
-                e.fingerprint.to_hex(),
-                e.kind.label(),
-                e.file,
-                e.line,
-                e.function,
-                e.variable,
-                e.scenario
-            ));
-        }
-        for a in &self.aggs {
-            let pruned = a
-                .pruned
-                .iter()
-                .map(|(l, n)| format!("{l}={n}"))
-                .collect::<Vec<_>>()
-                .join(",");
-            out.push_str(&format!(
-                "agg {}\t{}\t{}\t{}\t{}\n",
-                a.commit.0, a.raw, a.cross_scope, pruned, a.reported
-            ));
-        }
-        out.push_str(&format!("checksum {:016x}\n", content_hash(&out)));
-        out
+        store::encode(LIFEDB_MAGIC, LIFEDB_FILE_VERSION, |out| {
+            for e in &self.events {
+                out.push_str(&format!(
+                    "event {}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
+                    e.commit.0,
+                    e.track.to_hex(),
+                    e.fingerprint.to_hex(),
+                    e.kind.label(),
+                    e.file,
+                    e.line,
+                    e.function,
+                    e.variable,
+                    e.scenario
+                ));
+            }
+            for a in &self.aggs {
+                let pruned = a
+                    .pruned
+                    .iter()
+                    .map(|(l, n)| format!("{l}={n}"))
+                    .collect::<Vec<_>>()
+                    .join(",");
+                out.push_str(&format!(
+                    "agg {}\t{}\t{}\t{}\t{}\n",
+                    a.commit.0, a.raw, a.cross_scope, pruned, a.reported
+                ));
+            }
+        })
     }
 
-    /// Writes the DB atomically (temp file + fsync + rename).
+    /// Writes the DB atomically, as every store in [`crate::store`] is
+    /// written.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        use std::io::Write as _;
-        let out = self.to_text();
-        let file_name = path
-            .file_name()
-            .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidInput, "no file name"))?;
-        let tmp = path.with_file_name(format!(
-            ".{}.tmp.{}",
-            file_name.to_string_lossy(),
-            std::process::id()
-        ));
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(out.as_bytes())?;
-            f.sync_all()?;
-        }
-        if let Err(e) = std::fs::rename(&tmp, path) {
-            let _ = std::fs::remove_file(&tmp);
-            return Err(e);
-        }
-        if let Some(dir) = path.parent() {
-            if let Ok(d) = std::fs::File::open(if dir.as_os_str().is_empty() {
-                Path::new(".")
-            } else {
-                dir
-            }) {
-                let _ = d.sync_all();
-            }
-        }
-        Ok(())
+        store::save(path, &self.to_text())
     }
 
     /// Loads a DB from disk. **Never fails**: missing → empty; a checksum
     /// mismatch degrades to empty under `harden.snapshot_corrupt`, any
     /// other defect under `harden.snapshot_recovered` (the DB shares the
-    /// snapshot store's hardening counters — same format family, same
-    /// failure modes).
+    /// snapshot store's counters).
     pub fn load(path: &Path) -> LifeDb {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(_) => return LifeDb::default(),
-        };
-        let Some((body, sum)) = split_checksum(&text) else {
-            vc_obs::counter_inc(names::HARDEN_SNAPSHOT_RECOVERED);
-            return LifeDb::default();
-        };
-        if content_hash(body) != sum {
-            vc_obs::counter_inc(names::HARDEN_SNAPSHOT_CORRUPT);
-            return LifeDb::default();
-        }
-        match Self::parse(body) {
-            Some(db) => db,
-            None => {
-                vc_obs::counter_inc(names::HARDEN_SNAPSHOT_RECOVERED);
-                LifeDb::default()
-            }
-        }
-    }
-
-    fn parse(text: &str) -> Option<LifeDb> {
-        let mut lines = text.lines();
-        let version = lines.next()?.strip_prefix("vcheck-lifedb v")?;
-        if version.parse::<u32>().ok()? != LIFEDB_FILE_VERSION {
-            return None;
-        }
-        let mut db = LifeDb::default();
-        for line in lines {
-            if line.is_empty() {
-                continue;
-            }
-            if let Some(rec) = line.strip_prefix("event ") {
-                let mut p = rec.split('\t');
-                let event = LifeEvent {
-                    commit: CommitId(p.next()?.parse().ok()?),
-                    track: Fingerprint::parse_hex(p.next()?)?,
-                    fingerprint: Fingerprint::parse_hex(p.next()?)?,
-                    kind: LifeEventKind::parse(p.next()?)?,
-                    file: p.next()?.to_string(),
-                    line: p.next()?.parse().ok()?,
-                    function: p.next()?.to_string(),
-                    variable: p.next()?.to_string(),
-                    scenario: p.next()?.to_string(),
+        store::load(
+            path,
+            LIFEDB_MAGIC,
+            LIFEDB_FILE_VERSION,
+            store::SNAPSHOT_COUNTERS,
+            |db: &mut LifeDb, rec| {
+                if let Some(rec) = rec.strip_prefix("event ") {
+                    let [commit, track, fingerprint, kind, file, line, function, variable, scenario] =
+                        store::fields(rec)?;
+                    db.events.push(LifeEvent {
+                        commit: CommitId(commit.parse().ok()?),
+                        track: Fingerprint::parse_hex(track)?,
+                        fingerprint: Fingerprint::parse_hex(fingerprint)?,
+                        kind: LifeEventKind::parse(kind)?,
+                        file: file.to_string(),
+                        line: line.parse().ok()?,
+                        function: function.to_string(),
+                        variable: variable.to_string(),
+                        scenario: scenario.to_string(),
+                    });
+                    return Some(());
+                }
+                let [commit, raw, cross_scope, pruned, reported] =
+                    store::fields(rec.strip_prefix("agg ")?)?;
+                let mut agg = CommitAgg {
+                    commit: CommitId(commit.parse().ok()?),
+                    raw: raw.parse().ok()?,
+                    cross_scope: cross_scope.parse().ok()?,
+                    pruned: Vec::new(),
+                    reported: reported.parse().ok()?,
                 };
-                if p.next().is_some() {
-                    return None;
-                }
-                db.events.push(event);
-            } else if let Some(rec) = line.strip_prefix("agg ") {
-                let mut p = rec.split('\t');
-                let commit = CommitId(p.next()?.parse().ok()?);
-                let raw = p.next()?.parse().ok()?;
-                let cross_scope = p.next()?.parse().ok()?;
-                let pruned_field = p.next()?;
-                let reported = p.next()?.parse().ok()?;
-                if p.next().is_some() {
-                    return None;
-                }
-                let mut pruned = Vec::new();
-                if !pruned_field.is_empty() {
-                    for pair in pruned_field.split(',') {
+                if !pruned.is_empty() {
+                    for pair in pruned.split(',') {
                         let (label, n) = pair.split_once('=')?;
-                        pruned.push((label.to_string(), n.parse().ok()?));
+                        agg.pruned.push((label.to_string(), n.parse().ok()?));
                     }
                 }
-                db.aggs.push(CommitAgg {
-                    commit,
-                    raw,
-                    cross_scope,
-                    pruned,
-                    reported,
-                });
-            } else {
-                return None;
-            }
-        }
-        Some(db)
+                db.aggs.push(agg);
+                Some(())
+            },
+        )
     }
 
     /// The lifecycle funnel and per-scenario stats as a terminal table
@@ -598,14 +533,6 @@ impl LifeDb {
             ("events".into(), events),
         ])
     }
-}
-
-/// Splits a DB file into (body, trailing checksum).
-fn split_checksum(text: &str) -> Option<(&str, u64)> {
-    let trimmed = text.strip_suffix('\n')?;
-    let body_end = trimmed.rfind('\n').map(|i| i + 1).unwrap_or(0);
-    let sum = u64::from_str_radix(trimmed[body_end..].strip_prefix("checksum ")?, 16).ok()?;
-    Some((&text[..body_end], sum))
 }
 
 #[cfg(test)]
@@ -734,22 +661,6 @@ mod tests {
         let db = sample_db();
         db.save(&path).unwrap();
         assert_eq!(LifeDb::load(&path), db);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn corrupt_db_degrades_empty() {
-        let path = temp_path("corrupt");
-        sample_db().save(&path).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, text.replace("a.c", "b.c")).unwrap();
-        let obs = vc_obs::ObsSession::new();
-        let loaded = {
-            let _g = obs.install();
-            LifeDb::load(&path)
-        };
-        assert_eq!(loaded, LifeDb::default());
-        assert_eq!(obs.registry.counter(names::HARDEN_SNAPSHOT_CORRUPT), 1);
         std::fs::remove_file(&path).ok();
     }
 

@@ -224,7 +224,9 @@ impl Report {
     }
 }
 
-fn csv_escape(s: &str) -> String {
+/// Quotes a CSV field when it holds a comma, quote or line break (the
+/// quoting of every CSV this crate writes).
+pub(crate) fn csv_escape(s: &str) -> String {
     if s.contains([',', '"', '\n', '\r']) {
         format!("\"{}\"", s.replace('"', "\"\""))
     } else {

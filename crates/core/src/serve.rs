@@ -118,9 +118,9 @@ use crate::{
     eventlog::{now_ms, EventLog},
     fnv1a,
     harden::{self, FailStage, FailureRecord},
-    incremental::SnapshotStore,
     pipeline::{run_stages, Options},
     project::{load_dir_or_empty, Project},
+    store::SnapshotStore,
     FNV_SEED,
 };
 

@@ -11,9 +11,8 @@
 //!   comments, so annotations never change parsing, fingerprints, or
 //!   line numbers.
 //! - **The [`SuppressStore`]** — an on-disk list of suppressed findings
-//!   keyed by drift-stable fingerprint, with the same torn-write
-//!   discipline as the snapshot store: trailing FNV-1a checksum, atomic
-//!   save, and a never-failing load that degrades to empty under
+//!   keyed by drift-stable fingerprint, in the one store format of
+//!   [`crate::store`]; its load defects count under
 //!   `suppress.store_corrupt` / `suppress.store_recovered`.
 //!
 //! Fingerprints survive pure drift but not an edit to the definition line
@@ -40,7 +39,7 @@ use crate::{
         Finding,
         CHURN_NEARBY_LINES, //
     },
-    incremental::content_hash,
+    store, //
 };
 
 /// The annotation marker scanned for in source comments.
@@ -131,6 +130,8 @@ fn parse_scenario(rest: &str) -> String {
 /// On-disk format version of [`SuppressStore`].
 pub const SUPPRESS_FILE_VERSION: u32 = 1;
 
+const SUPPRESS_MAGIC: &str = "vcheck-suppress";
+
 /// One suppressed finding: its drift-stable fingerprint plus the current
 /// coordinates the nearby-line fallback needs when the fingerprint stops
 /// matching.
@@ -159,9 +160,8 @@ pub enum SuppressMatch {
     NearbyLine,
 }
 
-/// The persisted suppression list.
-///
-/// Line-oriented, checksummed, atomically written:
+/// The persisted suppression list. Its records, in the store format of
+/// [`crate::store`]:
 ///
 /// ```text
 /// vcheck-suppress v1
@@ -180,104 +180,49 @@ impl SuppressStore {
     /// `suppress.store_corrupt`, any other defect under
     /// `suppress.store_recovered`.
     pub fn load(path: &Path) -> SuppressStore {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(_) => return SuppressStore::default(),
-        };
-        let Some((body, sum)) = split_checksum(&text) else {
-            vc_obs::counter_inc(names::SUPPRESS_STORE_RECOVERED);
-            return SuppressStore::default();
-        };
-        if content_hash(body) != sum {
-            vc_obs::counter_inc(names::SUPPRESS_STORE_CORRUPT);
-            return SuppressStore::default();
-        }
-        match Self::parse(body) {
-            Some(store) => store,
-            None => {
-                vc_obs::counter_inc(names::SUPPRESS_STORE_RECOVERED);
-                SuppressStore::default()
-            }
-        }
-    }
-
-    fn parse(text: &str) -> Option<SuppressStore> {
-        let mut lines = text.lines();
-        let version = lines.next()?.strip_prefix("vcheck-suppress v")?;
-        if version.parse::<u32>().ok()? != SUPPRESS_FILE_VERSION {
-            return None;
-        }
-        let mut store = SuppressStore::default();
-        for line in lines {
-            if line.is_empty() {
-                continue;
-            }
-            let rec = line.strip_prefix("allow ")?;
-            let mut parts = rec.split('\t');
-            let entry = SuppressEntry {
-                fingerprint: u64::from_str_radix(parts.next()?, 16).ok()?,
-                file: parts.next()?.to_string(),
-                line: parts.next()?.parse().ok()?,
-                scenario: parts.next()?.to_string(),
-                reason: parts.next()?.to_string(),
-            };
-            if parts.next().is_some() {
-                return None; // trailing garbage on the line
-            }
-            store.entries.push(entry);
-        }
-        Some(store)
+        store::load(
+            path,
+            SUPPRESS_MAGIC,
+            SUPPRESS_FILE_VERSION,
+            (
+                names::SUPPRESS_STORE_CORRUPT,
+                names::SUPPRESS_STORE_RECOVERED,
+            ),
+            |store: &mut SuppressStore, rec| {
+                let [fingerprint, file, line, scenario, reason] =
+                    store::fields(rec.strip_prefix("allow ")?)?;
+                store.entries.push(SuppressEntry {
+                    fingerprint: u64::from_str_radix(fingerprint, 16).ok()?,
+                    file: file.to_string(),
+                    line: line.parse().ok()?,
+                    scenario: scenario.to_string(),
+                    reason: reason.to_string(),
+                });
+                Some(())
+            },
+        )
     }
 
     /// Serialises the store (including its checksum line).
     pub fn to_text(&self) -> String {
-        let mut out = format!("vcheck-suppress v{SUPPRESS_FILE_VERSION}\n");
-        for e in &self.entries {
-            out.push_str(&format!(
-                "allow {:016x}\t{}\t{}\t{}\t{}\n",
-                e.fingerprint,
-                e.file,
-                e.line,
-                e.scenario,
-                e.reason.replace(['\t', '\n'], " ")
-            ));
-        }
-        out.push_str(&format!("checksum {:016x}\n", content_hash(&out)));
-        out
+        store::encode(SUPPRESS_MAGIC, SUPPRESS_FILE_VERSION, |out| {
+            for e in &self.entries {
+                out.push_str(&format!(
+                    "allow {:016x}\t{}\t{}\t{}\t{}\n",
+                    e.fingerprint,
+                    e.file,
+                    e.line,
+                    e.scenario,
+                    e.reason.replace(['\t', '\n'], " ")
+                ));
+            }
+        })
     }
 
-    /// Writes the store atomically (temp file + fsync + rename), like
-    /// [`SnapshotStore::save`](crate::incremental::SnapshotStore::save).
+    /// Writes the store atomically, as every store in [`crate::store`] is
+    /// written.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        use std::io::Write as _;
-        let out = self.to_text();
-        let file_name = path
-            .file_name()
-            .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidInput, "no file name"))?;
-        let tmp = path.with_file_name(format!(
-            ".{}.tmp.{}",
-            file_name.to_string_lossy(),
-            std::process::id()
-        ));
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(out.as_bytes())?;
-            f.sync_all()?;
-        }
-        if let Err(e) = std::fs::rename(&tmp, path) {
-            let _ = std::fs::remove_file(&tmp);
-            return Err(e);
-        }
-        if let Some(dir) = path.parent() {
-            if let Ok(d) = std::fs::File::open(if dir.as_os_str().is_empty() {
-                Path::new(".")
-            } else {
-                dir
-            }) {
-                let _ = d.sync_all();
-            }
-        }
-        Ok(())
+        store::save(path, &self.to_text())
     }
 
     /// Pushes every entry's line through the edit script from
@@ -332,14 +277,6 @@ impl SuppressStore {
         vc_obs::counter_inc(names::SUPPRESS_LINE_MAPPED);
         Some(SuppressMatch::NearbyLine)
     }
-}
-
-/// Splits a store file into (body, trailing checksum).
-fn split_checksum(text: &str) -> Option<(&str, u64)> {
-    let trimmed = text.strip_suffix('\n')?;
-    let body_end = trimmed.rfind('\n').map(|i| i + 1).unwrap_or(0);
-    let sum = u64::from_str_radix(trimmed[body_end..].strip_prefix("checksum ")?, 16).ok()?;
-    Some((&text[..body_end], sum))
 }
 
 #[cfg(test)]
@@ -420,46 +357,6 @@ mod tests {
         };
         store.save(&path).unwrap();
         assert_eq!(SuppressStore::load(&path), store);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn corrupt_store_degrades_empty_and_counts() {
-        let path = temp_path("corrupt");
-        let store = SuppressStore {
-            entries: vec![SuppressEntry {
-                fingerprint: 1,
-                file: "a.c".into(),
-                line: 1,
-                scenario: "all".into(),
-                reason: "r".into(),
-            }],
-        };
-        store.save(&path).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, text.replace("a.c", "b.c")).unwrap();
-        let obs = vc_obs::ObsSession::new();
-        let loaded = {
-            let _g = obs.install();
-            SuppressStore::load(&path)
-        };
-        assert_eq!(loaded, SuppressStore::default());
-        assert_eq!(obs.registry.counter(names::SUPPRESS_STORE_CORRUPT), 1);
-        assert_eq!(obs.registry.counter(names::SUPPRESS_STORE_RECOVERED), 0);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn truncated_store_counts_as_recovered() {
-        let path = temp_path("truncated");
-        std::fs::write(&path, "vcheck-suppress v1\nallow 00ff\ta.c\n").unwrap();
-        let obs = vc_obs::ObsSession::new();
-        let loaded = {
-            let _g = obs.install();
-            SuppressStore::load(&path)
-        };
-        assert_eq!(loaded, SuppressStore::default());
-        assert_eq!(obs.registry.counter(names::SUPPRESS_STORE_RECOVERED), 1);
         std::fs::remove_file(&path).ok();
     }
 

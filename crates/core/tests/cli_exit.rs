@@ -175,6 +175,69 @@ fn expired_deadline_exits_three_with_partial_low_confidence_report() {
 }
 
 #[test]
+fn deadlined_scan_writes_its_trace_and_profile() {
+    let dir = project("deadline-trace", &[("a.c", BUGGY_FN)]);
+    let (trace, profile) = (dir.join("scan.trace.json"), dir.join("scan.folded"));
+    let out = Command::new(env!("CARGO_BIN_EXE_vcheck"))
+        .arg(&dir)
+        .args(["--deadline-ms", "60000", "--trace"])
+        .arg(&trace)
+        .arg("--profile")
+        .arg(&profile)
+        .output()
+        .expect("vcheck runs");
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let trace = fs::read_to_string(&trace).expect("--trace written");
+    assert!(trace.contains("\"pipeline.run\""), "trace: {trace}");
+    let profile = fs::read_to_string(&profile).expect("--profile written");
+    assert!(
+        profile
+            .lines()
+            .any(|l| l.starts_with("pipeline.run;stage.detect")),
+        "profile: {profile}"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn batch_executor_flags_are_refused_with_a_deadline() {
+    let dir = project("deadline-batch", &[("a.c", BUGGY_FN)]);
+    let journal = dir.join("scan.journal");
+    let journal = journal.to_str().unwrap();
+    for flag in [
+        &["--jobs", "2"][..],
+        &["--retry", "2"],
+        &["--unit-deadline-ms", "5"],
+        &["--journal", journal],
+        &["--resume"],
+        &["--fail-fast"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_vcheck"))
+            .arg(&dir)
+            .args(flag)
+            .args(["--deadline-ms", "60000"])
+            .output()
+            .expect("vcheck runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag:?}: stderr: {stderr}");
+        assert!(
+            stderr.contains(&format!(
+                "{} cannot be combined with --deadline-ms",
+                flag[0]
+            )),
+            "{flag:?}: stderr: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{flag:?}: no report printed");
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn whole_file_loss_uses_the_file_level_diagnostic() {
     let dir = project(
         "onegood",
@@ -268,7 +331,7 @@ fn delta_and_history_show_a_revisions_failures_and_keep_its_findings_open() {
     let statuses: Vec<_> = rows.iter().map(|r| (r[0], r[5])).collect();
     assert_eq!(statuses, [("persisting", "beta"), ("unscanned", "alpha")]);
     // The unscanned finding is presumed present, so the baseline keeps it.
-    let stored = valuecheck::incremental::SnapshotStore::load(&baseline).fingerprint_set();
+    let stored = valuecheck::store::SnapshotStore::load(&baseline).fingerprint_set();
     assert_eq!(stored.len(), 2);
 
     let (code, stdout, stderr) = run(&["history"]);

@@ -92,7 +92,7 @@ fn replay_allocates_a_bounded_amount_per_commit() {
     let per_commit = allocs / COMMITS as u64;
     eprintln!("history_alloc: {allocs} allocations, {per_commit} per commit");
 
-    // Measured on this workload: 290 allocations per commit with the
+    // Measured on this workload: 288 allocations per commit with the
     // forward walk (the build of the one function, the revision's owned
     // sources, line-map vectors, spans and lifecycle bookkeeping); 10,744
     // per commit when each commit is checked out from scratch and line maps

@@ -136,9 +136,11 @@ pub const RANK_DOK_SCORE_MILLI: &str = "rank.dok_score_milli";
 pub const HARDEN_PARSE_FAILURES: &str = "harden.parse_failures";
 /// Findings with no authorship attribution (unknown author fallback).
 pub const HARDEN_AUTHORSHIP_UNKNOWN: &str = "harden.authorship_unknown";
-/// Incremental snapshots recovered from disk.
+/// Snapshot stores and findings databases loaded empty because they were
+/// truncated, malformed or of another format version.
 pub const HARDEN_SNAPSHOT_RECOVERED: &str = "harden.snapshot_recovered";
-/// Incremental snapshots rejected as corrupt.
+/// Snapshot stores and findings databases rejected by their content
+/// checksum.
 pub const HARDEN_SNAPSHOT_CORRUPT: &str = "harden.snapshot_corrupt";
 /// Panics caught at the detect isolation boundary.
 pub const HARDEN_POISONED_DETECT: &str = "harden.poisoned.detect";
@@ -154,7 +156,8 @@ pub const HARDEN_DEGRADED_POINTER: &str = "harden.degraded.pointer";
 pub const HARDEN_DEGRADED_PRUNE: &str = "harden.degraded.prune";
 /// Rank stage degraded to input order.
 pub const HARDEN_DEGRADED_RANK: &str = "harden.degraded.rank";
-/// Snapshot saves that failed (temp file removed, stale snapshot kept).
+/// Store saves that failed — snapshot store, findings database or
+/// suppression store (temp file removed, the old file kept).
 pub const HARDEN_SNAPSHOT_SAVE_FAILED: &str = "harden.snapshot_save_failed";
 
 // ---------------------------------------------------------------------------

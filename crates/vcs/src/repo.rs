@@ -84,6 +84,15 @@ struct FileState {
     lines: Vec<LineRecord>,
 }
 
+/// `map[key]`, inserted as the default first when absent: the key is
+/// cloned only for a new entry, not on every lookup as `entry` would.
+fn entry_mut<'m, V: Default>(map: &'m mut HashMap<String, V>, key: &str) -> &'m mut V {
+    if !map.contains_key(key) {
+        map.insert(key.to_string(), V::default());
+    }
+    map.get_mut(key).expect("inserted above when absent")
+}
+
 /// An in-memory repository with a linear history.
 #[derive(Clone, Debug, Default)]
 pub struct Repository {
@@ -177,10 +186,7 @@ impl Repository {
     fn record(&mut self, commit: Commit) {
         for w in &commit.writes {
             self.apply_write(commit.id, commit.author, commit.timestamp, w);
-            self.file_log
-                .entry(w.path.clone())
-                .or_default()
-                .push(commit.id);
+            entry_mut(&mut self.file_log, &w.path).push(commit.id);
         }
         self.commits.push(commit);
     }
@@ -189,7 +195,7 @@ impl Repository {
     /// old line vector to the new one; only inserted lines allocate.
     fn apply_write(&mut self, commit: CommitId, author: AuthorId, timestamp: i64, w: &FileWrite) {
         let new_lines: Vec<&str> = split_lines(&w.content).collect();
-        let state = self.files.entry(w.path.clone()).or_default();
+        let state = entry_mut(&mut self.files, &w.path);
         let script = diff_hunks(&state.lines, &new_lines);
         let blame = BlameEntry {
             author,
