@@ -487,7 +487,8 @@ pub fn table7(runs: &[AppRun]) -> Output {
         let recent: Vec<_> = commits.iter().rev().take(20).map(|c| c.id).collect();
         let mut revisions = Vec::new();
         for &c in &recent {
-            let prog = build_tree(&r.app.repo.snapshot_at(c), &r.app.defines);
+            let prog =
+                Program::build(&r.app.repo.tree_at(c), &r.app.defines).expect("snapshot builds");
             revisions.push((c, prog, r.app.repo.checkout(c)));
         }
         let t0 = Instant::now();
@@ -681,8 +682,10 @@ pub fn prelim_and_recall(runs: &[AppRun]) -> Output {
             repos_2019.push(None);
             continue;
         };
-        let prog_2019 = build_tree(&r.app.repo.snapshot_at(s2019), &r.app.defines);
-        let prog_2021 = build_tree(&r.app.repo.snapshot_at(s2021), &r.app.defines);
+        let prog_2019 =
+            Program::build(&r.app.repo.tree_at(s2019), &r.app.defines).expect("snapshot builds");
+        let prog_2021 =
+            Program::build(&r.app.repo.tree_at(s2021), &r.app.defines).expect("snapshot builds");
         let ids_2019 = candidate_identities(&prog_2019);
         let ids_2021 = candidate_identities(&prog_2021);
         for (func, _var) in ids_2019.iter().filter(|id| !ids_2021.contains(*id)) {
@@ -956,13 +959,6 @@ pub fn ea_alternative(runs: &[AppRun]) -> Output {
         text,
         csv: vec![("ea_alternative.csv".into(), render_csv(&headers, &rows))],
     }
-}
-
-fn build_tree(tree: &std::collections::HashMap<String, String>, defines: &[String]) -> Program {
-    let mut sources: Vec<(&str, &str)> =
-        tree.iter().map(|(p, c)| (p.as_str(), c.as_str())).collect();
-    sources.sort_by_key(|(p, _)| p.to_string());
-    Program::build(&sources, defines).expect("snapshot builds")
 }
 
 /// `(function, variable)` identities of all raw unused definitions.

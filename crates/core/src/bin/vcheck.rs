@@ -10,14 +10,14 @@
 //!   <project-dir>        directory with *.c sources and, ideally, a
 //!                        history.json (see vc_vcs::HistorySpec)
 //!   --define SYM         enable a preprocessor symbol (repeatable)
-//!   --deadline-ms N      wall-clock deadline for the whole scan; on expiry
-//!                        the remaining functions are skipped, the partial
-//!                        report is printed with every row marked
-//!                        low-confidence plus a `deadline exceeded` failure
-//!                        record, and vcheck exits 3. The scan runs one-shot
-//!                        through the serve engine, so --jobs, --retry,
-//!                        --unit-deadline-ms, --journal, --resume and
-//!                        --fail-fast cannot be combined with it (exit 2)
+//!   --deadline-ms N      wall-clock deadline for the whole scan, from the
+//!                        start of loading; on expiry the functions not yet
+//!                        started are skipped, the partial report is printed
+//!                        with every row marked low-confidence plus a
+//!                        `deadline exceeded` failure record, and vcheck
+//!                        exits 3. Combines with every executor option; a
+//!                        journaled scan records the units it finished, so
+//!                        --resume picks up the skipped ones
 //!   --all                keep non-cross-scope unused definitions too
 //!   --no-rank            keep detection order instead of DOK ranking
 //!   --no-prune           disable all pruning patterns
@@ -446,10 +446,7 @@ fn delta_main(mut args: impl Iterator<Item = String>) -> ! {
     if stats {
         eprint!("{}", snapshot.render_text());
     }
-    if let Some(path) = metrics_json {
-        let text = snapshot.to_json_export().to_string_pretty();
-        or_die(std::fs::write(&path, text), &path);
-    }
+    write_exports(&obs, &snapshot, metrics_json, None, None);
     std::process::exit(if report.has_new() { 1 } else { 0 });
 }
 
@@ -550,10 +547,7 @@ fn history_main(mut args: impl Iterator<Item = String>) -> ! {
         let text = outcome.db.to_json_export().to_string_pretty();
         or_die(std::fs::write(&path, text), &path);
     }
-    if let Some(path) = metrics_json {
-        let text = snapshot.to_json_export().to_string_pretty();
-        or_die(std::fs::write(&path, text), &path);
-    }
+    write_exports(&obs, &snapshot, metrics_json, None, None);
     std::process::exit(if funnel.live > 0 { 1 } else { 0 });
 }
 
@@ -689,16 +683,11 @@ fn scan_main(mut args: impl Iterator<Item = String>) -> ! {
     let mut fail_fast = false;
     let mut deadline_ms: Option<u64> = None;
     let mut sconf = SentinelConfig::default();
-    // The first batch-executor flag given: a deadlined scan runs through
-    // the serve engine, which has no executor to apply it to.
-    let mut batch_only: Option<String> = None;
 
     while let Some(a) = args.next() {
-        if analysis_flag(&a, &mut args, &mut defines, &mut opts) {
-            continue;
-        }
-        if sentinel_flag(&a, &mut args, &mut sconf) {
-            batch_only.get_or_insert(a);
+        if analysis_flag(&a, &mut args, &mut defines, &mut opts)
+            || sentinel_flag(&a, &mut args, &mut sconf)
+        {
             continue;
         }
         match a.as_str() {
@@ -708,10 +697,7 @@ fn scan_main(mut args: impl Iterator<Item = String>) -> ! {
             "--stats" => stats = true,
             "--budget-steps" => opts.harden = opts.harden.with_step_budget(number(&mut args, &a)),
             "--budget-ms" => opts.harden = opts.harden.with_time_budget_ms(number(&mut args, &a)),
-            "--fail-fast" => {
-                fail_fast = true;
-                batch_only.get_or_insert_with(|| a.clone());
-            }
+            "--fail-fast" => fail_fast = true,
             "--metrics-json" => metrics_json = Some(path(&mut args, &a)),
             "--trace" => trace = Some(path(&mut args, &a)),
             "--profile" => profile = Some(path(&mut args, &a)),
@@ -736,12 +722,8 @@ fn scan_main(mut args: impl Iterator<Item = String>) -> ! {
         }
     }
     let dir = dir.unwrap_or_else(|| die("missing <project-dir>"));
-    if let (Some(_), Some(flag)) = (deadline_ms, &batch_only) {
-        die(&format!(
-            "{flag} cannot be combined with --deadline-ms (a deadlined scan runs one-shot \
-             through the serve engine, which has no batch executor)"
-        ));
-    }
+    // The deadline covers loading and parsing too.
+    let started = std::time::Instant::now();
 
     // A directory with no `.c` files is a clean project (empty report,
     // exit 0), not a usage error — CI can point vcheck at a repo that
@@ -752,57 +734,6 @@ fn scan_main(mut args: impl Iterator<Item = String>) -> ! {
             "vcheck: no history.json found — using a single-author working-tree history; \
              cross-scope detection is limited to library return values"
         );
-    }
-
-    if let Some(ms) = deadline_ms {
-        // A deadlined scan runs through the serve engine in one-shot mode:
-        // the same code path the daemon uses, so the partial-result
-        // semantics (skip remaining functions, mark every row
-        // low-confidence, append a failure record) are identical, and an
-        // un-deadlined run through it is byte-identical to this batch path.
-        let config = ServeConfig {
-            opts,
-            defines: defines.clone(),
-            ..ServeConfig::default()
-        };
-        let mut engine = or_die(ServeEngine::new(&dir, config), &dir);
-        let resp = or_die(engine.scan(Some(ms)), &dir);
-        eprintln!(
-            "vcheck: {} unused definitions, {} cross-scope, {} pruned, {} reported",
-            resp.raw_candidates,
-            resp.cross_scope_candidates,
-            resp.pruned,
-            resp.report.rows.len(),
-        );
-        if resp.deadline_exceeded {
-            eprintln!(
-                "vcheck: deadline of {ms}ms exceeded — report is partial, every row is marked \
-                 low-confidence (exit 3)"
-            );
-        }
-        print_failures("vcheck: ", &resp.report.failures);
-        let mut report = resp.report.clone();
-        if let Some(n) = top {
-            report.rows.truncate(n);
-        }
-        if json {
-            println!("{}", report.to_json());
-        } else {
-            print!("{}", report.to_csv());
-        }
-        let snapshot = engine.obs().registry.snapshot();
-        if stats {
-            eprint!("{}", snapshot.render_text());
-        }
-        write_exports(engine.obs(), &snapshot, metrics_json, trace, profile);
-        let code = if resp.deadline_exceeded {
-            3
-        } else if report.rows.is_empty() {
-            0
-        } else {
-            1
-        };
-        std::process::exit(code);
     }
 
     let obs = ObsSession::new();
@@ -838,6 +769,7 @@ fn scan_main(mut args: impl Iterator<Item = String>) -> ! {
         sconf.journal = Some(dir.join("scan.journal"));
     }
     sconf.fingerprint_salt = salt_strings(&defines);
+    sconf.deadline = deadline_ms.map(|ms| started + std::time::Duration::from_millis(ms));
 
     // Every scan runs under the supervised executor. Under `--fail-fast`
     // (isolation off) the first panic stops the workers and propagates out
@@ -855,6 +787,13 @@ fn scan_main(mut args: impl Iterator<Item = String>) -> ! {
         analysis.prune_outcome.total_pruned(),
         analysis.detected()
     );
+    let deadline_exceeded = obs.registry.counter(vc_obs::names::SERVE_DEADLINE_EXCEEDED) > 0;
+    if let (true, Some(ms)) = (deadline_exceeded, deadline_ms) {
+        eprintln!(
+            "vcheck: deadline of {ms}ms exceeded — report is partial, every row is marked \
+             low-confidence (exit 3)"
+        );
+    }
     print_failures("vcheck: ", &analysis.report.failures);
 
     let mut report = analysis.report.clone();
@@ -874,10 +813,17 @@ fn scan_main(mut args: impl Iterator<Item = String>) -> ! {
         eprint!("{}", folded.render_top(10));
     }
     write_exports(&obs, &snapshot, metrics_json, trace, profile);
-    std::process::exit(if report.rows.is_empty() { 0 } else { 1 });
+    let code = if deadline_exceeded {
+        3
+    } else if report.rows.is_empty() {
+        0
+    } else {
+        1
+    };
+    std::process::exit(code);
 }
 
-/// Writes a scan's `--metrics-json`, `--trace` and `--profile` files from
+/// Writes a run's `--metrics-json`, `--trace` and `--profile` files from
 /// its session and metrics snapshot.
 fn write_exports(
     obs: &ObsSession,

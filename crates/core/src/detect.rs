@@ -95,9 +95,10 @@ fn detect_unit(
     (summary, cands)
 }
 
-/// The one detection unit runner, shared by the sentinel executor (and so
-/// by sequential detection, which is the executor at one job), the serve
-/// engine's cache misses, and incremental mode.
+/// The one detection unit runner, called only from the
+/// [`sentinel`](crate::sentinel) executor's worker loop. Sequential
+/// detection, serve's unit-cache misses and incremental mode's changed
+/// files all run their units there.
 ///
 /// The `unit.<name>` span (on Chrome-trace lane `tid` of the installed
 /// session) and the worker allocation scope open *inside* the
@@ -239,6 +240,10 @@ pub struct DetectOutcome {
     /// Functions whose liveness budget ran out (their candidates are
     /// marked low-confidence).
     pub liveness_degraded: usize,
+    /// Whether the scan deadline ([`SentinelConfig::deadline`]) passed
+    /// before every unit started: the outcome is partial and every
+    /// candidate is marked low-confidence.
+    pub deadline_exceeded: bool,
 }
 
 /// One detection unit's result, as [`DetectOutcome::fold`] consumes it.
@@ -351,8 +356,9 @@ pub fn detect_program_hardened(
 }
 
 /// Builds the demand pointer oracle (component partition only — no
-/// solving). Shared by the [`sentinel`](crate::sentinel) executor, the
-/// serve engine, and incremental mode.
+/// solving) that the [`sentinel`](crate::sentinel) executor's units share.
+/// Serve builds it before the executor runs, because its unit keys
+/// resolve indirect calls through it too.
 pub(crate) fn demand_oracle(
     prog: &Program,
     config: DetectConfig,

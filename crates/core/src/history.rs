@@ -6,7 +6,7 @@
 //! runs under the sentinel executor with its own journal suffix (`.c<N>`),
 //! so a replay is parallel, crash-safe, and resumable — and threads the
 //! per-revision findings through the
-//! [`classify`](crate::delta::classify) matcher to follow each
+//! [`crate::delta::classify`] matcher to follow each
 //! drift-stable fingerprint from the commit it was born at to the commit
 //! it was fixed, suppressed, or last seen at. The event stream and the
 //! per-commit candidate funnels land in a [`LifeDb`]; the suppression

@@ -12,7 +12,6 @@ use std::collections::BTreeSet;
 use vc_dataflow::summary::SigInterner;
 use vc_ir::{
     program::BuildError,
-    FuncId,
     Program, //
 };
 use vc_obs::ObsSession;
@@ -22,12 +21,7 @@ use vc_vcs::{
 };
 
 use crate::{
-    detect::{
-        demand_oracle,
-        finalize_pointer_stage,
-        run_unit,
-        DetectOutcome, //
-    },
+    detect::demand_oracle,
     harden::FailureRecord,
     pipeline::{
         build_tree,
@@ -41,6 +35,11 @@ use crate::{
         Ranked, //
     },
     report::Report,
+    sentinel::{
+        execute,
+        Known,
+        SentinelConfig, //
+    },
 };
 
 /// The findings for one commit.
@@ -94,8 +93,8 @@ pub fn analyze_commit(
 
 /// The incremental fast path: analyses `commit` against a program already
 /// built for that snapshot (the equivalent of the paper's pre-compiled
-/// bitcode). Detection runs `run_unit` only for the changed files'
-/// functions, each producing its summary once; pointer facts are resolved
+/// bitcode). The sentinel executor runs at one job over the changed files'
+/// functions only, each producing its summary once; pointer facts are resolved
 /// on demand per indirect-call candidate. The rest is a batch scan's back
 /// half, with authorship and ranking against the history as of `commit`;
 /// peer statistics are scoped (via redundant-summary elimination) to the
@@ -118,43 +117,38 @@ pub fn analyze_commit_in(
         .iter()
         .map(|w| w.path.clone())
         .collect();
-    let changed_ids: BTreeSet<vc_ir::FileId> = prog
-        .source
-        .iter()
-        .filter(|f| changed.contains(&f.name))
-        .map(|f| f.id)
-        .collect();
     let opts = Options {
         prune: *prune_config,
         rank: *rank_config,
         ..Options::paper()
     };
 
-    let mut analysed = 0usize;
+    // Functions in files the commit did not touch are left out.
+    let known: Vec<Known> = prog
+        .funcs
+        .iter()
+        .map(|f| {
+            if changed.contains(prog.source.name(f.file)) {
+                Known::Run
+            } else {
+                Known::LeftOut
+            }
+        })
+        .collect();
+    let analysed = known.iter().filter(|k| matches!(k, Known::Run)).count();
     let history = history_at(repo, commit);
     let analysis = run_detected(prog, &history, &opts, ObsSession::current_or_new(), || {
         let oracle = demand_oracle(prog, opts.detect, opts.harden);
         let interner = SigInterner::new(prog);
-        let mut out = DetectOutcome::default();
-        for (fi, f) in prog.funcs.iter().enumerate() {
-            if !changed_ids.contains(&f.file) {
-                continue;
-            }
-            analysed += 1;
-            let fid = FuncId(fi as u32);
-            let result = run_unit(
-                prog,
-                fid,
-                oracle.as_ref(),
-                &interner,
-                opts.harden,
-                vc_obs::MAIN_TID,
-            );
-            out.fold(prog, fid, result.into());
-        }
-        vc_obs::counter_add(vc_obs::names::DETECT_FUNCTIONS, analysed as u64);
-        finalize_pointer_stage(oracle.as_ref(), &mut out);
-        out
+        execute(
+            prog,
+            oracle.as_ref(),
+            &interner,
+            opts.detect,
+            opts.harden,
+            &SentinelConfig::sequential(),
+            known,
+        )
     });
 
     vc_obs::counter_inc(vc_obs::names::INCREMENTAL_COMMITS);

@@ -2,7 +2,7 @@
 //!
 //! The paper scans multi-million-LoC projects where a single run is long
 //! enough that OOM kills, crashes, and operator interrupts are the norm.
-//! [`harden`](crate::harden) isolates faults *within* a run; this module
+//! [`crate::harden`] isolates faults *within* a run; this module
 //! makes the run itself durable and concurrent:
 //!
 //! - **Executor.** Per-function detection becomes a work queue of scan
@@ -39,6 +39,7 @@ use std::{
     collections::{BTreeMap, VecDeque},
     fs,
     io::{self, Seek as _, Write as _},
+    mem,
     panic::{catch_unwind, AssertUnwindSafe},
     path::{Path, PathBuf},
     sync::{Condvar, Mutex, MutexGuard},
@@ -107,6 +108,14 @@ pub struct SentinelConfig {
     /// and requeued as a fresh attempt. `None` disables supervision by
     /// deadline; the per-stage `harden` budgets still bound each attempt.
     pub unit_deadline: Option<Duration>,
+    /// When the whole scan's wall-clock deadline passes (`vcheck
+    /// --deadline-ms`, serve's per-request deadline), set by the caller
+    /// from its own start, so loading and keying count against it. Once it
+    /// passes, units not yet started are skipped, a `deadline exceeded
+    /// after K of N functions` failure record is added, every candidate is
+    /// marked low-confidence, and `serve.deadline_exceeded` is counted.
+    /// `None` never reads the clock for it.
+    pub deadline: Option<Instant>,
     /// Base of the capped exponential backoff applied to requeued units:
     /// attempt `k` (1-based retries) waits `backoff_base * 2^(k-1)`,
     /// saturating at [`SentinelConfig::backoff_cap`].
@@ -135,6 +144,7 @@ impl Default for SentinelConfig {
             jobs: 0,
             retry: 3,
             unit_deadline: None,
+            deadline: None,
             backoff_base: Duration::from_millis(2),
             backoff_cap: Duration::from_millis(50),
             fsync_every: 16,
@@ -798,6 +808,19 @@ struct Running {
     started: Instant,
 }
 
+/// What a caller knows about one unit before the executor schedules any.
+#[derive(Debug)]
+pub(crate) enum Known {
+    /// Nothing: the executor runs the unit.
+    Run,
+    /// The unit's outcome (a journal-replayed unit, a serve unit-cache
+    /// hit): folded in unit order, never run.
+    Settled(UnitOutcome),
+    /// Left out of the scan (incremental mode's untouched files): neither
+    /// run nor folded.
+    LeftOut,
+}
+
 #[derive(Debug, Default)]
 struct ExecState {
     ready: VecDeque<Task>,
@@ -805,8 +828,12 @@ struct ExecState {
     /// What each worker is running, indexed by worker. The supervisor
     /// clears a slot to abandon its attempt.
     in_flight: Vec<Option<Running>>,
-    /// Resolved outcomes waiting for a lower unit to resolve.
-    pending: BTreeMap<usize, UnitOutcome>,
+    /// What the caller knew of each unit, consumed as the fold reaches
+    /// it; empty when nothing was known.
+    known: Vec<Known>,
+    /// Resolved units waiting for a lower unit to settle. `None` folds
+    /// nothing (a unit skipped at the deadline).
+    pending: BTreeMap<usize, Option<UnitOutcome>>,
     /// The next unit to fold: every unit below it is folded into `out`.
     next: usize,
     out: DetectOutcome,
@@ -814,22 +841,47 @@ struct ExecState {
     /// Units a worker scanned to completion, counted into
     /// `sentinel.units_completed` once the scan ends.
     completed: u64,
+    /// Units skipped unstarted because the scan deadline passed.
+    skipped: usize,
     shutdown: bool,
 }
 
 impl ExecState {
-    /// Folds a resolved unit into `out` in unit (function-index) order,
-    /// whatever order units resolve in, so the outcome is byte-identical
+    /// Folds a settled unit into `out` in unit (function-index) order,
+    /// whatever order units settle in, so the outcome is byte-identical
     /// for any worker count and any resume point.
-    fn settle(&mut self, prog: &Program, unit: usize, outcome: UnitOutcome) {
+    fn settle(&mut self, prog: &Program, unit: usize, outcome: Option<UnitOutcome>) {
         if unit != self.next {
             self.pending.insert(unit, outcome);
             return;
         }
-        self.out.fold(prog, FuncId(unit as u32), outcome);
+        if let Some(outcome) = outcome {
+            self.out.fold(prog, FuncId(unit as u32), outcome);
+        }
         self.next += 1;
-        while let Some(outcome) = self.pending.remove(&self.next) {
-            self.out.fold(prog, FuncId(self.next as u32), outcome);
+        self.fold_settled(prog);
+    }
+
+    /// Folds the settled units that continue the folded prefix: known
+    /// ones, and resolved ones waiting in `pending`.
+    fn fold_settled(&mut self, prog: &Program) {
+        loop {
+            let unit = self.next;
+            let outcome = match self
+                .known
+                .get_mut(unit)
+                .map(|k| mem::replace(k, Known::Run))
+            {
+                Some(Known::Settled(outcome)) => Some(outcome),
+                Some(Known::LeftOut) => None,
+                _ => match self.pending.first_entry().filter(|e| *e.key() == unit) {
+                    Some(entry) => entry.remove(),
+                    None => return,
+                },
+            };
+            if let Some(outcome) = outcome {
+                self.out.fold(prog, FuncId(unit as u32), outcome);
+            }
             self.next += 1;
         }
     }
@@ -877,11 +929,26 @@ impl Shared<'_> {
             // completes in memory; only resumability degrades.
             let _ = lock(j).append(&rec);
         }
-        state.settle(self.prog, unit, outcome);
+        state.settle(self.prog, unit, Some(outcome));
+        self.count_down(state);
+    }
+
+    fn count_down(&self, state: &mut ExecState) {
         state.remaining -= 1;
         if state.remaining == 0 {
             state.shutdown = true;
             self.cv.notify_all();
+        }
+    }
+
+    /// The scan deadline passed: every queued unit is skipped unstarted.
+    /// Units in flight finish, and backed-off retries are skipped when
+    /// they come due.
+    fn skip_ready(&self, state: &mut ExecState) {
+        while let Some(task) = state.ready.pop_front() {
+            state.skipped += 1;
+            state.settle(self.prog, task.unit, None);
+            self.count_down(state);
         }
     }
 
@@ -960,6 +1027,10 @@ fn worker_loop(shared: &Shared<'_>, worker: usize) {
         let task = {
             let mut state = lock(&shared.state);
             loop {
+                // The clock is read only under a scan deadline.
+                if shared.sconf.deadline.is_some_and(|at| Instant::now() >= at) {
+                    shared.skip_ready(&mut state);
+                }
                 if state.shutdown {
                     return;
                 }
@@ -1105,17 +1176,43 @@ pub fn detect_program_sentinel(
     hconf: HardenConfig,
     sconf: &SentinelConfig,
 ) -> DetectOutcome {
-    vc_obs::counter_add(vc_obs::names::DETECT_FUNCTIONS, prog.funcs.len() as u64);
-    let total = prog.funcs.len();
-    vc_obs::counter_add(vc_obs::names::SENTINEL_UNITS, total as u64);
-
     // Demand pointer oracle: partitioned once, single-threaded, before any
     // unit; components solve lazily under the oracle's lock.
     let oracle = demand_oracle(prog, config, hconf);
     let interner = SigInterner::new(prog);
+    execute(
+        prog,
+        oracle.as_ref(),
+        &interner,
+        config,
+        hconf,
+        sconf,
+        Vec::new(),
+    )
+}
+
+/// The executor itself, the one loop over detection units: settles the
+/// `known` units (one entry per unit, or none), replays the journal, runs
+/// every other unit on the workers, and folds all of them in unit order.
+/// Callers that already partitioned the pointer oracle and interned the
+/// signatures (serve, for its unit keys) pass them in, so nothing is
+/// built twice.
+pub(crate) fn execute(
+    prog: &Program,
+    oracle: Option<&DemandPointer>,
+    interner: &SigInterner,
+    config: DetectConfig,
+    hconf: HardenConfig,
+    sconf: &SentinelConfig,
+    mut known: Vec<Known>,
+) -> DetectOutcome {
+    let total = prog.funcs.len();
+    let in_scan = total - known.iter().filter(|k| matches!(k, Known::LeftOut)).count();
+    vc_obs::counter_add(vc_obs::names::DETECT_FUNCTIONS, in_scan as u64);
+    vc_obs::counter_add(vc_obs::names::SENTINEL_UNITS, in_scan as u64);
 
     // Journal replay (resume) or creation.
-    let mut replayed: BTreeMap<usize, UnitRecord> = BTreeMap::new();
+    let mut replayed = 0;
     let journal = match &sconf.journal {
         None => None,
         Some(path) => {
@@ -1145,12 +1242,28 @@ pub fn detect_program_sentinel(
                     // Ignore replayed units beyond the current unit range
                     // (belt and braces; the fingerprint already rules this
                     // out).
-                    replayed = replay
-                        .completed
-                        .into_iter()
-                        .filter(|(u, _)| *u < total)
-                        .collect();
-                    JournalWriter::reopen(path, replay.valid_bytes, replayed.len())
+                    if !replay.completed.is_empty() {
+                        known.resize_with(total, || Known::Run);
+                    }
+                    for (unit, rec) in replay.completed.into_iter().filter(|(u, _)| *u < total) {
+                        replayed += 1;
+                        let outcome = match rec {
+                            UnitRecord::Ok {
+                                exhausted,
+                                candidates,
+                                ..
+                            } => UnitOutcome::Done {
+                                exhausted,
+                                summary: None,
+                                candidates,
+                            },
+                            UnitRecord::Fail { failure, .. } => {
+                                UnitOutcome::Poisoned(failure.message)
+                            }
+                        };
+                        known[unit] = Known::Settled(outcome);
+                    }
+                    JournalWriter::reopen(path, replay.valid_bytes, replayed)
                 }
             } else {
                 JournalWriter::create(path, fingerprint)
@@ -1164,47 +1277,30 @@ pub fn detect_program_sentinel(
             }
         }
     };
-    vc_obs::counter_add(
-        vc_obs::names::SENTINEL_UNITS_REPLAYED,
-        replayed.len() as u64,
-    );
-    vc_obs::counter_add(
-        vc_obs::names::SENTINEL_UNITS_SCANNED,
-        (total - replayed.len()) as u64,
-    );
 
-    // Queue every unit not already checkpointed, in unit order.
-    let jobs = sconf.effective_jobs().clamp(1, total.max(1));
-    let mut state = ExecState {
-        in_flight: vec![None; jobs],
-        ..ExecState::default()
-    };
+    // Queue every unit not already settled, in unit order; fold the
+    // settled prefix.
+    let mut state = ExecState::default();
     for unit in 0..total {
-        if !replayed.contains_key(&unit) {
+        if matches!(known.get(unit), None | Some(Known::Run)) {
             state.ready.push_back(Task { unit, attempt: 0 });
         }
     }
     state.remaining = state.ready.len();
-    for (unit, rec) in replayed {
-        let outcome = match rec {
-            UnitRecord::Ok {
-                exhausted,
-                candidates,
-                ..
-            } => UnitOutcome::Done {
-                exhausted,
-                summary: None,
-                candidates,
-            },
-            UnitRecord::Fail { failure, .. } => UnitOutcome::Poisoned(failure.message),
-        };
-        state.settle(prog, unit, outcome);
-    }
+    vc_obs::counter_add(vc_obs::names::SENTINEL_UNITS_REPLAYED, replayed as u64);
+    vc_obs::counter_add(
+        vc_obs::names::SENTINEL_UNITS_SCANNED,
+        state.remaining as u64,
+    );
+    let jobs = sconf.effective_jobs().clamp(1, total.max(1));
+    state.in_flight = vec![None; jobs];
+    state.known = known;
+    state.fold_settled(prog);
 
     let shared = Shared {
         prog,
-        oracle: oracle.as_ref(),
-        interner: &interner,
+        oracle,
+        interner,
         hconf,
         sconf,
         state: Mutex::new(state),
@@ -1242,7 +1338,24 @@ pub fn detect_program_sentinel(
     if let Some(j) = &shared.journal {
         let _ = lock(j).sync();
     }
-    finalize_pointer_stage(oracle.as_ref(), &mut out);
+    if state.skipped > 0 {
+        vc_obs::counter_inc(vc_obs::names::SERVE_DEADLINE_EXCEEDED);
+        out.deadline_exceeded = true;
+        out.failures.push(FailureRecord {
+            stage: FailStage::Detect,
+            file: "<serve>".to_string(),
+            function: None,
+            message: format!(
+                "deadline exceeded after {} of {in_scan} functions; remaining functions skipped \
+                 and all findings marked low-confidence",
+                in_scan - state.skipped
+            ),
+        });
+        for c in &mut out.candidates {
+            c.low_confidence = true;
+        }
+    }
+    finalize_pointer_stage(oracle, &mut out);
     out
 }
 
@@ -1635,6 +1748,33 @@ mod tests {
             snap.counter(vc_obs::names::SENTINEL_UNITS_COMPLETED),
             p.funcs.len() as u64
         );
+    }
+
+    #[test]
+    fn scan_deadline_counts_the_time_before_the_executor_starts() {
+        // The caller fixes the deadline at its own start, so work done
+        // before the executor runs (loading, serve's unit keys) uses it up.
+        let p = prog();
+        let session = ObsSession::current_or_new();
+        let _g = session.install();
+        let mut conf = sconf(2);
+        conf.deadline = Some(Instant::now() + Duration::from_millis(20));
+        std::thread::sleep(Duration::from_millis(30));
+        let out =
+            detect_program_sentinel(&p, DetectConfig::default(), HardenConfig::default(), &conf);
+        assert!(out.deadline_exceeded);
+        assert!(out.candidates.is_empty(), "no unit started");
+        let n = p.funcs.len();
+        assert_eq!(out.failures.len(), 1);
+        assert!(
+            (out.failures[0].message)
+                .starts_with(&format!("deadline exceeded after 0 of {n} functions")),
+            "{:?}",
+            out.failures[0]
+        );
+        let snap = session.registry.snapshot();
+        assert_eq!(snap.counter(vc_obs::names::SERVE_DEADLINE_EXCEEDED), 1);
+        assert_eq!(snap.counter(vc_obs::names::SENTINEL_UNITS_COMPLETED), 0);
     }
 
     #[test]

@@ -6,9 +6,8 @@
 //! results (a content-keyed unit cache), and the previous response's
 //! fingerprints warm, so re-scanning after a small edit re-lowers only
 //! the edited files (and files using a declaration the edit changed) and
-//! re-analyzes only the dirty function closure — changed functions plus
-//! their callers and callees — while replying with bytes identical to a
-//! cold `vcheck scan` of the same tree.
+//! re-analyzes only the functions whose unit-cache lookup misses, while
+//! replying with bytes identical to a cold `vcheck scan` of the same tree.
 //!
 //! ## Protocol
 //!
@@ -28,11 +27,14 @@
 //!
 //! ## Robustness (the degradation ladder)
 //!
-//! - **Deadline**: when a request's wall-clock deadline expires mid-scan,
-//!   the remaining functions are skipped, every reported finding is marked
-//!   `low_confidence`, a `deadline_exceeded` failure record is appended,
-//!   and the reply says `"deadline_exceeded": true` — the daemon never
-//!   hangs a request.
+//! - **Deadline**: a request's wall-clock deadline runs from its arrival
+//!   and is the sentinel executor's scan deadline
+//!   ([`SentinelConfig::deadline`]), so the front end and the unit-key
+//!   pass count against it. When it expires, the cache
+//!   misses not yet started are skipped (hits are already settled), every
+//!   reported finding is marked `low_confidence`, a `deadline exceeded`
+//!   failure record is appended, nothing new is cached, and the reply
+//!   says `"deadline_exceeded": true` — the daemon never hangs a request.
 //! - **Shed**: the reader thread enqueues at most `queue_depth` pending
 //!   requests; beyond that it replies `{"ok":false,"shed":true}` without
 //!   blocking (counted under `serve.shed`).
@@ -61,18 +63,20 @@
 //! Each cached unit carries the function's [`FnSummary`] behind an `Arc`
 //! alongside its candidates, so a warm hit hands the prune stage the same
 //! summary without rebuilding or copying it (counted under
-//! `summary.reused`); only a shifted signature id copies it, once. On top
-//! of the keys, the dirty closure (functions in changed files, plus
-//! callers and callees of changed functions by name) is re-analyzed
-//! unconditionally. Both caches sweep generationally: a hit moves its
+//! `summary.reused`); only a shifted signature id copies it, once. The key
+//! and the lowered function together bind every input of a unit's
+//! detection, so nothing else is re-analyzed: hits go to the sentinel
+//! executor as known outcomes, and it runs the misses at one job
+//! (`crates/core/tests/serve_diff.rs` checks warm against cold over seeded
+//! cross-file edits). Both caches sweep generationally: a hit moves its
 //! entry into the next generation, and entries not used by the current
 //! request are dropped, bounding memory across thousands of requests.
 //!
 //! ## Telemetry (DESIGN.md §16)
 //!
 //! Every request is an observable unit: a monotonic `trace_id` (echoed in
-//! the reply), a `serve.request` span tree (parse → dirty-closure →
-//! detect → prune → rank → reply), a `serve.latency.<op>` histogram
+//! the reply), a `serve.request` span tree (parse → detect → authorship →
+//! prune → rank → reply), a `serve.latency.<op>` histogram
 //! sample, and exactly one outcome counter so the request funnel balances
 //! at any instant: `serve.requests == serve.replies + serve.shed +
 //! serve.errors + serve.quarantined`. `--trace` / `--metrics-json` flush
@@ -114,12 +118,13 @@ use vc_pointer::{demand::DemandPointer, fasthash::FastHasher};
 use crate::{
     candidate::Candidate,
     delta::{fingerprint_ranked, Finding},
-    detect::{demand_oracle, finalize_pointer_stage, run_unit, DetectOutcome, UnitOutcome},
+    detect::{demand_oracle, DetectOutcome, UnitOutcome},
     eventlog::{now_ms, EventLog},
     fnv1a,
-    harden::{self, FailStage, FailureRecord},
+    harden::{self, FailStage},
     pipeline::{run_stages, Options},
-    project::{load_dir_or_empty, Project},
+    project::load_dir_or_empty,
+    sentinel::{execute, Known, SentinelConfig},
     store::SnapshotStore,
     FNV_SEED,
 };
@@ -387,19 +392,11 @@ impl ServeEngine {
         parse_mem.finish();
         parse_span.end();
 
-        // --- Dirty closure: changed files, plus callers/callees of their
-        // functions by name. Everything in it re-runs unconditionally
-        // (the content-keyed unit cache would catch these anyway; the
-        // closure is belt and braces against key-collision bugs). ---
-        let dirty_span = obs.span("serve.dirty_closure", "serve");
-        let dirty = self.dirty_closure(&prog, &project);
-        dirty_span.end();
-
         // --- Detection (warm): pointer stage fresh, units cached. ---
         let detect_span = obs.span("stage.detect", "pipeline");
         let detect_mem = vc_obs::MemScope::enter(vc_obs::alloc::SCOPE_DETECT);
-        let (outcome, deadline_exceeded, unit_hits, unit_misses) =
-            self.detect_warm(&prog, &dirty, deadline);
+        let (outcome, unit_hits, unit_misses) = self.detect_warm(&prog, deadline);
+        let deadline_exceeded = outcome.deadline_exceeded;
         detect_mem.finish();
         let detect_time = detect_span.end();
 
@@ -413,12 +410,6 @@ impl ServeEngine {
             } else {
                 unit_hits as f64 / lookups as f64
             },
-        );
-        obs.registry.set_gauge(
-            vc_obs::names::SERVE_DIRTY_RATIO,
-            // `dirty` holds names (possibly including undefined externals
-            // named at call sites), so clamp into [0, 1].
-            (dirty.len() as f64 / prog.funcs.len().max(1) as f64).min(1.0),
         );
 
         // --- Back end: shared with batch scan, byte-for-byte. ---
@@ -491,78 +482,20 @@ impl ServeEngine {
         })
     }
 
-    /// Function names defined in files whose content changed since the
-    /// warm snapshot, expanded to callers and callees by name.
-    fn dirty_closure(&self, prog: &Program, project: &Project) -> HashSet<String> {
-        let warm = match &self.warm {
-            Some(w) => w,
-            None => return prog.funcs.iter().map(|f| f.name.clone()).collect(),
-        };
-        let old: HashMap<&str, &str> = warm
-            .sources
-            .iter()
-            .map(|(p, c)| (p.as_str(), c.as_str()))
-            .collect();
-        let mut changed_files: HashSet<&str> = HashSet::new();
-        for (path, content) in &project.sources {
-            if old.get(path.as_str()) != Some(&content.as_str()) {
-                changed_files.insert(path);
-            }
-        }
-        let mut dirty: HashSet<String> = HashSet::new();
-        let mut changed_fns: Vec<FuncId> = Vec::new();
-        for (i, _) in project.sources.iter().enumerate() {
-            let fid = FileId(i as u32);
-            if changed_files.contains(prog.source.name(fid)) {
-                for (id, f) in prog.funcs_in_file(fid) {
-                    dirty.insert(f.name.clone());
-                    changed_fns.push(id);
-                }
-            }
-        }
-        // Callers of changed functions (by callee name).
-        let call_index = prog.call_index();
-        for name in dirty.clone() {
-            if let Some(sites) = call_index.get(&name) {
-                for site in sites {
-                    dirty.insert(prog.func(site.caller).name.clone());
-                }
-            }
-        }
-        // Direct callees of changed functions.
-        for fid in changed_fns {
-            let f = prog.func(fid);
-            for bb in &f.blocks {
-                for inst in &bb.insts {
-                    if let vc_ir::ir::Inst::Call {
-                        callee: Callee::Direct(n),
-                        ..
-                    } = inst
-                    {
-                        dirty.insert(n.clone());
-                    }
-                }
-            }
-        }
-        dirty
-    }
-
     /// The warm detection pass: the demand pointer oracle is partitioned
     /// fresh (components solve lazily, only when an indirect call's
-    /// fingerprint or detection needs them), per-function results come
-    /// from the unit cache when clean and not dirty, and misses run through
-    /// the shared unit runner. Hits and misses alike are recorded through
-    /// [`DetectOutcome::fold`], so a cold cache reports exactly what
-    /// `detect_program_hardened` does.
+    /// fingerprint or detection needs them) and every function is looked
+    /// up in the unit cache. Hits are known outcomes; the sentinel
+    /// executor folds them in unit order with the misses it runs at one
+    /// job, so a cold cache reports exactly what `detect_program_hardened`
+    /// does. The misses' clean results then refill the cache.
     fn detect_warm(
         &mut self,
         prog: &Program,
-        dirty: &HashSet<String>,
         deadline: Option<Instant>,
-    ) -> (DetectOutcome, bool, u64, u64) {
+    ) -> (DetectOutcome, u64, u64) {
         let opts = &self.config.opts;
         let hconf = opts.harden;
-        let mut out = DetectOutcome::default();
         let oracle = demand_oracle(prog, opts.detect, hconf);
         let interner = SigInterner::new(prog);
         let config_salt = {
@@ -575,15 +508,14 @@ impl ServeEngine {
             h
         };
 
-        vc_obs::counter_add(vc_obs::names::DETECT_FUNCTIONS, prog.funcs.len() as u64);
         // Per-file content hashes, computed once: the unit key must bind
         // the file's bytes, but hashing the whole file again for every
         // function in it would make the warm loop O(functions x bytes).
         let mut file_hash: HashMap<FileId, u64> = HashMap::new();
         let mut next_units: HashMap<u64, CachedUnit> = HashMap::new();
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        let mut deadline_exceeded = false;
+        let mut known = Vec::with_capacity(prog.funcs.len());
+        // The misses' unit keys, in unit order.
+        let mut misses: Vec<(FuncId, u64)> = Vec::new();
         // Ordinal of each function within its file, so two same-named
         // (static) functions in one file get distinct unit keys.
         let mut file_ordinal: HashMap<FileId, u32> = HashMap::new();
@@ -597,23 +529,6 @@ impl ServeEngine {
                 *slot += 1;
                 o
             };
-            if let Some(dl) = deadline {
-                if Instant::now() >= dl {
-                    deadline_exceeded = true;
-                    vc_obs::counter_inc(vc_obs::names::SERVE_DEADLINE_EXCEEDED);
-                    out.failures.push(FailureRecord {
-                        stage: FailStage::Detect,
-                        file: "<serve>".to_string(),
-                        function: None,
-                        message: format!(
-                            "deadline exceeded after {fi} of {} functions; remaining functions \
-                             skipped and all findings marked low-confidence",
-                            prog.funcs.len()
-                        ),
-                    });
-                    break;
-                }
-            }
             let pf = pointer_fingerprint(fid, f, oracle.as_ref());
             let key = {
                 let mut h = config_salt;
@@ -632,80 +547,79 @@ impl ServeEngine {
                 h = fnv1a(h, &ordinal.to_le_bytes());
                 fnv1a(h, &pf.to_le_bytes())
             };
+            // The key binds the function's own file; `same_ir` binds what
+            // lowering read from other files. Together they bind every
+            // input of the unit.
             let func = &prog.funcs[fi];
-            let hit = !dirty.contains(&f.name)
-                && self.units.get(&key).is_some_and(|u| same_ir(&u.func, func));
-            if hit {
-                // The entry moves into the next generation; its summary is
-                // shared, not copied.
-                let mut unit = self.units.remove(&key).expect("hit entry is cached");
-                unit.func = Arc::clone(func);
-                hits += 1;
-                // Rebind: the function's global id may have shifted when
-                // other files gained or lost functions; its file, spans,
-                // and locals are pinned by the key.
-                let candidates = unit
-                    .candidates
-                    .iter()
-                    .map(|c| Candidate {
-                        func: fid,
-                        ..c.clone()
-                    })
-                    .collect();
-                // Signature ids are program-wide, so they shift when
-                // another file adds a signature: only then is the summary
-                // copied, once, and the copy cached.
-                let sig = interner.sig_of(fid);
-                if unit.summary.sig != sig {
-                    unit.summary = Arc::new(FnSummary {
-                        sig,
-                        ..FnSummary::clone(&unit.summary)
-                    });
-                }
-                let summary = Arc::clone(&unit.summary);
-                next_units.insert(key, unit);
-                out.fold(
-                    prog,
-                    fid,
-                    UnitOutcome::Done {
-                        exhausted: summary.exhausted,
-                        summary: Some(summary),
-                        candidates,
-                    },
-                );
+            if !self.units.get(&key).is_some_and(|u| same_ir(&u.func, func)) {
+                misses.push((fid, key));
+                known.push(Known::Run);
                 continue;
             }
-            misses += 1;
-            let unit = UnitOutcome::from(run_unit(
-                prog,
-                fid,
-                oracle.as_ref(),
-                &interner,
-                hconf,
-                vc_obs::MAIN_TID,
-            ));
-            if let UnitOutcome::Done {
+            // The entry moves into the next generation; its summary is
+            // shared, not copied.
+            let mut unit = self.units.remove(&key).expect("hit entry is cached");
+            unit.func = Arc::clone(func);
+            // Rebind: the function's global id may have shifted when other
+            // files gained or lost functions; its file, spans, and locals
+            // are pinned by the key.
+            let candidates = unit
+                .candidates
+                .iter()
+                .map(|c| Candidate {
+                    func: fid,
+                    ..c.clone()
+                })
+                .collect();
+            // Signature ids are program-wide, so they shift when another
+            // file adds a signature: only then is the summary copied, once,
+            // and the copy cached.
+            let sig = interner.sig_of(fid);
+            if unit.summary.sig != sig {
+                unit.summary = Arc::new(FnSummary {
+                    sig,
+                    ..FnSummary::clone(&unit.summary)
+                });
+            }
+            let summary = Arc::clone(&unit.summary);
+            next_units.insert(key, unit);
+            known.push(Known::Settled(UnitOutcome::Done {
+                exhausted: summary.exhausted,
                 summary: Some(summary),
                 candidates,
-                ..
-            } = &unit
-            {
-                next_units.insert(
-                    key,
-                    CachedUnit {
-                        candidates: candidates.clone(),
-                        summary: Arc::clone(summary),
-                        func: Arc::clone(func),
-                    },
-                );
-            }
-            out.fold(prog, fid, unit);
+            }));
         }
+        let hits = (known.len() - misses.len()) as u64;
+        let sconf = SentinelConfig {
+            deadline,
+            ..SentinelConfig::sequential()
+        };
+        let (detect, oracle) = (opts.detect, oracle.as_ref());
+        let out = execute(prog, oracle, &interner, detect, hconf, &sconf, known);
         crate::counters_add(&[
             (vc_obs::names::SERVE_UNIT_HITS, hits),
             (vc_obs::names::SUMMARY_REUSED, hits),
-            (vc_obs::names::SERVE_UNIT_MISSES, misses),
+            (vc_obs::names::SERVE_UNIT_MISSES, misses.len() as u64),
         ]);
+
+        // Refill: every miss that completed is cached with its candidates
+        // (contiguous in `out`, which is in unit order) and its summary.
+        // Poisoned units have no summary and re-run on every request so
+        // their failure records keep appearing. After a deadline nothing
+        // is cached: the candidates are marked low-confidence.
+        let all = &out.candidates;
+        for &(fid, key) in misses.iter().filter(|_| !out.deadline_exceeded) {
+            if let Some(summary) = out.summaries.shared(fid) {
+                let mine =
+                    all.partition_point(|c| c.func < fid)..all.partition_point(|c| c.func <= fid);
+                let unit = CachedUnit {
+                    candidates: all[mine].to_vec(),
+                    summary: Arc::clone(summary),
+                    func: Arc::clone(&prog.funcs[fid.0 as usize]),
+                };
+                next_units.insert(key, unit);
+            }
+        }
         // Generational sweep: entries the current tree did not touch die.
         // Hits already moved out of `self.units`, so what is left there
         // and absent from the next generation is exactly the old keys the
@@ -717,13 +631,7 @@ impl ServeEngine {
             .count() as u64;
         vc_obs::counter_add(vc_obs::names::SERVE_UNITS_SWEPT, swept);
         self.units = next_units;
-        finalize_pointer_stage(oracle.as_ref(), &mut out);
-        if deadline_exceeded {
-            for c in &mut out.candidates {
-                c.low_confidence = true;
-            }
-        }
-        (out, deadline_exceeded, hits, misses)
+        (out, hits, misses.len() as u64)
     }
 
     /// Handles one protocol line. Returns the reply and whether the daemon
@@ -988,10 +896,6 @@ impl ServeEngine {
                     (
                         "warm_hit_rate".into(),
                         gauge(vc_obs::names::SERVE_WARM_HIT_RATE),
-                    ),
-                    (
-                        "dirty_ratio".into(),
-                        gauge(vc_obs::names::SERVE_DIRTY_RATIO),
                     ),
                     (
                         "units_swept".into(),
@@ -1505,10 +1409,9 @@ mod tests {
 
         let project = load_dir_or_empty(&dir).unwrap();
         let (prog, _, _) = Program::build_recovering(&project.source_refs(), &[]);
-        let dirty = probed.dirty_closure(&prog, &project);
         let cached_sigs: Vec<SigId> = probed.units.values().map(|u| u.summary.sig).collect();
         assert!(cached_sigs.contains(&SigId(1)), "g was cached under id 1");
-        let (outcome, _, hits, _) = probed.detect_warm(&prog, &dirty, None);
+        let (outcome, hits, _) = probed.detect_warm(&prog, None);
         assert_eq!(hits, 1);
         let interner = SigInterner::new(&prog);
         for fi in 0..prog.funcs.len() {
@@ -1855,9 +1758,13 @@ mod tests {
 
         // The Chrome trace contains the request span tree.
         let trace_text = fs::read_to_string(&trace_path).unwrap();
-        for span in ["serve.request", "serve.parse", "serve.dirty_closure"] {
+        for span in ["serve.request", "serve.parse", "stage.detect"] {
             assert!(trace_text.contains(span), "trace must contain {span}");
         }
+        assert!(
+            !trace_text.contains("serve.dirty_closure"),
+            "no dirty closure"
+        );
 
         // The event log has one record per request, trace ids monotonic.
         let events = crate::eventlog::read_events(&log_path);

@@ -19,7 +19,7 @@
 //! itself, and a wholesale refactor moves code beyond what any fingerprint
 //! tracks. The store therefore carries each entry's *current* coordinates
 //! and [`SuppressStore::advance`] pushes them through the
-//! [`LineMap`](vc_vcs::diff::LineMap) at every revision step; when a
+//! [`vc_vcs::diff::LineMap`] at every revision step; when a
 //! finding's fingerprint no longer matches any entry,
 //! [`SuppressStore::match_and_heal`] falls back to file + scenario +
 //! nearby line (within [`CHURN_NEARBY_LINES`]) and re-keys the entry to
@@ -49,7 +49,7 @@ pub const ALLOW_MARKER: &str = "vcheck:allow";
 const ANY_SCENARIO: &str = "all";
 
 /// Inline `// vcheck:allow(...)` annotations indexed from one revision's
-/// sources: `file → line → scenario` (with [`ANY_SCENARIO`] as the
+/// sources: `file → line → scenario` (with `"all"` as the
 /// wildcard), so a lookup borrows its file name. Lines are the *covered*
 /// lines, not the annotation lines — a standalone annotation covers the
 /// line below it, a trailing one covers its own.

@@ -40,9 +40,11 @@ fn project(name: &str, files: &[(&str, &str)]) -> PathBuf {
     dir
 }
 
-fn vcheck(dir: &PathBuf) -> Output {
+/// Runs `vcheck <dir> <args>`.
+fn vcheck(dir: &PathBuf, args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_vcheck"))
         .arg(dir)
+        .args(args)
         .output()
         .expect("vcheck runs")
 }
@@ -56,7 +58,7 @@ fn all_files_failing_to_parse_is_a_load_error() {
             ("junk2.c", "%% ## also garbage $$\n"),
         ],
     );
-    let out = vcheck(&dir);
+    let out = vcheck(&dir, &[]);
     assert_eq!(
         out.status.code(),
         Some(2),
@@ -74,7 +76,7 @@ fn all_files_failing_to_parse_is_a_load_error() {
 #[test]
 fn surviving_findings_still_exit_one_and_name_the_skipped_function() {
     let dir = project("mixed", &[("a.c", &format!("{BUGGY_FN}{MANGLED_FN}"))]);
-    let out = vcheck(&dir);
+    let out = vcheck(&dir, &[]);
     assert_eq!(
         out.status.code(),
         Some(1),
@@ -98,7 +100,7 @@ fn surviving_findings_still_exit_one_and_name_the_skipped_function() {
 #[test]
 fn surviving_clean_code_still_exits_zero() {
     let dir = project("cleanish", &[("a.c", &format!("{CLEAN_FN}{MANGLED_FN}"))]);
-    let out = vcheck(&dir);
+    let out = vcheck(&dir, &[]);
     assert_eq!(
         out.status.code(),
         Some(0),
@@ -114,7 +116,7 @@ fn empty_project_dir_exits_zero_with_empty_report() {
     // error: CI can point vcheck at a repo with no C sources.
     let dir = project("emptydir", &[]);
     fs::create_dir_all(dir.join("sub")).unwrap();
-    let out = vcheck(&dir);
+    let out = vcheck(&dir, &[]);
     assert_eq!(
         out.status.code(),
         Some(0),
@@ -137,102 +139,74 @@ fn empty_project_dir_exits_zero_with_empty_report() {
 }
 
 #[test]
-fn expired_deadline_exits_three_with_partial_low_confidence_report() {
-    let dir = project("deadline", &[("a.c", BUGGY_FN)]);
-    // A zero deadline expires before the first function is analyzed.
-    let out = Command::new(env!("CARGO_BIN_EXE_vcheck"))
-        .arg(&dir)
-        .args(["--deadline-ms", "0"])
-        .output()
-        .expect("vcheck runs");
-    assert_eq!(
-        out.status.code(),
-        Some(3),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
+fn a_deadline_runs_on_the_batch_executor_with_every_flag() {
+    let dir = project(
+        "deadline-jobs",
+        &[("a.c", BUGGY_FN), ("b.c", CLEAN_FN), ("c.c", BUGGY_FN)],
     );
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("deadline"), "stderr: {stderr}");
-    // A generous deadline behaves exactly like a plain scan.
-    let out = Command::new(env!("CARGO_BIN_EXE_vcheck"))
-        .arg(&dir)
-        .args(["--deadline-ms", "60000"])
-        .output()
-        .expect("vcheck runs");
-    assert_eq!(
-        out.status.code(),
-        Some(1),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let deadlined_stdout = out.stdout.clone();
-    let plain = vcheck(&dir);
-    assert_eq!(
-        deadlined_stdout, plain.stdout,
-        "an unexpired deadline must not change the report bytes"
-    );
-    let _ = fs::remove_dir_all(&dir);
-}
+    let plain = vcheck(&dir, &["--jobs", "4"]);
+    assert_eq!(plain.status.code(), Some(1));
+    let unexpired = vcheck(&dir, &["--deadline-ms", "60000", "--jobs", "4"]);
+    assert_eq!(unexpired.status.code(), plain.status.code());
+    assert_eq!(unexpired.stdout, plain.stdout);
 
-#[test]
-fn deadlined_scan_writes_its_trace_and_profile() {
-    let dir = project("deadline-trace", &[("a.c", BUGGY_FN)]);
-    let (trace, profile) = (dir.join("scan.trace.json"), dir.join("scan.folded"));
-    let out = Command::new(env!("CARGO_BIN_EXE_vcheck"))
-        .arg(&dir)
-        .args(["--deadline-ms", "60000", "--trace"])
-        .arg(&trace)
-        .arg("--profile")
-        .arg(&profile)
-        .output()
-        .expect("vcheck runs");
-    assert_eq!(
-        out.status.code(),
-        Some(1),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let trace = fs::read_to_string(&trace).expect("--trace written");
-    assert!(trace.contains("\"pipeline.run\""), "trace: {trace}");
-    let profile = fs::read_to_string(&profile).expect("--profile written");
+    let expired = vcheck(&dir, &["--deadline-ms", "0", "--jobs", "4"]);
+    let stderr = String::from_utf8_lossy(&expired.stderr);
+    assert_eq!(expired.status.code(), Some(3), "stderr: {stderr}");
     assert!(
-        profile
-            .lines()
-            .any(|l| l.starts_with("pipeline.run;stage.detect")),
-        "profile: {profile}"
+        stderr.contains("deadline exceeded after 0 of 3 functions"),
+        "stderr: {stderr}"
     );
-    let _ = fs::remove_dir_all(&dir);
-}
+    assert_eq!(String::from_utf8_lossy(&expired.stdout).lines().count(), 1);
 
-#[test]
-fn batch_executor_flags_are_refused_with_a_deadline() {
-    let dir = project("deadline-batch", &[("a.c", BUGGY_FN)]);
+    // A journal keeps what a scan finished: resumed with one unit on
+    // record and a deadline that has already passed, the report holds
+    // that unit's finding alone, marked low-confidence.
     let journal = dir.join("scan.journal");
     let journal = journal.to_str().unwrap();
-    for flag in [
-        &["--jobs", "2"][..],
-        &["--retry", "2"],
-        &["--unit-deadline-ms", "5"],
-        &["--journal", journal],
-        &["--resume"],
-        &["--fail-fast"],
-    ] {
-        let out = Command::new(env!("CARGO_BIN_EXE_vcheck"))
-            .arg(&dir)
-            .args(flag)
-            .args(["--deadline-ms", "60000"])
-            .output()
-            .expect("vcheck runs");
+    let full = vcheck(&dir, &["--jobs", "1", "--journal", journal]);
+    assert_eq!(full.stdout, plain.stdout);
+    let text = fs::read_to_string(journal).unwrap();
+    let first_unit: String = text.lines().take(3).map(|l| format!("{l}\n")).collect();
+    fs::write(journal, first_unit).unwrap();
+    let resume = "--resume --deadline-ms 0 --jobs 4 --journal".split(' ');
+    let partial = vcheck(&dir, &resume.chain([journal]).collect::<Vec<_>>());
+    let stderr = String::from_utf8_lossy(&partial.stderr);
+    assert_eq!(partial.status.code(), Some(3), "stderr: {stderr}");
+    assert!(
+        stderr.contains("deadline exceeded after 1 of 3 functions"),
+        "stderr: {stderr}"
+    );
+    let stdout = String::from_utf8_lossy(&partial.stdout);
+    let rows: Vec<&str> = stdout.lines().skip(1).collect();
+    assert_eq!(rows.len(), 1, "stdout: {stdout}");
+    assert!(rows[0].contains(",a.c,"), "stdout: {stdout}");
+    assert!(rows[0].ends_with(",true"), "low-confidence: {stdout}");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_deadlined_scan_exports_like_a_plain_one() {
+    let dir = project("deadline-stats", &[("a.c", BUGGY_FN)]);
+    let (trace, profile) = (dir.join("scan.trace.json"), dir.join("scan.folded"));
+    let (trace_arg, profile_arg) = (trace.to_str().unwrap(), profile.to_str().unwrap());
+    for deadline in [&[][..], &["--deadline-ms", "60000"]] {
+        let mut args = vec!["--stats", "--trace", trace_arg, "--profile", profile_arg];
+        args.extend(deadline);
+        let out = vcheck(&dir, &args);
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{flag:?}: stderr: {stderr}");
+        assert_eq!(out.status.code(), Some(1), "{args:?}: stderr: {stderr}");
         assert!(
-            stderr.contains(&format!(
-                "{} cannot be combined with --deadline-ms",
-                flag[0]
-            )),
-            "{flag:?}: stderr: {stderr}"
+            stderr.contains("profile (top self-time frames):"),
+            "{args:?}: stderr: {stderr}"
         );
-        assert!(out.stdout.is_empty(), "{flag:?}: no report printed");
+        let trace = fs::read_to_string(&trace).expect("--trace written");
+        assert!(trace.contains("\"pipeline.run\""), "trace: {trace}");
+        let profile = fs::read_to_string(&profile).expect("--profile written");
+        assert!(
+            (profile.lines()).any(|l| l.starts_with("pipeline.run;stage.detect")),
+            "profile: {profile}"
+        );
     }
     let _ = fs::remove_dir_all(&dir);
 }
@@ -243,7 +217,7 @@ fn whole_file_loss_uses_the_file_level_diagnostic() {
         "onegood",
         &[("good.c", BUGGY_FN), ("junk.c", "@@ $$ ?? garbage ~~\n")],
     );
-    let out = vcheck(&dir);
+    let out = vcheck(&dir, &[]);
     assert_eq!(
         out.status.code(),
         Some(1),
@@ -262,13 +236,7 @@ fn whole_file_loss_uses_the_file_level_diagnostic() {
 fn fail_fast_exits_two_on_the_first_recovering_build_error() {
     let broken = "int broken(void) { int x = $$; use(x); }\n";
     let dir = project("failfast", &[("a.c", &format!("{BUGGY_FN}{broken}"))]);
-    let run = |args: &[&str]| {
-        Command::new(env!("CARGO_BIN_EXE_vcheck"))
-            .arg(&dir)
-            .args(args)
-            .output()
-            .expect("vcheck runs")
-    };
+    let run = |args: &[&str]| vcheck(&dir, args);
     let out = run(&["--fail-fast"]);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");

@@ -15,7 +15,7 @@
 //! - the call-result map (`temp → callee`) detection classifies with,
 //! - the per-key self-offset uniformity map the cursor prune consults.
 //!
-//! The work is split in two phases: a plain [`Liveness`] solve over the
+//! The work is split in two phases: a plain [`Liveness`](crate::liveness::Liveness) solve over the
 //! escape facts finds dead stores, and only when that list is non-empty do
 //! the allocation-heavy facts get collected (callee names, the call-result
 //! map, def/use sets — every consumer asks about a dead-store candidate)
@@ -511,7 +511,13 @@ impl Summaries {
 
     /// The summary of `fid`, if present.
     pub fn get(&self, fid: FuncId) -> Option<&FnSummary> {
-        self.map.get(fid.0 as usize).and_then(|o| o.as_deref())
+        self.shared(fid).map(|s| &**s)
+    }
+
+    /// The summary of `fid` as the shared handle it is held under, so a
+    /// warm cache can keep it without copying.
+    pub fn shared(&self, fid: FuncId) -> Option<&Arc<FnSummary>> {
+        self.map.get(fid.0 as usize).and_then(Option::as_ref)
     }
 
     /// The full-confidence summary of `fid`, and whether it was reused:

@@ -704,8 +704,8 @@ impl Program {
     }
 
     /// The program-wide index of direct call sites, keyed by callee name.
-    /// Used by peer-definition pruning, authorship lookup, serve
-    /// invalidation, and the baselines — built once on first demand and
+    /// Used by peer-definition pruning, authorship lookup and the
+    /// baselines — built once on first demand and
     /// cached (the program is immutable after construction).
     pub fn call_index(&self) -> &HashMap<String, Vec<CallSite>> {
         self.call_index_cache.get_or_init(|| {
@@ -736,15 +736,6 @@ impl Program {
     /// Total number of IR instructions across all functions.
     pub fn inst_count(&self) -> usize {
         self.funcs.iter().map(|f| f.inst_count()).sum()
-    }
-
-    /// Functions defined in the given file.
-    pub fn funcs_in_file(&self, file: FileId) -> impl Iterator<Item = (FuncId, &Function)> {
-        self.funcs
-            .iter()
-            .enumerate()
-            .filter(move |(_, f)| f.file == file)
-            .map(|(i, f)| (FuncId(i as u32), &**f))
     }
 }
 

@@ -4,7 +4,7 @@
 //! and/or `max_time` of wall clock — and a [`BudgetMeter`] is the running
 //! enforcement of one: solver loops call [`BudgetMeter::tick`] once per unit
 //! of work and stop (degrading gracefully) when it returns `false`. The
-//! deadline is only consulted every [`DEADLINE_CHECK_INTERVAL`] steps so the
+//! deadline is only consulted every `DEADLINE_CHECK_INTERVAL` (1024) steps so the
 //! per-iteration cost of an armed budget stays a counter increment.
 
 use std::time::{

@@ -172,7 +172,9 @@ pub const SERVE_SHED: &str = "serve.shed";
 /// Warm-state quarantines: a panic or checksum mismatch forced the next
 /// request onto a cold rebuild.
 pub const SERVE_STATE_REBUILDS: &str = "serve.state_rebuilds";
-/// Requests whose deadline expired (partial, low-confidence reply).
+/// Scans whose deadline expired (partial, low-confidence report): serve
+/// requests and `vcheck <dir> --deadline-ms` alike, counted by the
+/// sentinel executor.
 pub const SERVE_DEADLINE_EXCEEDED: &str = "serve.deadline_exceeded";
 /// Function analyses served from the warm unit cache.
 pub const SERVE_UNIT_HITS: &str = "serve.unit_hits";
@@ -191,8 +193,6 @@ pub const SERVE_UNITS_SWEPT: &str = "serve.units_swept";
 pub const SERVE_TRACE_ID: &str = "serve.trace_id";
 /// Gauge: warm unit-cache hit rate of the latest scan (hits / lookups).
 pub const SERVE_WARM_HIT_RATE: &str = "serve.warm_hit_rate";
-/// Gauge: dirty-closure size of the latest scan over total functions.
-pub const SERVE_DIRTY_RATIO: &str = "serve.dirty_ratio";
 /// Per-op request-latency histograms: `serve.latency.<op>` (µs).
 pub const SERVE_LATENCY_PREFIX: &str = "serve.latency.";
 /// Per-op request counters: `serve.op.<op>`.
@@ -351,7 +351,6 @@ pub const ALL: &[&str] = &[
     SERVE_UNITS_SWEPT,
     SERVE_TRACE_ID,
     SERVE_WARM_HIT_RATE,
-    SERVE_DIRTY_RATIO,
     RECOVER_LEX_ERRORS,
     RECOVER_PARSE_ERRORS,
     RECOVER_POISONED_STMTS,

@@ -1,6 +1,6 @@
 //! Seeded chaos plans for the `vcheck serve` daemon.
 //!
-//! Where [`crate::corrupt`] attacks the *parser* and [`crate::faults`] the
+//! Where [`crate::corrupt()`] attacks the *parser* and [`crate::faults`] the
 //! *batch pipeline*, this module attacks the *daemon*: it builds a seeded
 //! script of protocol requests interleaved with on-disk file corruption,
 //! malformed input, oversized bursts against a wedged worker, injected

@@ -22,7 +22,7 @@
 //! scripted fate (live / fixed / suppressed / churned) — the ground truth
 //! behind `vcheck history` and the `tools/ci.sh history` step.
 //!
-//! [`corrupt`] plants a committed file of known-good planted bugs and
+//! [`corrupt()`] plants a committed file of known-good planted bugs and
 //! corrupts exactly one function per [`corrupt::CorruptKind`] (truncation,
 //! deleted brace, lexer garbage, unterminated string, mangled signature),
 //! stating the fate of every planted bug — the ground truth behind

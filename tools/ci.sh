@@ -96,13 +96,25 @@ bounded cargo test -p valuecheck --test chaos_mem -q
 echo "==> cargo test -p valuecheck --test summaries -q (summary layer)"
 bounded cargo test -p valuecheck --test summaries -q
 
-# units: the detection unit contract (crates/core/tests/units.rs) — the
-# sequential path, the sentinel executor at 1 and 4 jobs, a cold serve
-# scan and incremental analysis report identical candidates, failure
-# records and harden.poisoned.detect / harden.degraded.liveness /
+# units: the detection unit contract (crates/core/tests/units.rs) — every
+# entry point runs its units on the one sentinel executor (serve hands it
+# its cache misses, incremental mode its changed files' functions), so
+# the sequential path, the executor at 1 and 4 jobs, a cold serve scan
+# and incremental analysis report identical candidates, failure records
+# and harden.poisoned.detect / harden.degraded.liveness /
 # detect.functions, for a poisoned unit and a liveness-exhausted unit.
 echo "==> cargo test -p valuecheck --test units -q (one unit runner)"
 bounded cargo test -p valuecheck --test units -q
+
+# serve_diff: warm serve replies against cold scans
+# (crates/core/tests/serve_diff.rs) — seeded edit sequences that reach a
+# function from outside its file (a callee's body, a callee's prototype
+# retyped int <-> void, a first-sorting file added or removed, a
+# same-named static, a retargeted function pointer); after every step the
+# warm reply equals a cold run_sentinel scan byte for byte, so the unit
+# key and the lowered-function check alone decide a cache hit.
+echo "==> cargo test -p valuecheck --test serve_diff -q (warm == cold)"
+bounded cargo test -p valuecheck --test serve_diff -q
 
 # serve_alloc: the warm-request allocation guards
 # (crates/core/tests/serve_alloc.rs) — a warm rescan of 200 unchanged
@@ -169,6 +181,11 @@ bounded cargo test --release --manifest-path repobench/Cargo.toml
 
 echo "==> cargo fmt --check"
 cargo fmt --check
+
+# doc: rustdoc must build without a warning (broken or private intra-doc
+# links, ambiguous paths).
+echo "==> cargo doc --workspace --no-deps (warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # loc: informational, never gating — the Rust line count of crates/, split
 # into src/ trees (library and binary code with their unit tests) and the
