@@ -165,6 +165,7 @@ use valuecheck::{
     rank::RankConfig,
     sentinel::{
         salt_strings,
+        ScanDeadline,
         SentinelConfig, //
     },
     serve::{run_daemon, ServeConfig, ServeEngine},
@@ -769,7 +770,10 @@ fn scan_main(mut args: impl Iterator<Item = String>) -> ! {
         sconf.journal = Some(dir.join("scan.journal"));
     }
     sconf.fingerprint_salt = salt_strings(&defines);
-    sconf.deadline = deadline_ms.map(|ms| started + std::time::Duration::from_millis(ms));
+    sconf.deadline = deadline_ms.map(|ms| ScanDeadline {
+        at: started + std::time::Duration::from_millis(ms),
+        label: "<program>",
+    });
 
     // Every scan runs under the supervised executor. Under `--fail-fast`
     // (isolation off) the first panic stops the workers and propagates out

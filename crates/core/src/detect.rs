@@ -230,6 +230,9 @@ pub struct DetectOutcome {
     /// The per-function summaries built during detection, handed to the
     /// prune stage so it never re-solves liveness.
     pub summaries: Summaries,
+    /// The program's interned signatures, built once per scan and handed
+    /// to the prune stage with the summaries minted from it.
+    pub sigs: SigInterner,
     /// One record per poisoned function (panic inside the isolation
     /// boundary) or poisoned pointer solve.
     pub failures: Vec<FailureRecord>,

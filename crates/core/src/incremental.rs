@@ -139,11 +139,10 @@ pub fn analyze_commit_in(
     let history = history_at(repo, commit);
     let analysis = run_detected(prog, &history, &opts, ObsSession::current_or_new(), || {
         let oracle = demand_oracle(prog, opts.detect, opts.harden);
-        let interner = SigInterner::new(prog);
         execute(
             prog,
             oracle.as_ref(),
-            &interner,
+            SigInterner::new(prog),
             opts.detect,
             opts.harden,
             &SentinelConfig::sequential(),

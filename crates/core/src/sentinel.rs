@@ -108,14 +108,14 @@ pub struct SentinelConfig {
     /// and requeued as a fresh attempt. `None` disables supervision by
     /// deadline; the per-stage `harden` budgets still bound each attempt.
     pub unit_deadline: Option<Duration>,
-    /// When the whole scan's wall-clock deadline passes (`vcheck
-    /// --deadline-ms`, serve's per-request deadline), set by the caller
-    /// from its own start, so loading and keying count against it. Once it
-    /// passes, units not yet started are skipped, a `deadline exceeded
-    /// after K of N functions` failure record is added, every candidate is
-    /// marked low-confidence, and `serve.deadline_exceeded` is counted.
-    /// `None` never reads the clock for it.
-    pub deadline: Option<Instant>,
+    /// The whole scan's wall-clock deadline (`vcheck --deadline-ms`,
+    /// serve's per-request deadline), set by the caller from its own
+    /// start, so loading and keying count against it. Once it passes,
+    /// units not yet started are skipped, a `deadline exceeded after K of
+    /// N functions` failure record is added, every candidate is marked
+    /// low-confidence, and `serve.deadline_exceeded` is counted. `None`
+    /// never reads the clock for it.
+    pub deadline: Option<ScanDeadline>,
     /// Base of the capped exponential backoff applied to requeued units:
     /// attempt `k` (1-based retries) waits `backoff_base * 2^(k-1)`,
     /// saturating at [`SentinelConfig::backoff_cap`].
@@ -136,6 +136,16 @@ pub struct SentinelConfig {
     /// (e.g. the preprocessor defines, which change the program but not
     /// the source bytes).
     pub fingerprint_salt: u64,
+}
+
+/// A whole-scan deadline and the caller that set it.
+#[derive(Clone, Copy, Debug)]
+pub struct ScanDeadline {
+    /// When the deadline passes.
+    pub at: Instant,
+    /// The file the `deadline exceeded` failure record names: `<program>`
+    /// for a batch scan, `<serve>` for a serve request.
+    pub label: &'static str,
 }
 
 impl Default for SentinelConfig {
@@ -1028,7 +1038,7 @@ fn worker_loop(shared: &Shared<'_>, worker: usize) {
             let mut state = lock(&shared.state);
             loop {
                 // The clock is read only under a scan deadline.
-                if shared.sconf.deadline.is_some_and(|at| Instant::now() >= at) {
+                if (shared.sconf.deadline).is_some_and(|d| Instant::now() >= d.at) {
                     shared.skip_ready(&mut state);
                 }
                 if state.shutdown {
@@ -1179,11 +1189,10 @@ pub fn detect_program_sentinel(
     // Demand pointer oracle: partitioned once, single-threaded, before any
     // unit; components solve lazily under the oracle's lock.
     let oracle = demand_oracle(prog, config, hconf);
-    let interner = SigInterner::new(prog);
     execute(
         prog,
         oracle.as_ref(),
-        &interner,
+        SigInterner::new(prog),
         config,
         hconf,
         sconf,
@@ -1196,11 +1205,11 @@ pub fn detect_program_sentinel(
 /// every other unit on the workers, and folds all of them in unit order.
 /// Callers that already partitioned the pointer oracle and interned the
 /// signatures (serve, for its unit keys) pass them in, so nothing is
-/// built twice.
+/// built twice; the interner comes back on the outcome for the back end.
 pub(crate) fn execute(
     prog: &Program,
     oracle: Option<&DemandPointer>,
-    interner: &SigInterner,
+    interner: SigInterner,
     config: DetectConfig,
     hconf: HardenConfig,
     sconf: &SentinelConfig,
@@ -1300,7 +1309,7 @@ pub(crate) fn execute(
     let shared = Shared {
         prog,
         oracle,
-        interner,
+        interner: &interner,
         hconf,
         sconf,
         state: Mutex::new(state),
@@ -1339,11 +1348,12 @@ pub(crate) fn execute(
         let _ = lock(j).sync();
     }
     if state.skipped > 0 {
+        let deadline = (sconf.deadline).expect("units are skipped only under a scan deadline");
         vc_obs::counter_inc(vc_obs::names::SERVE_DEADLINE_EXCEEDED);
         out.deadline_exceeded = true;
         out.failures.push(FailureRecord {
             stage: FailStage::Detect,
-            file: "<serve>".to_string(),
+            file: deadline.label.to_string(),
             function: None,
             message: format!(
                 "deadline exceeded after {} of {in_scan} functions; remaining functions skipped \
@@ -1356,6 +1366,7 @@ pub(crate) fn execute(
         }
     }
     finalize_pointer_stage(oracle, &mut out);
+    out.sigs = interner;
     out
 }
 
@@ -1724,10 +1735,9 @@ mod tests {
     }
 
     #[test]
-    fn unit_deadline_requeues_slow_units() {
-        // With a zero-ish deadline every first attempt times out; retries
-        // eventually fail permanent — but the scan still terminates and
-        // reports every unit exactly once.
+    fn unit_deadline_leaves_fast_units_alone() {
+        // A unit deadline far above every unit's run time never fires: the
+        // supervisor's polling leaves a clean run untouched.
         let p = prog();
         let session = ObsSession::current_or_new();
         let _g = session.install();
@@ -1751,6 +1761,55 @@ mod tests {
     }
 
     #[test]
+    fn unit_deadline_requeues_a_slow_unit_then_fails_it() {
+        // `slow` has 40k blocks, so each attempt runs several times past
+        // the unit deadline, in debug and release builds alike: the
+        // supervisor abandons it, requeues it, and gives up after the last
+        // attempt. Every other unit finishes well within the deadline and
+        // reports what a sequential scan does.
+        let slow: String = (0..20_000)
+            .map(|i| format!("  if (n) {{ x = {i}; }}\n"))
+            .collect();
+        let src = format!("{SRC}int slow(int n) {{\n  int x = 0;\n{slow}  return x;\n}}\n");
+        let p = Program::build(&[("a.c", src.as_str())], &[]).unwrap();
+        let slow_id = p.func_id("slow").unwrap();
+        assert!(p.func(slow_id).blocks.len() >= 40_000);
+        let session = ObsSession::current_or_new();
+        let _g = session.install();
+        let mut conf = sconf(2);
+        conf.retry = 3;
+        conf.unit_deadline = Some(Duration::from_millis(5));
+        let out =
+            detect_program_sentinel(&p, DetectConfig::default(), HardenConfig::default(), &conf);
+
+        let snap = session.registry.snapshot();
+        assert!(snap.counter(vc_obs::names::SENTINEL_DEADLINE_TIMEOUTS) >= 3);
+        assert!(
+            snap.counter(vc_obs::names::SENTINEL_RETRIES) >= 2,
+            "requeued"
+        );
+        assert_eq!(snap.counter(vc_obs::names::SENTINEL_FAILED_PERMANENT), 1);
+        assert_eq!(out.failures.len(), 1, "{:?}", out.failures);
+        let failure = &out.failures[0];
+        assert_eq!(failure.function.as_deref(), Some("slow"));
+        assert!(
+            failure.message.starts_with("unit deadline exceeded (5 ms)"),
+            "{failure:?}"
+        );
+
+        let seq = detect_program_hardened(&p, DetectConfig::default(), HardenConfig::default());
+        let others = |o: &DetectOutcome| -> Vec<String> {
+            (o.candidates.iter())
+                .filter(|c| c.func != slow_id)
+                .map(|c| format!("{c:?}"))
+                .collect()
+        };
+        assert!(!others(&seq).is_empty());
+        assert_eq!(others(&out), others(&seq));
+        assert!(out.candidates.iter().all(|c| c.func != slow_id));
+    }
+
+    #[test]
     fn scan_deadline_counts_the_time_before_the_executor_starts() {
         // The caller fixes the deadline at its own start, so work done
         // before the executor runs (loading, serve's unit keys) uses it up.
@@ -1758,7 +1817,10 @@ mod tests {
         let session = ObsSession::current_or_new();
         let _g = session.install();
         let mut conf = sconf(2);
-        conf.deadline = Some(Instant::now() + Duration::from_millis(20));
+        conf.deadline = Some(ScanDeadline {
+            at: Instant::now() + Duration::from_millis(20),
+            label: "<program>",
+        });
         std::thread::sleep(Duration::from_millis(30));
         let out =
             detect_program_sentinel(&p, DetectConfig::default(), HardenConfig::default(), &conf);

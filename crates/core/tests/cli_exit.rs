@@ -157,6 +157,11 @@ fn a_deadline_runs_on_the_batch_executor_with_every_flag() {
         stderr.contains("deadline exceeded after 0 of 3 functions"),
         "stderr: {stderr}"
     );
+    assert!(
+        stderr.contains("[detect] <program>: deadline exceeded"),
+        "a batch scan names its deadline record like its other whole-program records: \
+         {stderr}"
+    );
     assert_eq!(String::from_utf8_lossy(&expired.stdout).lines().count(), 1);
 
     // A journal keeps what a scan finished: resumed with one unit on

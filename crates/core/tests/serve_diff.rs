@@ -19,6 +19,10 @@
 //!   in the second case);
 //! - a function whose signature does not parse added or removed, which
 //!   parse recovery drops with a failure record.
+//!
+//! A second test adds and removes callers that ignore or use one library
+//! function's result, so that its peer counts cross the ≥10 / >50% peer
+//! rule in both directions, and compares every reply the same way.
 
 use std::{fs, path::Path};
 
@@ -185,5 +189,122 @@ fn warm_replies_match_cold_scans_across_cross_file_edits() {
             assert!(hits > 0, "{tag}: the unit cache was exercised");
             let _ = fs::remove_dir_all(&dir);
         }
+    }
+}
+
+/// Callers of the library function `lib_log` spread over `m0.c` ..
+/// `m3.c`: per file, how many ignore its result and how many use it.
+/// `m0.c` also holds `target_fn`, whose first store of the result is dead.
+#[derive(Default)]
+struct Peers {
+    ignorers: [Vec<usize>; FILES],
+    users: [Vec<usize>; FILES],
+}
+
+impl Peers {
+    fn write(&self, dir: &Path) {
+        for i in 0..FILES {
+            let mut text = String::from("int lib_log(int n);\n");
+            if i == 0 {
+                text +=
+                    "int target_fn(int n) {\n  int got = lib_log(n);\n  got = n + 2;\n  return \
+                         got;\n}\n";
+            }
+            for k in &self.ignorers[i] {
+                text += &format!("void ign_{k}(int n) {{\n  lib_log(n);\n}}\n");
+            }
+            for k in &self.users[i] {
+                text += &format!("int use_{k}(int n) {{\n  int r = lib_log(n);\n  return r;\n}}\n");
+            }
+            fs::write(dir.join(format!("m{i}.c")), text).unwrap();
+        }
+    }
+}
+
+#[test]
+fn warm_replies_match_cold_scans_as_peer_counts_cross_the_threshold() {
+    // `lib_log` has ignorers + users + 1 call sites, ignorers + 1 of them
+    // unused. Its candidates are pruned once there are at least 10 sites
+    // and more than half are unused. The phases move the count and the
+    // ratio across that rule in both directions: ignoring callers are
+    // added (count crosses 10), removed (back under 10), added again, and
+    // then using callers are added until the unused share drops to half.
+    #[derive(Clone, Copy, Debug)]
+    enum Edit {
+        AddIgnorer,
+        RemoveIgnorer,
+        AddUser,
+    }
+    let phases = [
+        (6, Edit::AddIgnorer),
+        (6, Edit::RemoveIgnorer),
+        (6, Edit::AddIgnorer),
+        (9, Edit::AddUser),
+    ];
+    for seed in 1..=3u64 {
+        let tag = format!("peers-{seed}-{}", std::process::id());
+        let dir = std::env::temp_dir().join(format!("vc-serve-diff-{tag}"));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let mut peers = Peers::default();
+        peers.ignorers[1].push(0);
+        peers.ignorers[2].push(1);
+        peers.ignorers[3].push(2);
+        peers.users[1].push(3);
+        peers.users[2].push(4);
+        peers.write(&dir);
+        let opts = Options::paper();
+        let mut engine = ServeEngine::new(&dir, ServeConfig::default()).unwrap();
+        assert_eq!(
+            engine.scan(None).unwrap().report.canonical_bytes(),
+            cold(&dir, &opts)
+        );
+
+        let mut rng = SplitMix64::new(seed);
+        let mut next = 5;
+        let mut reported = Vec::new();
+        for (phase, &(steps, edit)) in phases.iter().enumerate() {
+            for step in 0..steps {
+                let i = match edit {
+                    Edit::RemoveIgnorer => {
+                        let callers: Vec<usize> = (0..FILES)
+                            .filter(|&f| !peers.ignorers[f].is_empty())
+                            .collect();
+                        let i = *rng.choice(&callers);
+                        let k = rng.range_usize(0, peers.ignorers[i].len());
+                        peers.ignorers[i].remove(k);
+                        i
+                    }
+                    Edit::AddIgnorer | Edit::AddUser => {
+                        let i = rng.range_usize(0, FILES);
+                        let list = match edit {
+                            Edit::AddUser => &mut peers.users[i],
+                            _ => &mut peers.ignorers[i],
+                        };
+                        list.push(next);
+                        next += 1;
+                        i
+                    }
+                };
+                peers.write(&dir);
+                let warm = engine.scan(None).unwrap();
+                assert!(
+                    warm.report.canonical_bytes() == cold(&dir, &opts),
+                    "{tag} phase {phase} step {step} ({edit:?} in m{i}.c): warm reply differs \
+                     from a cold scan:\n{}",
+                    warm.report.to_csv()
+                );
+                reported.push(warm.report.rows.iter().any(|r| r.function == "target_fn"));
+            }
+        }
+        // The rule flipped both ways: target_fn was pruned, came back,
+        // was pruned again and came back once more.
+        let flips: Vec<bool> = reported
+            .windows(2)
+            .filter(|w| w[0] != w[1])
+            .map(|w| w[1])
+            .collect();
+        assert_eq!(flips, vec![false, true, false, true], "{tag}: {reported:?}");
+        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -37,6 +37,11 @@ use std::{
         BTreeSet,
         HashMap, //
     },
+    hash::{
+        DefaultHasher,
+        Hash,
+        Hasher, //
+    },
     sync::Arc,
 };
 
@@ -52,7 +57,6 @@ use vc_ir::{
         TempId, //
     },
     span::Span,
-    types::Type,
     FuncId,
     Function,
     Program,
@@ -83,24 +87,46 @@ pub struct SigId(pub u32);
 /// per function and per candidate.
 ///
 /// Interning is deterministic (first-seen order over `prog.funcs`), so two
-/// interners built from the same program assign identical ids.
+/// interners built from the same program assign identical ids. Each
+/// function's parameter types are hashed in place; two signatures' types
+/// are compared only when their hashes match.
 #[derive(Clone, Debug, Default)]
 pub struct SigInterner {
     ids: Vec<SigId>,
-    table: HashMap<Vec<Type>, SigId>,
+    distinct: usize,
 }
 
 impl SigInterner {
     /// Interns the signatures of every function in `prog`.
     pub fn new(prog: &Program) -> Self {
-        let mut out = Self::default();
+        // Per signature hash: the ids minted under it, each with the first
+        // function that had it.
+        let mut minted: HashMap<u64, Vec<(SigId, &Function)>> = HashMap::new();
+        let mut ids = Vec::with_capacity(prog.funcs.len());
+        let mut distinct = 0;
         for f in &prog.funcs {
-            let sig: Vec<Type> = f.params.iter().map(|p| p.ty.clone()).collect();
-            let next = SigId(out.table.len() as u32);
-            let id = *out.table.entry(sig).or_insert(next);
-            out.ids.push(id);
+            let mut h = DefaultHasher::new();
+            f.params.len().hash(&mut h);
+            for p in &f.params {
+                p.ty.hash(&mut h);
+            }
+            let same_params = |g: &Function| {
+                g.params.len() == f.params.len()
+                    && g.params.iter().zip(&f.params).all(|(a, b)| a.ty == b.ty)
+            };
+            let bucket = minted.entry(h.finish()).or_default();
+            let id = match bucket.iter().find(|(_, g)| same_params(g)) {
+                Some(&(id, _)) => id,
+                None => {
+                    let id = SigId(distinct as u32);
+                    distinct += 1;
+                    bucket.push((id, f));
+                    id
+                }
+            };
+            ids.push(id);
         }
-        out
+        Self { ids, distinct }
     }
 
     /// The interned signature of `fid`.
@@ -110,7 +136,7 @@ impl SigInterner {
 
     /// Number of distinct signatures interned.
     pub fn distinct(&self) -> usize {
-        self.table.len()
+        self.distinct
     }
 }
 

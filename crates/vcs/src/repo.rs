@@ -220,6 +220,42 @@ impl Repository {
         state.lines = out;
     }
 
+    /// Replaces what the head commit wrote to `path` with `content`, as if
+    /// the commit had written it: that write and the file's blame change,
+    /// nothing else. Since the head commit is the only one that wrote
+    /// `path`, the result equals the repository the amended history
+    /// builds. Re-importing one edited file of a one-commit import costs
+    /// that file's lines, not the whole tree's.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `path`'s log is exactly the head commit.
+    pub fn amend_head_write(&mut self, path: &str, content: String) {
+        let head = self
+            .commits
+            .last_mut()
+            .expect("amending needs a head commit");
+        assert_eq!(
+            self.file_log.get(path).map(Vec::as_slice),
+            Some(&[head.id][..]),
+            "only the head commit may have written {path}"
+        );
+        let blame = BlameEntry {
+            author: head.author,
+            commit: head.id,
+            timestamp: head.timestamp,
+        };
+        let state = self.files.get_mut(path).expect("a logged file has blame");
+        state.lines = split_lines(&content)
+            .map(|text| LineRecord {
+                text: text.to_string(),
+                blame,
+            })
+            .collect();
+        let write = head.writes.iter_mut().find(|w| w.path == path);
+        write.expect("the head commit wrote the file").content = content;
+    }
+
     /// Current content of a file, if it exists.
     pub fn file_content(&self, path: &str) -> Option<String> {
         self.files.get(path).map(|s| {
@@ -504,5 +540,41 @@ two-x
         assert_eq!(repo.blame_author("f", 3), Some(b));
         assert_eq!(repo.blame_author("f", 4), Some(b));
         assert_eq!(repo.blame_author("f", 5), Some(a));
+    }
+
+    #[test]
+    fn amended_head_write_equals_the_amended_history() {
+        let import = |b: &str| {
+            let mut repo = Repository::new();
+            let a = repo.add_author("a");
+            repo.commit(a, 7, "import", vec![write("f", "1\n2\n"), write("g", b)]);
+            repo
+        };
+        let mut amended = import("x\ny\n");
+        amended.amend_head_write("g", "x\nz\nw".to_string());
+        let fresh = import("x\nz\nw");
+        for repo in [&amended, &fresh] {
+            assert_eq!(repo.file_content("g").as_deref(), Some("x\nz\nw"));
+            assert_eq!(repo.log("g"), &[CommitId(0)]);
+            assert_eq!(repo.commits()[0].writes[1].content, "x\nz\nw");
+        }
+        for line in 0..=4 {
+            assert_eq!(
+                amended.blame("g", line),
+                fresh.blame("g", line),
+                "line {line}"
+            );
+        }
+        assert_eq!(amended.blame("f", 2), fresh.blame("f", 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "only the head commit may have written f")]
+    fn amending_a_file_an_earlier_commit_wrote_panics() {
+        let mut repo = Repository::new();
+        let a = repo.add_author("a");
+        repo.commit(a, 1, "one", vec![write("f", "1\n")]);
+        repo.commit(a, 2, "two", vec![write("f", "2\n")]);
+        repo.amend_head_write("f", "3\n".to_string());
     }
 }
