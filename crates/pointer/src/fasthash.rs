@@ -63,6 +63,38 @@ impl Hasher for FastHasher {
     }
 }
 
+/// [`FastHasher`] finished with an avalanche step (murmur3's `fmix64`), so
+/// every output bit depends on every input bit. Short names that differ
+/// in a few characters (`fn_0123`, `fn_0124`, ...) then spread over the
+/// table instead of clustering in a few probe groups.
+#[derive(Default)]
+pub struct MixHasher(FastHasher);
+
+impl Hasher for MixHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        let mut h = self.0.finish();
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^ (h >> 33)
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        self.0.write(bytes);
+    }
+
+    #[inline]
+    fn write_u8(&mut self, n: u8) {
+        self.0.write_u8(n);
+    }
+}
+
+/// A `HashMap` keyed with [`MixHasher`].
+pub type MixMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<MixHasher>>;
+
 /// A `HashMap` keyed with [`FastHasher`].
 pub type FastMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FastHasher>>;
 
