@@ -3,7 +3,10 @@
 //! makes the `perfgate` binary exit nonzero.
 
 use std::{
-    path::PathBuf,
+    path::{
+        Path,
+        PathBuf, //
+    },
     process::Command, //
 };
 
@@ -22,7 +25,7 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn write_reports(dir: &PathBuf, config: &PerfConfig) {
+fn write_reports(dir: &Path, config: &PerfConfig) {
     let (scan, stages) = run_perf(config);
     scan.save(&dir.join("BENCH_scan.json")).unwrap();
     stages.save(&dir.join("BENCH_stages.json")).unwrap();

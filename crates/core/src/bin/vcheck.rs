@@ -387,8 +387,7 @@ fn delta_main(mut args: impl Iterator<Item = String>) -> ! {
     let obs = ObsSession::new();
     let outcome = delta_scan(
         repo,
-        from,
-        to,
+        (from, to),
         &defines,
         &opts,
         &sconf,
@@ -661,7 +660,7 @@ fn tail_main(mut args: impl Iterator<Item = String>) -> ! {
             continue;
         }
         if json {
-            println!("{}", ev.raw.to_string());
+            println!("{}", ev.raw);
         } else {
             println!("{}", ev.render());
         }

@@ -65,13 +65,16 @@ use crate::{
     pipeline::{
         build_tree,
         history_at,
-        run_sentinel,
+        run_detected,
         Analysis,
         Options, //
     },
     rank::Ranked,
     report::csv_escape,
-    sentinel::SentinelConfig,
+    sentinel::{
+        detect_program_sentinel,
+        SentinelConfig, //
+    },
     FNV_SEED,
 };
 
@@ -692,10 +695,9 @@ pub(crate) fn scan_tree(
     let built = build_tree(tree, defines);
     build_span.end();
     let (prog, errors, stats) = built.map_err(|mut errors| errors.swap_remove(0))?;
-    let mut analysis = run_sentinel(&prog, history, opts, sconf, obs);
-    analysis
-        .report
-        .splice_parse_failures(&analysis.obs.registry, &errors, &stats);
+    let analysis = run_detected(&prog, history, opts, obs, Some((&errors, &stats)), || {
+        detect_program_sentinel(&prog, opts.detect, opts.harden, sconf)
+    });
     let findings = fingerprint_ranked(&prog, &analysis.ranked);
     let sources = tree
         .iter()
@@ -736,12 +738,11 @@ pub fn side_sentinel(sconf: &SentinelConfig, side: &str) -> SentinelConfig {
 }
 
 /// Runs the full differential scan: both revisions through the sentinel
-/// executor (journals suffixed `.from` / `.to`), classification, and
-/// `delta.*` metrics recorded into `obs`.
+/// executor (journals suffixed `.from` / `.to`), classification of the
+/// `(from, to)` revision pair, and `delta.*` metrics recorded into `obs`.
 pub fn delta_scan(
     repo: &Repository,
-    from: CommitId,
-    to: CommitId,
+    (from, to): (CommitId, CommitId),
     defines: &[String],
     opts: &Options,
     sconf: &SentinelConfig,
@@ -751,22 +752,12 @@ pub fn delta_scan(
     let _guard = obs.install();
     let span = obs.span("delta.scan", "delta");
     let delta_mem = vc_obs::MemScope::enter(vc_obs::alloc::SCOPE_DELTA);
-    let from_scan = scan_revision(
-        repo,
-        from,
-        defines,
-        opts,
-        &side_sentinel(sconf, "from"),
-        obs.clone(),
-    )?;
-    let to_scan = scan_revision(
-        repo,
-        to,
-        defines,
-        opts,
-        &side_sentinel(sconf, "to"),
-        obs.clone(),
-    )?;
+    let scan = |commit, side| {
+        let sconf = side_sentinel(sconf, side);
+        scan_revision(repo, commit, defines, opts, &sconf, obs.clone())
+    };
+    let from_scan = scan(from, "from")?;
+    let to_scan = scan(to, "to")?;
     let mut report = classify(
         &from_scan.findings,
         &to_scan.findings,
@@ -1077,8 +1068,7 @@ mod tests {
         let obs = ObsSession::new();
         let outcome = delta_scan(
             &repo,
-            c1,
-            c1,
+            (c1, c1),
             &[],
             &Options::paper(),
             &SentinelConfig::default(),

@@ -359,9 +359,8 @@ pub fn detect_program_hardened(
 }
 
 /// Builds the demand pointer oracle (component partition only — no
-/// solving) that the [`sentinel`](crate::sentinel) executor's units share.
-/// Serve builds it before the executor runs, because its unit keys
-/// resolve indirect calls through it too.
+/// solving) that the [`sentinel`](crate::sentinel) executor's units share;
+/// the executor builds it once per scan, before any unit.
 pub(crate) fn demand_oracle(
     prog: &Program,
     config: DetectConfig,

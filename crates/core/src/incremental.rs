@@ -9,7 +9,6 @@
 
 use std::collections::BTreeSet;
 
-use vc_dataflow::summary::SigInterner;
 use vc_ir::{
     program::BuildError,
     Program, //
@@ -21,12 +20,12 @@ use vc_vcs::{
 };
 
 use crate::{
-    detect::demand_oracle,
     harden::FailureRecord,
     pipeline::{
         build_tree,
         history_at,
         run_detected,
+        Front,
         Options, //
     },
     prune::PruneConfig,
@@ -34,7 +33,6 @@ use crate::{
         RankConfig,
         Ranked, //
     },
-    report::Report,
     sentinel::{
         execute,
         Known,
@@ -84,10 +82,8 @@ pub fn analyze_commit(
 ) -> Result<CommitFindings, BuildError> {
     let (prog, errors, stats) =
         build_tree(&repo.tree_at(commit), defines).map_err(|mut errors| errors.swap_remove(0))?;
-    let mut findings = analyze_commit_in(&prog, repo, commit, prune_config, rank_config);
-    let mut front = Report::default();
-    front.splice_parse_failures(&ObsSession::current_or_new().registry, &errors, &stats);
-    findings.failures.splice(0..0, front.failures);
+    let front = (errors.as_slice(), &stats);
+    let findings = analyze(&prog, repo, commit, prune_config, rank_config, Some(front));
     Ok(findings)
 }
 
@@ -110,6 +106,19 @@ pub fn analyze_commit_in(
     commit: CommitId,
     prune_config: &PruneConfig,
     rank_config: &RankConfig,
+) -> CommitFindings {
+    analyze(prog, repo, commit, prune_config, rank_config, None)
+}
+
+/// [`analyze_commit_in`], splicing the snapshot build's `front` (when
+/// [`analyze_commit`] built it) ahead of the analysis failures.
+fn analyze(
+    prog: &Program,
+    repo: &Repository,
+    commit: CommitId,
+    prune_config: &PruneConfig,
+    rank_config: &RankConfig,
+    front: Option<Front<'_>>,
 ) -> CommitFindings {
     let changed: BTreeSet<String> = repo
         .commit_info(commit)
@@ -137,17 +146,10 @@ pub fn analyze_commit_in(
         .collect();
     let analysed = known.iter().filter(|k| matches!(k, Known::Run)).count();
     let history = history_at(repo, commit);
-    let analysis = run_detected(prog, &history, &opts, ObsSession::current_or_new(), || {
-        let oracle = demand_oracle(prog, opts.detect, opts.harden);
-        execute(
-            prog,
-            oracle.as_ref(),
-            SigInterner::new(prog),
-            opts.detect,
-            opts.harden,
-            &SentinelConfig::sequential(),
-            known,
-        )
+    let obs = ObsSession::current_or_new();
+    let analysis = run_detected(prog, &history, &opts, obs, front, || {
+        let sconf = SentinelConfig::sequential();
+        execute(prog, opts.detect, opts.harden, &sconf, |_, _| known)
     });
 
     vc_obs::counter_inc(vc_obs::names::INCREMENTAL_COMMITS);
@@ -167,6 +169,7 @@ pub fn analyze_commit_in(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::Report;
     use vc_vcs::FileWrite;
 
     fn write(path: &str, content: &str) -> FileWrite {

@@ -27,6 +27,19 @@
 //! (`vcheck history`); [`store`] is the one checksummed, atomically saved
 //! file format those stores and the [`store::SnapshotStore`] share.
 //!
+//! # One scan path
+//!
+//! Every scan (`vcheck <dir>`, `delta`, `history`, incremental mode, each
+//! `serve` request) runs one crate-private pipeline function: one
+//! [`sentinel`] executor pass, the only place that partitions the pointer
+//! oracle and interns signatures, then authorship, pruning and ranking,
+//! then the build's parse failures spliced ahead. [`pipeline::run_sentinel`],
+//! [`delta::scan_revision`], [`history::history_scan`],
+//! [`incremental::analyze_commit`] and [`serve::ServeEngine`] are views of
+//! it. A single `Scan` builder in their place waits for a change to the
+//! repository benchmark, which calls these names: beside them it would be
+//! a second path, not one.
+//!
 //! # Examples
 //!
 //! ```

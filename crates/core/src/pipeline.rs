@@ -2,14 +2,15 @@
 //! pruning → familiarity ranking, with per-stage accounting for the
 //! evaluation tables.
 //!
-//! Every run records spans (`pipeline.run`, `stage.detect`,
-//! `stage.authorship`, `stage.prune`, `stage.rank`) and the candidate
-//! funnel (`funnel.raw` → `funnel.cross_scope` → `funnel.pruned.<reason>` →
-//! `funnel.reported`) into the run's [`ObsSession`]. [`StageTimings`] is a
-//! per-run view over those spans, so timing semantics are unchanged from
-//! the old ad-hoc `Instant` pairs.
+//! Every scan — batch, `--jobs`, delta and history revisions, incremental
+//! mode, serve requests — goes through one function, `run_detected`, which
+//! records spans (`pipeline.run`, `stage.detect`, `stage.authorship`,
+//! `stage.prune`, `stage.rank`; their durations are the per-stage times of
+//! Table 7) and the candidate funnel (`funnel.raw` → `funnel.cross_scope`
+//! → `funnel.pruned.<reason>` → `funnel.reported`) into the run's
+//! [`ObsSession`].
 
-use std::{borrow::Cow, time::Duration};
+use std::borrow::Cow;
 
 use vc_ir::{
     program::{
@@ -90,26 +91,6 @@ impl Options {
     }
 }
 
-/// Wall-clock timing of each pipeline stage.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct StageTimings {
-    /// Liveness + define-set detection (including pointer analysis).
-    pub detect: Duration,
-    /// Authorship lookup.
-    pub authorship: Duration,
-    /// Pruning.
-    pub prune: Duration,
-    /// Ranking.
-    pub rank: Duration,
-}
-
-impl StageTimings {
-    /// Total pipeline time.
-    pub fn total(&self) -> Duration {
-        self.detect + self.authorship + self.prune + self.rank
-    }
-}
-
 /// The result of one pipeline run, with stage-by-stage accounting.
 #[derive(Clone, Debug)]
 pub struct Analysis {
@@ -126,10 +107,9 @@ pub struct Analysis {
     pub ranked: Vec<Ranked>,
     /// The rendered report.
     pub report: Report,
-    /// Stage timings (Table 7).
-    pub timings: StageTimings,
-    /// The observability session the run recorded into: span trace plus
-    /// counter/histogram registry (funnel, fixpoint iterations, DOK scores).
+    /// The observability session the run recorded into: span trace (the
+    /// `stage.*` spans time each stage, Table 7) plus counter/histogram
+    /// registry (funnel, fixpoint iterations, DOK scores).
     pub obs: ObsSession,
 }
 
@@ -174,19 +154,27 @@ pub fn run_sentinel(
     sconf: &SentinelConfig,
     obs: ObsSession,
 ) -> Analysis {
-    run_detected(prog, repo, opts, obs, || {
+    run_detected(prog, repo, opts, obs, None, || {
         detect_program_sentinel(prog, opts.detect, opts.harden, sconf)
     })
 }
 
-/// One pipeline run around a detection pass: installs `obs`, opens the
-/// `pipeline.run` span, runs `detect` as `stage.detect`, then the shared
-/// back half ([`run_stages`]).
+/// A recovering build's front-end accounting: its build errors and
+/// [`RecoverStats`], as [`build_tree`] returns them.
+pub(crate) type Front<'a> = (&'a [BuildError], &'a RecoverStats);
+
+/// The one pipeline run every scan goes through: installs `obs`, opens the
+/// `pipeline.run` span, runs `detect` (a pass of the
+/// [`sentinel`](crate::sentinel) executor) as `stage.detect`, then
+/// authorship, pruning and ranking. With the build's `front` it splices
+/// the parse failures ahead of the analysis failures and adds the
+/// `recover.*` counters, as a `vcheck <dir>` scan of the tree reports them.
 pub(crate) fn run_detected(
     prog: &Program,
     repo: &Repository,
     opts: &Options,
     obs: ObsSession,
+    front: Option<Front<'_>>,
     detect: impl FnOnce() -> DetectOutcome,
 ) -> Analysis {
     let _guard = obs.install();
@@ -196,9 +184,14 @@ pub(crate) fn run_detected(
     let detect_mem = vc_obs::MemScope::enter(vc_obs::alloc::SCOPE_DETECT);
     let outcome = detect();
     detect_mem.finish();
-    let detect_time = detect_span.end();
+    detect_span.end();
 
-    run_stages(prog, repo, opts, obs, outcome, detect_time, run_span)
+    let mut analysis = run_stages(prog, repo, opts, obs, outcome);
+    if let Some((errors, stats)) = front {
+        (analysis.report).splice_parse_failures(&analysis.obs.registry, errors, stats);
+    }
+    run_span.end();
+    analysis
 }
 
 /// Builds a tree the way every scan does: with recovery, so a corrupted
@@ -233,17 +226,13 @@ pub(crate) fn history_at(repo: &Repository, commit: CommitId) -> Cow<'_, Reposit
 }
 
 /// Everything downstream of detection: authorship, cross-scope filtering,
-/// pruning, ranking, report assembly, and the funnel accounting. Shared by
-/// batch scans, incremental mode and the serve warm path, so all produce
-/// identical output for identical detection outcomes.
-pub(crate) fn run_stages(
+/// pruning, ranking, report assembly, and the funnel accounting.
+fn run_stages(
     prog: &Program,
     repo: &Repository,
     opts: &Options,
     obs: ObsSession,
     outcome: DetectOutcome,
-    detect_time: Duration,
-    run_span: vc_obs::Span,
 ) -> Analysis {
     let candidates = outcome.candidates;
     let mut summaries = outcome.summaries;
@@ -285,7 +274,7 @@ pub(crate) fn run_stages(
     }
     let cross_scope_candidates = filtered.len();
     authorship_mem.finish();
-    let authorship_time = authorship_span.end();
+    authorship_span.end();
 
     let prune_span = obs.span("stage.prune", "pipeline");
     let prune_mem = vc_obs::MemScope::enter(vc_obs::alloc::SCOPE_PRUNE);
@@ -323,7 +312,7 @@ pub(crate) fn run_stages(
         }
     };
     prune_mem.finish();
-    let prune_time = prune_span.end();
+    prune_span.end();
 
     let rank_span = obs.span("stage.rank", "pipeline");
     let rank_mem = vc_obs::MemScope::enter(vc_obs::alloc::SCOPE_RANK);
@@ -359,30 +348,27 @@ pub(crate) fn run_stages(
     let mut report = Report::from_ranked(prog, repo, &ranked);
     report.failures = failures;
     rank_mem.finish();
-    let rank_time = rank_span.end();
+    rank_span.end();
 
     // Candidate funnel (Table 4). Recorded here — not inside prune()/rank()
     // — so direct calls to those stages (incremental mode, ablations) don't
     // double-count. Balance invariant (checked by the fault harness):
     // raw = (raw - cross_scope - failed) + failed + pruned + reported.
-    obs.registry
-        .add(vc_obs::names::FUNNEL_RAW, raw_candidates as u64);
-    obs.registry.add(
-        vc_obs::names::FUNNEL_CROSS_SCOPE,
-        cross_scope_candidates as u64,
-    );
-    obs.registry
-        .add(vc_obs::names::FUNNEL_FAILED, failed_candidates as u64);
-    for reason in PruneReason::ALL {
-        obs.registry.add(
-            &vc_obs::names::funnel_pruned(reason.label()),
-            prune_outcome.count(reason) as u64,
-        );
+    use vc_obs::names;
+    for (name, n) in [
+        (names::FUNNEL_RAW, raw_candidates),
+        (names::FUNNEL_CROSS_SCOPE, cross_scope_candidates),
+        (names::FUNNEL_FAILED, failed_candidates),
+        (names::FUNNEL_REPORTED, ranked.len()),
+    ] {
+        obs.registry.add(name, n as u64);
     }
-    obs.registry
-        .add(vc_obs::names::FUNNEL_REPORTED, ranked.len() as u64);
+    for reason in PruneReason::ALL {
+        let pruned = prune_outcome.count(reason) as u64;
+        obs.registry
+            .add(&names::funnel_pruned(reason.label()), pruned);
+    }
 
-    run_span.end();
     Analysis {
         raw_candidates,
         cross_scope_candidates,
@@ -390,12 +376,6 @@ pub(crate) fn run_stages(
         failed_candidates,
         ranked,
         report,
-        timings: StageTimings {
-            detect: detect_time,
-            authorship: authorship_time,
-            prune: prune_time,
-            rank: rank_time,
-        },
         obs,
     }
 }
@@ -501,13 +481,6 @@ mod tests {
     }
 
     #[test]
-    fn stage_timings_are_recorded() {
-        let (prog, repo) = two_author_setup();
-        let analysis = run(&prog, &repo, &Options::paper());
-        assert!(analysis.timings.total() > Duration::ZERO);
-    }
-
-    #[test]
     fn run_records_stage_spans_and_funnel() {
         let (prog, repo) = two_author_setup();
         let analysis = run(&prog, &repo, &Options::paper());
@@ -588,6 +561,37 @@ mod tests {
             .failures
             .iter()
             .any(|f| f.stage == FailStage::Rank));
+    }
+
+    #[test]
+    fn a_build_front_splices_ahead_of_the_analysis_failures() {
+        let (_, repo) = two_author_setup();
+        let mut tree = repo.tree_at(repo.head().unwrap());
+        tree.push(("zz_bad.c", "void broken( { @@ }\n"));
+        let (prog, errors, stats) = build_tree(&tree, &[]).unwrap();
+        assert!(!errors.is_empty());
+        let opts = Options::paper();
+        let sequential = SentinelConfig::sequential();
+        let _g = harden::arm_failpoint(FailStage::Authorship, "acl");
+
+        let front = Some((errors.as_slice(), &stats));
+        let analysis = run_detected(&prog, &repo, &opts, ObsSession::new(), front, || {
+            detect_program_sentinel(&prog, opts.detect, opts.harden, &sequential)
+        });
+        let stages: Vec<FailStage> = analysis.report.failures.iter().map(|f| f.stage).collect();
+        let mut expected = vec![FailStage::Parse; errors.len()];
+        expected.push(FailStage::Authorship);
+        assert_eq!(stages, expected);
+        let parse_failures = vc_obs::names::HARDEN_PARSE_FAILURES;
+        assert_eq!(
+            analysis.obs.registry.counter(parse_failures),
+            errors.len() as u64
+        );
+
+        // `run_sentinel` is handed no build: it splices nothing.
+        let bare = run_sentinel(&prog, &repo, &opts, &sequential, ObsSession::new());
+        assert_eq!(bare.report.failures.len(), 1);
+        assert_eq!(bare.obs.registry.counter(parse_failures), 0);
     }
 
     #[test]

@@ -267,7 +267,7 @@ mod tests {
             "rework",
             vec![FileWrite {
                 path: "a.c".into(),
-                content: src_a.replace("x = 2;", "x = 2; ").into(),
+                content: src_a.replace("x = 2;", "x = 2; "),
             }],
         );
 

@@ -36,7 +36,7 @@
 
 use std::{
     any::Any,
-    collections::{BTreeMap, VecDeque},
+    collections::{btree_map::Entry, BTreeMap, VecDeque},
     fs,
     io::{self, Seek as _, Write as _},
     mem,
@@ -722,10 +722,11 @@ impl Replay {
             let rec = body.and_then(UnitRecord::decode_body);
             match rec {
                 Some(rec) if complete => {
-                    if out.completed.contains_key(&rec.unit()) {
-                        out.duplicate_records += 1;
-                    } else {
-                        out.completed.insert(rec.unit(), rec);
+                    match out.completed.entry(rec.unit()) {
+                        Entry::Occupied(_) => out.duplicate_records += 1,
+                        Entry::Vacant(slot) => {
+                            slot.insert(rec);
+                        }
                     }
                     offset = line_end.unwrap();
                     out.valid_bytes = offset as u64;
@@ -1001,7 +1002,7 @@ impl Shared<'_> {
 /// that escapes the unit isolation boundary poisons the worker; revive it
 /// and requeue whatever it was running. With isolation off the panic
 /// instead stops the scan: every worker and the supervisor wind down, and
-/// [`detect_program_sentinel`] re-raises it on the calling thread.
+/// [`execute`] re-raises it on the calling thread.
 fn run_worker(shared: &Shared<'_>, worker: usize) {
     let _obs = shared.obs.install();
     let _fp = shared.failplan.install();
@@ -1186,35 +1187,28 @@ pub fn detect_program_sentinel(
     hconf: HardenConfig,
     sconf: &SentinelConfig,
 ) -> DetectOutcome {
-    // Demand pointer oracle: partitioned once, single-threaded, before any
-    // unit; components solve lazily under the oracle's lock.
-    let oracle = demand_oracle(prog, config, hconf);
-    execute(
-        prog,
-        oracle.as_ref(),
-        SigInterner::new(prog),
-        config,
-        hconf,
-        sconf,
-        Vec::new(),
-    )
+    execute(prog, config, hconf, sconf, |_, _| Vec::new())
 }
 
-/// The executor itself, the one loop over detection units: settles the
-/// `known` units (one entry per unit, or none), replays the journal, runs
-/// every other unit on the workers, and folds all of them in unit order.
-/// Callers that already partitioned the pointer oracle and interned the
-/// signatures (serve, for its unit keys) pass them in, so nothing is
-/// built twice; the interner comes back on the outcome for the back end.
+/// The executor itself, the one loop over detection units: partitions the
+/// demand pointer oracle (single-threaded, no solving; components solve
+/// lazily under the oracle's lock) and interns the signatures, asks `plan`
+/// what the caller knows of each unit (one [`Known`] per unit, or none),
+/// replays the journal, runs every other unit on the workers, and folds
+/// all of them in unit order. `plan` sees the oracle and the interner
+/// because serve keys its unit cache by them; the interner comes back on
+/// the outcome for the back end.
 pub(crate) fn execute(
     prog: &Program,
-    oracle: Option<&DemandPointer>,
-    interner: SigInterner,
     config: DetectConfig,
     hconf: HardenConfig,
     sconf: &SentinelConfig,
-    mut known: Vec<Known>,
+    plan: impl FnOnce(Option<&DemandPointer>, &SigInterner) -> Vec<Known>,
 ) -> DetectOutcome {
+    let oracle = demand_oracle(prog, config, hconf);
+    let oracle = oracle.as_ref();
+    let interner = SigInterner::new(prog);
+    let mut known = plan(oracle, &interner);
     let total = prog.funcs.len();
     let in_scan = total - known.iter().filter(|k| matches!(k, Known::LeftOut)).count();
     vc_obs::counter_add(vc_obs::names::DETECT_FUNCTIONS, in_scan as u64);
@@ -1604,8 +1598,10 @@ mod tests {
             &HardenConfig::default(),
             &sconf(1),
         );
-        let mut other_conf = DetectConfig::default();
-        other_conf.use_alias_analysis = false;
+        let other_conf = DetectConfig {
+            use_alias_analysis: false,
+            ..DetectConfig::default()
+        };
         assert_ne!(
             base,
             scan_fingerprint(&p, other_conf, &HardenConfig::default(), &sconf(1))
@@ -1687,15 +1683,14 @@ mod tests {
                 let _fp2 = plan.install();
                 // One shot: the first worker to pick up `f` dies; disarm so
                 // the requeued attempt succeeds.
-                let out = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                std::panic::catch_unwind(AssertUnwindSafe(|| {
                     detect_program_sentinel(
                         &p,
                         DetectConfig::default(),
                         HardenConfig::default(),
                         &sconf(2),
                     )
-                }));
-                out
+                }))
             }
         });
         // Disarm shortly after launch; the failpoint only needs to fire

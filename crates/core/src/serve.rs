@@ -113,7 +113,7 @@ use std::{
     time::{Duration, Instant},
 };
 
-use vc_dataflow::summary::{FnSummary, SigInterner};
+use vc_dataflow::summary::FnSummary;
 use vc_ir::{
     ir::Callee,
     program::ParseCache,
@@ -128,11 +128,11 @@ use vc_pointer::{demand::DemandPointer, fasthash::FastHasher};
 use crate::{
     candidate::Candidate,
     delta::{fingerprint_ranked, Finding},
-    detect::{demand_oracle, DetectOutcome, UnitOutcome},
+    detect::{DetectOutcome, UnitOutcome},
     eventlog::{now_ms, EventLog},
     fnv1a,
     harden::{self, FailStage},
-    pipeline::{run_stages, Options},
+    pipeline::{run_detected, Options},
     project::{load_dir_or_empty, Project},
     sentinel::{execute, Known, ScanDeadline, SentinelConfig},
     store::SnapshotStore,
@@ -424,7 +424,6 @@ impl ServeEngine {
         };
         load_span.end();
         let refs = project.source_refs();
-        let run_span = obs.span("pipeline.run", "pipeline");
 
         // --- Front end (warm): cached parse recovery, fresh assembly. ---
         let parse_span = obs.span("serve.parse", "serve");
@@ -434,49 +433,28 @@ impl ServeEngine {
         parse_mem.finish();
         parse_span.end();
 
-        // --- Detection (warm): pointer stage fresh, units cached. ---
-        let detect_span = obs.span("stage.detect", "pipeline");
-        let detect_mem = vc_obs::MemScope::enter(vc_obs::alloc::SCOPE_DETECT);
-        let (outcome, unit_hits, unit_misses) = self.detect_warm(&prog, deadline);
-        let deadline_exceeded = outcome.deadline_exceeded;
-        detect_mem.finish();
-        let detect_time = detect_span.end();
+        // --- The scan every entry point runs; detection is warm (pointer
+        // stage fresh, units cached), the back end and the front-end
+        // splice are batch scan's, byte for byte. ---
+        let (mut unit_hits, mut unit_misses, mut deadline_exceeded) = (0, 0, false);
+        let front = Some((parse_errors.as_slice(), &stats));
+        let analysis = run_detected(&prog, &project.repo, &opts, obs.clone(), front, || {
+            let (outcome, hits, misses) = self.detect_warm(&prog, deadline);
+            (unit_hits, unit_misses) = (hits, misses);
+            deadline_exceeded = outcome.deadline_exceeded;
+            outcome
+        });
 
-        // Cache-effectiveness gauges: how much of the tree the warm state
+        // Cache-effectiveness gauge: how much of the tree the warm state
         // actually saved this request.
-        let lookups = unit_hits + unit_misses;
-        obs.registry.set_gauge(
-            vc_obs::names::SERVE_WARM_HIT_RATE,
-            if lookups == 0 {
-                0.0
-            } else {
-                unit_hits as f64 / lookups as f64
-            },
-        );
-
-        // --- Back end: shared with batch scan, byte-for-byte. ---
-        let mut analysis = run_stages(
-            &prog,
-            &project.repo,
-            &opts,
-            obs.clone(),
-            outcome,
-            detect_time,
-            run_span,
-        );
-        // Front-end failures splice ahead, exactly as in `vcheck scan`.
-        analysis
-            .report
-            .splice_parse_failures(&obs.registry, &parse_errors, &stats);
+        let hit_rate = unit_hits as f64 / (unit_hits + unit_misses).max(1) as f64;
+        (obs.registry).set_gauge(vc_obs::names::SERVE_WARM_HIT_RATE, hit_rate);
 
         // --- Delta classification against the previous reply. ---
         let fingerprint_span = obs.span("serve.fingerprint", "serve");
         let current = fingerprint_ranked(&prog, &analysis.ranked);
-        let prev_set: HashSet<u64> = self
-            .prev
-            .as_ref()
-            .map(|p| p.iter().map(|f| f.fingerprint.0).collect())
-            .unwrap_or_default();
+        let prev = self.prev.iter().flatten();
+        let prev_set: HashSet<u64> = prev.clone().map(|f| f.fingerprint.0).collect();
         let cur_set: HashSet<u64> = current.iter().map(|f| f.fingerprint.0).collect();
         let findings: Vec<(ServeDelta, Finding)> = current
             .iter()
@@ -489,16 +467,9 @@ impl ServeEngine {
                 (class, f.clone())
             })
             .collect();
-        let fixed: Vec<Finding> = self
-            .prev
-            .as_ref()
-            .map(|p| {
-                p.iter()
-                    .filter(|f| !cur_set.contains(&f.fingerprint.0))
-                    .cloned()
-                    .collect()
-            })
-            .unwrap_or_default();
+        let fixed: Vec<Finding> = (prev.filter(|f| !cur_set.contains(&f.fingerprint.0)))
+            .cloned()
+            .collect();
         fingerprint_span.end();
 
         // --- Commit warm state (only after full success). ---
@@ -527,10 +498,10 @@ impl ServeEngine {
         })
     }
 
-    /// The warm detection pass: the demand pointer oracle is partitioned
-    /// fresh (components solve lazily, only when an indirect call's
-    /// fingerprint or detection needs them) and every function is looked
-    /// up in the unit cache. Hits are known outcomes; the sentinel
+    /// The warm detection pass: every function is looked up in the unit
+    /// cache, keyed through the executor's fresh demand pointer oracle
+    /// (components solve lazily, only when an indirect call's fingerprint
+    /// or detection needs them). Hits are known outcomes; the sentinel
     /// executor folds them in unit order with the misses it runs at one
     /// job, so a cold cache reports exactly what `detect_program_hardened`
     /// does. The misses' clean results then refill the cache.
@@ -541,89 +512,84 @@ impl ServeEngine {
     ) -> (DetectOutcome, u64, u64) {
         let opts = &self.config.opts;
         let hconf = opts.harden;
-        let oracle = demand_oracle(prog, opts.detect, hconf);
-        let interner = SigInterner::new(prog);
         let config_salt = {
             let h = fnv1a(FNV_SEED, format!("{:?}", opts.detect).as_bytes());
             fnv1a(h, format!("{:?}", hconf).as_bytes())
         };
 
         let mut next_units: HashMap<u64, CachedUnit> = HashMap::new();
-        let mut known = Vec::with_capacity(prog.funcs.len());
         // The misses' unit keys, in unit order.
         let mut misses: Vec<(FuncId, u64)> = Vec::new();
-        // Ordinal of each function within its file, so two same-named
-        // (static) functions in one file get distinct unit keys.
-        let mut file_ordinal: HashMap<FileId, u32> = HashMap::new();
-
-        for fi in 0..prog.funcs.len() {
-            let fid = FuncId(fi as u32);
-            let f = prog.func(fid);
-            let ordinal = {
-                let slot = file_ordinal.entry(f.file).or_insert(0);
-                let o = *slot;
-                *slot += 1;
-                o
-            };
-            let pf = pointer_fingerprint(fid, f, oracle.as_ref());
-            let key = {
-                // The build already hashed the file's position, name,
-                // bytes and the defines into its parse-cache key.
-                let file_key = prog.source.file(f.file).map_or(0, |file| file.key);
-                let mut h = fnv1a(config_salt, &file_key.to_le_bytes());
-                h = fnv1a(h, f.name.as_bytes());
-                h = fnv1a(h, &ordinal.to_le_bytes());
-                fnv1a(h, &pf.to_le_bytes())
-            };
-            // The key binds the function's own file; `same_ir` binds what
-            // lowering read from other files. Together they bind every
-            // input of the unit.
-            let func = &prog.funcs[fi];
-            if !self.units.get(&key).is_some_and(|u| same_ir(&u.func, func)) {
-                misses.push((fid, key));
-                known.push(Known::Run);
-                continue;
-            }
-            // The entry moves into the next generation; its summary is
-            // shared, not copied.
-            let mut unit = self.units.remove(&key).expect("hit entry is cached");
-            unit.func = Arc::clone(func);
-            // Rebind: the function's global id may have shifted when other
-            // files gained or lost functions; its file, spans, and locals
-            // are pinned by the key.
-            let candidates = unit
-                .candidates
-                .iter()
-                .map(|c| Candidate {
-                    func: fid,
-                    ..c.clone()
-                })
-                .collect();
-            // Signature ids are program-wide, so they shift when another
-            // file adds a signature: only then is the summary copied, once,
-            // and the copy cached.
-            let sig = interner.sig_of(fid);
-            if unit.summary.sig != sig {
-                unit.summary = Arc::new(FnSummary {
-                    sig,
-                    ..FnSummary::clone(&unit.summary)
-                });
-            }
-            let summary = Arc::clone(&unit.summary);
-            next_units.insert(key, unit);
-            known.push(Known::Settled(UnitOutcome::Done {
-                exhausted: summary.exhausted,
-                summary: Some(summary),
-                candidates,
-            }));
-        }
-        let hits = (known.len() - misses.len()) as u64;
         let sconf = SentinelConfig {
             deadline,
             ..SentinelConfig::sequential()
         };
-        let (detect, oracle) = (opts.detect, oracle.as_ref());
-        let out = execute(prog, oracle, interner, detect, hconf, &sconf, known);
+        let out = execute(prog, opts.detect, hconf, &sconf, |oracle, interner| {
+            let mut known = Vec::with_capacity(prog.funcs.len());
+            // Ordinal of each function within its file, so two same-named
+            // (static) functions in one file get distinct unit keys.
+            let mut file_ordinal: HashMap<FileId, u32> = HashMap::new();
+            for fi in 0..prog.funcs.len() {
+                let fid = FuncId(fi as u32);
+                let f = prog.func(fid);
+                let slot = file_ordinal.entry(f.file).or_insert(0);
+                let ordinal = *slot;
+                *slot += 1;
+                let pf = pointer_fingerprint(fid, f, oracle);
+                let key = {
+                    // The build already hashed the file's position, name,
+                    // bytes and the defines into its parse-cache key.
+                    let file_key = prog.source.file(f.file).map_or(0, |file| file.key);
+                    let mut h = fnv1a(config_salt, &file_key.to_le_bytes());
+                    h = fnv1a(h, f.name.as_bytes());
+                    h = fnv1a(h, &ordinal.to_le_bytes());
+                    fnv1a(h, &pf.to_le_bytes())
+                };
+                // The key binds the function's own file; `same_ir` binds what
+                // lowering read from other files. Together they bind every
+                // input of the unit.
+                let func = &prog.funcs[fi];
+                if !self.units.get(&key).is_some_and(|u| same_ir(&u.func, func)) {
+                    misses.push((fid, key));
+                    known.push(Known::Run);
+                    continue;
+                }
+                // The entry moves into the next generation; its summary is
+                // shared, not copied.
+                let mut unit = self.units.remove(&key).expect("hit entry is cached");
+                unit.func = Arc::clone(func);
+                // Rebind: the function's global id may have shifted when other
+                // files gained or lost functions; its file, spans, and locals
+                // are pinned by the key.
+                let candidates = unit
+                    .candidates
+                    .iter()
+                    .map(|c| Candidate {
+                        func: fid,
+                        ..c.clone()
+                    })
+                    .collect();
+                // Signature ids are program-wide, so they shift when another
+                // file adds a signature: only then is the summary copied, once,
+                // and the copy cached.
+                let sig = interner.sig_of(fid);
+                if unit.summary.sig != sig {
+                    unit.summary = Arc::new(FnSummary {
+                        sig,
+                        ..FnSummary::clone(&unit.summary)
+                    });
+                }
+                let summary = Arc::clone(&unit.summary);
+                next_units.insert(key, unit);
+                known.push(Known::Settled(UnitOutcome::Done {
+                    exhausted: summary.exhausted,
+                    summary: Some(summary),
+                    candidates,
+                }));
+            }
+            known
+        });
+        let hits = (prog.funcs.len() - misses.len()) as u64;
         crate::counters_add(&[
             (vc_obs::names::SERVE_UNIT_HITS, hits),
             (vc_obs::names::SUMMARY_REUSED, hits),
@@ -1195,7 +1161,7 @@ where
                         Json::Str(format!("queue full ({depth} pending)")),
                     ),
                 ]);
-                let _ = writeln!(w, "{}", reply.to_string());
+                let _ = writeln!(w, "{reply}");
                 let _ = w.flush();
                 continue;
             }
@@ -1234,7 +1200,7 @@ where
         let (reply, shutdown) = engine.handle_line(&line, seq);
         {
             let mut w = out.lock().unwrap();
-            let _ = writeln!(w, "{}", reply.to_string());
+            let _ = writeln!(w, "{reply}");
             let _ = w.flush();
         }
         if shutdown {
@@ -1251,7 +1217,7 @@ where
                 engine.obs.registry.add(vc_obs::names::SERVE_ERRORS, 1);
                 let tel = ReqTelemetry::unknown();
                 engine.log_event(event_record(now_ms(), 0, dseq, &tel, 0));
-                let _ = writeln!(w, "{}", error_reply(dseq, "shutting down").to_string());
+                let _ = writeln!(w, "{}", error_reply(dseq, "shutting down"));
             }
             let _ = w.flush();
             break 0;
@@ -1286,7 +1252,7 @@ where
 mod tests {
     use super::*;
     use std::fs;
-    use vc_dataflow::summary::SigId;
+    use vc_dataflow::summary::{SigId, SigInterner};
 
     /// A `Write` the test can keep reading after the daemon takes it.
     #[derive(Clone, Default)]

@@ -7,7 +7,7 @@
 //!
 //! - the daemon process never exits except on `shutdown`/EOF (status 0);
 //! - every clean scan/update reply is **byte-identical** to a cold batch
-//!   scan of the tree at that moment (the in-process oracle below);
+//!   scan of the tree at that moment (the in-process oracle in `common`);
 //! - per-lifetime counters balance: requests, bad lines, sheds,
 //!   quarantines, and the analysis funnel
 //!   (`cross_scope == pruned + reported`).
@@ -15,45 +15,20 @@
 use std::{
     fs,
     io::{BufRead, BufReader, Write},
-    path::{Path, PathBuf},
+    path::Path,
     process::{Child, ChildStdin, ChildStdout, Command, Stdio},
 };
 
-use valuecheck::{
-    harden::{FailStage, FailureRecord},
-    pipeline::{run_sentinel, Options},
-    project::load_dir_or_empty,
-    sentinel::SentinelConfig,
-};
-use vc_ir::Program;
-use vc_obs::{Json, ObsSession};
+use valuecheck::{harden::FailStage, pipeline::Options};
+use vc_obs::Json;
 use vc_workload::chaos::{generate_chaos, ChaosStep};
 
-/// A cold batch scan of `dir` through the standard pipeline: the byte
-/// oracle every clean warm reply must match. Deliberately built from the
-/// batch entry points, not `valuecheck::serve`, so warm == cold is a
-/// meaningful invariant.
+mod common;
+use common::write_tree;
+
+/// The cold oracle at the paper's configuration, which the daemon runs.
 fn cold_canonical(dir: &Path) -> Vec<u8> {
-    let project = load_dir_or_empty(dir).expect("oracle loads the tree");
-    let (prog, errors, _) = Program::build_recovering(&project.source_refs(), &[]);
-    let mut analysis = run_sentinel(
-        &prog,
-        &project.repo,
-        &Options::paper(),
-        &SentinelConfig::sequential(),
-        ObsSession::new(),
-    );
-    let front: Vec<FailureRecord> = errors
-        .iter()
-        .map(|e| FailureRecord {
-            stage: FailStage::Parse,
-            file: e.file().to_string(),
-            function: e.function().map(str::to_string),
-            message: e.to_string(),
-        })
-        .collect();
-    analysis.report.failures.splice(0..0, front);
-    analysis.report.canonical_bytes()
+    common::cold_canonical(dir, &Options::paper())
 }
 
 /// The warm reply's report bytes: `csv` + pretty-printed `report`, the two
@@ -173,20 +148,9 @@ impl Daemon {
     }
 }
 
-fn write_tree(name: &str, tree: &[(String, String)]) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("vc-chaos-{}-{name}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    for (path, content) in tree {
-        let full = dir.join(path);
-        fs::create_dir_all(full.parent().unwrap()).unwrap();
-        fs::write(full, content).unwrap();
-    }
-    dir
-}
-
 fn run_plan(seed: u64) {
     let plan = generate_chaos(seed);
-    let dir = write_tree(&format!("seed{seed}"), &plan.initial_tree);
+    let dir = write_tree(&format!("chaos-seed{seed}"), &plan.initial_tree);
 
     for (seg_idx, seg) in plan.segments.iter().enumerate() {
         let mut daemon = Daemon::spawn(&dir, plan.queue_depth, &seg.panic_seqs, "");
@@ -349,7 +313,7 @@ fn chaos_seed_99() {
 #[test]
 fn armed_failpoints_degrade_but_never_kill() {
     let plan = generate_chaos(7);
-    let dir = write_tree("failpoint", &plan.initial_tree);
+    let dir = write_tree("chaos-failpoint", &plan.initial_tree);
     // Aim at the planted fault-file functions, present in every tree.
     let needle = "vc_corrupt_";
     let mut daemon = Daemon::spawn(&dir, plan.queue_depth, &[], &format!("detect:{needle}"));

@@ -27,14 +27,14 @@
 use std::{fs, path::Path};
 
 use valuecheck::{
-    pipeline::{run_sentinel, Options},
-    project::load_dir_or_empty,
+    pipeline::Options,
     prune::PruneConfig,
-    sentinel::SentinelConfig,
     serve::{ServeConfig, ServeEngine},
 };
-use vc_ir::Program;
-use vc_obs::{rng::SplitMix64, ObsSession};
+use vc_obs::rng::SplitMix64;
+
+mod common;
+use common::{cold_canonical, write_tree};
 
 /// Files `m0.c` .. `m3.c`; each calls into the previous one.
 const FILES: usize = 4;
@@ -127,17 +127,6 @@ impl Tree {
     }
 }
 
-/// A cold batch scan of `dir`, as `vcheck <dir>` runs it.
-fn cold(dir: &Path, opts: &Options) -> Vec<u8> {
-    let project = load_dir_or_empty(dir).unwrap();
-    let (prog, errors, stats) = Program::build_recovering(&project.source_refs(), &[]);
-    let obs = ObsSession::new();
-    let sconf = SentinelConfig::sequential();
-    let mut analysis = run_sentinel(&prog, &project.repo, opts, &sconf, obs.clone());
-    (analysis.report).splice_parse_failures(&obs.registry, &errors, &stats);
-    analysis.report.canonical_bytes()
-}
-
 #[test]
 fn warm_replies_match_cold_scans_across_cross_file_edits() {
     // The paper's configuration, and one where every candidate reaches
@@ -155,10 +144,8 @@ fn warm_replies_match_cold_scans_across_cross_file_edits() {
     };
     for (name, opts) in [("paper", Options::paper()), ("everything", everything)] {
         for seed in 1..=4u64 {
-            let tag = format!("{name}-{seed}-{}", std::process::id());
-            let dir = std::env::temp_dir().join(format!("vc-serve-diff-{tag}"));
-            let _ = fs::remove_dir_all(&dir);
-            fs::create_dir_all(&dir).unwrap();
+            let tag = format!("{name}-{seed}");
+            let dir = write_tree::<&str, &str>(&format!("serve-diff-{tag}"), &[]);
             let mut tree = Tree::default();
             tree.helper[0] = true;
             tree.write(&dir);
@@ -168,7 +155,7 @@ fn warm_replies_match_cold_scans_across_cross_file_edits() {
             };
             let mut engine = ServeEngine::new(&dir, config).unwrap();
             let first = engine.scan(None).unwrap();
-            assert_eq!(first.report.canonical_bytes(), cold(&dir, &opts));
+            assert_eq!(first.report.canonical_bytes(), cold_canonical(&dir, &opts));
 
             // Every kind of edit twice, in a seeded order.
             let mut rng = SplitMix64::new(seed);
@@ -181,7 +168,7 @@ fn warm_replies_match_cold_scans_across_cross_file_edits() {
                 let warm = engine.scan(None).unwrap();
                 hits += warm.unit_hits;
                 assert!(
-                    warm.report.canonical_bytes() == cold(&dir, &opts),
+                    warm.report.canonical_bytes() == cold_canonical(&dir, &opts),
                     "{tag} step {step} ({what}): warm reply differs from a cold scan:\n{}",
                     warm.report.to_csv()
                 );
@@ -242,10 +229,8 @@ fn warm_replies_match_cold_scans_as_peer_counts_cross_the_threshold() {
         (9, Edit::AddUser),
     ];
     for seed in 1..=3u64 {
-        let tag = format!("peers-{seed}-{}", std::process::id());
-        let dir = std::env::temp_dir().join(format!("vc-serve-diff-{tag}"));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
+        let tag = format!("peers-{seed}");
+        let dir = write_tree::<&str, &str>(&format!("serve-diff-{tag}"), &[]);
         let mut peers = Peers::default();
         peers.ignorers[1].push(0);
         peers.ignorers[2].push(1);
@@ -257,7 +242,7 @@ fn warm_replies_match_cold_scans_as_peer_counts_cross_the_threshold() {
         let mut engine = ServeEngine::new(&dir, ServeConfig::default()).unwrap();
         assert_eq!(
             engine.scan(None).unwrap().report.canonical_bytes(),
-            cold(&dir, &opts)
+            cold_canonical(&dir, &opts)
         );
 
         let mut rng = SplitMix64::new(seed);
@@ -289,7 +274,7 @@ fn warm_replies_match_cold_scans_as_peer_counts_cross_the_threshold() {
                 peers.write(&dir);
                 let warm = engine.scan(None).unwrap();
                 assert!(
-                    warm.report.canonical_bytes() == cold(&dir, &opts),
+                    warm.report.canonical_bytes() == cold_canonical(&dir, &opts),
                     "{tag} phase {phase} step {step} ({edit:?} in m{i}.c): warm reply differs \
                      from a cold scan:\n{}",
                     warm.report.to_csv()

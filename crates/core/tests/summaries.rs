@@ -8,7 +8,6 @@
 //! rescan.
 
 use std::fs;
-use std::path::{Path, PathBuf};
 
 use valuecheck::{
     authorship::AuthorshipCtx,
@@ -24,6 +23,9 @@ use vc_dataflow::summary::{SigInterner, Summaries};
 use vc_ir::Program;
 use vc_obs::ObsSession;
 use vc_workload::{generate, AppProfile};
+
+mod common;
+use common::{cold_canonical, write_tree};
 
 fn build_app(seed: u64) -> (Program, vc_vcs::Repository) {
     let mut profile = AppProfile::nfs_ganesha().scaled(0.05);
@@ -77,16 +79,6 @@ const BUGGY: &str = "int lib_a(void);\n\
                      }\n";
 const CLEAN: &str = "int clean_fn(void) { return 1; }\n";
 
-fn tree(name: &str, files: &[(&str, &str)]) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("vc-summaries-{}-{name}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).unwrap();
-    for (f, text) in files {
-        fs::write(dir.join(f), text).unwrap();
-    }
-    dir
-}
-
 fn counters(eng: &ServeEngine) -> (u64, u64) {
     let reg = &eng.obs().registry;
     (reg.counter("summary.built"), reg.counter("summary.reused"))
@@ -94,7 +86,7 @@ fn counters(eng: &ServeEngine) -> (u64, u64) {
 
 #[test]
 fn warm_serve_rescan_reuses_summaries_without_rebuilding() {
-    let dir = tree("warm", &[("a.c", BUGGY), ("b.c", CLEAN)]);
+    let dir = write_tree("summaries-warm", &[("a.c", BUGGY), ("b.c", CLEAN)]);
     let mut eng = ServeEngine::new(&dir, ServeConfig::default()).unwrap();
 
     let first = eng.scan(None).unwrap();
@@ -119,23 +111,10 @@ fn warm_serve_rescan_reuses_summaries_without_rebuilding() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-fn cold_canonical(dir: &Path) -> Vec<u8> {
-    let project = valuecheck::project::load_dir_or_empty(dir).unwrap();
-    let (prog, _errors, _) = Program::build_recovering(&project.source_refs(), &[]);
-    let analysis = run_sentinel(
-        &prog,
-        &project.repo,
-        &Options::paper(),
-        &SentinelConfig::sequential(),
-        ObsSession::new(),
-    );
-    analysis.report.canonical_bytes()
-}
-
 #[test]
 fn reports_stay_byte_identical_across_executors_and_serve_warmth() {
-    let dir = tree("bytes", &[("a.c", BUGGY), ("b.c", CLEAN)]);
-    let oracle = cold_canonical(&dir);
+    let dir = write_tree("summaries-bytes", &[("a.c", BUGGY), ("b.c", CLEAN)]);
+    let oracle = cold_canonical(&dir, &Options::paper());
 
     // Sequential vs sentinel (--jobs 4) on the same tree.
     let project = valuecheck::project::load_dir_or_empty(&dir).unwrap();

@@ -1,27 +1,33 @@
 //! The detection unit contract: every entry point that runs per-function
 //! detection units — sequential (`detect_program_hardened`), the sentinel
-//! executor at one and four jobs, a cold `serve` scan, and incremental
-//! analysis of a commit that touches every file — runs them through one
-//! runner and one outcome fold. So on the same program they must agree on
-//! the candidates, the failure records, and the `harden.poisoned.detect`,
+//! executor at one and four jobs, a cold `serve` scan, a warm `serve`
+//! rescan of the same tree, a revision scan (`delta::scan_revision`, the
+//! path of `vcheck delta` and `vcheck history`), and incremental analysis
+//! of a commit that touches every file — runs them through one runner and
+//! one outcome fold. So on the same program they must agree on the
+//! candidates, the failure records, and the `harden.poisoned.detect`,
 //! `harden.degraded.liveness` and `detect.functions` counters, both when a
 //! unit panics and when a unit's liveness budget runs out.
 
 use std::fs;
 
 use valuecheck::{
+    delta::scan_revision,
     detect::{detect_program_hardened, DetectConfig},
-    harden::{arm_failpoint, FailStage, HardenConfig},
+    harden::{arm_failpoint, FailStage, FailureRecord, HardenConfig},
     incremental::analyze_commit_in,
     pipeline::Options,
     prune::PruneConfig,
-    rank::RankConfig,
+    rank::{RankConfig, Ranked},
     sentinel::{detect_program_sentinel, SentinelConfig},
     serve::{ServeConfig, ServeEngine},
 };
 use vc_ir::Program;
 use vc_obs::{Budget, ObsSession};
 use vc_vcs::{FileWrite, Repository};
+
+mod common;
+use common::{cold_canonical, write_tree};
 
 /// The head tree: every function overwrites its definition on a line bob
 /// added over alice's definition, so every candidate is cross-scope; `h`
@@ -61,9 +67,20 @@ impl Units {
         Units {
             candidates,
             failures,
-            counters: COUNTERS.iter().map(|c| obs.registry.counter(c)).collect(),
+            counters: counters(obs),
         }
     }
+
+    /// What a report-level entry point found: its ranked candidates.
+    fn ranked(ranked: &[Ranked], failures: &[FailureRecord], obs: &ObsSession) -> Units {
+        let candidates = ranked.iter().map(|r| format!("{:?}", r.item.candidate));
+        let failures = failures.iter().map(|f| format!("{f:?}"));
+        Units::new(candidates.collect(), failures.collect(), obs)
+    }
+}
+
+fn counters(obs: &ObsSession) -> Vec<u64> {
+    COUNTERS.iter().map(|c| obs.registry.counter(c)).collect()
 }
 
 /// Every pruner off and no cross-scope filter: each candidate reaches the
@@ -145,21 +162,34 @@ fn sentinel(hconf: HardenConfig, jobs: usize) -> Units {
     )
 }
 
-fn serve_cold(hconf: HardenConfig, name: &str) -> Units {
-    let dir = std::env::temp_dir().join(format!("vc-units-{}-{name}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).unwrap();
-    for (path, content) in HEAD {
-        fs::write(dir.join(path), content).unwrap();
-    }
+/// A cold serve scan, or with `warm` a second scan of the same tree, whose
+/// hit plan settles every cached unit beside the misses the executor runs;
+/// the counters are then the warm request's alone. Also returns the last
+/// request's unit misses.
+fn serve(hconf: HardenConfig, name: &str, warm: bool) -> (Units, u64) {
+    let dir = write_tree(&format!("units-{name}"), HEAD);
+    let opts = keep_everything(hconf);
     let config = ServeConfig {
-        opts: keep_everything(hconf),
+        opts,
         ..ServeConfig::default()
     };
     let mut engine = ServeEngine::new(&dir, config).unwrap();
-    let resp = engine.scan(None).expect("cold scan succeeds");
+    let mut resp = engine.scan(None).expect("cold scan succeeds");
+    let mut before = vec![0; COUNTERS.len()];
+    if warm {
+        before = counters(engine.obs());
+        resp = engine.scan(None).expect("warm scan succeeds");
+        let lookups = resp.unit_hits + resp.unit_misses;
+        assert_eq!(lookups, 4, "every unit is looked up");
+    }
+    let cold = cold_canonical(&dir, &opts);
+    assert_eq!(
+        resp.report.canonical_bytes(),
+        cold,
+        "serve replies with cold bytes"
+    );
     let _ = fs::remove_dir_all(&dir);
-    Units::new(
+    let mut units = Units::new(
         resp.report
             .rows
             .iter()
@@ -171,7 +201,11 @@ fn serve_cold(hconf: HardenConfig, name: &str) -> Units {
             .map(|f| format!("{f:?}"))
             .collect(),
         engine.obs(),
-    )
+    );
+    for (count, earlier) in units.counters.iter_mut().zip(before) {
+        *count -= earlier;
+    }
+    (units, resp.unit_misses)
 }
 
 /// Alice writes every definition; bob's head commit adds the overwriting
@@ -200,6 +234,24 @@ fn history() -> Repository {
     repo
 }
 
+/// `delta::scan_revision` at the head of [`history`], whose tree is
+/// [`HEAD`].
+fn revision(hconf: HardenConfig) -> Units {
+    let repo = history();
+    let obs = ObsSession::new();
+    let scan = scan_revision(
+        &repo,
+        repo.head().unwrap(),
+        &[],
+        &keep_everything(hconf),
+        &SentinelConfig::sequential(),
+        obs.clone(),
+    )
+    .expect("the head builds");
+    let analysis = &scan.analysis;
+    Units::ranked(&analysis.ranked, &analysis.report.failures, &obs)
+}
+
 fn incremental() -> Units {
     let prog = program();
     let repo = history();
@@ -215,15 +267,7 @@ fn incremental() -> Units {
         )
     };
     assert_eq!(found.analysed_functions, prog.funcs.len());
-    Units::new(
-        found
-            .findings
-            .iter()
-            .map(|r| format!("{:?}", r.item.candidate))
-            .collect(),
-        found.failures.iter().map(|f| format!("{f:?}")).collect(),
-        &obs,
-    )
+    Units::ranked(&found.findings, &found.failures, &obs)
 }
 
 #[test]
@@ -241,12 +285,16 @@ fn a_poisoned_unit_looks_the_same_through_every_entry_point() {
     for jobs in [1, 4] {
         assert_eq!(sentinel(hconf, jobs), seq, "sentinel at {jobs} jobs");
     }
-    let served = serve_cold(hconf, "poisoned");
+    let (served, _) = serve(hconf, "poisoned", false);
     assert_eq!(served.failures, seq.failures, "serve failure records");
     assert_eq!(served.counters, seq.counters, "serve counters");
     let mut rows = seq_rows;
     rows.sort();
     assert_eq!(served.candidates, rows, "serve candidates");
+    let (warm, misses) = serve(hconf, "poisoned-warm", true);
+    assert_eq!(misses, 1, "the poisoned unit re-runs, the rest are hits");
+    assert_eq!(warm, served, "warm serve rescan");
+    assert_eq!(revision(hconf), seq, "revision scan at the head");
     assert_eq!(
         incremental(),
         seq,
@@ -279,12 +327,16 @@ fn a_liveness_exhausted_unit_looks_the_same_through_every_entry_point() {
     for jobs in [1, 4] {
         assert_eq!(sentinel(hconf, jobs), seq, "sentinel at {jobs} jobs");
     }
-    let served = serve_cold(hconf, "exhausted");
+    let (served, _) = serve(hconf, "exhausted", false);
     assert_eq!(served.failures, seq.failures, "serve failure records");
     assert_eq!(served.counters, seq.counters, "serve counters");
     let mut rows = seq_rows;
     rows.sort();
     assert_eq!(served.candidates, rows, "serve candidates");
+    let (warm, misses) = serve(hconf, "exhausted-warm", true);
+    assert_eq!(misses, 0, "the exhausted unit is cached like the rest");
+    assert_eq!(warm, served, "warm serve rescan");
+    assert_eq!(revision(hconf), seq, "revision scan at the head");
 }
 
 /// A liveness step budget that the straight-line functions fit in and the

@@ -78,8 +78,9 @@ fn solve4(mut a: [[f64; 4]; 4], mut b: [f64; 4]) -> Option<[f64; 4]> {
         // Eliminate below.
         for row in (col + 1)..4 {
             let k = a[row][col] / a[col][col];
-            for j in col..4 {
-                a[row][j] -= k * a[col][j];
+            let pivot_row = a[col];
+            for (x, p) in a[row][col..].iter_mut().zip(&pivot_row[col..]) {
+                *x -= k * p;
             }
             b[row] -= k * b[col];
         }

@@ -103,7 +103,8 @@ fn defines_do_not_affect_guardless_programs() {
             .collect();
         let src = source_from_seed(seed);
         let a = Program::build(&[("g.c", src.as_str())], &[]).expect("builds");
-        let b = Program::build(&[("g.c", src.as_str())], &[define.clone()]).expect("builds");
+        let b = Program::build(&[("g.c", src.as_str())], std::slice::from_ref(&define))
+            .expect("builds");
         assert_eq!(
             a.inst_count(),
             b.inst_count(),

@@ -102,18 +102,15 @@ struct ThreadMem {
     peak: [Cell<i64>; N_SCOPES],
 }
 
-const ZERO_U: Cell<u64> = Cell::new(0);
-const ZERO_I: Cell<i64> = Cell::new(0);
-
 thread_local! {
     static MEM: ThreadMem = const {
         ThreadMem {
             scope: Cell::new(SCOPE_OTHER),
-            allocs: [ZERO_U; N_SCOPES],
-            alloc_bytes: [ZERO_U; N_SCOPES],
-            freed_bytes: [ZERO_U; N_SCOPES],
-            live: [ZERO_I; N_SCOPES],
-            peak: [ZERO_I; N_SCOPES],
+            allocs: [const { Cell::new(0) }; N_SCOPES],
+            alloc_bytes: [const { Cell::new(0) }; N_SCOPES],
+            freed_bytes: [const { Cell::new(0) }; N_SCOPES],
+            live: [const { Cell::new(0) }; N_SCOPES],
+            peak: [const { Cell::new(0) }; N_SCOPES],
         }
     };
 }

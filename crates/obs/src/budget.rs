@@ -99,7 +99,8 @@ impl BudgetMeter {
             }
         }
         if let Some(limit) = self.budget.max_time {
-            if self.steps % DEADLINE_CHECK_INTERVAL == 0 && self.started.elapsed() > limit {
+            if self.steps.is_multiple_of(DEADLINE_CHECK_INTERVAL) && self.started.elapsed() > limit
+            {
                 self.exhausted = true;
                 return false;
             }

@@ -82,13 +82,6 @@ impl Json {
         }
     }
 
-    /// Compact rendering.
-    pub fn to_string(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, None, 0);
-        out
-    }
-
     /// Pretty rendering with two-space indentation.
     pub fn to_string_pretty(&self) -> String {
         let mut out = String::new();
@@ -156,13 +149,13 @@ fn write_seq(
         }
         if let Some(w) = indent {
             out.push('\n');
-            out.extend(std::iter::repeat(' ').take(w * (depth + 1)));
+            out.extend(std::iter::repeat_n(' ', w * (depth + 1)));
         }
         item(out, i, depth + 1);
     }
     if let Some(w) = indent {
         out.push('\n');
-        out.extend(std::iter::repeat(' ').take(w * depth));
+        out.extend(std::iter::repeat_n(' ', w * depth));
     }
     out.push(close);
 }
@@ -193,6 +186,15 @@ pub struct ParseError {
     pub at: usize,
     /// What went wrong.
     pub msg: String,
+}
+
+/// Compact rendering.
+impl std::fmt::Display for Json {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let mut out = String::new();
+        self.write(&mut out, None, 0);
+        f.write_str(&out)
+    }
 }
 
 impl std::fmt::Display for ParseError {

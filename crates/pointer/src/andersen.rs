@@ -128,8 +128,11 @@ struct Solver<'p> {
     propagations: u64,
     call_edges: BTreeSet<(FuncId, String)>,
     /// name -> (FuncId, param temps, return sources).
-    func_info: FastMap<String, Rc<(FuncId, Vec<u32>, Vec<Src>)>>,
+    func_info: FastMap<String, Rc<FuncInfo>>,
 }
+
+/// A function's id, parameter temps and return sources.
+type FuncInfo = (FuncId, Vec<u32>, Vec<Src>);
 
 impl PointsTo {
     /// Runs the analysis over a whole program with the default (field-

@@ -41,8 +41,7 @@ fn scan(
     let obs = ObsSession::new();
     let outcome = delta_scan(
         &w.repo,
-        w.from,
-        w.to,
+        (w.from, w.to),
         &[],
         &Options::paper(),
         sconf,
@@ -147,8 +146,7 @@ fn self_delta_is_all_persisting() {
     let obs = ObsSession::new();
     let outcome = delta_scan(
         &w.repo,
-        w.to,
-        w.to,
+        (w.to, w.to),
         &[],
         &Options::paper(),
         &SentinelConfig::default(),
@@ -255,8 +253,7 @@ fn baseline_acknowledges_new_findings_without_touching_the_rest() {
     let obs = ObsSession::new();
     let outcome = delta_scan(
         &w.repo,
-        w.from,
-        w.to,
+        (w.from, w.to),
         &[],
         &Options::paper(),
         &SentinelConfig::default(),
@@ -293,8 +290,7 @@ fn corrupted_revision_recovers_as_a_scan_does() {
     let obs = ObsSession::new();
     let outcome = delta_scan(
         &repo,
-        clean,
-        broken,
+        (clean, broken),
         &[],
         &Options::paper(),
         &SentinelConfig::default(),
@@ -325,8 +321,7 @@ fn a_function_dropped_by_corruption_is_unscanned_not_fixed() {
     let obs = ObsSession::new();
     let outcome = delta_scan(
         &repo,
-        clean,
-        broken,
+        (clean, broken),
         &[],
         &Options::paper(),
         &SentinelConfig::default(),

@@ -163,8 +163,7 @@ fn every_emitted_metric_name_is_registered() {
     let w = generate_delta(&DeltaProfile::default());
     delta_scan(
         &w.repo,
-        w.from,
-        w.to,
+        (w.from, w.to),
         &[],
         &Options::paper(),
         &SentinelConfig::default(),

@@ -1,5 +1,5 @@
 #!/usr/bin/env sh
-# Offline CI gate: build, test, format. No network access required — the
+# Offline CI gate: build, test, format, lint. No network access required — the
 # workspace has zero crates-io dependencies.
 set -eu
 
@@ -181,6 +181,11 @@ bounded cargo test --release --manifest-path repobench/Cargo.toml
 
 echo "==> cargo fmt --check"
 cargo fmt --check
+
+# clippy: every target of the workspace lints clean; a new warning fails
+# the gate.
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 # doc: rustdoc must build without a warning (broken or private intra-doc
 # links, ambiguous paths).
