@@ -23,12 +23,15 @@ use valuecheck::{harden::FailStage, pipeline::Options};
 use vc_obs::Json;
 use vc_workload::chaos::{generate_chaos, ChaosStep};
 
-mod common;
-use common::write_tree;
+mod common {
+    pub mod oracle;
+    pub mod tree;
+}
+use common::tree::write_tree;
 
 /// The cold oracle at the paper's configuration, which the daemon runs.
 fn cold_canonical(dir: &Path) -> Vec<u8> {
-    common::cold_canonical(dir, &Options::paper())
+    common::oracle::cold_canonical(dir, &Options::paper())
 }
 
 /// The warm reply's report bytes: `csv` + pretty-printed `report`, the two

@@ -12,6 +12,11 @@ use std::{
     process::{Command, Output},
 };
 
+mod common {
+    pub mod tree;
+}
+use common::tree::write_tree;
+
 /// One planted cross-scope finding: the library retval is overwritten
 /// before use, which the retval rule reports under any history.
 const BUGGY_FN: &str = "int lib_a(void);\n\
@@ -30,16 +35,6 @@ const MANGLED_FN: &str = "vc_mangled_t broken_fn(void) {\n\
                           return x;\n\
                           }\n";
 
-fn project(name: &str, files: &[(&str, &str)]) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("vc-cli-exit-{}-{name}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).unwrap();
-    for (file, text) in files {
-        fs::write(dir.join(file), text).unwrap();
-    }
-    dir
-}
-
 /// Runs `vcheck <dir> <args>`.
 fn vcheck(dir: &PathBuf, args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_vcheck"))
@@ -51,8 +46,8 @@ fn vcheck(dir: &PathBuf, args: &[&str]) -> Output {
 
 #[test]
 fn all_files_failing_to_parse_is_a_load_error() {
-    let dir = project(
-        "allbad",
+    let dir = write_tree(
+        "cli-exit-allbad",
         &[
             ("junk1.c", "@@ $$ ?? nothing lexes here ~~\n"),
             ("junk2.c", "%% ## also garbage $$\n"),
@@ -75,7 +70,10 @@ fn all_files_failing_to_parse_is_a_load_error() {
 
 #[test]
 fn surviving_findings_still_exit_one_and_name_the_skipped_function() {
-    let dir = project("mixed", &[("a.c", &format!("{BUGGY_FN}{MANGLED_FN}"))]);
+    let dir = write_tree(
+        "cli-exit-mixed",
+        &[("a.c", &format!("{BUGGY_FN}{MANGLED_FN}"))],
+    );
     let out = vcheck(&dir, &[]);
     assert_eq!(
         out.status.code(),
@@ -99,7 +97,10 @@ fn surviving_findings_still_exit_one_and_name_the_skipped_function() {
 
 #[test]
 fn surviving_clean_code_still_exits_zero() {
-    let dir = project("cleanish", &[("a.c", &format!("{CLEAN_FN}{MANGLED_FN}"))]);
+    let dir = write_tree(
+        "cli-exit-cleanish",
+        &[("a.c", &format!("{CLEAN_FN}{MANGLED_FN}"))],
+    );
     let out = vcheck(&dir, &[]);
     assert_eq!(
         out.status.code(),
@@ -114,7 +115,7 @@ fn surviving_clean_code_still_exits_zero() {
 fn empty_project_dir_exits_zero_with_empty_report() {
     // A directory with zero `.c` files is a clean project, not a usage
     // error: CI can point vcheck at a repo with no C sources.
-    let dir = project("emptydir", &[]);
+    let dir = write_tree::<&str, &str>("cli-exit-emptydir", &[]);
     fs::create_dir_all(dir.join("sub")).unwrap();
     let out = vcheck(&dir, &[]);
     assert_eq!(
@@ -140,8 +141,8 @@ fn empty_project_dir_exits_zero_with_empty_report() {
 
 #[test]
 fn a_deadline_runs_on_the_batch_executor_with_every_flag() {
-    let dir = project(
-        "deadline-jobs",
+    let dir = write_tree(
+        "cli-exit-deadline-jobs",
         &[("a.c", BUGGY_FN), ("b.c", CLEAN_FN), ("c.c", BUGGY_FN)],
     );
     let plain = vcheck(&dir, &["--jobs", "4"]);
@@ -192,7 +193,7 @@ fn a_deadline_runs_on_the_batch_executor_with_every_flag() {
 
 #[test]
 fn a_deadlined_scan_exports_like_a_plain_one() {
-    let dir = project("deadline-stats", &[("a.c", BUGGY_FN)]);
+    let dir = write_tree("cli-exit-deadline-stats", &[("a.c", BUGGY_FN)]);
     let (trace, profile) = (dir.join("scan.trace.json"), dir.join("scan.folded"));
     let (trace_arg, profile_arg) = (trace.to_str().unwrap(), profile.to_str().unwrap());
     for deadline in [&[][..], &["--deadline-ms", "60000"]] {
@@ -218,8 +219,8 @@ fn a_deadlined_scan_exports_like_a_plain_one() {
 
 #[test]
 fn whole_file_loss_uses_the_file_level_diagnostic() {
-    let dir = project(
-        "onegood",
+    let dir = write_tree(
+        "cli-exit-onegood",
         &[("good.c", BUGGY_FN), ("junk.c", "@@ $$ ?? garbage ~~\n")],
     );
     let out = vcheck(&dir, &[]);
@@ -240,7 +241,10 @@ fn whole_file_loss_uses_the_file_level_diagnostic() {
 #[test]
 fn fail_fast_exits_two_on_the_first_recovering_build_error() {
     let broken = "int broken(void) { int x = $$; use(x); }\n";
-    let dir = project("failfast", &[("a.c", &format!("{BUGGY_FN}{broken}"))]);
+    let dir = write_tree(
+        "cli-exit-failfast",
+        &[("a.c", &format!("{BUGGY_FN}{broken}"))],
+    );
     let run = |args: &[&str]| vcheck(&dir, args);
     let out = run(&["--fail-fast"]);
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -269,7 +273,10 @@ fn fail_fast_exits_two_on_the_first_recovering_build_error() {
 #[test]
 fn delta_and_history_show_a_revisions_failures_and_keep_its_findings_open() {
     let (repo, _, broken) = vc_workload::truncated_history();
-    let dir = project("truncated", &[("a.c", &repo.snapshot_at(broken)["a.c"])]);
+    let dir = write_tree(
+        "cli-exit-truncated",
+        &[("a.c", &repo.snapshot_at(broken)["a.c"])],
+    );
     let spec = vc_vcs::HistorySpec::from_repo(&repo).to_json();
     fs::write(dir.join("history.json"), spec).unwrap();
     let run = |args: &[&str]| {

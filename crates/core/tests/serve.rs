@@ -12,11 +12,16 @@
 use std::{
     fs,
     io::Write,
-    path::{Path, PathBuf},
+    path::Path,
     process::{Command, Output, Stdio},
 };
 
 use vc_obs::Json;
+
+mod common {
+    pub mod tree;
+}
+use common::tree::write_tree;
 
 const BUGGY_FN: &str = "int lib_a(void);\n\
                         int has_bug(void) {\n\
@@ -24,16 +29,6 @@ const BUGGY_FN: &str = "int lib_a(void);\n\
                         got = 2;\n\
                         return got;\n\
                         }\n";
-
-fn project(name: &str, files: &[(&str, &str)]) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("vc-serve-it-{}-{name}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).unwrap();
-    for (file, text) in files {
-        fs::write(dir.join(file), text).unwrap();
-    }
-    dir
-}
 
 /// Runs `vcheck serve` over the given request lines, returning the exit
 /// code and one parsed reply per line.
@@ -72,7 +67,7 @@ fn tail(args: &[&str]) -> Output {
 
 #[test]
 fn status_before_first_scan_is_well_formed_and_exits_zero() {
-    let dir = project("coldstatus", &[("a.c", BUGGY_FN)]);
+    let dir = write_tree("serve-it-coldstatus", &[("a.c", BUGGY_FN)]);
     let (code, replies) = serve(&dir, &[], &["{\"op\":\"status\"}", "{\"op\":\"shutdown\"}"]);
     assert_eq!(code, 0);
     assert_eq!(replies.len(), 2);
@@ -100,7 +95,7 @@ fn status_before_first_scan_is_well_formed_and_exits_zero() {
 
 #[test]
 fn telemetry_files_flush_and_tail_renders_the_event_log() {
-    let dir = project("flush", &[("a.c", BUGGY_FN)]);
+    let dir = write_tree("serve-it-flush", &[("a.c", BUGGY_FN)]);
     let trace = dir.join("serve.trace.json");
     let metrics = dir.join("serve.metrics.json");
     let log = dir.join("serve.events");

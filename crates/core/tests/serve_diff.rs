@@ -33,8 +33,11 @@ use valuecheck::{
 };
 use vc_obs::rng::SplitMix64;
 
-mod common;
-use common::{cold_canonical, write_tree};
+mod common {
+    pub mod oracle;
+    pub mod tree;
+}
+use common::{oracle::cold_canonical, tree::write_tree};
 
 /// Files `m0.c` .. `m3.c`; each calls into the previous one.
 const FILES: usize = 4;

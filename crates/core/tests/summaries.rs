@@ -24,8 +24,11 @@ use vc_ir::Program;
 use vc_obs::ObsSession;
 use vc_workload::{generate, AppProfile};
 
-mod common;
-use common::{cold_canonical, write_tree};
+mod common {
+    pub mod oracle;
+    pub mod tree;
+}
+use common::{oracle::cold_canonical, tree::write_tree};
 
 fn build_app(seed: u64) -> (Program, vc_vcs::Repository) {
     let mut profile = AppProfile::nfs_ganesha().scaled(0.05);

@@ -26,8 +26,11 @@ use vc_ir::Program;
 use vc_obs::{Budget, ObsSession};
 use vc_vcs::{FileWrite, Repository};
 
-mod common;
-use common::{cold_canonical, write_tree};
+mod common {
+    pub mod oracle;
+    pub mod tree;
+}
+use common::{oracle::cold_canonical, tree::write_tree};
 
 /// The head tree: every function overwrites its definition on a line bob
 /// added over alice's definition, so every candidate is cross-scope; `h`

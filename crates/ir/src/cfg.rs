@@ -104,24 +104,6 @@ impl Cfg {
         po.reverse();
         po
     }
-
-    /// Whether every block is reachable from the entry.
-    pub fn all_reachable(&self) -> bool {
-        let mut seen = vec![false; self.len()];
-        let mut stack = vec![self.entry];
-        seen[self.entry.0 as usize] = true;
-        let mut count = 1;
-        while let Some(b) = stack.pop() {
-            for &s in self.succs(b) {
-                if !seen[s.0 as usize] {
-                    seen[s.0 as usize] = true;
-                    count += 1;
-                    stack.push(s);
-                }
-            }
-        }
-        count == self.len()
-    }
 }
 
 #[cfg(test)]

@@ -7,7 +7,10 @@
 //! loadable by any conforming parser — including `chrome://tracing` for the
 //! trace exporter.
 
-use std::fmt::Write as _;
+use std::{
+    borrow::Cow,
+    fmt::Write as _, //
+};
 
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -70,14 +73,6 @@ impl Json {
     pub fn as_arr(&self) -> Option<&[Json]> {
         match self {
             Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// The key/value pairs, if this is an object.
-    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(pairs) => Some(pairs),
             _ => None,
         }
     }
@@ -207,27 +202,37 @@ impl std::error::Error for ParseError {}
 
 /// Parses a complete JSON document (trailing whitespace allowed).
 pub fn parse(text: &str) -> Result<Json, ParseError> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Cursor::new(text);
     p.skip_ws();
     let v = p.value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters"));
-    }
+    p.finish()?;
     Ok(v)
 }
 
 const MAX_DEPTH: usize = 128;
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// A pull cursor over JSON text: the recursive-descent parser behind
+/// [`parse`], open so that a reader can build its own types straight from
+/// the bytes and hand every value it does not want to [`Cursor::value`].
+/// A reader that makes the same calls, in document order, that [`parse`]
+/// makes fails with the same [`ParseError`] at the same byte.
+pub struct Cursor<'a> {
+    text: &'a str,
     pos: usize,
+    /// Decoded text of the string being read, once it has an escape.
+    scratch: String,
 }
 
-impl<'a> Parser<'a> {
+impl<'a> Cursor<'a> {
+    /// A cursor at the start of `text`.
+    pub fn new(text: &'a str) -> Cursor<'a> {
+        Cursor {
+            text,
+            pos: 0,
+            scratch: String::new(),
+        }
+    }
+
     fn err(&self, msg: &str) -> ParseError {
         ParseError {
             at: self.pos,
@@ -235,17 +240,20 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+    /// The next byte, if any.
+    pub fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
     }
 
-    fn skip_ws(&mut self) {
+    /// Skips JSON whitespace.
+    pub fn skip_ws(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
-    fn eat(&mut self, c: u8) -> Result<(), ParseError> {
+    /// Consumes the byte `c`, or fails with "expected `c`".
+    pub fn eat(&mut self, c: u8) -> Result<(), ParseError> {
         if self.peek() == Some(c) {
             self.pos += 1;
             Ok(())
@@ -254,8 +262,17 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Ends the document: only whitespace may follow.
+    pub fn finish(&mut self) -> Result<(), ParseError> {
+        self.skip_ws();
+        if self.pos != self.text.len() {
+            return Err(self.err("trailing characters"));
+        }
+        Ok(())
+    }
+
     fn lit(&mut self, word: &str, v: Json) -> Result<Json, ParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(v)
         } else {
@@ -263,7 +280,9 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<Json, ParseError> {
+    /// Parses one value nested `depth` levels deep (the document is depth
+    /// 0, each array or object adds one).
+    pub fn value(&mut self, depth: usize) -> Result<Json, ParseError> {
         if depth > MAX_DEPTH {
             return Err(self.err("nesting too deep"));
         }
@@ -271,44 +290,66 @@ impl<'a> Parser<'a> {
             Some(b'n') => self.lit("null", Json::Null),
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(depth),
-            Some(b'{') => self.object(depth),
+            Some(b'"') => Ok(Json::Str(self.string()?.into_owned())),
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.items(|p| {
+                    items.push(p.value(depth + 1)?);
+                    Ok(())
+                })?;
+                Ok(Json::Arr(items))
+            }
+            Some(b'{') => {
+                let mut pairs = Vec::new();
+                self.members(|p, key| {
+                    pairs.push((key.into_owned(), p.value(depth + 1)?));
+                    Ok(())
+                })?;
+                Ok(Json::Obj(pairs))
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
     }
 
-    fn array(&mut self, depth: usize) -> Result<Json, ParseError> {
+    /// Reads an array, calling `item` at the start of each element; `item`
+    /// must consume exactly that one value.
+    pub fn items(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<(), ParseError>,
+    ) -> Result<(), ParseError> {
         self.eat(b'[')?;
-        let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Json::Arr(items));
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            items.push(self.value(depth + 1)?);
+            item(self)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Json::Arr(items));
+                    return Ok(());
                 }
                 _ => return Err(self.err("expected `,` or `]`")),
             }
         }
     }
 
-    fn object(&mut self, depth: usize) -> Result<Json, ParseError> {
+    /// Reads an object, calling `member` with each decoded key at the start
+    /// of its value; `member` must consume exactly that one value.
+    pub fn members(
+        &mut self,
+        mut member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), ParseError>,
+    ) -> Result<(), ParseError> {
         self.eat(b'{')?;
-        let mut pairs = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(pairs));
+            return Ok(());
         }
         loop {
             self.skip_ws();
@@ -316,116 +357,122 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.eat(b':')?;
             self.skip_ws();
-            let value = self.value(depth + 1)?;
-            pairs.push((key, value));
+            member(self, key)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Json::Obj(pairs));
+                    return Ok(());
                 }
                 _ => return Err(self.err("expected `,` or `}`")),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, ParseError> {
+    /// Reads a string. One without escapes is borrowed from the text; one
+    /// with escapes is decoded once and copied out at its exact length.
+    pub fn string(&mut self) -> Result<Cow<'a, str>, ParseError> {
         self.eat(b'"')?;
-        let mut out = String::new();
+        let mut escaped = false;
         loop {
-            // Copy the unescaped run up to the next `"`, `\` or control
-            // byte in one piece. All three stoppers are ASCII, so the run
-            // ends on a character boundary.
+            // The unescaped run up to the next `"`, `\` or control byte.
+            // All three are ASCII, so the run ends on a character boundary
+            // of text that is already UTF-8.
             let start = self.pos;
-            let run_len = self.bytes[start..]
-                .iter()
-                .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
-                .unwrap_or(self.bytes.len() - start);
-            let run = &self.bytes[start..start + run_len];
-            let run = std::str::from_utf8(run).map_err(|e| ParseError {
-                at: start + e.valid_up_to(),
-                msg: "invalid UTF-8".to_string(),
-            })?;
-            out.push_str(run);
-            self.pos += run_len;
+            self.pos += stop(&self.text.as_bytes()[start..]);
+            let run = &self.text[start..self.pos];
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    if !escaped {
+                        return Ok(Cow::Borrowed(run));
+                    }
+                    self.scratch.push_str(run);
+                    return Ok(Cow::Owned(self.scratch.as_str().to_owned()));
                 }
                 Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{0008}'),
-                        Some(b'f') => out.push('\u{000c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let cp = self.hex4()?;
-                            // Surrogate pairs for astral-plane characters.
-                            let c = if (0xd800..0xdc00).contains(&cp) {
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
-                                    self.pos += 2;
-                                    let lo = self.hex4()?;
-                                    if !(0xdc00..0xe000).contains(&lo) {
-                                        return Err(self.err("invalid low surrogate"));
-                                    }
-                                    let c = 0x10000 + ((cp - 0xd800) << 10) + (lo - 0xdc00);
-                                    char::from_u32(c)
-                                        .ok_or_else(|| self.err("invalid codepoint"))?
-                                } else {
-                                    return Err(self.err("lone high surrogate"));
-                                }
-                            } else {
-                                char::from_u32(cp).ok_or_else(|| self.err("invalid codepoint"))?
-                            };
-                            out.push(c);
-                            continue; // hex4 already advanced past the digits
-                        }
-                        _ => return Err(self.err("invalid escape")),
+                    if !escaped {
+                        escaped = true;
+                        self.scratch.clear();
                     }
+                    self.scratch.push_str(run);
                     self.pos += 1;
+                    let c = self.escape()?;
+                    self.scratch.push(c);
                 }
-                // The run above stopped here, so this is a control byte.
+                // The run stopped here, so this is a control byte.
                 Some(_) => return Err(self.err("raw control character in string")),
             }
         }
     }
 
+    /// Decodes the escape after a backslash.
+    fn escape(&mut self) -> Result<char, ParseError> {
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{0008}',
+            Some(b'f') => '\u{000c}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                self.pos += 1;
+                let cp = self.hex4()?;
+                // Surrogate pairs for astral-plane characters.
+                if !(0xd800..0xdc00).contains(&cp) {
+                    return char::from_u32(cp).ok_or_else(|| self.err("invalid codepoint"));
+                }
+                if !self.text.as_bytes()[self.pos..].starts_with(b"\\u") {
+                    return Err(self.err("lone high surrogate"));
+                }
+                self.pos += 2;
+                let lo = self.hex4()?;
+                if !(0xdc00..0xe000).contains(&lo) {
+                    return Err(self.err("invalid low surrogate"));
+                }
+                let c = 0x10000 + ((cp - 0xd800) << 10) + (lo - 0xdc00);
+                return char::from_u32(c).ok_or_else(|| self.err("invalid codepoint"));
+            }
+            _ => return Err(self.err("invalid escape")),
+        };
+        self.pos += 1;
+        Ok(c)
+    }
+
     fn hex4(&mut self) -> Result<u32, ParseError> {
         let end = self.pos + 4;
-        if end > self.bytes.len() {
+        if end > self.text.len() {
             return Err(self.err("truncated \\u escape"));
         }
-        let s = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| self.err("invalid \\u escape"))?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| self.err("invalid \\u escape"))?;
+        let digits = self
+            .text
+            .get(self.pos..end)
+            .ok_or_else(|| self.err("invalid \\u escape"))?;
+        let v = u32::from_str_radix(digits, 16).map_err(|_| self.err("invalid \\u escape"))?;
         self.pos = end;
         Ok(v)
     }
 
     fn number(&mut self) -> Result<Json, ParseError> {
         let start = self.pos;
+        let digits = |p: &mut Self| {
+            while matches!(p.peek(), Some(c) if c.is_ascii_digit()) {
+                p.pos += 1;
+            }
+        };
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
-        }
+        digits(self);
         let mut fractional = false;
         if self.peek() == Some(b'.') {
             fractional = true;
             self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
+            digits(self);
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             fractional = true;
@@ -433,12 +480,9 @@ impl<'a> Parser<'a> {
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
+            digits(self);
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
+        let text = &self.text[start..self.pos];
         if !fractional {
             if let Ok(v) = text.parse::<i64>() {
                 return Ok(Json::Int(v));
@@ -448,6 +492,35 @@ impl<'a> Parser<'a> {
             .map(Json::Float)
             .map_err(|_| self.err("invalid number"))
     }
+}
+
+/// Offset of the first `"`, `\` or control byte in `bytes` (its length if
+/// there is none), eight bytes at a time. In each little-endian word, the
+/// lowest flagged byte of `has_zero(w ^ c)` (a byte equal to `c`) and of
+/// `has_less(w, 0x20)` is exact: a false flag only ever sits above a true
+/// one, where a borrow carried it.
+fn stop(bytes: &[u8]) -> usize {
+    const ONES: u64 = u64::from_ne_bytes([1; 8]);
+    const HIGH: u64 = ONES << 7;
+    let has_zero = |w: u64| w.wrapping_sub(ONES) & !w;
+    let mut words = bytes.chunks_exact(8);
+    let mut at = 0;
+    for word in &mut words {
+        let w = u64::from_le_bytes(word.try_into().expect("an 8-byte chunk"));
+        let hits = (has_zero(w ^ (ONES * b'"' as u64))
+            | has_zero(w ^ (ONES * b'\\' as u64))
+            | (w.wrapping_sub(ONES * 0x20) & !w))
+            & HIGH;
+        if hits != 0 {
+            return at + hits.trailing_zeros() as usize / 8;
+        }
+        at += 8;
+    }
+    let rest = words.remainder();
+    at + rest
+        .iter()
+        .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+        .unwrap_or(rest.len())
 }
 
 #[cfg(test)]

@@ -15,7 +15,6 @@ use vc_ir::{
         Operand,
         Place, //
     },
-    FileId,
     FuncId,
     LocalId,
     Program, //
@@ -36,16 +35,6 @@ pub struct AliasUses {
 impl AliasUses {
     /// Computes alias-use facts for the whole program.
     pub fn compute(prog: &Program, pts: &PointsTo) -> AliasUses {
-        Self::compute_impl(prog, pts, None)
-    }
-
-    /// Computes alias-use facts restricted to functions in `files` (the
-    /// per-file mode of §7 / the incremental analyzer).
-    pub fn compute_files(prog: &Program, pts: &PointsTo, files: &BTreeSet<FileId>) -> AliasUses {
-        Self::compute_impl(prog, pts, Some(files))
-    }
-
-    fn compute_impl(prog: &Program, pts: &PointsTo, scope: Option<&BTreeSet<FileId>>) -> AliasUses {
         let mut read_locals = BTreeSet::new();
         let mut mark = |obj: &MemObj| {
             if let MemObj::Local(f, l) | MemObj::LocalField(f, l, _) = obj {
@@ -53,11 +42,6 @@ impl AliasUses {
             }
         };
         for (fi, f) in prog.funcs.iter().enumerate() {
-            if let Some(files) = scope {
-                if !files.contains(&f.file) {
-                    continue;
-                }
-            }
             let fid = FuncId(fi as u32);
             for bb in &f.blocks {
                 for inst in &bb.insts {

@@ -21,7 +21,6 @@ use vc_ir::{
         TempOrigin,
         Terminator, //
     },
-    FileId,
     FuncId,
     LocalId,
     Program,
@@ -78,8 +77,6 @@ pub struct PointsTo {
     pts: Vec<BTreeSet<u32>>,
     /// `(caller, callee-name)` edges, direct and resolved-indirect.
     call_edges: BTreeSet<(FuncId, String)>,
-    /// Per-function temps of each parameter index, for binding.
-    config: Config,
     /// Per-function base of the dense temp variable id space (see
     /// [`Solver::temp_var`]); `temp_base[f] + t` is the variable id of
     /// temp `t` in function `f`.
@@ -93,7 +90,6 @@ pub struct PointsTo {
 struct Solver<'p> {
     prog: &'p Program,
     config: Config,
-    scope: Option<BTreeSet<FileId>>,
     func_scope: Option<BTreeSet<FuncId>>,
     interner: Interner,
     /// Dense variable ids without hashing: temps occupy `0..total_temps`
@@ -143,14 +139,7 @@ impl PointsTo {
 
     /// Runs the analysis with an explicit configuration.
     pub fn solve_with(prog: &Program, config: Config) -> PointsTo {
-        Self::solve_impl(prog, config, None, None)
-    }
-
-    /// Runs the analysis restricted to functions defined in `files` — the
-    /// paper's per-bitcode-file SVF usage (§7), and the incremental
-    /// analyzer's fast path. Out-of-scope callees are treated as externs.
-    pub fn solve_files(prog: &Program, files: &BTreeSet<FileId>) -> PointsTo {
-        Self::solve_impl(prog, Config::default(), Some(files), None)
+        Self::solve_impl(prog, config, None)
     }
 
     /// Runs the analysis restricted to an explicit function set — the
@@ -158,18 +147,16 @@ impl PointsTo {
     /// callees are treated as externs; the caller is responsible for
     /// passing a set closed under pointer-relevant interactions.
     pub fn solve_funcs(prog: &Program, funcs: &BTreeSet<FuncId>, config: Config) -> PointsTo {
-        Self::solve_impl(prog, config, None, Some(funcs))
+        Self::solve_impl(prog, config, Some(funcs))
     }
 
     fn solve_impl(
         prog: &Program,
         config: Config,
-        scope: Option<&BTreeSet<FileId>>,
         func_scope: Option<&BTreeSet<FuncId>>,
     ) -> PointsTo {
         let span = vc_obs::span("pointer.solve", "pointer");
         let mut solver = Solver::new(prog, config);
-        solver.scope = scope.cloned();
         solver.func_scope = func_scope.cloned();
         solver.generate();
         let exhausted = solver.run();
@@ -178,7 +165,6 @@ impl PointsTo {
             interner: solver.interner,
             pts: solver.pts,
             call_edges: solver.call_edges,
-            config,
             temp_base: solver.temp_base,
             exhausted,
         };
@@ -239,11 +225,6 @@ impl PointsTo {
         out
     }
 
-    /// Whether the analysis ran field-sensitively.
-    pub fn is_field_sensitive(&self) -> bool {
-        self.config.field_sensitive
-    }
-
     /// Whether the solver stopped on budget exhaustion. An exhausted
     /// solution under-approximates the points-to relation; may-alias
     /// consumers must fall back to a conservative oracle (see
@@ -273,7 +254,6 @@ impl<'p> Solver<'p> {
         Self {
             prog,
             config,
-            scope: None,
             func_scope: None,
             interner: Interner::new(),
             temp_base,
@@ -451,25 +431,15 @@ impl<'p> Solver<'p> {
 
     // ----- Constraint generation ------------------------------------------
 
-    fn in_scope(&self, fid: FuncId, f: &vc_ir::Function) -> bool {
-        if let Some(s) = &self.scope {
-            if !s.contains(&f.file) {
-                return false;
-            }
-        }
-        if let Some(s) = &self.func_scope {
-            if !s.contains(&fid) {
-                return false;
-            }
-        }
-        true
+    fn in_scope(&self, fid: FuncId) -> bool {
+        self.func_scope.as_ref().is_none_or(|s| s.contains(&fid))
     }
 
     fn generate(&mut self) {
         // Collect per-function info first: param temps and return sources.
         for (fi, f) in self.prog.funcs.iter().enumerate() {
             let fid = FuncId(fi as u32);
-            if !self.in_scope(fid, f) {
+            if !self.in_scope(fid) {
                 continue;
             }
             let mut param_temps = vec![u32::MAX; f.params.len()];
@@ -494,7 +464,7 @@ impl<'p> Solver<'p> {
 
         for (fi, f) in self.prog.funcs.iter().enumerate() {
             let fid = FuncId(fi as u32);
-            if !self.in_scope(fid, f) {
+            if !self.in_scope(fid) {
                 continue;
             }
             for bb in &f.blocks {

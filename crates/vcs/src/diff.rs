@@ -27,7 +27,7 @@ const LCS_CELL_LIMIT: usize = 16_000_000;
 
 /// One hunk of a count-only edit script: the shared diff core behind
 /// [`diff_lines`], [`LineMap::between`] and the repository's blame replay,
-/// which moves kept lines instead of copying them.
+/// which runs it on the changed middle of a write only.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Hunk {
     /// The next `n` lines are unchanged.

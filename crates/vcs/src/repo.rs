@@ -67,21 +67,22 @@ pub struct BlameEntry {
     pub timestamp: i64,
 }
 
-#[derive(Clone, Debug)]
-struct LineRecord {
-    text: String,
-    blame: BlameEntry,
-}
-
-impl AsRef<str> for LineRecord {
-    fn as_ref(&self) -> &str {
-        &self.text
-    }
-}
-
+/// One file's blame, and the write that gave the file its current content.
 #[derive(Clone, Debug, Default)]
 struct FileState {
-    lines: Vec<LineRecord>,
+    /// Blame of each current line.
+    blame: Vec<BlameEntry>,
+    /// `(commit, index into its writes)` of the last write of the file.
+    last: Option<(CommitId, usize)>,
+}
+
+impl FileState {
+    /// The file's current content, borrowed from the write that last
+    /// wrote it.
+    fn content<'c>(&self, commits: &'c [Commit]) -> &'c str {
+        self.last
+            .map_or("", |(c, k)| &commits[c.0 as usize].writes[k].content)
+    }
 }
 
 /// `map[key]`, inserted as the default first when absent: the key is
@@ -181,43 +182,26 @@ impl Repository {
         self.record(commit.clone());
     }
 
-    /// Applies a commit's writes to blame and the per-file logs, then
-    /// appends it to the history.
+    /// Appends a commit to the history, then replays its writes into blame
+    /// and the per-file logs. Each write diffs against the content its
+    /// file had before, which some earlier write (possibly of this same
+    /// commit) holds.
     fn record(&mut self, commit: Commit) {
-        for w in &commit.writes {
-            self.apply_write(commit.id, commit.author, commit.timestamp, w);
-            entry_mut(&mut self.file_log, &w.path).push(commit.id);
-        }
+        let id = commit.id;
         self.commits.push(commit);
-    }
-
-    /// Replays one write into the blame state: kept records move from the
-    /// old line vector to the new one; only inserted lines allocate.
-    fn apply_write(&mut self, commit: CommitId, author: AuthorId, timestamp: i64, w: &FileWrite) {
-        let new_lines: Vec<&str> = split_lines(&w.content).collect();
-        let state = entry_mut(&mut self.files, &w.path);
-        let script = diff_hunks(&state.lines, &new_lines);
+        let commit = &self.commits[id.0 as usize];
         let blame = BlameEntry {
-            author,
-            commit,
-            timestamp,
+            author: commit.author,
+            commit: id,
+            timestamp: commit.timestamp,
         };
-        let mut old = std::mem::take(&mut state.lines).into_iter();
-        let mut out = Vec::with_capacity(new_lines.len());
-        for hunk in script {
-            match hunk {
-                Hunk::Keep(n) => out.extend(old.by_ref().take(n)),
-                Hunk::Delete(n) => old.by_ref().take(n).for_each(drop),
-                Hunk::Insert(n) => {
-                    let from = out.len();
-                    out.extend(new_lines[from..from + n].iter().map(|text| LineRecord {
-                        text: text.to_string(),
-                        blame,
-                    }));
-                }
-            }
+        for (k, w) in commit.writes.iter().enumerate() {
+            let state = entry_mut(&mut self.files, &w.path);
+            let old = state.content(&self.commits);
+            replay_write(&mut state.blame, old, &w.content, blame);
+            state.last = Some((id, k));
+            entry_mut(&mut self.file_log, &w.path).push(id);
         }
-        state.lines = out;
     }
 
     /// Replaces what the head commit wrote to `path` with `content`, as if
@@ -245,29 +229,20 @@ impl Repository {
             commit: head.id,
             timestamp: head.timestamp,
         };
+        let k = head.writes.iter().position(|w| w.path == path);
+        let k = k.expect("the head commit wrote the file");
         let state = self.files.get_mut(path).expect("a logged file has blame");
-        state.lines = split_lines(&content)
-            .map(|text| LineRecord {
-                text: text.to_string(),
-                blame,
-            })
-            .collect();
-        let write = head.writes.iter_mut().find(|w| w.path == path);
-        write.expect("the head commit wrote the file").content = content;
+        state.blame.clear();
+        state.blame.resize(count_lines(&content), blame);
+        // `state.last` already names this write, the only one of `path`.
+        head.writes[k].content = content;
     }
 
-    /// Current content of a file, if it exists.
+    /// Current content of a file, if it exists, without its one optional
+    /// trailing newline.
     pub fn file_content(&self, path: &str) -> Option<String> {
-        self.files.get(path).map(|s| {
-            let mut out = String::new();
-            for (i, l) in s.lines.iter().enumerate() {
-                if i > 0 {
-                    out.push('\n');
-                }
-                out.push_str(&l.text);
-            }
-            out
-        })
+        let state = self.files.get(path)?;
+        Some(strip_eol(state.content(&self.commits)).to_string())
     }
 
     /// Whether `content` is the current content of `path`, line by line.
@@ -275,11 +250,9 @@ impl Repository {
     /// difference. Compares in place, without building the file's text.
     pub fn head_matches(&self, path: &str, content: &str) -> bool {
         self.files.get(path).is_some_and(|s| {
-            let mut lines = split_lines(content);
-            s.lines
-                .iter()
-                .all(|l| lines.next() == Some(l.text.as_str()))
-                && lines.next().is_none()
+            let head = s.content(&self.commits);
+            // An empty file has no lines; `"\n"` has one empty line.
+            head.is_empty() == content.is_empty() && strip_eol(head) == strip_eol(content)
         })
     }
 
@@ -296,7 +269,7 @@ impl Repository {
         if line == 0 {
             return None;
         }
-        state.lines.get((line - 1) as usize).map(|l| l.blame)
+        state.blame.get((line - 1) as usize).copied()
     }
 
     /// The author of one line, if known.
@@ -306,7 +279,7 @@ impl Repository {
 
     /// Number of lines currently in a file.
     pub fn line_count(&self, path: &str) -> usize {
-        self.files.get(path).map(|s| s.lines.len()).unwrap_or(0)
+        self.files.get(path).map_or(0, |s| s.blame.len())
     }
 
     /// Commits that touched `path`, oldest first.
@@ -382,6 +355,95 @@ impl Repository {
 /// empty final line (matching `git`'s line accounting).
 fn split_lines(content: &str) -> std::str::SplitTerminator<'_, char> {
     content.split_terminator('\n')
+}
+
+/// `split_lines(content).count()`, without splitting.
+fn count_lines(content: &str) -> usize {
+    let newlines = content.bytes().filter(|&c| c == b'\n').count();
+    newlines + usize::from(!content.is_empty() && !content.ends_with('\n'))
+}
+
+/// `content` without its one optional trailing newline: the lines of a
+/// non-empty content joined by newlines.
+fn strip_eol(content: &str) -> &str {
+    content.strip_suffix('\n').unwrap_or(content)
+}
+
+/// Replays one write of `new` over a file whose content was `old` and
+/// whose lines `blame` describes; inserted lines get `entry`.
+///
+/// Only the changed middle is split into lines. The common byte prefix,
+/// backed off to just past its last newline, and the common byte suffix
+/// after it, backed off to just past its first newline, are whole lines
+/// both sides share, so their blame stays in place. The line diff of the
+/// middle then gives the same script [`diff_hunks`] gives for the whole
+/// files: the whole-file diff trims every shared line at the ends anyway,
+/// and no line the middle's own trim leaves lies in the trimmed bytes.
+fn replay_write(blame: &mut Vec<BlameEntry>, old: &str, new: &str, entry: BlameEntry) {
+    let (o, n) = (old.as_bytes(), new.as_bytes());
+    let head = o[..common_prefix(o, n)]
+        .iter()
+        .rposition(|&c| c == b'\n')
+        .map_or(0, |i| i + 1);
+    let s = common_suffix(&o[head..], &n[head..]);
+    let tail = o[o.len() - s..]
+        .iter()
+        .position(|&c| c == b'\n')
+        .map_or(0, |i| s - i - 1);
+    let (old_mid, new_mid) = (&old[head..old.len() - tail], &new[head..new.len() - tail]);
+    if old_mid == new_mid {
+        return;
+    }
+    let old_lines: Vec<&str> = split_lines(old_mid).collect();
+    // Line number of the middle's first line: count whichever shared end
+    // is shorter.
+    let first = if head <= tail {
+        count_lines(&old[..head])
+    } else {
+        blame.len() - old_lines.len() - count_lines(&old[old.len() - tail..])
+    };
+    let range = first..first + old_lines.len();
+    if old_lines.is_empty() {
+        blame.splice(range, std::iter::repeat_n(entry, count_lines(new_mid)));
+        return;
+    }
+    let new_lines: Vec<&str> = split_lines(new_mid).collect();
+    let mut kept = blame[range.clone()].iter().copied();
+    let mut mid = Vec::with_capacity(new_lines.len());
+    for hunk in diff_hunks(&old_lines, &new_lines) {
+        match hunk {
+            Hunk::Keep(k) => mid.extend(kept.by_ref().take(k)),
+            Hunk::Delete(k) => kept.by_ref().take(k).for_each(drop),
+            Hunk::Insert(k) => mid.extend(std::iter::repeat_n(entry, k)),
+        }
+    }
+    blame.splice(range, mid);
+}
+
+/// Length of the longest common prefix of `a` and `b`, compared eight
+/// bytes at a time.
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let words = a.chunks_exact(8).zip(b.chunks_exact(8));
+    let at = 8 * words.take_while(|(x, y)| x == y).count();
+    at + a[at..]
+        .iter()
+        .zip(&b[at..])
+        .take_while(|(x, y)| x == y)
+        .count()
+}
+
+/// Length of the longest common suffix of `a` and `b`, compared eight
+/// bytes at a time.
+fn common_suffix(a: &[u8], b: &[u8]) -> usize {
+    let words = a.rchunks_exact(8).zip(b.rchunks_exact(8));
+    let at = 8 * words.take_while(|(x, y)| x == y).count();
+    let (a, b) = (&a[..a.len() - at], &b[..b.len() - at]);
+    at + a
+        .iter()
+        .rev()
+        .zip(b.iter().rev())
+        .take_while(|(x, y)| x == y)
+        .count()
 }
 
 #[cfg(test)]

@@ -3,7 +3,10 @@
 //! `genapp` command-line tools.
 
 use vc_obs::{
-    json,
+    json::{
+        self,
+        ParseError, //
+    },
     Json, //
 };
 
@@ -152,67 +155,160 @@ impl HistorySpec {
         self.json_value().to_string_pretty()
     }
 
-    /// Parses `history.json` text. Every string is moved out of the parsed
-    /// tree, so each byte of content is copied once, by the parser.
+    /// Parses `history.json` text in one pass: commits and writes are read
+    /// straight from the bytes through a [`json::Cursor`], with no [`Json`]
+    /// tree in between, and each path, message and content is copied once.
+    ///
+    /// The outcome is that of parsing the whole document and then checking
+    /// its shape: a JSON syntax error anywhere wins over a shape error
+    /// (after a shape error the rest is only syntax-checked), a duplicated
+    /// member counts by its first occurrence, and of several shape errors
+    /// the one reported is the first in check order: the `"commits"` array,
+    /// then per commit its `"writes"` (each write's `"path"`, then its
+    /// `"content"`), `"author"`, `"timestamp"` and `"message"`.
     pub fn from_json(text: &str) -> Result<HistorySpec, String> {
-        let mut doc = json::parse(text).map_err(|e| e.to_string())?;
-        let Some(Json::Arr(commits)) = take(&mut doc, "commits") else {
-            return Err("history spec: missing \"commits\" array".to_string());
-        };
-        let mut out = HistorySpec {
-            commits: Vec::with_capacity(commits.len()),
-        };
-        for (i, mut c) in commits.into_iter().enumerate() {
-            let Json::Arr(ws) = field(&mut c, i, "writes")? else {
-                return Err(format!("commit #{i}: \"writes\" must be an array"));
-            };
-            let mut writes = Vec::with_capacity(ws.len());
-            for (j, mut w) in ws.into_iter().enumerate() {
-                let mut wstr = |name: &str| match take(&mut w, name) {
-                    Some(Json::Str(s)) => Ok(s),
-                    _ => Err(format!("commit #{i} write #{j}: bad \"{name}\"")),
-                };
-                writes.push(WriteSpec {
-                    path: wstr("path")?,
-                    content: wstr("content")?,
-                });
-            }
-            out.commits.push(CommitSpec {
-                author: str_field(&mut c, i, "author")?,
-                timestamp: field(&mut c, i, "timestamp")?
-                    .as_i64()
-                    .ok_or_else(|| format!("commit #{i}: \"timestamp\" must be an integer"))?,
-                message: str_field(&mut c, i, "message")?,
-                writes,
-            });
+        let mut cur = json::Cursor::new(text);
+        let mut read = Reader::default();
+        read.document(&mut cur).map_err(|e| e.to_string())?;
+        match (read.commits, read.shape) {
+            (None, _) => Err("history spec: missing \"commits\" array".to_string()),
+            (Some(_), Some(shape)) => Err(shape),
+            (Some(commits), None) => Ok(HistorySpec { commits }),
         }
-        Ok(out)
     }
 }
 
-/// Moves the member `key` out of an object (the first match, as
-/// [`Json::get`] finds it), leaving `null` in its place.
-fn take(obj: &mut Json, key: &str) -> Option<Json> {
-    match obj {
-        Json::Obj(pairs) => pairs
-            .iter_mut()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| std::mem::replace(v, Json::Null)),
-        _ => None,
+/// The state of one [`HistorySpec::from_json`] pass.
+#[derive(Default)]
+struct Reader {
+    /// The commits read so far, once the first `"commits"` member has
+    /// turned out to be an array.
+    commits: Option<Vec<CommitSpec>>,
+    /// The first shape error in check order. From then on, the reader only
+    /// checks syntax.
+    shape: Option<String>,
+}
+
+impl Reader {
+    /// The document: an object whose first `"commits"` member is read as
+    /// commits; everything else only has to be JSON.
+    fn document(&mut self, cur: &mut json::Cursor) -> Result<(), ParseError> {
+        cur.skip_ws();
+        if cur.peek() != Some(b'{') {
+            cur.value(0)?;
+            return cur.finish();
+        }
+        let mut seen = false;
+        cur.members(|cur, key| {
+            if key == "commits" && !std::mem::replace(&mut seen, true) && cur.peek() == Some(b'[') {
+                self.commits = Some(Vec::new());
+                let mut i = 0;
+                cur.items(|cur| {
+                    i += 1;
+                    self.commit(cur, i - 1)
+                })
+            } else {
+                cur.value(1).map(drop)
+            }
+        })?;
+        cur.finish()
+    }
+
+    /// Commit `#i`, depth 2 of the document.
+    fn commit(&mut self, cur: &mut json::Cursor, i: usize) -> Result<(), ParseError> {
+        if self.shape.is_some() || cur.peek() != Some(b'{') {
+            cur.value(2)?;
+            self.shape.get_or_insert_with(|| missing(i, "writes"));
+            return Ok(());
+        }
+        let (mut writes, mut author, mut timestamp, mut message) = (None, None, None, None);
+        cur.members(|cur, key| {
+            match &*key {
+                "writes" if writes.is_none() => writes = Some(read_writes(cur, i)?),
+                "author" if author.is_none() => author = Some(string(cur, 3)?),
+                "timestamp" if timestamp.is_none() => timestamp = Some(cur.value(3)?.as_i64()),
+                "message" if message.is_none() => message = Some(string(cur, 3)?),
+                _ => drop(cur.value(3)?),
+            }
+            Ok(())
+        })?;
+        // Fields are evaluated in the order written: the check order.
+        let commit = (|| {
+            Ok(CommitSpec {
+                writes: writes.ok_or_else(|| missing(i, "writes"))??,
+                author: required(author, i, "author", "a string")?,
+                timestamp: required(timestamp, i, "timestamp", "an integer")?,
+                message: required(message, i, "message", "a string")?,
+            })
+        })();
+        match commit {
+            Ok(c) => self.commits.as_mut().expect("inside the commits").push(c),
+            Err(e) => self.shape = Some(e),
+        }
+        Ok(())
     }
 }
 
-/// Member `name` of commit `#i`.
-fn field(c: &mut Json, i: usize, name: &str) -> Result<Json, String> {
-    take(c, name).ok_or_else(|| format!("commit #{i}: missing \"{name}\""))
+/// Commit `#i`'s `"writes"` member, depth 3: the writes, or the first
+/// shape error among them (after it, the rest is only syntax-checked).
+fn read_writes(
+    cur: &mut json::Cursor,
+    i: usize,
+) -> Result<Result<Vec<WriteSpec>, String>, ParseError> {
+    if cur.peek() != Some(b'[') {
+        cur.value(3)?;
+        return Ok(Err(format!("commit #{i}: \"writes\" must be an array")));
+    }
+    let mut out = Ok(Vec::new());
+    cur.items(|cur| {
+        let Ok(writes) = &mut out else {
+            return cur.value(4).map(drop);
+        };
+        let (mut path, mut content) = (None, None);
+        if cur.peek() == Some(b'{') {
+            cur.members(|cur, key| {
+                let slot = match &*key {
+                    "path" if path.is_none() => &mut path,
+                    "content" if content.is_none() => &mut content,
+                    _ => return cur.value(5).map(drop),
+                };
+                *slot = Some(string(cur, 5)?);
+                Ok(())
+            })?;
+        } else {
+            cur.value(4)?;
+        }
+        let j = writes.len();
+        match (path.flatten(), content.flatten()) {
+            (Some(path), Some(content)) => writes.push(WriteSpec { path, content }),
+            (None, _) => out = Err(format!("commit #{i} write #{j}: bad \"path\"")),
+            (Some(_), None) => out = Err(format!("commit #{i} write #{j}: bad \"content\"")),
+        }
+        Ok(())
+    })?;
+    Ok(out)
 }
 
-/// String member `name` of commit `#i`.
-fn str_field(c: &mut Json, i: usize, name: &str) -> Result<String, String> {
-    match field(c, i, name)? {
-        Json::Str(s) => Ok(s),
-        _ => Err(format!("commit #{i}: \"{name}\" must be a string")),
+/// A string member's value at `depth`, or `None` (after checking its
+/// syntax) when the value is not a string.
+fn string(cur: &mut json::Cursor, depth: usize) -> Result<Option<String>, ParseError> {
+    if cur.peek() == Some(b'"') {
+        return Ok(Some(cur.string()?.into_owned()));
     }
+    cur.value(depth)?;
+    Ok(None)
+}
+
+/// The message for commit `#i` without member `name`.
+fn missing(i: usize, name: &str) -> String {
+    format!("commit #{i}: missing \"{name}\"")
+}
+
+/// Commit `#i`'s member `name` as read: absent, not `ty`, or its value.
+fn required<T>(member: Option<Option<T>>, i: usize, name: &str, ty: &str) -> Result<T, String> {
+    member
+        .ok_or_else(|| missing(i, name))?
+        .ok_or_else(|| format!("commit #{i}: \"{name}\" must be {ty}"))
 }
 
 #[cfg(test)]

@@ -6,7 +6,13 @@
 //! seeded [`SplitMix64`]; a failing case prints its case number so it can
 //! be replayed exactly.
 
-use vc_obs::SplitMix64;
+use std::collections::BTreeMap;
+
+use vc_obs::{
+    json,
+    Json,
+    SplitMix64, //
+};
 use vc_vcs::{
     diff::{
         churn,
@@ -19,7 +25,7 @@ use vc_vcs::{
         CommitSpec,
         WriteSpec, //
     },
-    Commit, FileWrite, HistorySpec, Repository,
+    BlameEntry, Commit, CommitId, FileWrite, HistorySpec, Repository,
 };
 
 /// A random file as a vector of short lines over a tiny alphabet, so that
@@ -507,4 +513,420 @@ fn line_map_between_borrowed_lines_matches_diff_lines() {
         assert_eq!(borrowed.old_len(), old.len(), "case {case}");
         assert_eq!(borrowed.new_len(), new.len(), "case {case}");
     }
+}
+
+/// One path's state in [`LineReplay`].
+#[derive(Default)]
+struct ReferenceFile {
+    lines: Vec<String>,
+    blame: Vec<BlameEntry>,
+    log: Vec<CommitId>,
+}
+
+/// The line-level blame replay the byte-trimmed one must agree with: every
+/// write splits both contents into owned lines and applies the full
+/// [`diff_lines`] script.
+#[derive(Default)]
+struct LineReplay {
+    files: BTreeMap<String, ReferenceFile>,
+}
+
+impl LineReplay {
+    fn write(&mut self, path: &str, content: &str, entry: BlameEntry) {
+        let file = self.files.entry(path.to_string()).or_default();
+        let new: Vec<String> = content.split_terminator('\n').map(String::from).collect();
+        let mut old = file.blame.iter().copied();
+        let mut blame = Vec::new();
+        for edit in diff_lines(&file.lines, &new) {
+            match edit {
+                Edit::Keep(n) => blame.extend(old.by_ref().take(n)),
+                Edit::Delete(n) => old.by_ref().take(n).for_each(drop),
+                Edit::Insert(lines) => blame.extend(std::iter::repeat_n(entry, lines.len())),
+            }
+        }
+        file.lines = new;
+        file.blame = blame;
+        file.log.push(entry.commit);
+    }
+
+    /// `repo` has this replay's paths, and per path its log, line count,
+    /// blame of every line (and of the lines just outside), content and
+    /// head check.
+    fn assert_matches(&self, repo: &Repository, at: &str) {
+        let paths: Vec<&str> = self.files.keys().map(String::as_str).collect();
+        assert_eq!(repo.paths(), paths, "{at}");
+        for (path, file) in &self.files {
+            assert_eq!(repo.log(path), &file.log[..], "{at} {path}");
+            let n = file.lines.len() as u32;
+            assert_eq!(repo.line_count(path), n as usize, "{at} {path}");
+            for line in 0..=n + 1 {
+                let want = line
+                    .checked_sub(1)
+                    .and_then(|i| file.blame.get(i as usize).copied());
+                assert_eq!(repo.blame(path, line), want, "{at} {path}:{line}");
+            }
+            let text = file.lines.join("\n");
+            assert_eq!(repo.file_content(path), Some(text.clone()), "{at} {path}");
+            for probe in [
+                text.clone(),
+                format!("{text}\n"),
+                format!("{text}\n\n"),
+                format!("{text}x"),
+                String::new(),
+                "\n".to_string(),
+            ] {
+                let same = probe
+                    .split_terminator('\n')
+                    .eq(file.lines.iter().map(String::as_str));
+                assert_eq!(
+                    repo.head_matches(path, &probe),
+                    same,
+                    "{at} {path} {probe:?}"
+                );
+            }
+        }
+    }
+}
+
+/// Lines over characters whose UTF-8 encodings share leading bytes (`é` and
+/// `è`, `€` and `₤`), so that a byte mismatch can fall inside a character.
+const LINE_POOL: &[&str] = &["", "a", "ab", "abc", "é", "è", "a€b", "a₤b", "💡", "x é"];
+
+/// One random edit of a file's content, at line or byte level.
+fn edit_content(rng: &mut SplitMix64, content: &str) -> String {
+    let mut lines: Vec<String> = content.split_terminator('\n').map(String::from).collect();
+    let mut eol = content.ends_with('\n') || content.is_empty();
+    let at = rng.range_usize(0, lines.len() + 1);
+    let block = at..(at + rng.range_inclusive_usize(1, 3)).min(lines.len());
+    match rng.range_usize(0, 14) {
+        // A block of lines repeated, or removed: the shared prefix and
+        // suffix then overlap in the longer side.
+        12 if !block.is_empty() => {
+            let copy = lines[block.clone()].to_vec();
+            lines.splice(block.end..block.end, copy);
+        }
+        13 if !block.is_empty() => {
+            lines.drain(block);
+        }
+        0 if at < lines.len() => lines[at] = rng.choice(LINE_POOL).to_string(),
+        1 => lines.insert(at, rng.choice(LINE_POOL).to_string()),
+        2 if at < lines.len() => {
+            lines.remove(at);
+        }
+        // A mismatch in the middle of a line (`ab` -> `abc`).
+        3 if at < lines.len() => lines[at].push_str(rng.choice::<&str>(&["c", "é", "€"])),
+        // The last character swapped for one sharing its leading bytes.
+        4 if at < lines.len() => {
+            if let Some(c) = lines[at].pop() {
+                let swapped = match c {
+                    'é' => 'è',
+                    'è' => 'é',
+                    '€' => '₤',
+                    '₤' => '€',
+                    'b' => 'c',
+                    _ => 'b',
+                };
+                lines[at].push(swapped);
+            }
+        }
+        5 => eol = !eol,
+        // An extra blank last line.
+        6 => {
+            lines.push(String::new());
+            eol = true;
+        }
+        // An identical rewrite.
+        7 => {}
+        8 => lines.clear(),
+        9 => {
+            lines = (0..rng.range_usize(0, 12))
+                .map(|_| rng.choice(LINE_POOL).to_string())
+                .collect()
+        }
+        10 if !lines.is_empty() => lines[0].push('a'),
+        _ if !lines.is_empty() => lines.last_mut().unwrap().insert(0, 'é'),
+        _ => lines.push("a".into()),
+    }
+    let mut out = lines.join("\n");
+    if eol && !lines.is_empty() {
+        out.push('\n');
+    }
+    out
+}
+
+/// Over seeded random histories of byte- and line-level edits, the
+/// repository's replay (byte-trimmed, only the changed middle split into
+/// lines) gives the blame, log, content and head check that a line-level
+/// replay over the whole files gives, after every commit, for every line
+/// and path.
+#[test]
+fn byte_trimmed_replay_matches_line_replay() {
+    let mut rng = SplitMix64::new(0xCB);
+    for case in 0..150 {
+        let mut repo = Repository::new();
+        let authors = [repo.add_author("a"), repo.add_author("b")];
+        let mut reference = LineReplay::default();
+        let mut contents: BTreeMap<&str, String> = BTreeMap::new();
+        for i in 0..rng.range_inclusive_usize(1, 12) {
+            let mut writes = Vec::new();
+            for _ in 0..rng.range_inclusive_usize(1, 3) {
+                let path = *rng.choice(&["a.c", "b.c"]);
+                let mut content = contents.get(path).cloned().unwrap_or_default();
+                for _ in 0..rng.range_inclusive_usize(1, 3) {
+                    content = edit_content(&mut rng, &content);
+                }
+                contents.insert(path, content.clone());
+                writes.push(FileWrite {
+                    path: path.into(),
+                    content,
+                });
+            }
+            let entry = BlameEntry {
+                author: authors[i % 2],
+                commit: CommitId(i as u32),
+                timestamp: i as i64,
+            };
+            for w in &writes {
+                reference.write(&w.path, &w.content, entry);
+            }
+            repo.commit(entry.author, entry.timestamp, "c", writes);
+            reference.assert_matches(&repo, &format!("case {case} commit {i}"));
+        }
+    }
+}
+
+/// The replay's edge cases one by one, each as a two-commit history against
+/// the line-level replay.
+#[test]
+fn byte_trimmed_replay_edge_cases() {
+    // 4001 x 4001 changed lines, distinct but for line 2001: above the
+    // 16M-cell LCS cutoff, so the middle is replaced whole, even the line
+    // both sides share.
+    let big = |tag: &str| -> String {
+        (0..4001)
+            .map(|i| match i {
+                2000 => "shared\n".to_string(),
+                _ => format!("{tag}{i}\n"),
+            })
+            .collect()
+    };
+    let (big_old, big_new) = (big("o"), big("n"));
+    let small: &[(&str, &str, &str)] = &[
+        ("trailing newline added", "a\nb", "a\nb\n"),
+        ("trailing newline dropped", "a\nb\n", "a\nb"),
+        ("extra blank last line", "a\nb\n", "a\nb\n\n"),
+        ("blank last line dropped", "a\nb\n\n", "a\nb\n"),
+        ("mid-line mismatch", "x\nab\ny\n", "x\nabc\ny\n"),
+        ("mid-line mismatch, last line", "x\nab", "x\nabc"),
+        ("multibyte at the mismatch", "x\né\ny\n", "x\nè\ny\n"),
+        ("multibyte mid-line", "a€b\nz\n", "a₤b\nz\n"),
+        ("first line edited", "a\nb\nc\n", "A\nb\nc\n"),
+        ("last line edited", "a\nb\nc\n", "a\nb\nC\n"),
+        ("identical rewrite", "a\nb\n", "a\nb\n"),
+        ("emptied", "a\nb\n", ""),
+        ("refilled", "", "a\n"),
+        ("one empty line", "", "\n"),
+        ("shared line moved", "k\na\nb\nk\n", "k\nb\na\nk\n"),
+        // The shared prefix and suffix overlap in the longer side.
+        ("repeated block removed", "a\nb\nc\nb\nc\n", "a\nb\nc\n"),
+        ("repeated block added", "a\nb\nc\n", "a\nb\nc\nb\nc\n"),
+        ("repeated line removed", "x\nx\nx\n", "x\nx\n"),
+    ];
+    let mut cases: Vec<(&str, String, String)> = small
+        .iter()
+        .map(|&(name, old, new)| (name, old.to_string(), new.to_string()))
+        .collect();
+    cases.push(("above the LCS cutoff", big_old, big_new));
+    for (name, old, new) in cases {
+        let mut repo = Repository::new();
+        let a = repo.add_author("a");
+        let b = repo.add_author("b");
+        let mut reference = LineReplay::default();
+        for (i, (author, content)) in [(a, &old), (b, &new)].into_iter().enumerate() {
+            let entry = BlameEntry {
+                author,
+                commit: CommitId(i as u32),
+                timestamp: i as i64,
+            };
+            reference.write("f", content, entry);
+            repo.commit(
+                author,
+                entry.timestamp,
+                "c",
+                vec![FileWrite {
+                    path: "f".into(),
+                    content: content.clone(),
+                }],
+            );
+            reference.assert_matches(&repo, &format!("{name}, commit {i}"));
+        }
+        if name == "above the LCS cutoff" {
+            let shared = 2001;
+            assert_eq!(repo.blame_author("f", shared), Some(b), "{name}");
+        }
+    }
+}
+
+/// The `history.json` walk `from_json` replaced: parse the whole document
+/// into a [`Json`] tree, then move each member out of it.
+fn reference_from_json(text: &str) -> Result<HistorySpec, String> {
+    fn take(obj: &mut Json, key: &str) -> Option<Json> {
+        match obj {
+            Json::Obj(pairs) => pairs
+                .iter_mut()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| std::mem::replace(v, Json::Null)),
+            _ => None,
+        }
+    }
+    fn field(c: &mut Json, i: usize, name: &str) -> Result<Json, String> {
+        take(c, name).ok_or_else(|| format!("commit #{i}: missing \"{name}\""))
+    }
+    fn str_field(c: &mut Json, i: usize, name: &str) -> Result<String, String> {
+        match field(c, i, name)? {
+            Json::Str(s) => Ok(s),
+            _ => Err(format!("commit #{i}: \"{name}\" must be a string")),
+        }
+    }
+    let mut doc = json::parse(text).map_err(|e| e.to_string())?;
+    let Some(Json::Arr(commits)) = take(&mut doc, "commits") else {
+        return Err("history spec: missing \"commits\" array".to_string());
+    };
+    let mut out = HistorySpec {
+        commits: Vec::with_capacity(commits.len()),
+    };
+    for (i, mut c) in commits.into_iter().enumerate() {
+        let Json::Arr(ws) = field(&mut c, i, "writes")? else {
+            return Err(format!("commit #{i}: \"writes\" must be an array"));
+        };
+        let mut writes = Vec::with_capacity(ws.len());
+        for (j, mut w) in ws.into_iter().enumerate() {
+            let mut wstr = |name: &str| match take(&mut w, name) {
+                Some(Json::Str(s)) => Ok(s),
+                _ => Err(format!("commit #{i} write #{j}: bad \"{name}\"")),
+            };
+            writes.push(WriteSpec {
+                path: wstr("path")?,
+                content: wstr("content")?,
+            });
+        }
+        out.commits.push(CommitSpec {
+            author: str_field(&mut c, i, "author")?,
+            timestamp: field(&mut c, i, "timestamp")?
+                .as_i64()
+                .ok_or_else(|| format!("commit #{i}: \"timestamp\" must be an integer"))?,
+            message: str_field(&mut c, i, "message")?,
+            writes,
+        });
+    }
+    Ok(out)
+}
+
+/// Members a mutation inserts at the start of an object: duplicates of the
+/// members the reader wants (well- and ill-typed), unknown ones, `\u`
+/// escapes with good and broken surrogates, a timestamp beyond `i64`.
+const MEMBERS: &[&str] = &[
+    r#""author":"dup","#,
+    r#""author":7,"#,
+    r#""message":"é\n","#,
+    r#""timestamp":99999999999999999999,"#,
+    r#""timestamp":-9223372036854775808,"#,
+    r#""timestamp":1e3,"#,
+    r#""timestamp":-,"#,
+    r#""writes":{},"#,
+    r#""writes":[],"#,
+    r#""writes":[{"path":"x.c","content":"1\n"}],"#,
+    r#""path":"p.c","#,
+    r#""content":null,"#,
+    r#""commits":[],"#,
+    r#""unknown":[1,{"a":null},true,false,-2.5e-3],"#,
+    r#""s":"😀\ud83d\ude00","#,
+    r#""s":"\ud83d","#,
+    r#""s":"\udc00","#,
+    r#""s":"\ud83dA","#,
+    r#""s":"\ud83d\u0041","#,
+    r#""auth\u006fr":"escaped key","#,
+    r#""p\u0061th":"escaped.c","#,
+    r#""s":"\x","#,
+];
+
+/// One mutation of `text` at a character boundary.
+fn mutate(rng: &mut SplitMix64, text: &mut String) {
+    const CHARS: &[char] = &[
+        '{', '}', '[', ']', ',', ':', '"', '\\', '0', '-', 'e', '.', ' ', 'n', 'x', '\u{1}', 'é',
+    ];
+    let boundaries: Vec<usize> = (0..=text.len())
+        .filter(|&i| text.is_char_boundary(i))
+        .collect();
+    let at = *rng.choice(&boundaries);
+    match rng.range_usize(0, 12) {
+        // Flip one character.
+        0 if at < text.len() => {
+            let len = text[at..].chars().next().unwrap().len_utf8();
+            text.replace_range(at..at + len, &rng.choice(CHARS).to_string());
+        }
+        1 => text.truncate(at),
+        // A member at the start of some object.
+        2..=6 => {
+            let opens: Vec<usize> = text.match_indices('{').map(|(i, _)| i + 1).collect();
+            if let Some(&open) = opens.get(rng.range_usize(0, opens.len().max(1))) {
+                text.insert_str(open, rng.choice::<&str>(MEMBERS));
+            }
+        }
+        // A nested member around the depth limit.
+        7 => {
+            let opens: Vec<usize> = text.match_indices('{').map(|(i, _)| i + 1).collect();
+            if let Some(&open) = opens.get(rng.range_usize(0, opens.len().max(1))) {
+                let depth = rng.range_inclusive_usize(120, 130);
+                let nested = format!(r#""deep":{}{}, "#, "[".repeat(depth), "]".repeat(depth));
+                text.insert_str(open, &nested);
+            }
+        }
+        // A member renamed away.
+        8 | 9 => {
+            let keys: Vec<usize> = text.match_indices("\":").map(|(i, _)| i).collect();
+            if let Some(&end) = keys.get(rng.range_usize(0, keys.len().max(1))) {
+                let start = text[..end].rfind('"').unwrap();
+                text.replace_range(start + 1..end, "other");
+            }
+        }
+        // Something after the document.
+        10 => text.push_str(rng.choice::<&str>(&[" ", "\n", "x", "}", "[]", "{}"])),
+        _ => text.insert(at, *rng.choice(CHARS)),
+    }
+}
+
+/// `from_json` against the tree walk it replaced, over seeded random specs
+/// serialized compact and pretty and then mutated: the same spec or the
+/// same error string in every case.
+#[test]
+fn from_json_matches_the_tree_walk() {
+    let mut rng = SplitMix64::new(0xCC);
+    let (mut oks, mut shape, mut syntax) = (0, 0, 0);
+    for case in 0..1500 {
+        let spec = random_spec(&mut rng);
+        let mut text = if case % 2 == 0 {
+            spec.to_json()
+        } else {
+            spec.to_json_pretty()
+        };
+        if case % 10 != 0 {
+            for _ in 0..rng.range_inclusive_usize(1, 2) {
+                mutate(&mut rng, &mut text);
+            }
+        }
+        let want = reference_from_json(&text);
+        assert_eq!(HistorySpec::from_json(&text), want, "case {case}: {text}");
+        match want {
+            Ok(_) => oks += 1,
+            Err(e) if e.starts_with("JSON error") => syntax += 1,
+            Err(_) => shape += 1,
+        }
+    }
+    // Specs, shape errors and syntax errors are all well represented.
+    eprintln!("{oks} specs, {shape} shape errors, {syntax} syntax errors");
+    assert!(
+        oks > 150 && shape > 150 && syntax > 150,
+        "{oks} specs, {shape} shape errors, {syntax} syntax errors"
+    );
 }

@@ -136,6 +136,17 @@ bounded cargo test -p valuecheck --test serve_alloc -q
 echo "==> cargo test -p valuecheck --test history_alloc -q (history-replay allocations)"
 bounded cargo test -p valuecheck --test history_alloc -q
 
+# history_load_alloc: the history-load allocation guard
+# (crates/core/tests/history_load_alloc.rs) — `load_dir` of a history.json
+# with 120 commits, each editing one line of a 3000-line file, must stay
+# under a fixed number of allocations per commit (the commits are read
+# straight from the JSON bytes, and blame is replayed over only the bytes
+# a write changed, with no string per line), and the bytes it allocates
+# must stay under 3x the JSON size (each content is copied once, at its
+# exact length).
+echo "==> cargo test -p valuecheck --test history_load_alloc -q (history-load allocations)"
+bounded cargo test -p valuecheck --test history_load_alloc -q
+
 # lex_alloc: the front-end allocation guard (crates/ir/tests/lex_alloc.rs)
 # — lexing a 200-function file allocates only the decoded text of its
 # string literals and guard symbols plus vector growth (tokens are `Copy`
