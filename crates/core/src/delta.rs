@@ -48,6 +48,10 @@ use vc_ir::{
     Program, //
 };
 use vc_obs::{
+    hash::{
+        fnv1a,
+        FNV_SEED, //
+    },
     names,
     Json,
     ObsSession, //
@@ -60,7 +64,6 @@ use vc_vcs::{
 
 use crate::{
     candidate::Scenario,
-    fnv1a,
     harden::FailureRecord,
     pipeline::{
         build_tree,
@@ -75,7 +78,6 @@ use crate::{
         detect_program_sentinel,
         SentinelConfig, //
     },
-    FNV_SEED,
 };
 
 /// A drift-stable identity for one finding.
@@ -478,11 +480,8 @@ pub fn classify(
     ) -> Option<&'m LineMap> {
         maps.entry(file)
             .or_insert_with(|| {
-                let old_text = old_sources.get(file)?;
-                let new_text = new_sources.get(file)?;
-                let old_lines: Vec<&str> = old_text.lines().collect();
-                let new_lines: Vec<&str> = new_text.lines().collect();
-                Some(LineMap::between(&old_lines, &new_lines))
+                let (old, new) = (old_sources.get(file)?, new_sources.get(file)?);
+                Some(LineMap::between_texts(old, new))
             })
             .as_ref()
     }

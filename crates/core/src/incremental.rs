@@ -233,7 +233,7 @@ mod tests {
         );
         assert_eq!(stored.scenario, "overwritten");
         assert_ne!(
-            stored.fingerprint, 0,
+            stored.fingerprint.0, 0,
             "stored findings carry a real fingerprint"
         );
         assert_eq!(previous.fingerprint_set().len(), 1);

@@ -80,21 +80,6 @@ pub mod serve;
 pub mod store;
 pub mod suppress;
 
-/// Offset basis of [`fnv1a`].
-pub(crate) const FNV_SEED: u64 = 0xCBF2_9CE4_8422_2325;
-
-/// Folds one field into an FNV-1a 64-bit hash, followed by a separator byte
-/// so ("ab","c") != ("a","bc"). The crate's standard content hash: journal
-/// checksums and fingerprints, finding fingerprints, serve unit keys and
-/// snapshot keys.
-pub(crate) fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01B3;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(PRIME);
-    }
-    (h ^ 0xFF).wrapping_mul(PRIME)
-}
-
 /// Adds per-unit counters tallied over a loop, once each. A zero tally is
 /// skipped, so a counter no unit touched stays absent from the snapshot
 /// exactly as with per-unit increments.

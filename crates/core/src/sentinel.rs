@@ -58,7 +58,14 @@ use vc_ir::{
     StoreInfo,
     VarKey, //
 };
-use vc_obs::{ObsSession, MAIN_TID};
+use vc_obs::{
+    hash::{
+        fnv1a,
+        FNV_SEED, //
+    },
+    ObsSession,
+    MAIN_TID, //
+};
 use vc_pointer::demand::DemandPointer;
 
 use crate::{
@@ -75,7 +82,6 @@ use crate::{
         DetectOutcome,
         UnitOutcome, //
     },
-    fnv1a,
     harden::{
         self,
         FailStage,
@@ -83,7 +89,6 @@ use crate::{
         FailureRecord,
         HardenConfig, //
     },
-    FNV_SEED,
 };
 
 /// On-disk format version of the scan journal. Bumped whenever the record
@@ -116,12 +121,6 @@ pub struct SentinelConfig {
     /// low-confidence, and `serve.deadline_exceeded` is counted. `None`
     /// never reads the clock for it.
     pub deadline: Option<ScanDeadline>,
-    /// Base of the capped exponential backoff applied to requeued units:
-    /// attempt `k` (1-based retries) waits `backoff_base * 2^(k-1)`,
-    /// saturating at [`SentinelConfig::backoff_cap`].
-    pub backoff_base: Duration,
-    /// Upper bound of the retry backoff.
-    pub backoff_cap: Duration,
     /// How many journal records may accumulate between fsyncs. `1` syncs
     /// every record; larger values batch (a crash can lose at most the
     /// unsynced tail — recovery rescans those units).
@@ -155,8 +154,6 @@ impl Default for SentinelConfig {
             retry: 3,
             unit_deadline: None,
             deadline: None,
-            backoff_base: Duration::from_millis(2),
-            backoff_cap: Duration::from_millis(50),
             fsync_every: 16,
             journal: None,
             resume: false,
@@ -187,14 +184,19 @@ impl SentinelConfig {
             ..SentinelConfig::default()
         }
     }
+}
 
-    /// The backoff before retry attempt `attempt` (1-based).
-    fn backoff(&self, attempt: u32) -> Duration {
-        let factor = 1u32 << attempt.saturating_sub(1).min(16);
-        self.backoff_base
-            .saturating_mul(factor)
-            .min(self.backoff_cap)
-    }
+/// Base of the capped exponential backoff applied to requeued units.
+const BACKOFF_BASE: Duration = Duration::from_millis(2);
+
+/// Upper bound of the retry backoff.
+const BACKOFF_CAP: Duration = Duration::from_millis(50);
+
+/// The backoff before retry attempt `attempt` (1-based retries): it waits
+/// `BACKOFF_BASE * 2^(attempt-1)`, saturating at `BACKOFF_CAP`.
+fn backoff(attempt: u32) -> Duration {
+    let factor = 1u32 << attempt.saturating_sub(1).min(16);
+    BACKOFF_BASE.saturating_mul(factor).min(BACKOFF_CAP)
 }
 
 // ---------------------------------------------------------------------------
@@ -453,7 +455,7 @@ pub enum UnitRecord {
 }
 
 impl UnitRecord {
-    /// The unit key.
+    /// The unit's function index.
     pub fn unit(&self) -> usize {
         match self {
             UnitRecord::Ok { unit, .. } | UnitRecord::Fail { unit, .. } => *unit,
@@ -970,7 +972,7 @@ impl Shared<'_> {
         let attempts_done = attempt + 1;
         if attempts_done < self.sconf.retry.max(1) {
             vc_obs::counter_inc(vc_obs::names::SENTINEL_RETRIES);
-            let at = Instant::now() + self.sconf.backoff(attempts_done);
+            let at = Instant::now() + backoff(attempts_done);
             state.delayed.push((
                 at,
                 Task {
@@ -1807,7 +1809,7 @@ mod tests {
     #[test]
     fn scan_deadline_counts_the_time_before_the_executor_starts() {
         // The caller fixes the deadline at its own start, so work done
-        // before the executor runs (loading, serve's unit keys) uses it up.
+        // before the executor runs (loading, serve's unit lookup) uses it up.
         let p = prog();
         let session = ObsSession::current_or_new();
         let _g = session.install();
@@ -1836,14 +1838,9 @@ mod tests {
 
     #[test]
     fn backoff_is_capped_exponential() {
-        let conf = SentinelConfig {
-            backoff_base: Duration::from_millis(2),
-            backoff_cap: Duration::from_millis(50),
-            ..SentinelConfig::default()
-        };
-        assert_eq!(conf.backoff(1), Duration::from_millis(2));
-        assert_eq!(conf.backoff(2), Duration::from_millis(4));
-        assert_eq!(conf.backoff(3), Duration::from_millis(8));
-        assert_eq!(conf.backoff(30), Duration::from_millis(50));
+        assert_eq!(backoff(1), Duration::from_millis(2));
+        assert_eq!(backoff(2), Duration::from_millis(4));
+        assert_eq!(backoff(3), Duration::from_millis(8));
+        assert_eq!(backoff(30), Duration::from_millis(50));
     }
 }

@@ -4,10 +4,11 @@
 //! one request object per line, one reply object per line. The daemon
 //! keeps the project (sources and history, see [`Project::reload`]),
 //! lowered IR per file (a [`ParseCache`]), per-function detection
-//! results (a content-keyed unit cache), and the previous response's
-//! fingerprints warm, so re-scanning after a small edit re-imports only
-//! the edited files into a synthetic history, re-lowers only the edited
-//! files (and files using a declaration the edit changed) and
+//! results (a unit cache keyed by the lowered function), and the previous
+//! response's fingerprints warm, so re-scanning after a small edit
+//! re-imports only the edited files into a synthetic history, re-lowers
+//! only the edited files (and files using a declaration the edit changed)
+//! and
 //! re-analyzes only the functions whose unit-cache lookup misses, while
 //! replying with bytes identical to a cold `vcheck scan` of the same tree.
 //! The back end runs fresh on every request, but costs what the
@@ -35,8 +36,8 @@
 //!
 //! - **Deadline**: a request's wall-clock deadline runs from its arrival
 //!   and is the sentinel executor's scan deadline
-//!   ([`SentinelConfig::deadline`]), so the front end and the unit-key
-//!   pass count against it. When it expires, the cache
+//!   ([`SentinelConfig::deadline`]), so the front end and the unit lookup
+//!   count against it. When it expires, the cache
 //!   misses not yet started are skipped (hits are already settled), every
 //!   reported finding is marked `low_confidence`, a `deadline exceeded`
 //!   failure record is appended, nothing new is cached, and the reply
@@ -54,32 +55,33 @@
 //!
 //! ## Warm-state invalidation
 //!
-//! Unit-cache keys bind the *content*: the file's build key (the
-//! [`ParseCache`] key the build already hashed from file position, file
-//! name, file bytes and the preprocessor defines, kept on the
-//! [`SourceMap`](vc_ir::program::SourceMap) entry), function name and
-//! ordinal, the function's pointer fingerprint (resolved indirect callees
-//! and degradation flag — a constant for the common function with no
-//! indirect calls, so no pointer component is solved on its behalf), and
-//! the detect/harden configuration. The key does not bind what lowering
-//! reads from *other* files — a callee's prototype decides whether an
-//! ignored call result gets its implicit store, and global types and
-//! struct layouts shape the IR too — so each cached unit also holds the
-//! lowered function it was
-//! computed from, and a hit requires the key *and* the same function: the
-//! same `Arc` the parse cache keeps handing out while those declarations
-//! are unchanged, or failing that, an equal structural hash.
+//! A unit is the lowered function it was computed from. The
+//! [`ParseCache`] already decides which functions are unchanged: it hands
+//! out the same `Arc<Function>` while the function's file keeps its
+//! position, name, bytes and preprocessor defines and no declaration its
+//! lowering read from other files (a callee's prototype, global types,
+//! struct layouts) changed. The unit cache is keyed by that `Arc`'s
+//! address, and each entry holds the `Arc`, so the address cannot be
+//! reused while the entry lives. A hit needs the same `Arc` and the same
+//! pointer fingerprint, which the entry stores: how the function's
+//! indirect calls resolve and whether the demand solves degraded (a
+//! constant for the common function with no indirect calls, so no pointer
+//! component is solved on its behalf). Detection reads nothing else but
+//! the function's signature id, and the detect/harden configuration is
+//! fixed for the engine's life. A function lowered again misses even when
+//! its IR comes out the same: one whose file was edited, moved or renamed,
+//! one whose file consulted a changed declaration, and every function of a
+//! program built outside the engine's parse cache.
 //! Each cached unit carries the function's [`FnSummary`] behind an `Arc`
 //! alongside its candidates, so a warm hit hands the prune stage the same
 //! summary without rebuilding or copying it (counted under
-//! `summary.reused`); only a shifted signature id copies it, once. The key
-//! and the lowered function together bind every input of a unit's
-//! detection, so nothing else is re-analyzed: hits go to the sentinel
-//! executor as known outcomes, and it runs the misses at one job
-//! (`crates/core/tests/serve_diff.rs` checks warm against cold over seeded
-//! cross-file edits). Both caches sweep generationally: a hit moves its
-//! entry into the next generation, and entries not used by the current
-//! request are dropped, bounding memory across thousands of requests.
+//! `summary.reused`); only a shifted signature id copies it, once. Hits go
+//! to the sentinel executor as known outcomes, and it runs the misses at
+//! one job (`crates/core/tests/serve_diff.rs` checks warm against cold
+//! over seeded cross-file edits). Both caches sweep generationally: a hit
+//! moves its entry into the next generation, and entries not used by the
+//! current request are dropped, bounding memory across thousands of
+//! requests.
 //!
 //! ## Telemetry (DESIGN.md §16)
 //!
@@ -105,7 +107,6 @@
 
 use std::{
     collections::{HashMap, HashSet},
-    hash::{Hash, Hasher},
     io::{self, BufRead, Write},
     panic::{catch_unwind, AssertUnwindSafe},
     path::{Path, PathBuf},
@@ -117,26 +118,30 @@ use vc_dataflow::summary::FnSummary;
 use vc_ir::{
     ir::Callee,
     program::ParseCache,
-    FileId,
     FuncId,
     Function,
     Program, //
 };
-use vc_obs::{Json, ObsSession};
-use vc_pointer::{demand::DemandPointer, fasthash::FastHasher};
+use vc_obs::{
+    hash::{
+        fnv1a,
+        FNV_SEED, //
+    },
+    Json,
+    ObsSession, //
+};
+use vc_pointer::demand::DemandPointer;
 
 use crate::{
     candidate::Candidate,
     delta::{fingerprint_ranked, Finding},
     detect::{DetectOutcome, UnitOutcome},
     eventlog::{now_ms, EventLog},
-    fnv1a,
     harden::{self, FailStage},
     pipeline::{run_detected, Options},
     project::{load_dir_or_empty, Project},
     sentinel::{execute, Known, ScanDeadline, SentinelConfig},
     store::SnapshotStore,
-    FNV_SEED,
 };
 
 /// Daemon configuration.
@@ -183,7 +188,8 @@ impl Default for ServeConfig {
     }
 }
 
-/// One cached per-function detection result. Only clean units are cached:
+/// One cached per-function detection result, keyed by the address of
+/// the lowered function it was computed from. Only clean units are cached:
 /// poisoned (panicking) functions re-run on every request so their failure
 /// records keep appearing, and deadline-skipped functions were never
 /// analyzed at all.
@@ -193,25 +199,12 @@ struct CachedUnit {
     /// The function's dataflow summary, shared with the prune stage on a
     /// warm hit instead of re-solving liveness/defs (`summary.reused`).
     summary: Arc<FnSummary>,
-    /// The lowered function the unit was computed from. A hit requires the
-    /// program's function to be this one: lowering also reads other files
-    /// (callee prototypes, global types, struct layouts), which the content
-    /// key does not bind. The parse cache hands out the same `Arc` while
-    /// none of those declarations changed; a re-lowered function (or one
-    /// from a program built elsewhere) hits only if its structure hashes
-    /// the same.
+    /// The lowered function the unit was computed from, as the parse cache
+    /// handed it out. Holding it keeps its address, the unit's key, from
+    /// being reused while the entry lives.
     func: Arc<Function>,
-}
-
-/// Whether `cached` and `current` are the same lowered function: the same
-/// allocation, or failing that, the same structural hash.
-fn same_ir(cached: &Arc<Function>, current: &Arc<Function>) -> bool {
-    let ir_hash = |f: &Function| {
-        let mut h = FastHasher::default();
-        f.hash(&mut h);
-        h.finish()
-    };
-    Arc::ptr_eq(cached, current) || ir_hash(cached) == ir_hash(current)
+    /// The function's [`pointer_fingerprint`] when the unit ran.
+    pointer: u64,
 }
 
 /// Warm state carried between requests.
@@ -330,7 +323,8 @@ pub struct ServeEngine {
     /// here across requests.
     obs: ObsSession,
     parse_cache: ParseCache,
-    units: HashMap<u64, CachedUnit>,
+    /// Cached units by the address of their lowered function.
+    units: HashMap<usize, CachedUnit>,
     warm: Option<Warm>,
     /// Fingerprinted findings of the previous successful reply.
     prev: Option<Vec<Finding>>,
@@ -499,12 +493,14 @@ impl ServeEngine {
     }
 
     /// The warm detection pass: every function is looked up in the unit
-    /// cache, keyed through the executor's fresh demand pointer oracle
-    /// (components solve lazily, only when an indirect call's fingerprint
-    /// or detection needs them). Hits are known outcomes; the sentinel
-    /// executor folds them in unit order with the misses it runs at one
-    /// job, so a cold cache reports exactly what `detect_program_hardened`
-    /// does. The misses' clean results then refill the cache.
+    /// cache by its lowered function, and a hit must also match the
+    /// function's pointer fingerprint under the executor's fresh demand
+    /// pointer oracle (components solve lazily, only when an indirect
+    /// call's fingerprint or detection needs them). Hits are known
+    /// outcomes; the sentinel executor folds them in unit order with the
+    /// misses it runs at one job, so a cold cache reports exactly what a
+    /// sequential scan does. The misses' clean results then refill the
+    /// cache.
     fn detect_warm(
         &mut self,
         prog: &Program,
@@ -512,13 +508,8 @@ impl ServeEngine {
     ) -> (DetectOutcome, u64, u64) {
         let opts = &self.config.opts;
         let hconf = opts.harden;
-        let config_salt = {
-            let h = fnv1a(FNV_SEED, format!("{:?}", opts.detect).as_bytes());
-            fnv1a(h, format!("{:?}", hconf).as_bytes())
-        };
-
-        let mut next_units: HashMap<u64, CachedUnit> = HashMap::new();
-        // The misses' unit keys, in unit order.
+        let mut next_units: HashMap<usize, CachedUnit> = HashMap::new();
+        // The misses and their pointer fingerprints, in unit order.
         let mut misses: Vec<(FuncId, u64)> = Vec::new();
         let sconf = SentinelConfig {
             deadline,
@@ -526,41 +517,23 @@ impl ServeEngine {
         };
         let out = execute(prog, opts.detect, hconf, &sconf, |oracle, interner| {
             let mut known = Vec::with_capacity(prog.funcs.len());
-            // Ordinal of each function within its file, so two same-named
-            // (static) functions in one file get distinct unit keys.
-            let mut file_ordinal: HashMap<FileId, u32> = HashMap::new();
-            for fi in 0..prog.funcs.len() {
+            for (fi, func) in prog.funcs.iter().enumerate() {
                 let fid = FuncId(fi as u32);
-                let f = prog.func(fid);
-                let slot = file_ordinal.entry(f.file).or_insert(0);
-                let ordinal = *slot;
-                *slot += 1;
-                let pf = pointer_fingerprint(fid, f, oracle);
-                let key = {
-                    // The build already hashed the file's position, name,
-                    // bytes and the defines into its parse-cache key.
-                    let file_key = prog.source.file(f.file).map_or(0, |file| file.key);
-                    let mut h = fnv1a(config_salt, &file_key.to_le_bytes());
-                    h = fnv1a(h, f.name.as_bytes());
-                    h = fnv1a(h, &ordinal.to_le_bytes());
-                    fnv1a(h, &pf.to_le_bytes())
-                };
-                // The key binds the function's own file; `same_ir` binds what
-                // lowering read from other files. Together they bind every
-                // input of the unit.
-                let func = &prog.funcs[fi];
-                if !self.units.get(&key).is_some_and(|u| same_ir(&u.func, func)) {
-                    misses.push((fid, key));
+                let key = Arc::as_ptr(func) as usize;
+                let pointer = pointer_fingerprint(fid, func, oracle);
+                let hit = self.units.get(&key).is_some_and(|u| u.pointer == pointer);
+                if !hit {
+                    misses.push((fid, pointer));
                     known.push(Known::Run);
                     continue;
                 }
                 // The entry moves into the next generation; its summary is
                 // shared, not copied.
                 let mut unit = self.units.remove(&key).expect("hit entry is cached");
-                unit.func = Arc::clone(func);
+                debug_assert!(Arc::ptr_eq(&unit.func, func));
                 // Rebind: the function's global id may have shifted when other
                 // files gained or lost functions; its file, spans, and locals
-                // are pinned by the key.
+                // are the lowered function's own.
                 let candidates = unit
                     .candidates
                     .iter()
@@ -602,16 +575,18 @@ impl ServeEngine {
         // their failure records keep appearing. After a deadline nothing
         // is cached: the candidates are marked low-confidence.
         let all = &out.candidates;
-        for &(fid, key) in misses.iter().filter(|_| !out.deadline_exceeded) {
+        for &(fid, pointer) in misses.iter().filter(|_| !out.deadline_exceeded) {
             if let Some(summary) = out.summaries.shared(fid) {
                 let mine =
                     all.partition_point(|c| c.func < fid)..all.partition_point(|c| c.func <= fid);
+                let func = &prog.funcs[fid.0 as usize];
                 let unit = CachedUnit {
                     candidates: all[mine].to_vec(),
                     summary: Arc::clone(summary),
-                    func: Arc::clone(&prog.funcs[fid.0 as usize]),
+                    func: Arc::clone(func),
+                    pointer,
                 };
-                next_units.insert(key, unit);
+                next_units.insert(Arc::as_ptr(func) as usize, unit);
             }
         }
         // Generational sweep: entries the current tree did not touch die.
@@ -1348,7 +1323,7 @@ mod tests {
     fn declaration_edit_in_another_file_invalidates_warm_unit() {
         // `b.c`'s IR depends on `a.c`: only a declared non-void callee gets
         // the implicit `[tmp] = ext(...)` store. Adding the prototype to
-        // `a.c` leaves `b.c`'s bytes, and so its unit key, unchanged.
+        // `a.c` leaves `b.c`'s bytes unchanged but lowers `b.c` again.
         let dir = tree(
             "decledit",
             &[
@@ -1402,7 +1377,8 @@ mod tests {
         assert_eq!(canonical_of(&warm), cold_canonical(&dir, &Options::paper()));
 
         let project = load_dir_or_empty(&dir).unwrap();
-        let (prog, _, _) = Program::build_recovering(&project.source_refs(), &[]);
+        let (prog, _, _) =
+            Program::build_recovering_cached(&project.source_refs(), &[], &mut probed.parse_cache);
         let cached_sigs: Vec<SigId> = probed.units.values().map(|u| u.summary.sig).collect();
         assert!(cached_sigs.contains(&SigId(1)), "g was cached under id 1");
         let (outcome, hits, _) = probed.detect_warm(&prog, None);
@@ -1423,6 +1399,37 @@ mod tests {
             SigId(2),
             "g's signature id moved 1 -> 2"
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn program_built_outside_the_parse_cache_misses_every_unit() {
+        let dir = tree("outside", &[("a.c", BUGGY), ("b.c", CLEAN)]);
+        let mut eng = ServeEngine::new(&dir, ServeConfig::default()).unwrap();
+        eng.scan(None).unwrap();
+        assert_eq!(eng.units.len(), 2, "both units are cached");
+        // The same tree, lowered by a build of its own: equal IR, but not
+        // the functions the engine's parse cache handed out.
+        let project = load_dir_or_empty(&dir).unwrap();
+        let (prog, _, _) = Program::build_recovering(&project.source_refs(), &[]);
+        let (warm, hits, misses) = eng.detect_warm(&prog, None);
+        assert_eq!((hits, misses), (0, 2));
+        let opts = Options::paper();
+        let cold = crate::sentinel::detect_program_sentinel(
+            &prog,
+            opts.detect,
+            opts.harden,
+            &SentinelConfig::sequential(),
+        );
+        assert_eq!(
+            format!("{:?}", warm.candidates),
+            format!("{:?}", cold.candidates)
+        );
+        assert_eq!(
+            format!("{:?}", warm.failures),
+            format!("{:?}", cold.failures)
+        );
+        assert!(!warm.candidates.is_empty(), "has_bug's dead store is found");
         let _ = fs::remove_dir_all(&dir);
     }
 

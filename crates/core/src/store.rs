@@ -34,7 +34,16 @@ use std::{
     path::Path, //
 };
 
+use vc_obs::hash::{
+    fnv1a_bytes,
+    FNV_SEED, //
+};
 use vc_vcs::CommitId;
+
+use crate::delta::{
+    Finding,
+    Fingerprint, //
+};
 
 /// The `(corrupt, recovered)` counter pair a store's load defects go to.
 pub(crate) type LoadCounters = (&'static str, &'static str);
@@ -47,12 +56,7 @@ pub(crate) const SNAPSHOT_COUNTERS: LoadCounters = (
 
 /// FNV-1a over a text blob — the checksum of every store file.
 pub(crate) fn content_hash(text: &str) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in text.as_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    fnv1a_bytes(FNV_SEED, text.as_bytes())
 }
 
 /// A store file's full text: the `<magic> v<version>` header, the lines
@@ -179,26 +183,6 @@ pub const SNAPSHOT_FILE_VERSION: u32 = 3;
 
 const SNAPSHOT_MAGIC: &str = "valuecheck-snapshot";
 
-/// One persisted finding: the identity triple plus the coordinates the
-/// differential scanner needs — file, scenario, and the drift-stable
-/// [`Fingerprint`](crate::delta::Fingerprint) — enough to diff runs without
-/// re-ranking.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StoredFinding {
-    /// Containing function.
-    pub function: String,
-    /// Variable name.
-    pub variable: String,
-    /// 1-based line of the definition.
-    pub line: u32,
-    /// File of the definition.
-    pub file: String,
-    /// Scenario label (`retval`, `param`, or `overwritten`).
-    pub scenario: String,
-    /// Drift-stable fingerprint (hex16 on disk).
-    pub fingerprint: u64,
-}
-
 /// Findings persisted between runs: serve's shutdown flush and `vcheck
 /// delta`'s baselines. Its records, in the store format above:
 ///
@@ -212,8 +196,11 @@ pub struct StoredFinding {
 pub struct SnapshotStore {
     /// The commit the stored findings belong to, when known.
     pub commit: Option<CommitId>,
-    /// The findings of the stored run.
-    pub findings: Vec<StoredFinding>,
+    /// The findings of the stored run: the identity triple plus the
+    /// coordinates the differential scanner needs (file, scenario, and the
+    /// drift-stable [`Fingerprint`]), enough to diff runs without
+    /// re-ranking.
+    pub findings: Vec<Finding>,
 }
 
 impl SnapshotStore {
@@ -234,13 +221,13 @@ impl SnapshotStore {
                 }
                 let [function, variable, line, file, scenario, fingerprint] =
                     fields(rec.strip_prefix("finding ")?)?;
-                store.findings.push(StoredFinding {
+                store.findings.push(Finding {
                     function: function.to_string(),
                     variable: variable.to_string(),
                     line: line.parse().ok()?,
                     file: file.to_string(),
                     scenario: scenario.to_string(),
-                    fingerprint: u64::from_str_radix(fingerprint, 16).ok()?,
+                    fingerprint: Fingerprint::parse_hex(fingerprint)?,
                 });
                 Some(())
             },
@@ -257,7 +244,7 @@ impl SnapshotStore {
             for f in &self.findings {
                 out.push_str(&format!(
                     "finding {}\t{}\t{}\t{}\t{}\t{:016x}\n",
-                    f.function, f.variable, f.line, f.file, f.scenario, f.fingerprint
+                    f.function, f.variable, f.line, f.file, f.scenario, f.fingerprint.0
                 ));
             }
         });
@@ -267,25 +254,15 @@ impl SnapshotStore {
     /// The stored fingerprints as a suppression set (`vcheck delta
     /// --baseline`).
     pub fn fingerprint_set(&self) -> HashSet<u64> {
-        self.findings.iter().map(|f| f.fingerprint).collect()
+        self.findings.iter().map(|f| f.fingerprint.0).collect()
     }
 
     /// Builds a store directly from fingerprinted findings (`vcheck delta
     /// --write-baseline` records the new-revision scan this way).
-    pub fn from_findings(commit: CommitId, findings: &[crate::delta::Finding]) -> SnapshotStore {
+    pub fn from_findings(commit: CommitId, findings: &[Finding]) -> SnapshotStore {
         SnapshotStore {
             commit: Some(commit),
-            findings: findings
-                .iter()
-                .map(|f| StoredFinding {
-                    function: f.function.clone(),
-                    variable: f.variable.clone(),
-                    line: f.line,
-                    file: f.file.clone(),
-                    scenario: f.scenario.clone(),
-                    fingerprint: f.fingerprint.0,
-                })
-                .collect(),
+            findings: findings.to_vec(),
         }
     }
 }
@@ -457,13 +434,13 @@ mod tests {
         let path = dir.join("store");
         let store = SnapshotStore {
             commit: Some(CommitId(7)),
-            findings: vec![StoredFinding {
+            findings: vec![Finding {
                 function: "f".into(),
                 variable: "x".into(),
                 line: 3,
                 file: "a.c".into(),
                 scenario: "retval".into(),
-                fingerprint: 0xDEAD_BEEF_0123_4567,
+                fingerprint: Fingerprint(0xDEAD_BEEF_0123_4567),
             }],
         };
         store.save(&path).unwrap();

@@ -238,11 +238,8 @@ impl SuppressStore {
         let mut maps: HashMap<String, Option<LineMap>> = HashMap::new();
         for e in &mut self.entries {
             let map = maps.entry(e.file.clone()).or_insert_with(|| {
-                let old_text = old_sources.get(&e.file)?;
-                let new_text = new_sources.get(&e.file)?;
-                let old_lines: Vec<&str> = old_text.lines().collect();
-                let new_lines: Vec<&str> = new_text.lines().collect();
-                Some(LineMap::between(&old_lines, &new_lines))
+                let (old, new) = (old_sources.get(&e.file)?, new_sources.get(&e.file)?);
+                Some(LineMap::between_texts(old, new))
             });
             if let Some(mapped) = map.as_ref().and_then(|m| m.old_to_new_nearby(e.line)) {
                 e.line = mapped;

@@ -1,9 +1,10 @@
 //! Warm serve replies against cold scans over seeded cross-file edits.
 //!
-//! A serve unit-cache hit needs the unit key (config, file position, name
-//! and bytes, function name and ordinal, pointer fingerprint) and the same
-//! lowered function. Together they bind every input of a unit's
-//! detection, so the engine re-analyzes nothing else. This test drives
+//! A serve unit-cache hit needs the same lowered function (the `Arc` the
+//! parse cache hands out while the function's file and every declaration
+//! its lowering read are unchanged) and the same pointer fingerprint.
+//! Together they bind every input of a unit's detection, so the engine
+//! re-analyzes nothing else. This test drives
 //! one warm `ServeEngine` through seeded sequences of edits that reach a
 //! function from *outside* its own file, and after every step compares the
 //! reply with a cold `run_sentinel` scan of the same tree, byte for byte:

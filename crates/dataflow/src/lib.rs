@@ -9,12 +9,10 @@
 //!   lattice as [`liveness`], facts as `u64` words over a per-function key
 //!   index),
 //! - forward [`reaching`] definitions and def-use chains,
-//! - [`dominators`] as an independent control-flow oracle,
 //! - [`varset::VarKeySet`], the variable-key set with field-covering
 //!   semantics shared by every client.
 
 pub mod dense;
-pub mod dominators;
 pub mod framework;
 pub mod liveness;
 pub mod reaching;

@@ -28,8 +28,8 @@
 //!
 //! Summaries are content-addressable by construction (nothing in them
 //! depends on ids outside the function except the interned signature), so
-//! the serve daemon caches them across warm requests keyed by file content
-//! and the lowered function's structural hash.
+//! the serve daemon caches them across warm requests keyed by the lowered
+//! function they were built from.
 
 use std::{
     collections::{

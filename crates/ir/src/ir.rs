@@ -156,7 +156,7 @@ pub enum StoreInfo {
 }
 
 /// One IR instruction.
-#[derive(Clone, Debug, Hash)]
+#[derive(Clone, Debug)]
 pub enum Inst {
     /// `dst = load place`.
     Load {
@@ -240,7 +240,7 @@ impl Inst {
 }
 
 /// A basic-block terminator.
-#[derive(Clone, Debug, Hash)]
+#[derive(Clone, Debug)]
 pub enum Terminator {
     /// Unconditional branch.
     Br(BlockId),
@@ -284,7 +284,7 @@ impl Terminator {
 }
 
 /// A basic block: straight-line instructions plus one terminator.
-#[derive(Clone, Debug, Hash)]
+#[derive(Clone, Debug)]
 pub struct BasicBlock {
     /// Instructions in execution order.
     pub insts: Vec<Inst>,
@@ -305,7 +305,7 @@ pub enum LocalKind {
 }
 
 /// Metadata for one local slot.
-#[derive(Clone, Debug, Hash)]
+#[derive(Clone, Debug)]
 pub struct LocalInfo {
     /// Source-level name (synthetic slots get `$`-prefixed names).
     pub name: String,
@@ -320,7 +320,7 @@ pub struct LocalInfo {
 }
 
 /// Metadata for one parameter.
-#[derive(Clone, Debug, Hash)]
+#[derive(Clone, Debug)]
 pub struct ParamInfo {
     /// Parameter name.
     pub name: String,
@@ -354,7 +354,7 @@ pub enum TempOrigin {
 }
 
 /// A lowered function.
-#[derive(Clone, Debug, Hash)]
+#[derive(Clone, Debug)]
 pub struct Function {
     /// Function name.
     pub name: String,

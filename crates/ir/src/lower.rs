@@ -18,6 +18,11 @@ use std::{
     }, //
 };
 
+use vc_obs::hash::{
+    fnv1a_bytes,
+    FNV_SEED, //
+};
+
 use crate::{
     ast::{
         BinOp,
@@ -128,17 +133,7 @@ impl<'a> LowerCtx<'a> {
 /// name. Struct tags, globals and functions share one key space, so a
 /// collision only makes a dependency look wider than it is.
 pub(crate) fn name_key(name: &str) -> u64 {
-    fnv(FNV_SEED, name.as_bytes())
-}
-
-/// The FNV-1a offset basis.
-pub(crate) const FNV_SEED: u64 = 0xCBF2_9CE4_8422_2325;
-
-/// FNV-1a over `bytes`, continuing from `h`.
-pub(crate) fn fnv(h: u64, bytes: &[u8]) -> u64 {
-    bytes.iter().fold(h, |h, b| {
-        (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01B3)
-    })
+    fnv1a_bytes(FNV_SEED, name.as_bytes())
 }
 
 /// Lowers one function definition to IR.

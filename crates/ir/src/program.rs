@@ -19,6 +19,11 @@ use std::{
     sync::Arc,
 };
 
+use vc_obs::hash::{
+    fnv1a,
+    FNV_SEED, //
+};
+
 use crate::{
     ast::{
         FuncDef,
@@ -33,12 +38,10 @@ use crate::{
         TempId, //
     },
     lower::{
-        fnv,
         lower_function,
         name_key,
         LowerCtx,
         LowerError, //
-        FNV_SEED,
     },
     parser::{
         parse_with_recovery,
@@ -64,10 +67,6 @@ pub struct SourceFile {
     pub id: FileId,
     /// Raw content.
     pub content: String,
-    /// The key the build filed the file under in its [`ParseCache`]: a
-    /// hash of the file's position, name and content and the build's
-    /// preprocessor defines.
-    pub key: u64,
 }
 
 /// Maps [`FileId`]s to file names and contents.
@@ -77,15 +76,10 @@ pub struct SourceMap {
 }
 
 impl SourceMap {
-    /// Registers a file under its build key and returns its id.
-    pub fn add(&mut self, name: String, content: String, key: u64) -> FileId {
+    /// Registers a file and returns its id.
+    pub fn add(&mut self, name: String, content: String) -> FileId {
         let id = FileId(self.files.len() as u32);
-        self.files.push(SourceFile {
-            name,
-            id,
-            content,
-            key,
-        });
+        self.files.push(SourceFile { name, id, content });
         id
     }
 
@@ -264,10 +258,7 @@ impl ParseCache {
     fn key(id: FileId, name: &str, src: &str, defines: &[String]) -> u64 {
         let fields = [&id.0.to_le_bytes()[..], name.as_bytes(), src.as_bytes()];
         let defines = defines.iter().map(|d| d.as_bytes());
-        fields
-            .into_iter()
-            .chain(defines)
-            .fold(FNV_SEED, |h, bytes| fnv(fnv(h, bytes), &[0xFF]))
+        fields.into_iter().chain(defines).fold(FNV_SEED, fnv1a)
     }
 
     /// Files whose lowering was reused, across the cache's lifetime.
@@ -566,7 +557,7 @@ impl Program {
         let mut work = Vec::with_capacity(sources.len());
         for (name, src) in sources {
             let key = ParseCache::key(FileId(source.len() as u32), name, src, defines);
-            let id = source.add((*name).to_string(), (*src).to_string(), key);
+            let id = source.add((*name).to_string(), (*src).to_string());
             let (summary, lowered, bodies) = match cache.entries.remove(&key) {
                 Some(c) => (c.summary, Some(c.lowered), Vec::new()),
                 None => {

@@ -24,6 +24,8 @@
 //!   through every signature;
 //! - [`rng`] — a deterministic splitmix64 PRNG backing the workload
 //!   generator and the seeded property-test loops;
+//! - [`hash`] — FNV-1a, the one content hash of keys, checksums and
+//!   fingerprints;
 //! - [`budget`] — step/wall-clock budgets ([`Budget`], [`BudgetMeter`])
 //!   enforced inside the dataflow and pointer fixpoint loops so pathological
 //!   inputs degrade instead of hanging.
@@ -33,6 +35,7 @@
 
 pub mod alloc;
 pub mod budget;
+pub mod hash;
 pub mod json;
 pub mod metrics;
 pub mod names;

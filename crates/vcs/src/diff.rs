@@ -221,6 +221,13 @@ impl LineMap {
         LineMap::from_hunks(diff_hunks(old, new))
     }
 
+    /// [`between`](Self::between) two whole texts, split into lines.
+    pub fn between_texts(old: &str, new: &str) -> LineMap {
+        let old: Vec<&str> = old.lines().collect();
+        let new: Vec<&str> = new.lines().collect();
+        LineMap::between(&old, &new)
+    }
+
     fn from_hunks(script: impl IntoIterator<Item = Hunk>) -> LineMap {
         let mut old_to_new = Vec::new();
         let mut new_to_old = Vec::new();

@@ -111,16 +111,18 @@ bounded cargo test -p valuecheck --test units -q
 # function from outside its file (a callee's body, a callee's prototype
 # retyped int <-> void, a first-sorting file added or removed, a
 # same-named static, a retargeted function pointer); after every step the
-# warm reply equals a cold run_sentinel scan byte for byte, so the unit
-# key and the lowered-function check alone decide a cache hit.
+# warm reply equals a cold run_sentinel scan byte for byte, so the lowered
+# function the parse cache hands out and the pointer fingerprint alone
+# decide a cache hit.
 echo "==> cargo test -p valuecheck --test serve_diff -q (warm == cold)"
 bounded cargo test -p valuecheck --test serve_diff -q
 
 # serve_alloc: the warm-request allocation guards
 # (crates/core/tests/serve_alloc.rs) — a warm rescan of 200 unchanged
 # functions, each with two dead stores, must stay under a fixed number of
-# detect-stage allocations per unit-cache hit (hits share their cached
-# summary and move their cache entry instead of deep-copying either); and
+# detect-stage allocations per unit-cache hit (a hit is looked up by its
+# lowered function, shares its cached summary and moves its cache entry
+# instead of deep-copying either); and
 # after a probe function is appended to one of 20 files, the warm request's
 # parse-stage bytes must stay at or under 10% of the cold request's (the
 # parse cache keeps lowered files, so only the edited file re-lowers).
