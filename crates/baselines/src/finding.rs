@@ -44,7 +44,7 @@ pub struct Finding {
 
 impl Finding {
     /// Stable identity for cross-tool comparison: `(function, variable,
-    /// line)`, the same key ValueCheck's `Candidate::identity` uses.
+    /// line)`.
     pub fn identity(&self) -> (String, String, u32) {
         (self.function.clone(), self.variable.clone(), self.line)
     }

@@ -198,9 +198,8 @@ pub fn table4(runs: &[AppRun]) -> Output {
         let fn_count = picks
             .iter()
             .filter(|&&i| {
-                r.app
-                    .truth
-                    .is_confirmed_bug(&pruned[i].0.candidate.func_name)
+                let func = r.prog.func(pruned[i].0.candidate.func);
+                r.app.truth.is_confirmed_bug(&func.name)
             })
             .count();
         rows.push(vec![
@@ -971,7 +970,7 @@ pub fn ea_alternative(runs: &[AppRun]) -> Output {
 fn candidate_identities(prog: &Program) -> BTreeSet<(String, String)> {
     detect_program(prog, DetectConfig::default())
         .into_iter()
-        .map(|c| (c.func_name, normalize_var(&c.var_name)))
+        .map(|c| (prog.func(c.func).name.clone(), normalize_var(&c.var_name)))
         .collect()
 }
 
@@ -989,7 +988,7 @@ fn normalize_var(var: &str) -> String {
 fn candidates_of_function(prog: &Program, func: &str) -> Vec<valuecheck::Candidate> {
     detect_program(prog, DetectConfig::default())
         .into_iter()
-        .filter(|c| c.func_name == func)
+        .filter(|c| prog.func(c.func).name == func)
         .collect()
 }
 

@@ -170,7 +170,7 @@ impl<'a> AuthorshipCtx<'a> {
             // cross-scope rather than dropping the candidate.
             return (Vec::new(), true, true);
         };
-        let sites = self.call_sites.of(&cand.func_name);
+        let sites = self.call_sites.of(&self.prog.func(cand.func).name);
         let site_authors: Vec<AuthorId> = sites
             .iter()
             .filter_map(|cs| self.author_of(cs.span))
@@ -317,7 +317,7 @@ mod tests {
             &[],
         );
         let a = attributed(&prog, &repo);
-        let r = a.iter().find(|x| x.candidate.var_name == "r").unwrap();
+        let r = a.iter().find(|x| &*x.candidate.var_name == "r").unwrap();
         assert!(r.cross_scope, "library callee must count as different");
     }
 
@@ -327,7 +327,7 @@ mod tests {
             "int mine(void) {\nreturn 4;\n}\nvoid f(void) {\nint r = mine();\nr = 2;\nuse(r);\n}\n";
         let (prog, repo) = setup(src, &["alice"], &[]);
         let a = attributed(&prog, &repo);
-        let r = a.iter().find(|x| x.candidate.var_name == "r").unwrap();
+        let r = a.iter().find(|x| &*x.candidate.var_name == "r").unwrap();
         assert!(!r.cross_scope);
     }
 
@@ -338,7 +338,7 @@ mod tests {
             "int mine(void) {\nreturn 4;\n}\nvoid f(void) {\nint r = mine();\nr = 2;\nuse(r);\n}\n";
         let (prog, repo) = setup(src, &["alice", "bob"], &[(2, 1)]);
         let a = attributed(&prog, &repo);
-        let r = a.iter().find(|x| x.candidate.var_name == "r").unwrap();
+        let r = a.iter().find(|x| &*x.candidate.var_name == "r").unwrap();
         assert!(r.cross_scope);
     }
 

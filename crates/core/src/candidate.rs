@@ -2,7 +2,8 @@
 
 use std::{
     hash::BuildHasher,
-    ops::Range, //
+    ops::Range,
+    sync::Arc, //
 };
 
 use vc_ir::{
@@ -21,10 +22,11 @@ use vc_pointer::fasthash::MixMap;
 pub enum Scenario {
     /// Scenario 1: an ignored or unused return value. `callees` lists the
     /// possible called functions (one for direct calls; the points-to set
-    /// for calls through function pointers).
+    /// for calls through function pointers). Shared, so a cached
+    /// candidate's copy costs a reference-count bump.
     RetVal {
         /// Possible callees.
-        callees: Vec<String>,
+        callees: Arc<[String]>,
     },
     /// Scenario 2: a function argument whose incoming value is overwritten
     /// or ignored inside the function.
@@ -37,18 +39,29 @@ pub enum Scenario {
     Overwritten,
 }
 
+impl Scenario {
+    /// The scenario's name in reports and fingerprints.
+    pub fn label(&self) -> &'static str {
+        match self {
+            Scenario::RetVal { .. } => "retval",
+            Scenario::Param { .. } => "param",
+            Scenario::Overwritten => "overwritten",
+        }
+    }
+}
+
 /// One unused definition found by the detector, before authorship filtering
-/// and pruning.
+/// and pruning. Its names and span lists are shared, so a copy (a warm
+/// serve hit rebinding its cached candidates) bumps reference counts; only
+/// the callee name in a return-value store's `info` is copied.
 #[derive(Clone, Debug)]
 pub struct Candidate {
-    /// The containing function.
+    /// The containing function; reports name it as `prog.func(func).name`.
     pub func: FuncId,
-    /// Its name (for reports).
-    pub func_name: String,
     /// The defined variable (or field).
     pub key: VarKey,
     /// Human-readable variable name (`buf`, `sctx#2`, `$ret_printf_12`).
-    pub var_name: String,
+    pub var_name: Arc<str>,
     /// Span of the defining store.
     pub span: Span,
     /// Scenario classification.
@@ -56,7 +69,7 @@ pub struct Candidate {
     /// Spans of the definitions that overwrite this one downstream
     /// (the define-set of Fig. 3/4 at this point). Empty when the value is
     /// simply never read before the function returns.
-    pub overwriters: Vec<Span>,
+    pub overwriters: Arc<[Span]>,
     /// Provenance of the stored value (cursor detection, synthetic slots).
     pub info: StoreInfo,
     /// Whether the destination is a compiler-synthesized slot (a call whose
@@ -68,18 +81,6 @@ pub struct Candidate {
     /// a budget (the degradation ladder keeps the candidate but flags it
     /// instead of dropping it).
     pub low_confidence: bool,
-}
-
-impl Candidate {
-    /// A stable identity for deduplication and diffing: function, variable,
-    /// and definition line.
-    pub fn identity(&self) -> (String, String, u32) {
-        (
-            self.func_name.clone(),
-            self.var_name.clone(),
-            self.span.line(),
-        )
-    }
 }
 
 /// Direct call sites by callee name, each callee's sites in caller order,
@@ -112,7 +113,7 @@ impl<'p> CallSites<'p> {
         for c in cands {
             match &c.scenario {
                 Scenario::RetVal { callees } => callees.iter().for_each(|name| ask(name)),
-                Scenario::Param { .. } => ask(&c.func_name),
+                Scenario::Param { .. } => ask(&prog.func(c.func).name),
                 Scenario::Overwritten => {}
             }
         }

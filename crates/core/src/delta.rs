@@ -63,7 +63,6 @@ use vc_vcs::{
 };
 
 use crate::{
-    candidate::Scenario,
     harden::FailureRecord,
     pipeline::{
         build_tree,
@@ -125,31 +124,12 @@ pub fn normalize_context(line: &str) -> String {
     line.split_whitespace().collect::<Vec<_>>().join(" ")
 }
 
-/// Hashes the stable coordinates of a finding into a [`Fingerprint`].
-pub fn fingerprint_of(
-    file: &str,
-    function: &str,
-    variable: &str,
-    scenario: &str,
-    context: &str,
-    ordinal: u32,
-) -> Fingerprint {
-    let mut h = FNV_SEED;
-    h = fnv1a(h, file.as_bytes());
-    h = fnv1a(h, function.as_bytes());
-    h = fnv1a(h, variable.as_bytes());
-    h = fnv1a(h, scenario.as_bytes());
-    h = fnv1a(h, context.as_bytes());
-    h = fnv1a(h, &ordinal.to_le_bytes());
-    Fingerprint(h)
-}
-
-fn scenario_label(s: &Scenario) -> &'static str {
-    match s {
-        Scenario::RetVal { .. } => "retval",
-        Scenario::Param { .. } => "param",
-        Scenario::Overwritten => "overwritten",
-    }
+/// Hashes the stable coordinates of a finding (file, function, variable,
+/// scenario label, normalized definition line) and its ordinal into a
+/// [`Fingerprint`].
+pub fn fingerprint_of(coords: [&str; 5], ordinal: u32) -> Fingerprint {
+    let h = coords.iter().fold(FNV_SEED, |h, c| fnv1a(h, c.as_bytes()));
+    Fingerprint(fnv1a(h, &ordinal.to_le_bytes()))
 }
 
 /// Fingerprints ranked findings against their program's sources.
@@ -159,70 +139,43 @@ fn scenario_label(s: &Scenario) -> &'static str {
 /// variable in one function): same-keyed findings are numbered in line
 /// order, which pure drift preserves.
 pub fn fingerprint_ranked(prog: &Program, ranked: &[Ranked]) -> Vec<Finding> {
-    // (file, function, variable, scenario, context) key → indices, to
-    // assign ordinals in line order.
-    let mut keyed: Vec<(String, u32, usize)> = Vec::with_capacity(ranked.len());
-    let mut contexts: Vec<String> = Vec::with_capacity(ranked.len());
-    for (i, r) in ranked.iter().enumerate() {
-        let c = &r.item.candidate;
-        let file = prog.source.name(c.span.file);
-        let context = prog
-            .source
-            .file(c.span.file)
-            .and_then(|f| {
-                f.content
-                    .lines()
-                    .nth((c.span.line() as usize).saturating_sub(1))
-            })
-            .map(normalize_context)
-            .unwrap_or_default();
-        let key = format!(
-            "{file}\u{0}{}\u{0}{}\u{0}{}\u{0}{context}",
-            c.func_name,
-            c.var_name,
-            scenario_label(&c.scenario)
-        );
-        keyed.push((key, c.span.line(), i));
-        contexts.push(context);
-    }
-    let mut groups: HashMap<&str, Vec<(u32, usize)>> = HashMap::new();
-    for (key, line, i) in &keyed {
-        groups.entry(key).or_default().push((*line, *i));
-    }
-    let mut ordinals = vec![0u32; ranked.len()];
-    for members in groups.values_mut() {
-        members.sort_unstable();
-        for (ord, (_, i)) in members.iter().enumerate() {
-            ordinals[*i] = ord as u32;
-        }
-    }
-    ranked
-        .iter()
-        .enumerate()
-        .map(|(i, r)| {
+    // The findings, fingerprinted once their ordinals are known, and the
+    // normalized text of each one's definition line.
+    let mut contexts = Vec::with_capacity(ranked.len());
+    let mut findings: Vec<Finding> = (ranked.iter())
+        .map(|r| {
             let c = &r.item.candidate;
-            let file = prog.source.name(c.span.file).to_string();
-            let function = c.func_name.clone();
-            let variable = c.var_name.clone();
-            let scenario = scenario_label(&c.scenario).to_string();
-            let fingerprint = fingerprint_of(
-                &file,
-                &function,
-                &variable,
-                &scenario,
-                &contexts[i],
-                ordinals[i],
-            );
+            let line = c.span.line();
+            let text = prog
+                .source
+                .file(c.span.file)
+                .and_then(|f| f.content.lines().nth((line as usize).saturating_sub(1)));
+            contexts.push(text.map(normalize_context).unwrap_or_default());
             Finding {
-                fingerprint,
-                file,
-                line: c.span.line(),
-                function,
-                variable,
-                scenario,
+                fingerprint: Fingerprint(0),
+                file: prog.source.name(c.span.file).to_string(),
+                line,
+                function: prog.func(c.func).name.clone(),
+                variable: String::from(&*c.var_name),
+                scenario: c.scenario.label().to_string(),
             }
         })
-        .collect()
+        .collect();
+    fn coords<'a>(findings: &'a [Finding], contexts: &'a [String], i: usize) -> [&'a str; 5] {
+        let f = &findings[i];
+        [&f.file, &f.function, &f.variable, &f.scenario, &contexts[i]]
+    }
+    // Findings that share all five coordinates are numbered in line order.
+    let mut order: Vec<usize> = (0..findings.len()).collect();
+    order.sort_by_key(|&i| (coords(&findings, &contexts, i), findings[i].line, i));
+    let mut ordinal = 0;
+    for (k, &i) in order.iter().enumerate() {
+        let key = coords(&findings, &contexts, i);
+        let same = k > 0 && coords(&findings, &contexts, order[k - 1]) == key;
+        ordinal = if same { ordinal + 1 } else { 0 };
+        findings[i].fingerprint = fingerprint_of(key, ordinal);
+    }
+    findings
 }
 
 /// A matched finding counts as `persisting` only while its new location is
@@ -1085,7 +1038,7 @@ mod tests {
 
     #[test]
     fn fingerprint_hex_roundtrips() {
-        let fp = fingerprint_of("a.c", "f", "x", "retval", "int x = g();", 1);
+        let fp = fingerprint_of(["a.c", "f", "x", "retval", "int x = g();"], 1);
         assert_eq!(Fingerprint::parse_hex(&fp.to_hex()), Some(fp));
         assert_eq!(fp.to_hex().len(), 16);
         assert_eq!(Fingerprint::parse_hex("not-hex"), None);

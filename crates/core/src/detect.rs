@@ -158,9 +158,8 @@ fn detect_from_summary(
         let scenario = classify(f, fid, summary, oracle, value, &d.info);
         out.push(Candidate {
             func: fid,
-            func_name: f.name.clone(),
             key: d.key,
-            var_name: f.var_key_name(d.key),
+            var_name: f.var_key_name(d.key).into(),
             span: d.span,
             scenario,
             overwriters: d.overwriters.clone(),
@@ -197,10 +196,10 @@ fn classify(
     if let Operand::Temp(t) = value {
         if let Some(target) = summary.call_dsts.get(t) {
             let callees = match target {
-                CallTarget::Direct(n) => vec![n.clone()],
+                CallTarget::Direct(n) => [n.clone()].into(),
                 CallTarget::Indirect(ct) => match oracle {
-                    Some(o) => o.resolve_fn_ptr(fid, *ct),
-                    None => Vec::new(),
+                    Some(o) => o.resolve_fn_ptr(fid, *ct).into(),
+                    None => Arc::default(),
                 },
             };
             return Scenario::RetVal { callees };
@@ -211,12 +210,11 @@ fn classify(
         ) {
             // A call result reaching the store through the origin table even
             // if the call-site map missed it (defensive).
-            if let Some(TempOrigin::Call(name)) = f.temp_origins.get(t.0 as usize) {
-                return Scenario::RetVal {
-                    callees: vec![name.clone()],
-                };
-            }
-            return Scenario::RetVal { callees: vec![] };
+            let callees = match f.temp_origins.get(t.0 as usize) {
+                Some(TempOrigin::Call(name)) => [name.clone()].into(),
+                _ => Arc::default(),
+            };
+            return Scenario::RetVal { callees };
         }
     }
     Scenario::Overwritten
@@ -418,7 +416,7 @@ mod tests {
     }
 
     fn names(cands: &[Candidate]) -> Vec<String> {
-        cands.iter().map(|c| c.var_name.clone()).collect()
+        cands.iter().map(|c| c.var_name.to_string()).collect()
     }
 
     #[test]
@@ -443,7 +441,7 @@ mod tests {
         );
         assert_eq!(c.len(), 1);
         match &c[0].scenario {
-            Scenario::RetVal { callees } => assert_eq!(callees, &vec!["get_permset".to_string()]),
+            Scenario::RetVal { callees } => assert_eq!(callees[..], ["get_permset".to_string()]),
             other => panic!("unexpected scenario {other:?}"),
         }
     }
@@ -456,7 +454,7 @@ mod tests {
         );
         assert_eq!(c.len(), 1);
         assert_eq!(c[0].scenario, Scenario::Param { index: 1 });
-        assert_eq!(c[0].var_name, "bufsz");
+        assert_eq!(&*c[0].var_name, "bufsz");
         // The overwriter is the `bufsz = 1400` line.
         assert_eq!(c[0].overwriters.len(), 1);
     }
@@ -467,7 +465,7 @@ mod tests {
         assert_eq!(c.len(), 1);
         assert!(c[0].synthetic);
         assert!(
-            matches!(&c[0].scenario, Scenario::RetVal { callees } if callees == &vec!["log_write".to_string()])
+            matches!(&c[0].scenario, Scenario::RetVal { callees } if callees[..] == ["log_write".to_string()])
         );
     }
 
@@ -504,10 +502,10 @@ mod tests {
                use(r);\n\
              }",
         );
-        let r = c.iter().find(|c| c.var_name == "r").expect("r candidate");
+        let r = c.iter().find(|c| &*c.var_name == "r").expect("r candidate");
         match &r.scenario {
             Scenario::RetVal { callees } => {
-                let mut cs = callees.clone();
+                let mut cs = callees.to_vec();
                 cs.sort();
                 assert_eq!(cs, vec!["ha".to_string(), "hb".to_string()]);
             }
@@ -530,7 +528,7 @@ mod tests {
         );
         let fa = c
             .iter()
-            .find(|c| c.var_name == "v#0")
+            .find(|c| &*c.var_name == "v#0")
             .expect("field candidate");
         assert_eq!(fa.overwriters.len(), 1);
     }
@@ -554,7 +552,7 @@ mod tests {
         assert_eq!(out.failures[0].file, "a.c");
         // The healthy function's candidate is still found.
         assert_eq!(out.candidates.len(), 1);
-        assert_eq!(out.candidates[0].func_name, "healthy");
+        assert_eq!(prog.func(out.candidates[0].func).name, "healthy");
     }
 
     #[test]
@@ -629,7 +627,7 @@ mod tests {
         let names = |o: &DetectOutcome| {
             o.candidates
                 .iter()
-                .map(|c| c.var_name.clone())
+                .map(|c| c.var_name.to_string())
                 .collect::<Vec<_>>()
         };
         assert!(names(&degraded).contains(&"z".to_string()));

@@ -229,12 +229,12 @@ impl FailpointPlan {
     }
 
     /// Whether a failpoint matching `(stage, function)` is armed.
-    fn hit(&self, stage: FailStage, function: &str) -> bool {
+    fn hit(&self, stage: FailStage, function: &(impl AsRef<str> + ?Sized)) -> bool {
         self.points
             .lock()
             .unwrap()
             .iter()
-            .any(|(s, n)| *s == stage && function.contains(n.as_str()))
+            .any(|(s, n)| *s == stage && function.as_ref().contains(n.as_str()))
     }
 
     fn arm(&self, stage: FailStage, needle: &str) {
@@ -298,12 +298,12 @@ pub fn arm_failpoint(stage: FailStage, needle: &str) -> FailPointGuard {
 }
 
 /// The trigger side of [`arm_failpoint`]: panics iff a matching failpoint
-/// is armed on this thread's plan. A no-op (one thread-local borrow and,
-/// when the plan is armed at all, one uncontended lock) otherwise.
-pub fn failpoint(stage: FailStage, function: &str) {
+/// is armed on this thread's plan. A no-op otherwise (one thread-local
+/// borrow and one uncontended lock; `function` is then never read).
+pub fn failpoint(stage: FailStage, function: &(impl AsRef<str> + ?Sized)) {
     let hit = FAILPOINTS.with(|p| p.borrow().hit(stage, function));
     if hit {
-        panic!("injected fault: {} in {function}", stage.label());
+        panic!("injected fault: {} in {}", stage.label(), function.as_ref());
     }
 }
 

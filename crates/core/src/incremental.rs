@@ -214,7 +214,7 @@ mod tests {
         assert_eq!(findings.changed_files, vec!["a.c".to_string()]);
         assert_eq!(findings.analysed_functions, 1);
         assert_eq!(findings.findings.len(), 1);
-        assert_eq!(findings.findings[0].item.candidate.var_name, "x");
+        assert_eq!(&*findings.findings[0].item.candidate.var_name, "x");
 
         // The next run sees these findings through a store, which doubles
         // as a baseline suppression set.

@@ -254,7 +254,7 @@ fn run_stages(
     for cand in candidates {
         let (func, file) = (cand.func, cand.span.file);
         let lookup = harden::isolated(opts.harden.isolate, || {
-            harden::failpoint(FailStage::Authorship, &cand.func_name);
+            harden::failpoint(FailStage::Authorship, &prog.func(func).name);
             ctx.attribute(cand)
         });
         match lookup {

@@ -3,12 +3,9 @@
 //! unused hints → peer definitions. A candidate matching several patterns is
 //! counted against the first one that fires, exactly as the paper's prune
 //! accounting works ("some false positives may match multiple patterns but
-//! are pruned by the earlier stage").
-
-use std::collections::{
-    HashMap,
-    HashSet, //
-};
+//! are pruned by the earlier stage"). Its maps use the fixed-seed
+//! [`vc_pointer::fasthash`] hashers, so a scan allocates the same way on
+//! every run.
 
 use vc_dataflow::summary::{
     SelfDelta,
@@ -25,6 +22,12 @@ use vc_ir::{
     FuncId,
     Program,
     VarKey, //
+};
+use vc_pointer::fasthash::{
+    FastMap,
+    FastSet,
+    MixMap,
+    MixSet, //
 };
 
 use crate::{
@@ -144,9 +147,9 @@ impl PruneOutcome {
 #[derive(Clone, Debug, Default)]
 pub struct PeerScope<'a> {
     /// Callees some candidate's RetVal scenario names.
-    pub callees: HashSet<&'a str>,
+    pub callees: MixSet<&'a str>,
     /// Signatures some candidate's Param scenario belongs to.
-    pub sigs: HashSet<SigId>,
+    pub sigs: FastSet<SigId>,
 }
 
 impl<'a> PeerScope<'a> {
@@ -176,10 +179,10 @@ impl<'a> PeerScope<'a> {
 #[derive(Clone, Debug, Default)]
 pub struct PeerStats<'p> {
     /// callee name → (call sites, sites whose result is unused).
-    pub retval: HashMap<&'p str, (usize, usize)>,
+    pub retval: MixMap<&'p str, (usize, usize)>,
     /// (interned signature, param index) → (functions with that signature,
     /// functions whose parameter at the index is unused).
-    pub params: HashMap<(SigId, usize), (usize, usize)>,
+    pub params: FastMap<(SigId, usize), (usize, usize)>,
     /// The signature interner the `params` keys were minted from.
     sigs: SigInterner,
 }
@@ -220,13 +223,13 @@ impl<'p> PeerStats<'p> {
         call_sites: &CallSites<'p>,
     ) -> PeerStats<'p> {
         let mut stats = PeerStats {
-            retval: HashMap::new(),
-            params: HashMap::new(),
+            retval: MixMap::default(),
+            params: FastMap::default(),
             sigs,
         };
         // Count call sites per callee and, when scoped, collect the callers
         // whose summaries can still contribute retval-unused counts.
-        let mut relevant_callers: HashSet<FuncId> = HashSet::new();
+        let mut relevant_callers: FastSet<FuncId> = FastSet::default();
         match scope {
             Some(scope) => {
                 for &callee in &scope.callees {
@@ -327,7 +330,7 @@ pub fn verdicts(
     summaries: &Summaries,
     items: &[Attributed],
 ) -> Vec<Option<PruneReason>> {
-    let mut lines: HashMap<FileId, Vec<&str>> = HashMap::new();
+    let mut lines: FastMap<FileId, Vec<&str>> = FastMap::default();
     items
         .iter()
         .map(|item| prune_one(prog, config, peers, summaries, &mut lines, item))
@@ -341,7 +344,7 @@ fn prune_one<'p>(
     config: &PruneConfig,
     peers: &PeerStats,
     summaries: &Summaries,
-    lines: &mut HashMap<FileId, Vec<&'p str>>,
+    lines: &mut FastMap<FileId, Vec<&'p str>>,
     item: &Attributed,
 ) -> Option<PruneReason> {
     let cand = &item.candidate;
@@ -413,7 +416,7 @@ fn prune_one<'p>(
     if config.peer_definitions {
         match &cand.scenario {
             Scenario::RetVal { callees } => {
-                for callee in callees {
+                for callee in callees.iter() {
                     if let Some((total, unused)) = peers.retval.get(callee.as_str()) {
                         if *total >= config.peer_min_occurrences
                             && (*unused as f64) > (*total as f64) * config.peer_unused_ratio
@@ -484,12 +487,27 @@ mod tests {
         (outcome, prog)
     }
 
+    /// The functions of the kept items, as reports name them.
+    fn kept<'p>(prog: &'p Program, out: &PruneOutcome) -> Vec<&'p str> {
+        let funcs = out.kept.iter().map(|k| prog.func(k.candidate.func));
+        funcs.map(|f| f.name.as_str()).collect()
+    }
+
+    /// The functions of the pruned items with their reasons.
+    fn pruned<'p>(prog: &'p Program, out: &PruneOutcome) -> Vec<(&'p str, PruneReason)> {
+        let funcs = out
+            .pruned
+            .iter()
+            .map(|(a, r)| (prog.func(a.candidate.func), *r));
+        funcs.map(|(f, r)| (f.name.as_str(), r)).collect()
+    }
+
     #[test]
     fn config_dependency_prunes_guarded_use() {
         let src = "void f(void) {\nint host = 1;\n#ifdef USE_ICMP\nlookup(host);\n#endif\n}\n";
         let (out, _) = run_prune(src);
         assert_eq!(out.count(PruneReason::ConfigDependency), 1);
-        assert!(out.kept.iter().all(|k| k.candidate.var_name != "host"));
+        assert!(out.kept.iter().all(|k| &*k.candidate.var_name != "host"));
     }
 
     #[test]
@@ -523,16 +541,16 @@ mod tests {
             src.push_str(&format!("void f{i}(void) {{\nlog_msg(\"x\");\n}}\n"));
         }
         src.push_str("void g(void) {\nint r = log_msg(\"y\");\nr = 0;\nuse(r);\n}\n");
-        let (out, _) = run_prune(&src);
+        let (out, prog) = run_prune(&src);
         assert!(
             out.count(PruneReason::PeerDefinition) >= 12,
             "pruned: {:?}",
             out.pruned
                 .iter()
-                .map(|(a, r)| (a.candidate.var_name.clone(), *r))
+                .map(|(a, r)| (a.candidate.var_name.to_string(), *r))
                 .collect::<Vec<_>>()
         );
-        assert!(out.kept.iter().all(|k| k.candidate.func_name != "g"));
+        assert!(!kept(&prog, &out).contains(&"g"));
     }
 
     #[test]
@@ -542,9 +560,9 @@ mod tests {
         src.push_str("void a(void) {\nint x = read_cfg();\nuse(x);\n}\n");
         src.push_str("void b(void) {\nint y = read_cfg();\nuse(y);\n}\n");
         src.push_str("void g(void) {\nint r = read_cfg();\nr = 0;\nuse(r);\n}\n");
-        let (out, _) = run_prune(&src);
+        let (out, prog) = run_prune(&src);
         assert_eq!(out.count(PruneReason::PeerDefinition), 0);
-        assert!(out.kept.iter().any(|k| k.candidate.func_name == "g"));
+        assert!(kept(&prog, &out).contains(&"g"));
     }
 
     #[test]
@@ -557,16 +575,16 @@ mod tests {
             src.push_str(&format!("void f{i}(void) {{\nlog_ev(\"x\");\n}}\n"));
         }
         src.push_str("void g(void) {\nint r = log_ev(\"y\");\nr = 0;\nuse(r);\n}\n");
-        let (out, _) = run_prune(&src);
+        let (out, prog) = run_prune(&src);
         assert!(
             out.count(PruneReason::PeerDefinition) >= 1,
             "threshold is inclusive; pruned: {:?}",
             out.pruned
                 .iter()
-                .map(|(a, r)| (a.candidate.var_name.clone(), *r))
+                .map(|(a, r)| (a.candidate.var_name.to_string(), *r))
                 .collect::<Vec<_>>()
         );
-        assert!(out.kept.iter().all(|k| k.candidate.func_name != "g"));
+        assert!(!kept(&prog, &out).contains(&"g"));
     }
 
     #[test]
@@ -577,8 +595,8 @@ mod tests {
             src.push_str(&format!("void f{i}(void) {{\nlog_ev(\"x\");\n}}\n"));
         }
         src.push_str("void g(void) {\nint r = log_ev(\"y\");\nr = 0;\nuse(r);\n}\n");
-        let (out, _) = run_prune(&src);
-        assert!(out.kept.iter().any(|k| k.candidate.func_name == "g"));
+        let (out, prog) = run_prune(&src);
+        assert!(kept(&prog, &out).contains(&"g"));
     }
 
     #[test]
@@ -591,16 +609,11 @@ mod tests {
             src.push_str(&format!("void p{i}(int v) {{\n}}\n"));
         }
         src.push_str("void q(int v) {\nv = 5;\nuse(v);\n}\n");
-        let (out, _) = run_prune(&src);
+        let (out, prog) = run_prune(&src);
         assert!(
-            out.pruned
-                .iter()
-                .any(|(a, r)| a.candidate.func_name == "q" && *r == PruneReason::PeerDefinition),
+            pruned(&prog, &out).contains(&("q", PruneReason::PeerDefinition)),
             "pruned: {:?}",
-            out.pruned
-                .iter()
-                .map(|(a, r)| (a.candidate.func_name.clone(), *r))
-                .collect::<Vec<_>>()
+            pruned(&prog, &out)
         );
     }
 
@@ -611,14 +624,11 @@ mod tests {
             src.push_str(&format!("void p{i}(int v) {{\n}}\n"));
         }
         src.push_str("void q(int v) {\nv = 5;\nuse(v);\n}\n");
-        let (out, _) = run_prune(&src);
+        let (out, prog) = run_prune(&src);
         assert!(
-            out.kept.iter().any(|k| k.candidate.func_name == "q"),
+            kept(&prog, &out).contains(&"q"),
             "below the boundary the finding survives; pruned: {:?}",
-            out.pruned
-                .iter()
-                .map(|(a, r)| (a.candidate.func_name.clone(), *r))
-                .collect::<Vec<_>>()
+            pruned(&prog, &out)
         );
     }
 
@@ -633,12 +643,11 @@ mod tests {
         let item = Attributed {
             candidate: crate::candidate::Candidate {
                 func: FuncId(0),
-                func_name: "f".into(),
                 key: VarKey::Local(vc_ir::ir::LocalId(0)),
                 var_name: "a".into(),
                 span: vc_ir::Span::point(FileId(0), 0, 0),
                 scenario: Scenario::Overwritten,
-                overwriters: Vec::new(),
+                overwriters: Default::default(),
                 info: StoreInfo::Normal,
                 synthetic: false,
                 unused_attr: false,

@@ -91,7 +91,7 @@ pub struct Ranked {
 /// first overwriting definition when the value was overwritten, otherwise
 /// the author of the definition line itself.
 fn responsible_author(prog: &Program, repo: &Repository, item: &Attributed) -> Option<AuthorId> {
-    for span in &item.candidate.overwriters {
+    for span in item.candidate.overwriters.iter() {
         if span.is_synthetic() {
             continue;
         }
@@ -277,7 +277,7 @@ mod tests {
         assert_eq!(attributed.len(), 2);
         let order: Vec<String> = attributed
             .iter()
-            .map(|a| a.candidate.var_name.clone())
+            .map(|a| a.candidate.var_name.to_string())
             .collect();
 
         let bad = vc_familiarity::DokModel {
@@ -296,7 +296,7 @@ mod tests {
         // detection order instead of scrambling it.
         let ranked_order: Vec<String> = ranked
             .iter()
-            .map(|r| r.item.candidate.var_name.clone())
+            .map(|r| r.item.candidate.var_name.to_string())
             .collect();
         assert_eq!(order, ranked_order);
         assert_eq!(obs.registry.counter(vc_obs::names::RANK_FAMILIARITY_NAN), 2);
@@ -322,7 +322,7 @@ mod tests {
         let attributed = AuthorshipCtx::new(&prog, &repo, &sites).attribute_all(cands);
         let order: Vec<String> = attributed
             .iter()
-            .map(|a| a.candidate.var_name.clone())
+            .map(|a| a.candidate.var_name.to_string())
             .collect();
         let config = RankConfig {
             enabled: false,
@@ -331,7 +331,7 @@ mod tests {
         let ranked = rank(&prog, &repo, &config, attributed);
         let ranked_order: Vec<String> = ranked
             .iter()
-            .map(|r| r.item.candidate.var_name.clone())
+            .map(|r| r.item.candidate.var_name.to_string())
             .collect();
         assert_eq!(order, ranked_order);
     }

@@ -12,7 +12,6 @@ use vc_obs::{
 use vc_vcs::Repository;
 
 use crate::{
-    candidate::Scenario,
     harden::{
         FailStage,
         FailureRecord, //
@@ -69,13 +68,9 @@ impl Report {
                     rank: i + 1,
                     file: prog.source.name(c.span.file).to_string(),
                     line: c.span.line(),
-                    function: c.func_name.clone(),
-                    variable: c.var_name.clone(),
-                    scenario: match &c.scenario {
-                        Scenario::RetVal { .. } => "retval".to_string(),
-                        Scenario::Param { .. } => "param".to_string(),
-                        Scenario::Overwritten => "overwritten".to_string(),
-                    },
+                    function: prog.func(c.func).name.clone(),
+                    variable: String::from(&*c.var_name),
+                    scenario: c.scenario.label().to_string(),
                     author: r.author.map(|a| repo.author(a).name.clone()),
                     familiarity: r.familiarity,
                     cross_scope: r.item.cross_scope,

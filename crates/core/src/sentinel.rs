@@ -42,7 +42,7 @@ use std::{
     mem,
     panic::{catch_unwind, AssertUnwindSafe},
     path::{Path, PathBuf},
-    sync::{Condvar, Mutex, MutexGuard},
+    sync::{Arc, Condvar, Mutex, MutexGuard},
     thread,
     time::{Duration, Instant},
 };
@@ -332,11 +332,9 @@ fn dec_scenario(s: &str) -> Option<Scenario> {
     }
     let rest = s.strip_prefix('R')?;
     let callees = if rest.is_empty() {
-        Vec::new()
+        Arc::default()
     } else {
-        rest.split(',')
-            .map(unesc)
-            .collect::<Option<Vec<String>>>()?
+        rest.split(',').map(unesc).collect::<Option<_>>()?
     };
     Some(Scenario::RetVal { callees })
 }
@@ -397,18 +395,15 @@ fn enc_candidate(c: &Candidate) -> String {
     )
 }
 
-fn dec_candidate(unit: usize, func_name: &str, s: &str) -> Option<Candidate> {
+fn dec_candidate(unit: usize, s: &str) -> Option<Candidate> {
     let fields: Vec<&str> = s.split('|').collect();
     if fields.len() != 7 {
         return None;
     }
     let overwriters = if fields[4].is_empty() {
-        Vec::new()
+        Arc::default()
     } else {
-        fields[4]
-            .split(',')
-            .map(dec_span)
-            .collect::<Option<Vec<Span>>>()?
+        fields[4].split(',').map(dec_span).collect::<Option<_>>()?
     };
     let flags = fields[6].as_bytes();
     if flags.len() != 3 || flags.iter().any(|b| *b != b'0' && *b != b'1') {
@@ -416,9 +411,8 @@ fn dec_candidate(unit: usize, func_name: &str, s: &str) -> Option<Candidate> {
     }
     Some(Candidate {
         func: FuncId(unit as u32),
-        func_name: func_name.to_string(),
         key: dec_key(fields[0])?,
-        var_name: unesc(fields[1])?,
+        var_name: unesc(fields[1])?.into(),
         span: dec_span(fields[2])?,
         scenario: dec_scenario(fields[3])?,
         overwriters,
@@ -503,7 +497,7 @@ impl UnitRecord {
                 if f.is_empty() {
                     continue; // a unit with zero candidates encodes one empty field
                 }
-                candidates.push(dec_candidate(unit, &func, f)?);
+                candidates.push(dec_candidate(unit, f)?);
             }
             return Some(UnitRecord::Ok {
                 unit,
@@ -1429,7 +1423,7 @@ mod tests {
         assert!(!seq.candidates.is_empty());
         for c in &seq.candidates {
             let enc = enc_candidate(c);
-            let dec = dec_candidate(c.func.0 as usize, &c.func_name, &enc)
+            let dec = dec_candidate(c.func.0 as usize, &enc)
                 .unwrap_or_else(|| panic!("decode failed for {enc:?}"));
             assert_eq!(format!("{dec:?}"), format!("{c:?}"));
         }
@@ -1656,7 +1650,7 @@ mod tests {
         assert_eq!(out.failures[0].function.as_deref(), Some("g"));
         assert_eq!(out.failures[0].stage, FailStage::Detect);
         // The other units still produced their candidates.
-        assert!(out.candidates.iter().any(|c| c.func_name == "f"));
+        assert!(out.candidates.iter().any(|c| p.func(c.func).name == "f"));
         let snap = session.registry.snapshot();
         assert_eq!(snap.counter(vc_obs::names::SENTINEL_RETRIES), 2);
         assert_eq!(snap.counter(vc_obs::names::SENTINEL_FAILED_PERMANENT), 1);

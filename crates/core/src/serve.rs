@@ -64,24 +64,30 @@
 //! address, and each entry holds the `Arc`, so the address cannot be
 //! reused while the entry lives. A hit needs the same `Arc` and the same
 //! pointer fingerprint, which the entry stores: how the function's
-//! indirect calls resolve and whether the demand solves degraded (a
-//! constant for the common function with no indirect calls, so no pointer
-//! component is solved on its behalf). Detection reads nothing else but
-//! the function's signature id, and the detect/harden configuration is
-//! fixed for the engine's life. A function lowered again misses even when
-//! its IR comes out the same: one whose file was edited, moved or renamed,
-//! one whose file consulted a changed declaration, and every function of a
-//! program built outside the engine's parse cache.
-//! Each cached unit carries the function's [`FnSummary`] behind an `Arc`
-//! alongside its candidates, so a warm hit hands the prune stage the same
-//! summary without rebuilding or copying it (counted under
-//! `summary.reused`); only a shifted signature id copies it, once. Hits go
-//! to the sentinel executor as known outcomes, and it runs the misses at
-//! one job (`crates/core/tests/serve_diff.rs` checks warm against cold
-//! over seeded cross-file edits). Both caches sweep generationally: a hit
-//! moves its entry into the next generation, and entries not used by the
-//! current request are dropped, bounding memory across thousands of
-//! requests.
+//! indirect calls resolve and whether the demand solves degraded. The
+//! common function has no indirect call and no fingerprint (`None`), so
+//! its hit walks none of its instructions, the same `Arc` having the same
+//! instructions, and no pointer component is solved on its behalf; a
+//! function with an indirect call re-derives its fingerprint against the
+//! request's fresh oracle. Detection reads nothing else but the function's
+//! signature id, and the detect/harden configuration is fixed for the
+//! engine's life. A function lowered again misses even when its IR comes
+//! out the same: one whose file was edited, moved or renamed, one whose
+//! file consulted a changed declaration, and every function of a program
+//! built outside the engine's parse cache.
+//!
+//! A hit costs a few reference-count bumps. Its candidates hold their
+//! names and span lists behind `Arc`s, so rebinding them to the
+//! function's current id allocates only the vector they move in (and the
+//! callee name a return-value store's info carries). The
+//! cached [`FnSummary`] is shared the same way, so the prune stage gets it
+//! without rebuilding or copying it (counted under `summary.reused`); only
+//! a shifted signature id copies it, once. Hits go to the sentinel
+//! executor as known outcomes, and it runs the misses at one job
+//! (`crates/core/tests/serve_diff.rs` checks warm against cold over seeded
+//! cross-file edits). Both caches sweep generationally: a hit moves its
+//! entry into the next generation, and entries not used by the current
+//! request are dropped, bounding memory across thousands of requests.
 //!
 //! ## Telemetry (DESIGN.md §16)
 //!
@@ -106,7 +112,7 @@
 //! the named request numbers to exercise the quarantine path.
 
 use std::{
-    collections::{HashMap, HashSet},
+    collections::HashSet,
     io::{self, BufRead, Write},
     panic::{catch_unwind, AssertUnwindSafe},
     path::{Path, PathBuf},
@@ -130,7 +136,10 @@ use vc_obs::{
     Json,
     ObsSession, //
 };
-use vc_pointer::demand::DemandPointer;
+use vc_pointer::{
+    demand::DemandPointer,
+    fasthash::MixMap, //
+};
 
 use crate::{
     candidate::Candidate,
@@ -195,7 +204,9 @@ impl Default for ServeConfig {
 /// analyzed at all.
 #[derive(Debug)]
 struct CachedUnit {
-    candidates: Vec<Candidate>,
+    /// The unit's candidates; their names and span lists are shared, so a
+    /// hit's rebound copies bump reference counts instead of copying them.
+    candidates: Box<[Candidate]>,
     /// The function's dataflow summary, shared with the prune stage on a
     /// warm hit instead of re-solving liveness/defs (`summary.reused`).
     summary: Arc<FnSummary>,
@@ -203,8 +214,10 @@ struct CachedUnit {
     /// handed it out. Holding it keeps its address, the unit's key, from
     /// being reused while the entry lives.
     func: Arc<Function>,
-    /// The function's [`pointer_fingerprint`] when the unit ran.
-    pointer: u64,
+    /// The function's [`pointer_fingerprint`] when the unit ran: `None`
+    /// for a function with no indirect call, whose hit then skips the
+    /// walk (the same `func` has the same instructions).
+    pointer: Option<u64>,
 }
 
 /// Warm state carried between requests.
@@ -281,35 +294,28 @@ fn project_checksum(project: &Project) -> u64 {
 /// Two requests whose pointer analyses agree on this fingerprint give the
 /// function byte-identical candidates. Functions with no indirect calls
 /// cannot observe the pointer stage at all (the precise aliased-read set
-/// is subsumed by the content-derived escape set), so they hash to a
-/// constant and never force a component solve.
-fn pointer_fingerprint(fid: FuncId, f: &Function, oracle: Option<&DemandPointer>) -> u64 {
-    let mut h = FNV_SEED;
-    let mut any = false;
-    for bb in &f.blocks {
-        for inst in &bb.insts {
-            if let vc_ir::ir::Inst::Call {
+/// is subsumed by the content-derived escape set), so they have none
+/// (`None`) and never force a component solve.
+fn pointer_fingerprint(fid: FuncId, f: &Function, oracle: Option<&DemandPointer>) -> Option<u64> {
+    let mut targets = (f.blocks.iter().flat_map(|bb| &bb.insts))
+        .filter_map(|inst| match inst {
+            vc_ir::ir::Inst::Call {
                 callee: Callee::Indirect(t),
                 ..
-            } = inst
-            {
-                any = true;
-                let names = match oracle {
-                    Some(o) => o.resolve_fn_ptr(fid, *t),
-                    None => Vec::new(),
-                };
-                h = fnv1a(h, &t.0.to_le_bytes());
-                for n in &names {
-                    h = fnv1a(h, n.as_bytes());
-                }
-            }
+            } => Some(*t),
+            _ => None,
+        })
+        .peekable();
+    targets.peek()?;
+    let mut h = FNV_SEED;
+    for t in targets {
+        h = fnv1a(h, &t.0.to_le_bytes());
+        for name in oracle.map(|o| o.resolve_fn_ptr(fid, t)).unwrap_or_default() {
+            h = fnv1a(h, name.as_bytes());
         }
     }
-    if !any {
-        return fnv1a(h, &[0]);
-    }
-    let degraded = oracle.map(|o| o.degraded()).unwrap_or(false);
-    fnv1a(h, &[1, oracle.is_some() as u8, degraded as u8])
+    let degraded = oracle.is_some_and(|o| o.degraded());
+    Some(fnv1a(h, &[oracle.is_some() as u8, degraded as u8]))
 }
 
 /// The warm scan engine: everything `vcheck serve` does to a request,
@@ -324,7 +330,7 @@ pub struct ServeEngine {
     obs: ObsSession,
     parse_cache: ParseCache,
     /// Cached units by the address of their lowered function.
-    units: HashMap<usize, CachedUnit>,
+    units: MixMap<usize, CachedUnit>,
     warm: Option<Warm>,
     /// Fingerprinted findings of the previous successful reply.
     prev: Option<Vec<Finding>>,
@@ -355,7 +361,7 @@ impl ServeEngine {
             config,
             obs: ObsSession::new(),
             parse_cache: ParseCache::default(),
-            units: HashMap::new(),
+            units: MixMap::default(),
             warm: None,
             prev: None,
             panic_seqs: HashSet::new(),
@@ -508,9 +514,10 @@ impl ServeEngine {
     ) -> (DetectOutcome, u64, u64) {
         let opts = &self.config.opts;
         let hconf = opts.harden;
-        let mut next_units: HashMap<usize, CachedUnit> = HashMap::new();
+        let mut next_units: MixMap<usize, CachedUnit> =
+            MixMap::with_capacity_and_hasher(prog.funcs.len(), Default::default());
         // The misses and their pointer fingerprints, in unit order.
-        let mut misses: Vec<(FuncId, u64)> = Vec::new();
+        let mut misses: Vec<(FuncId, Option<u64>)> = Vec::new();
         let sconf = SentinelConfig {
             deadline,
             ..SentinelConfig::sequential()
@@ -520,15 +527,20 @@ impl ServeEngine {
             for (fi, func) in prog.funcs.iter().enumerate() {
                 let fid = FuncId(fi as u32);
                 let key = Arc::as_ptr(func) as usize;
-                let pointer = pointer_fingerprint(fid, func, oracle);
-                let hit = self.units.get(&key).is_some_and(|u| u.pointer == pointer);
-                if !hit {
+                let cached = self.units.get(&key).map(|u| u.pointer);
+                // A cached function with no indirect call has no
+                // fingerprint to re-derive.
+                let pointer = match cached {
+                    Some(None) => None,
+                    _ => pointer_fingerprint(fid, func, oracle),
+                };
+                if cached != Some(pointer) {
                     misses.push((fid, pointer));
                     known.push(Known::Run);
                     continue;
                 }
-                // The entry moves into the next generation; its summary is
-                // shared, not copied.
+                // The entry moves into the next generation; its summary and
+                // its candidates' names and span lists are shared, not copied.
                 let mut unit = self.units.remove(&key).expect("hit entry is cached");
                 debug_assert!(Arc::ptr_eq(&unit.func, func));
                 // Rebind: the function's global id may have shifted when other
@@ -581,7 +593,7 @@ impl ServeEngine {
                     all.partition_point(|c| c.func < fid)..all.partition_point(|c| c.func <= fid);
                 let func = &prog.funcs[fid.0 as usize];
                 let unit = CachedUnit {
-                    candidates: all[mine].to_vec(),
+                    candidates: all[mine].into(),
                     summary: Arc::clone(summary),
                     func: Arc::clone(func),
                     pointer,
@@ -1226,7 +1238,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::fs;
+    use std::{collections::BTreeSet, fs};
     use vc_dataflow::summary::{SigId, SigInterner};
 
     /// A `Write` the test can keep reading after the daemon takes it.
@@ -1430,6 +1442,43 @@ mod tests {
             format!("{:?}", cold.failures)
         );
         assert!(!warm.candidates.is_empty(), "has_bug's dead store is found");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn hits_share_cached_candidates_and_only_indirect_callers_keep_a_fingerprint() {
+        let ptr = "int ha(void) { return 1; }\n\
+                   int call_it(void) {\n int *fp = ha;\n int r = fp();\n r = 5;\n return r;\n}\n";
+        let dir = tree("sharehit", &[("a.c", BUGGY), ("b.c", CLEAN), ("c.c", ptr)]);
+        let mut eng = ServeEngine::new(&dir, ServeConfig::default()).unwrap();
+        eng.scan(None).unwrap();
+        // Sets of name addresses: equal sets mean shared names.
+        let addr = |c: &Candidate| Arc::as_ptr(&c.var_name).cast::<u8>() as usize;
+        let cached = |eng: &ServeEngine| -> BTreeSet<usize> {
+            eng.units
+                .values()
+                .flat_map(|u| &u.candidates)
+                .map(addr)
+                .collect()
+        };
+        let first = cached(&eng);
+        assert_eq!(first.len(), 2, "got and r");
+        assert_eq!(eng.scan(None).unwrap().unit_hits, 4);
+        assert_eq!(cached(&eng), first, "the next generation shares the names");
+        // So do the rebound candidates a hit hands the executor.
+        let project = load_dir_or_empty(&dir).unwrap();
+        let refs = project.source_refs();
+        let (prog, ..) = Program::build_recovering_cached(&refs, &[], &mut eng.parse_cache);
+        let (outcome, hits, _) = eng.detect_warm(&prog, None);
+        assert_eq!(hits, 4);
+        assert_eq!(
+            outcome.candidates.iter().map(addr).collect::<BTreeSet<_>>(),
+            first
+        );
+        // Only the function calling through a pointer keeps a fingerprint.
+        let fingerprinted = eng.units.values().filter(|u| u.pointer.is_some());
+        let names: Vec<&str> = fingerprinted.map(|u| u.func.name.as_str()).collect();
+        assert_eq!(names, ["call_it"]);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -72,7 +72,7 @@ fn candidates_are_dead_stores() {
             assert!(
                 dead.iter().any(|d| d.span == c.span && d.key == c.key),
                 "seed {seed}: candidate {}:{} has no matching dead store",
-                c.func_name,
+                f.name,
                 c.var_name
             );
         }
@@ -111,7 +111,13 @@ fn ranking_is_a_permutation() {
         let attributed = AuthorshipCtx::new(&prog, &repo, &sites).attribute_all(cands);
         let mut before: Vec<String> = attributed
             .iter()
-            .map(|a| format!("{}:{}", a.candidate.func_name, a.candidate.var_name))
+            .map(|a| {
+                format!(
+                    "{}:{}",
+                    prog.func(a.candidate.func).name,
+                    a.candidate.var_name
+                )
+            })
             .collect();
         let ranked = rank(&prog, &repo, &RankConfig::default(), attributed);
         let mut after: Vec<String> = ranked
@@ -119,7 +125,8 @@ fn ranking_is_a_permutation() {
             .map(|r| {
                 format!(
                     "{}:{}",
-                    r.item.candidate.func_name, r.item.candidate.var_name
+                    prog.func(r.item.candidate.func).name,
+                    r.item.candidate.var_name
                 )
             })
             .collect();

@@ -1,17 +1,20 @@
 //! Allocation guards for warm `vcheck serve` requests.
 //!
-//! - A unit-cache hit shares its cached summary (an `Arc` bump) and moves
-//!   the cache entry into the next generation, so a warm rescan of an
-//!   unchanged tree allocates only the rebound candidates and the
-//!   per-request bookkeeping. Deep-copying summaries or cache entries on a
-//!   hit roughly triples the allocations the detect stage makes per
-//!   function, which the per-hit bound catches.
+//! - A unit-cache hit shares its cached summary and its candidates' names
+//!   and span lists (`Arc` bumps) and moves the cache entry into the next
+//!   generation, so a warm rescan of an unchanged tree allocates one
+//!   vector of rebound candidates per hit plus the per-request
+//!   bookkeeping. Deep-copying the candidates' names, the summaries or the
+//!   cache entries on a hit allocates several times that per function,
+//!   which the per-hit bound catches.
 //! - The parse cache keeps lowered files, so after a one-file edit the
 //!   front end parses and lowers only that file. Re-lowering every function
 //!   allocates several times the bound on the parse stage.
 //! - Authorship and prune move candidates instead of copying them, and
 //!   collect only the call sites the candidates ask about, so a warm
 //!   request's back end allocates a bounded amount per raw candidate.
+//! - Prune's maps hash with a fixed seed, so two engines scanning the same
+//!   tree record the same prune-stage allocations.
 //! - The warm project re-imports only the edited files into its
 //!   single-author history, and that history equals a fresh import.
 //!
@@ -88,14 +91,16 @@ fn warm_hits_allocate_a_bounded_amount_per_function() {
     assert_eq!(warm.unit_hits, units, "unchanged tree: every unit hits");
     assert_eq!(warm.raw_candidates as u64, 2 * units);
 
-    // Measured on this workload: 8.3 allocations per hit when the hit
-    // shares its summary and moves its entry (the two rebound candidates'
-    // names, overwriter lists and store info, plus the request's fixed
-    // bookkeeping spread over 200 units); 25.3 when it deep-copies the
-    // summary twice and the entry once. The bound leaves ~70% headroom
-    // over the first and sits ~45% under the second.
-    const MAX_ALLOCS_PER_HIT: u64 = 14;
+    // Measured on this workload: 1.18 allocations per hit when the hit
+    // shares its summary and its candidates' names and span lists and
+    // moves its entry (the vector of rebound candidates, plus the
+    // request's fixed bookkeeping spread over 200 units); 7.21 when it
+    // deep-copies each candidate's name, overwriter list and store info.
+    // The bound leaves room for the bookkeeping to grow and sits under
+    // half of the second.
+    const MAX_ALLOCS_PER_HIT: u64 = 3;
     let per_hit = (after - before) as f64 / units as f64;
+    eprintln!("serve_alloc: warm detect {per_hit:.2} allocations per hit");
     assert!(
         after - before <= MAX_ALLOCS_PER_HIT * units,
         "warm detect made {} allocations for {units} hits ({per_hit:.1} per hit, bound \
@@ -200,6 +205,27 @@ fn warm_back_end_allocates_a_bounded_amount_per_candidate() {
          ({per_candidate:.2} each, bound {MAX_ALLOCS_PER_CANDIDATE})",
         warm.raw_candidates
     );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn prune_allocates_the_same_on_every_run() {
+    let app = generate(&AppProfile::mysql().scaled(0.1));
+    let dir = write_sources("prune", &app.sources);
+    let config = ServeConfig {
+        defines: app.defines.clone(),
+        ..ServeConfig::default()
+    };
+    let prune_mem = || {
+        let mut engine = ServeEngine::new(&dir, config.clone()).unwrap();
+        engine.scan(None).unwrap();
+        let reg = &engine.obs().registry;
+        let sum = |what| reg.histogram(&vc_obs::names::mem("prune", what)).sum;
+        (sum("allocs"), sum("alloc_bytes"))
+    };
+    let first = prune_mem();
+    assert!(first.0 > 0);
+    assert_eq!(first, prune_mem(), "prune allocations (count, bytes)");
     let _ = fs::remove_dir_all(&dir);
 }
 

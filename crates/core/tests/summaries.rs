@@ -185,12 +185,18 @@ fn cursor_prune_decisions_match_the_original_inline_rescan() {
             let kept: Vec<_> = o
                 .kept
                 .iter()
-                .map(|a| (a.candidate.func_name.clone(), a.candidate.span))
+                .map(|a| (prog.func(a.candidate.func).name.clone(), a.candidate.span))
                 .collect();
             let pruned: Vec<_> = o
                 .pruned
                 .iter()
-                .map(|(a, r)| (a.candidate.func_name.clone(), a.candidate.span, *r))
+                .map(|(a, r)| {
+                    (
+                        prog.func(a.candidate.func).name.clone(),
+                        a.candidate.span,
+                        *r,
+                    )
+                })
                 .collect();
             (kept, pruned)
         };

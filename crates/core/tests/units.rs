@@ -123,7 +123,7 @@ fn candidate_rows(prog: &Program, cands: &[valuecheck::candidate::Candidate]) ->
             row_key(
                 prog.source.name(c.span.file),
                 c.span.line(),
-                &c.func_name,
+                &prog.func(c.func).name,
                 &c.var_name,
                 c.low_confidence,
             )

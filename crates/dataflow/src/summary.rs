@@ -175,8 +175,9 @@ pub struct SummaryDead {
     /// Provenance of the stored value.
     pub info: StoreInfo,
     /// Spans of the next definitions downstream that overwrite this store
-    /// (§4.2's define set, queried at the dead store's program point).
-    pub overwriters: Vec<Span>,
+    /// (§4.2's define set, queried at the dead store's program point);
+    /// shared with the candidates detection derives from the store.
+    pub overwriters: Arc<[Span]>,
 }
 
 /// The per-function summary: everything detect, `PeerStats`, and the prune
@@ -247,14 +248,19 @@ fn defs_store_transfer(defs: &mut DefsFact, key: VarKey, span: Span) {
 
 /// The overwriting definitions of `key` at a point: exact entry plus, for
 /// field keys, whole-variable stores.
-fn overwriters_of(defs: &DefsFact, key: VarKey) -> Vec<Span> {
+fn overwriters_of(defs: &DefsFact, key: VarKey) -> Arc<[Span]> {
     let mut out: BTreeSet<Span> = defs.get(&key).cloned().unwrap_or_default();
     if let VarKey::Field(l, _) = key {
         if let Some(extra) = defs.get(&VarKey::Local(l)) {
             out.extend(extra.iter().copied());
         }
     }
-    out.into_iter().collect()
+    // The empty list is a shared static, not an allocation.
+    if out.is_empty() {
+        Arc::default()
+    } else {
+        out.into_iter().collect()
+    }
 }
 
 impl DataflowAnalysis for DefsAnalysis<'_> {
@@ -380,7 +386,7 @@ pub fn build_summary(f: &Function, sig: SigId, budget: Budget) -> FnSummary {
                             key,
                             span: *span,
                             info: info.clone(),
-                            overwriters: Vec::new(),
+                            overwriters: Arc::default(),
                         });
                     }
                 }

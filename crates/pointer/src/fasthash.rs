@@ -95,6 +95,9 @@ impl Hasher for MixHasher {
 /// A `HashMap` keyed with [`MixHasher`].
 pub type MixMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<MixHasher>>;
 
+/// A `HashSet` keyed with [`MixHasher`].
+pub type MixSet<K> = std::collections::HashSet<K, BuildHasherDefault<MixHasher>>;
+
 /// A `HashMap` keyed with [`FastHasher`].
 pub type FastMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FastHasher>>;
 

@@ -93,10 +93,11 @@ fn main() {
         }
         // Mis-pruned expected detections?
         for (a, r) in &analysis.prune_outcome.pruned {
+            let func = &prog.func(a.candidate.func).name;
             if let Some(PlantKind::ConfirmedBug { .. } | PlantKind::FalsePositive { .. }) =
-                app.truth.lookup(&a.candidate.func_name).map(|p| &p.kind)
+                app.truth.lookup(func).map(|p| &p.kind)
             {
-                eprintln!("  MISPRUNED {} by {:?}", a.candidate.func_name, r);
+                eprintln!("  MISPRUNED {func} by {r:?}");
             }
         }
     }

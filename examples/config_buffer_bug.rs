@@ -76,7 +76,7 @@ void init_logging(void) {
     let finding = analysis
         .ranked
         .iter()
-        .find(|r| r.item.candidate.var_name == "bufsz")
+        .find(|r| &*r.item.candidate.var_name == "bufsz")
         .expect("bufsz reported");
     let cand = &finding.item.candidate;
     assert!(matches!(cand.scenario, Scenario::Param { index: 1 }));

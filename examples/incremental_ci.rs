@@ -12,6 +12,7 @@
 use std::time::Instant;
 
 use valuecheck::{incremental::analyze_commit, prune::PruneConfig, rank::RankConfig};
+use vc_ir::Program;
 use vc_obs::ObsSession;
 use vc_workload::{
     generate,
@@ -63,10 +64,12 @@ fn main() {
             findings.findings.len(),
             dt
         );
+        // Findings name their function by id in the commit's snapshot.
+        let (snapshot, ..) = Program::build_recovering(&app.repo.tree_at(*id), &app.defines);
         for f in &findings.findings {
             println!(
                 "    -> {} `{}` in {} (cross-scope unused definition)",
-                f.item.candidate.func_name,
+                snapshot.func(f.item.candidate.func).name,
                 f.item.candidate.var_name,
                 findings.changed_files.join(", ")
             );

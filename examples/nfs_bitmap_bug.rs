@@ -90,7 +90,7 @@ int bitmap4_to_attrmask_t(int *bm, int *mask) {
     assert_eq!(analysis.detected(), 1);
     let finding = &analysis.ranked[0];
     let cand = &finding.item.candidate;
-    assert_eq!(cand.var_name, "attr");
+    assert_eq!(&*cand.var_name, "attr");
     assert!(matches!(cand.scenario, Scenario::RetVal { .. }));
     assert!(finding.item.cross_scope);
     println!(

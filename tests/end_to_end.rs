@@ -172,7 +172,9 @@ fn incremental_findings_agree_with_full_run_at_head() {
     )
     .unwrap();
     // Every incremental finding (restricted to the changed files) must be a
-    // subset of the full run's findings on those files.
+    // subset of the full run's findings on those files. Findings name their
+    // function by id in the snapshot `analyze_commit` built.
+    let (snapshot, ..) = Program::build_recovering(&app.repo.tree_at(head), &app.defines);
     let full_ids: HashSet<(String, String)> = full
         .report
         .rows
@@ -181,8 +183,8 @@ fn incremental_findings_agree_with_full_run_at_head() {
         .collect();
     for f in &inc.findings {
         let id = (
-            f.item.candidate.func_name.clone(),
-            f.item.candidate.var_name.clone(),
+            snapshot.func(f.item.candidate.func).name.clone(),
+            f.item.candidate.var_name.to_string(),
         );
         assert!(full_ids.contains(&id), "incremental-only finding {id:?}");
     }

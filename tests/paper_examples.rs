@@ -74,7 +74,7 @@ fn figure_1a_bitmap_attribute_bug() {
     let analysis = run(&prog, &repo, &Options::paper());
     assert_eq!(analysis.detected(), 1);
     let cand = &analysis.ranked[0].item.candidate;
-    assert_eq!(cand.var_name, "attr");
+    assert_eq!(&*cand.var_name, "attr");
     assert_eq!(cand.span.line(), 4);
     assert_eq!(cand.overwriters.len(), 1);
     assert_eq!(cand.overwriters[0].line(), 5);
@@ -120,7 +120,7 @@ fn figure_1b_bufsz_configuration_bug() {
     let bufsz = analysis
         .ranked
         .iter()
-        .find(|r| r.item.candidate.var_name == "bufsz")
+        .find(|r| &*r.item.candidate.var_name == "bufsz")
         .expect("bufsz finding");
     assert!(matches!(
         bufsz.item.candidate.scenario,
@@ -176,7 +176,7 @@ fn figure_6b_wrong_host_semantic_bug() {
     let prog = Program::build(&[("host.c", v2)], &[]).unwrap();
     let analysis = run(&prog, &repo, &Options::paper());
     assert_eq!(analysis.detected(), 1);
-    assert_eq!(analysis.ranked[0].item.candidate.var_name, "to_host");
+    assert_eq!(&*analysis.ranked[0].item.candidate.var_name, "to_host");
 }
 
 #[test]
@@ -207,7 +207,7 @@ fn figure_8_only_valuecheck_detects() {
     // ValueCheck: detected, cross-scope, attributed to author2.
     let analysis = run(&prog, &repo, &Options::paper());
     assert_eq!(analysis.detected(), 1);
-    assert_eq!(analysis.ranked[0].item.candidate.var_name, "ret");
+    assert_eq!(&*analysis.ranked[0].item.candidate.var_name, "ret");
 
     // Clang: silent (ret is referenced).
     let module = parse_clean(FileId(0), v2);
