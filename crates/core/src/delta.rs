@@ -11,6 +11,13 @@
 //! line number deliberately excluded. Pure line drift (insertions or
 //! deletions elsewhere in the file) leaves every component unchanged.
 //!
+//! The fingerprint is computed once, where the finding is made:
+//! [`Report::from_ranked`](crate::report::Report::from_ranked) builds each
+//! report row around a [`Finding`], and everything downstream (this
+//! module's [`classify`], the history replay, the lifecycle database,
+//! serve replies and the stores) reads those rows' findings instead of
+//! deriving them again.
+//!
 //! [`classify`] matches the two sides in two passes:
 //!
 //! 1. **fingerprint** — equal fingerprints pair up in line order
@@ -71,7 +78,6 @@ use crate::{
         Analysis,
         Options, //
     },
-    rank::Ranked,
     report::csv_escape,
     sentinel::{
         detect_program_sentinel,
@@ -118,6 +124,21 @@ pub struct Finding {
     pub scenario: String,
 }
 
+impl Finding {
+    /// The canonical order of findings, ties broken by fingerprint: file,
+    /// function, variable, line. Delta rows sort by it after their status,
+    /// and history orders each commit's events by it.
+    pub fn key(&self) -> (&str, &str, &str, u32, Fingerprint) {
+        (
+            &self.file,
+            &self.function,
+            &self.variable,
+            self.line,
+            self.fingerprint,
+        )
+    }
+}
+
 /// Collapses runs of whitespace so a re-indented definition line keeps its
 /// fingerprint (and a trailing-space blame touch does too).
 pub fn normalize_context(line: &str) -> String {
@@ -130,52 +151,6 @@ pub fn normalize_context(line: &str) -> String {
 pub fn fingerprint_of(coords: [&str; 5], ordinal: u32) -> Fingerprint {
     let h = coords.iter().fold(FNV_SEED, |h, c| fnv1a(h, c.as_bytes()));
     Fingerprint(fnv1a(h, &ordinal.to_le_bytes()))
-}
-
-/// Fingerprints ranked findings against their program's sources.
-///
-/// The ordinal disambiguates findings that agree on every other coordinate
-/// (e.g. two textually identical `ret = f();` definitions of the same
-/// variable in one function): same-keyed findings are numbered in line
-/// order, which pure drift preserves.
-pub fn fingerprint_ranked(prog: &Program, ranked: &[Ranked]) -> Vec<Finding> {
-    // The findings, fingerprinted once their ordinals are known, and the
-    // normalized text of each one's definition line.
-    let mut contexts = Vec::with_capacity(ranked.len());
-    let mut findings: Vec<Finding> = (ranked.iter())
-        .map(|r| {
-            let c = &r.item.candidate;
-            let line = c.span.line();
-            let text = prog
-                .source
-                .file(c.span.file)
-                .and_then(|f| f.content.lines().nth((line as usize).saturating_sub(1)));
-            contexts.push(text.map(normalize_context).unwrap_or_default());
-            Finding {
-                fingerprint: Fingerprint(0),
-                file: prog.source.name(c.span.file).to_string(),
-                line,
-                function: prog.func(c.func).name.clone(),
-                variable: String::from(&*c.var_name),
-                scenario: c.scenario.label().to_string(),
-            }
-        })
-        .collect();
-    fn coords<'a>(findings: &'a [Finding], contexts: &'a [String], i: usize) -> [&'a str; 5] {
-        let f = &findings[i];
-        [&f.file, &f.function, &f.variable, &f.scenario, &contexts[i]]
-    }
-    // Findings that share all five coordinates are numbered in line order.
-    let mut order: Vec<usize> = (0..findings.len()).collect();
-    order.sort_by_key(|&i| (coords(&findings, &contexts, i), findings[i].line, i));
-    let mut ordinal = 0;
-    for (k, &i) in order.iter().enumerate() {
-        let key = coords(&findings, &contexts, i);
-        let same = k > 0 && coords(&findings, &contexts, order[k - 1]) == key;
-        ordinal = if same { ordinal + 1 } else { 0 };
-        findings[i].fingerprint = fingerprint_of(key, ordinal);
-    }
-    findings
 }
 
 /// A matched finding counts as `persisting` only while its new location is
@@ -205,6 +180,16 @@ pub enum DeltaStatus {
 }
 
 impl DeltaStatus {
+    /// Every status, in the order the JSON summary lists them.
+    const ALL: [DeltaStatus; 6] = [
+        DeltaStatus::New,
+        DeltaStatus::Fixed,
+        DeltaStatus::Persisting,
+        DeltaStatus::Churned,
+        DeltaStatus::Suppressed,
+        DeltaStatus::Unscanned,
+    ];
+
     /// Stable lower-case label (CSV/JSON field).
     pub fn label(self) -> &'static str {
         match self {
@@ -281,20 +266,15 @@ impl DeltaReport {
 
     /// Records `delta.*` counters into the installed observability session.
     pub fn record_metrics(&self) {
-        vc_obs::counter_add(names::DELTA_NEW, self.count(DeltaStatus::New) as u64);
-        vc_obs::counter_add(names::DELTA_FIXED, self.count(DeltaStatus::Fixed) as u64);
-        vc_obs::counter_add(
-            names::DELTA_PERSISTING,
-            self.count(DeltaStatus::Persisting) as u64,
-        );
-        vc_obs::counter_add(
-            names::DELTA_CHURNED,
-            self.count(DeltaStatus::Churned) as u64,
-        );
-        vc_obs::counter_add(
-            names::DELTA_SUPPRESSED,
-            self.count(DeltaStatus::Suppressed) as u64,
-        );
+        for (name, status) in [
+            (names::DELTA_NEW, DeltaStatus::New),
+            (names::DELTA_FIXED, DeltaStatus::Fixed),
+            (names::DELTA_PERSISTING, DeltaStatus::Persisting),
+            (names::DELTA_CHURNED, DeltaStatus::Churned),
+            (names::DELTA_SUPPRESSED, DeltaStatus::Suppressed),
+        ] {
+            vc_obs::counter_add(name, self.count(status) as u64);
+        }
     }
 
     /// Renders as CSV (header + rows).
@@ -320,29 +300,12 @@ impl DeltaReport {
     /// Renders as pretty-printed JSON: a summary object plus the rows. The
     /// summary counts `unscanned` rows only when there are any.
     pub fn to_json(&self) -> String {
-        let mut summary = vec![
-            ("new".into(), Json::Int(self.count(DeltaStatus::New) as i64)),
-            (
-                "fixed".into(),
-                Json::Int(self.count(DeltaStatus::Fixed) as i64),
-            ),
-            (
-                "persisting".into(),
-                Json::Int(self.count(DeltaStatus::Persisting) as i64),
-            ),
-            (
-                "churned".into(),
-                Json::Int(self.count(DeltaStatus::Churned) as i64),
-            ),
-            (
-                "suppressed".into(),
-                Json::Int(self.count(DeltaStatus::Suppressed) as i64),
-            ),
-        ];
-        let unscanned = self.count(DeltaStatus::Unscanned);
-        if unscanned > 0 {
-            summary.push(("unscanned".into(), Json::Int(unscanned as i64)));
-        }
+        let unscanned = self.count(DeltaStatus::Unscanned) > 0;
+        let summary = (DeltaStatus::ALL.iter())
+            .filter(|&&s| s != DeltaStatus::Unscanned || unscanned)
+            .map(|&s| (s.label().into(), Json::Int(self.count(s) as i64)))
+            .collect();
+        let line_json = |line: Option<u32>| line.map_or(Json::Null, |l| Json::Int(l as i64));
         let rows = self
             .rows
             .iter()
@@ -354,20 +317,8 @@ impl DeltaReport {
                         Json::Str(r.finding.fingerprint.to_hex()),
                     ),
                     ("file".into(), Json::Str(r.finding.file.clone())),
-                    (
-                        "old_line".into(),
-                        match r.old_line {
-                            Some(l) => Json::Int(l as i64),
-                            None => Json::Null,
-                        },
-                    ),
-                    (
-                        "new_line".into(),
-                        match r.new_line {
-                            Some(l) => Json::Int(l as i64),
-                            None => Json::Null,
-                        },
-                    ),
+                    ("old_line".into(), line_json(r.old_line)),
+                    ("new_line".into(), line_json(r.new_line)),
                     ("function".into(), Json::Str(r.finding.function.clone())),
                     ("variable".into(), Json::Str(r.finding.variable.clone())),
                     ("scenario".into(), Json::Str(r.finding.scenario.clone())),
@@ -442,18 +393,15 @@ pub fn classify(
 
     // Pass 2: line-map fallback for findings whose fingerprint changed.
     // Index the still-unmatched new findings by mapped coordinates.
-    let mut loose_new: HashMap<(&str, &str, &str, &str, u32), Vec<usize>> = HashMap::new();
+    type Coords<'f> = (&'f str, &'f str, &'f str, &'f str, u32);
+    fn at(f: &Finding, line: u32) -> Coords<'_> {
+        (&f.file, &f.function, &f.variable, &f.scenario, line)
+    }
+    let mut loose_new: HashMap<Coords, Vec<usize>> = HashMap::new();
     for &j in &new_order {
         if pair_of_new[j].is_none() {
-            let f = &new[j];
             loose_new
-                .entry((
-                    f.file.as_str(),
-                    f.function.as_str(),
-                    f.variable.as_str(),
-                    f.scenario.as_str(),
-                    f.line,
-                ))
+                .entry(at(&new[j], new[j].line))
                 .or_default()
                 .push(j);
         }
@@ -474,14 +422,7 @@ pub fn classify(
         let Some(mapped) = map.old_to_new_nearby(f.line) else {
             continue;
         };
-        let key = (
-            f.file.as_str(),
-            f.function.as_str(),
-            f.variable.as_str(),
-            f.scenario.as_str(),
-            mapped,
-        );
-        if let Some(js) = loose_new.get_mut(&key) {
+        if let Some(js) = loose_new.get_mut(&at(f, mapped)) {
             if !js.is_empty() {
                 let j = js.remove(0);
                 pair_of_new[j] = Some(i);
@@ -564,26 +505,10 @@ pub fn classify(
     DeltaReport { rows }
 }
 
-/// Sorts rows into the report's canonical order.
+/// Sorts rows into the report's canonical order: by status, then by
+/// [`Finding::key`].
 fn sort_rows(rows: &mut [DeltaRow]) {
-    rows.sort_by(|a, b| {
-        (
-            a.status,
-            &a.finding.file,
-            &a.finding.function,
-            &a.finding.variable,
-            a.new_line.or(a.old_line),
-            a.finding.fingerprint,
-        )
-            .cmp(&(
-                b.status,
-                &b.finding.file,
-                &b.finding.function,
-                &b.finding.variable,
-                b.new_line.or(b.old_line),
-                b.finding.fingerprint,
-            ))
-    });
+    rows.sort_by(|a, b| (a.status, a.finding.key()).cmp(&(b.status, b.finding.key())));
 }
 
 /// One side of a differential scan: the revision's program and pipeline
@@ -597,14 +522,14 @@ pub struct RevScan {
     /// The pipeline run at the revision; its report's failures start with
     /// the build's parse failures, as a `vcheck <dir>` scan's do.
     pub analysis: Analysis,
-    /// Fingerprinted findings of that run.
+    /// The findings of that run's report rows, in rank order.
     pub findings: Vec<Finding>,
     /// The revision's file contents (for line mapping and baselines).
     pub sources: HashMap<String, String>,
 }
 
-/// Scans one revision the way `vcheck <dir>` scans a tree and fingerprints
-/// its findings: the snapshot is built with recovery, run through the
+/// Scans one revision the way `vcheck <dir>` scans a tree and collects
+/// its report rows' findings: the snapshot is built with recovery, run through the
 /// sentinel executor with authorship/blame against the history truncated
 /// at the commit, and its parse failures and `recover.*` counters are
 /// spliced into the run. `Err` only when nothing in the revision could be
@@ -650,7 +575,9 @@ pub(crate) fn scan_tree(
     let analysis = run_detected(&prog, history, opts, obs, Some((&errors, &stats)), || {
         detect_program_sentinel(&prog, opts.detect, opts.harden, sconf)
     });
-    let findings = fingerprint_ranked(&prog, &analysis.ranked);
+    let findings = (analysis.report.rows.iter())
+        .map(|r| r.finding.clone())
+        .collect();
     let sources = tree
         .iter()
         .map(|&(path, content)| (path.to_string(), content.to_string()))
@@ -1034,6 +961,32 @@ mod tests {
         assert_eq!(obs.registry.counter(names::DELTA_PERSISTING), 2);
         assert_eq!(obs.registry.counter(names::DELTA_NEW), 0);
         assert_eq!(obs.registry.counter(names::DELTA_FIXED), 0);
+    }
+
+    #[test]
+    fn fingerprints_are_pinned() {
+        // Baselines, snapshot stores, suppression stores and lifedb tracks
+        // written by earlier builds key on these exact values; a change
+        // here orphans every one of them.
+        let mut repo = Repository::new();
+        let dev = repo.add_author("dev");
+        let c1 = repo.commit(dev, 1, "v1", vec![write("a.c", &bug_fn("alpha"))]);
+        // Two same-keyed findings: ordinals 0 and 1, in line order.
+        let dup = "int get_v(void);\nint calc_v(void);\nvoid f(void) {\nint ret = get_v();\nret = \
+                   calc_v();\nsink(ret);\nret = get_v();\nret = calc_v();\nsink(ret);\n}\n";
+        let c2 = repo.commit(dev, 2, "v2", vec![write("a.c", dup)]);
+        let pinned = |at| -> Vec<(String, u32)> {
+            let findings = scan(&repo, at).findings.into_iter();
+            findings.map(|f| (f.fingerprint.to_hex(), f.line)).collect()
+        };
+        assert_eq!(pinned(c1), [("b5718a223d24a5e0".to_string(), 4)]);
+        assert_eq!(
+            pinned(c2),
+            [
+                ("da81328fdd495700".to_string(), 4),
+                ("5aa672c036b2c7c7".to_string(), 7)
+            ]
+        );
     }
 
     #[test]

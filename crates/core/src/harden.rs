@@ -14,8 +14,8 @@
 //!   fixpoints, enforced inside the solver loops via
 //!   [`vc_obs::BudgetMeter`].
 //! - **Degradation ladder.** On pointer budget exhaustion the pipeline
-//!   falls back to the conservative field-insensitive may-alias oracle
-//!   (`AliasUses::conservative`); on liveness budget exhaustion the
+//!   discards the partial solve and resolves that component's indirect
+//!   callees to the conservative empty set; on liveness budget exhaustion the
 //!   function's candidates are kept but marked low-confidence. Every
 //!   downgrade is counted under `harden.*` in the ambient
 //!   [`ObsSession`](vc_obs::ObsSession) and surfaced by `vcheck --stats`.

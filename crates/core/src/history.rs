@@ -27,10 +27,13 @@
 //! order, so the serialized [`LifeDb`] is byte-identical for any
 //! `--jobs` value and across `--resume` after a mid-replay kill.
 
-use std::collections::{
-    BTreeMap,
-    HashMap,
-    HashSet, //
+use std::{
+    collections::{
+        BTreeMap,
+        HashMap,
+        HashSet, //
+    },
+    ops::Deref,
 };
 
 use vc_ir::program::BuildError;
@@ -89,7 +92,7 @@ pub struct HistoryOutcome {
 }
 
 /// One track summarised for the CLI table: born-at, last-seen, final
-/// state, and last-known coordinates.
+/// state, and the finding as last seen.
 #[derive(Clone, Debug)]
 pub struct TrackRow {
     /// Track id (the born fingerprint).
@@ -100,44 +103,40 @@ pub struct TrackRow {
     pub last: CommitId,
     /// Final state.
     pub state: FinalState,
-    /// Last-known file.
-    pub file: String,
-    /// Last-known line.
-    pub line: u32,
-    /// Containing function.
-    pub function: String,
-    /// Variable name.
-    pub variable: String,
-    /// Scenario label.
-    pub scenario: String,
+    /// The finding of the track's last event. A track keeps its function,
+    /// variable and scenario across re-keys; file and line are the last
+    /// known.
+    pub finding: Finding,
+}
+
+impl Deref for TrackRow {
+    type Target = Finding;
+
+    fn deref(&self) -> &Finding {
+        &self.finding
+    }
 }
 
 /// Summarises a [`LifeDb`] into one row per track, sorted by (file,
 /// function, variable, track) — the `vcheck history` CSV body.
 pub fn track_rows(db: &LifeDb) -> Vec<TrackRow> {
     let finals = db.final_states();
-    let mut rows: HashMap<Fingerprint, TrackRow> = HashMap::new();
-    for e in &db.events {
-        let row = rows.entry(e.track).or_insert_with(|| TrackRow {
-            track: e.track,
-            born: e.commit,
-            last: e.commit,
-            state: FinalState::Live,
-            file: e.file.clone(),
-            line: e.line,
-            function: e.function.clone(),
-            variable: e.variable.clone(),
-            scenario: e.scenario.clone(),
-        });
-        row.last = e.commit;
-        row.file = e.file.clone();
-        row.line = e.line;
+    // Per track: the commit it was born at and the index of its last event.
+    let mut tracks: HashMap<Fingerprint, (CommitId, usize)> = HashMap::new();
+    for (i, e) in db.events.iter().enumerate() {
+        tracks.entry(e.track).or_insert((e.commit, i)).1 = i;
     }
-    let mut rows: Vec<TrackRow> = rows
+    let mut rows: Vec<TrackRow> = tracks
         .into_iter()
-        .map(|(track, mut row)| {
-            row.state = finals.get(&track).copied().unwrap_or(FinalState::Live);
-            row
+        .map(|(track, (born, i))| {
+            let last = &db.events[i];
+            TrackRow {
+                track,
+                born,
+                last: last.commit,
+                state: finals.get(&track).copied().unwrap_or(FinalState::Live),
+                finding: last.finding.clone(),
+            }
         })
         .collect();
     rows.sort_by(|a, b| {
@@ -171,29 +170,12 @@ pub fn tracks_to_csv(db: &LifeDb) -> String {
     out
 }
 
-/// Orders findings canonically within one commit: by file, function,
-/// variable, line and fingerprint.
-fn canon_order(a: &&Finding, b: &&Finding) -> std::cmp::Ordering {
-    (&a.file, &a.function, &a.variable, a.line, a.fingerprint).cmp(&(
-        &b.file,
-        &b.function,
-        &b.variable,
-        b.line,
-        b.fingerprint,
-    ))
-}
-
 fn event_for(commit: CommitId, track: Fingerprint, f: &Finding, kind: LifeEventKind) -> LifeEvent {
     LifeEvent {
         commit,
         track,
-        fingerprint: f.fingerprint,
         kind,
-        file: f.file.clone(),
-        line: f.line,
-        function: f.function.clone(),
-        variable: f.variable.clone(),
-        scenario: f.scenario.clone(),
+        finding: f.clone(),
     }
 }
 
@@ -270,7 +252,7 @@ pub fn history_scan(
         match &prev {
             None => {
                 let mut born: Vec<&Finding> = scan.findings.iter().collect();
-                born.sort_by(canon_order);
+                born.sort_by_key(|f| f.key());
                 for f in born {
                     let track = f.fingerprint;
                     next_live.insert(f.fingerprint.0, track);
@@ -310,7 +292,7 @@ pub fn history_scan(
         }
         let inline = InlineSuppressions::from_sources(&scan.sources);
         let mut present: Vec<&Finding> = scan.findings.iter().collect();
-        present.sort_by(canon_order);
+        present.sort_by_key(|f| f.key());
         for f in present {
             let by_inline = inline.allows(&f.file, f.line, &f.scenario);
             if by_inline {
@@ -377,54 +359,31 @@ fn record_row(
 ) {
     // A matched row's track comes from the *old* side's live map; an
     // untracked old fingerprint (scan started mid-history) starts a track
-    // under its own name.
-    let old_track = row
-        .old_fingerprint
-        .map(|fp| live.get(&fp.0).copied().unwrap_or(fp));
-    match row.status {
-        DeltaStatus::New => {
-            let track = row.finding.fingerprint;
-            next_live.insert(row.finding.fingerprint.0, track);
-            vc_obs::counter_inc(names::LIFE_BORN);
-            db.push_event(event_for(commit, track, &row.finding, LifeEventKind::Born));
-        }
-        DeltaStatus::Persisting => {
-            let track = old_track.expect("matched row carries old_fingerprint");
-            next_live.insert(row.finding.fingerprint.0, track);
-            vc_obs::counter_inc(names::LIFE_PERSISTING);
-            db.push_event(event_for(
-                commit,
-                track,
-                &row.finding,
-                LifeEventKind::Persisting,
-            ));
-        }
-        DeltaStatus::Churned => {
-            let track = old_track.expect("matched row carries old_fingerprint");
-            next_live.insert(row.finding.fingerprint.0, track);
-            vc_obs::counter_inc(names::LIFE_CHURNED);
-            db.push_event(event_for(
-                commit,
-                track,
-                &row.finding,
-                LifeEventKind::Churned,
-            ));
-        }
-        DeltaStatus::Fixed => {
-            let track = old_track.expect("fixed row carries old_fingerprint");
-            vc_obs::counter_inc(names::LIFE_FIXED);
-            db.push_event(event_for(commit, track, &row.finding, LifeEventKind::Fixed));
-        }
+    // under its own name, and so does a new row.
+    let fingerprint = row.finding.fingerprint;
+    let track = match row.old_fingerprint {
+        Some(old) => live.get(&old.0).copied().unwrap_or(old),
+        None => fingerprint,
+    };
+    let event = match row.status {
+        DeltaStatus::New => Some((names::LIFE_BORN, LifeEventKind::Born)),
+        DeltaStatus::Persisting => Some((names::LIFE_PERSISTING, LifeEventKind::Persisting)),
+        DeltaStatus::Churned => Some((names::LIFE_CHURNED, LifeEventKind::Churned)),
+        DeltaStatus::Fixed => Some((names::LIFE_FIXED, LifeEventKind::Fixed)),
         // The revision could not scan the finding's function: no event, and
         // the track stays live under the finding's last-seen fingerprint.
-        DeltaStatus::Unscanned => {
-            let track = old_track.expect("unscanned row carries old_fingerprint");
-            next_live.insert(row.finding.fingerprint.0, track);
-        }
+        DeltaStatus::Unscanned => None,
         // The replay classifies with an empty baseline; `suppressed` rows
         // cannot occur (suppression is handled by the annotation/store
         // pass above).
-        DeltaStatus::Suppressed => {}
+        DeltaStatus::Suppressed => return,
+    };
+    if row.status != DeltaStatus::Fixed {
+        next_live.insert(fingerprint.0, track);
+    }
+    if let Some((counter, kind)) = event {
+        vc_obs::counter_inc(counter);
+        db.push_event(event_for(commit, track, &row.finding, kind));
     }
 }
 

@@ -219,7 +219,8 @@ mod tests {
         // The next run sees these findings through a store, which doubles
         // as a baseline suppression set.
         let (prog, _, _) = build_tree(&repo.tree_at(c), &[]).unwrap();
-        let fingerprinted = crate::delta::fingerprint_ranked(&prog, &findings.findings);
+        let report = Report::from_ranked(&prog, &repo, &findings.findings);
+        let fingerprinted: Vec<_> = report.rows.iter().map(|r| r.finding.clone()).collect();
         let path = temp_path("stored-run");
         let store = crate::store::SnapshotStore::from_findings(c, &fingerprinted);
         store.save(&path).unwrap();
@@ -342,8 +343,12 @@ mod tests {
         // Both planted findings keep their clean-revision fingerprints.
         let fingerprints = |commit: CommitId, findings: &[Ranked]| {
             let (prog, _, _) = build_tree(&repo.tree_at(commit), &[]).unwrap();
-            let found = crate::delta::fingerprint_ranked(&prog, findings);
-            found.into_iter().map(|f| f.fingerprint).collect::<Vec<_>>()
+            let report = Report::from_ranked(&prog, &repo, findings);
+            report
+                .rows
+                .iter()
+                .map(|r| r.fingerprint)
+                .collect::<Vec<_>>()
         };
         let kept = fingerprints(broken, &after.findings);
         assert_eq!(kept.len(), 2);

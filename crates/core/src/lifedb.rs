@@ -35,6 +35,7 @@ use std::{
         BTreeMap,
         HashMap, //
     },
+    ops::Deref,
     path::Path,
 };
 
@@ -45,7 +46,10 @@ use vc_obs::{
 use vc_vcs::CommitId;
 
 use crate::{
-    delta::Fingerprint,
+    delta::{
+        Finding,
+        Fingerprint, //
+    },
     store, //
 };
 
@@ -101,21 +105,19 @@ pub struct LifeEvent {
     pub commit: CommitId,
     /// Track id: the fingerprint the finding was born with.
     pub track: Fingerprint,
-    /// The finding's fingerprint *at this commit* (diverges from the
-    /// track id after a line-map re-key).
-    pub fingerprint: Fingerprint,
     /// What happened.
     pub kind: LifeEventKind,
-    /// Coordinates at this commit (old-revision coordinates for `fixed`).
-    pub file: String,
-    /// 1-based definition line.
-    pub line: u32,
-    /// Containing function.
-    pub function: String,
-    /// Variable name.
-    pub variable: String,
-    /// Scenario label.
-    pub scenario: String,
+    /// The finding at this commit (the old revision's for `fixed`). Its
+    /// fingerprint diverges from the track id after a line-map re-key.
+    pub finding: Finding,
+}
+
+impl Deref for LifeEvent {
+    type Target = Finding;
+
+    fn deref(&self) -> &Finding {
+        &self.finding
+    }
 }
 
 /// The candidate funnel of one replayed commit, prune patterns broken out.
@@ -381,13 +383,15 @@ impl LifeDb {
                     db.events.push(LifeEvent {
                         commit: CommitId(commit.parse().ok()?),
                         track: Fingerprint::parse_hex(track)?,
-                        fingerprint: Fingerprint::parse_hex(fingerprint)?,
                         kind: LifeEventKind::parse(kind)?,
-                        file: file.to_string(),
-                        line: line.parse().ok()?,
-                        function: function.to_string(),
-                        variable: variable.to_string(),
-                        scenario: scenario.to_string(),
+                        finding: Finding {
+                            fingerprint: Fingerprint::parse_hex(fingerprint)?,
+                            file: file.to_string(),
+                            line: line.parse().ok()?,
+                            function: function.to_string(),
+                            variable: variable.to_string(),
+                            scenario: scenario.to_string(),
+                        },
                     });
                     return Some(());
                 }
@@ -543,13 +547,15 @@ mod tests {
         LifeEvent {
             commit: CommitId(commit),
             track: Fingerprint(track),
-            fingerprint: Fingerprint(track),
             kind,
-            file: "a.c".into(),
-            line: commit + 3,
-            function: "f".into(),
-            variable: "ret".into(),
-            scenario: scenario.into(),
+            finding: Finding {
+                fingerprint: Fingerprint(track),
+                file: "a.c".into(),
+                line: commit + 3,
+                function: "f".into(),
+                variable: "ret".into(),
+                scenario: scenario.into(),
+            },
         }
     }
 

@@ -1,5 +1,13 @@
 //! Final bug reports: serializable rows plus CSV and JSON rendering,
 //! matching the artifact's `detected.csv` output.
+//!
+//! A row is one [`Finding`] (its drift-stable fingerprint and its file,
+//! line, function, variable and scenario) plus rank, author, familiarity
+//! and flags. [`Report::from_ranked`] fingerprints each finding as it
+//! builds the row, and delta, history, the lifecycle database and serve
+//! read the rows' findings; no other place computes a fingerprint.
+
+use std::ops::Deref;
 
 use vc_ir::program::{
     BuildError,
@@ -12,6 +20,12 @@ use vc_obs::{
 use vc_vcs::Repository;
 
 use crate::{
+    delta::{
+        fingerprint_of,
+        normalize_context,
+        Finding,
+        Fingerprint, //
+    },
     harden::{
         FailStage,
         FailureRecord, //
@@ -24,16 +38,8 @@ use crate::{
 pub struct ReportRow {
     /// Rank position (1-based; 1 = least familiar author).
     pub rank: usize,
-    /// File of the unused definition.
-    pub file: String,
-    /// 1-based line of the definition.
-    pub line: u32,
-    /// Containing function.
-    pub function: String,
-    /// Variable (or field) name.
-    pub variable: String,
-    /// Scenario label: `retval`, `param`, or `overwritten`.
-    pub scenario: String,
+    /// The fingerprinted finding: what every later stage tracks.
+    pub finding: Finding,
     /// Resolved author name of the definition line, if known.
     pub author: Option<String>,
     /// Familiarity (DOK) score; lower = higher priority.
@@ -44,6 +50,14 @@ pub struct ReportRow {
     /// fixpoint short, or authorship had to fall back to the conservative
     /// cross-scope default).
     pub low_confidence: bool,
+}
+
+impl Deref for ReportRow {
+    type Target = Finding;
+
+    fn deref(&self) -> &Finding {
+        &self.finding
+    }
 }
 
 /// A complete report.
@@ -57,27 +71,56 @@ pub struct Report {
 }
 
 impl Report {
-    /// Builds a report from ranked findings.
+    /// Builds a report from ranked findings, fingerprinting each one
+    /// against its program's sources.
+    ///
+    /// The ordinal in a fingerprint disambiguates findings that agree on
+    /// every other coordinate (e.g. two textually identical `ret = f();`
+    /// definitions of the same variable in one function): same-keyed
+    /// findings are numbered in line order, which pure drift preserves.
     pub fn from_ranked(prog: &vc_ir::Program, repo: &Repository, ranked: &[Ranked]) -> Report {
-        let rows = ranked
-            .iter()
-            .enumerate()
+        // The normalized text of each finding's definition line.
+        let mut contexts = Vec::with_capacity(ranked.len());
+        let mut rows: Vec<ReportRow> = (ranked.iter().enumerate())
             .map(|(i, r)| {
                 let c = &r.item.candidate;
+                let line = c.span.line();
+                let text = prog
+                    .source
+                    .file(c.span.file)
+                    .and_then(|f| f.content.lines().nth((line as usize).saturating_sub(1)));
+                contexts.push(text.map(normalize_context).unwrap_or_default());
                 ReportRow {
                     rank: i + 1,
-                    file: prog.source.name(c.span.file).to_string(),
-                    line: c.span.line(),
-                    function: prog.func(c.func).name.clone(),
-                    variable: String::from(&*c.var_name),
-                    scenario: c.scenario.label().to_string(),
+                    finding: Finding {
+                        fingerprint: Fingerprint(0),
+                        file: prog.source.name(c.span.file).to_string(),
+                        line,
+                        function: prog.func(c.func).name.clone(),
+                        variable: String::from(&*c.var_name),
+                        scenario: c.scenario.label().to_string(),
+                    },
                     author: r.author.map(|a| repo.author(a).name.clone()),
                     familiarity: r.familiarity,
                     cross_scope: r.item.cross_scope,
-                    low_confidence: r.item.candidate.low_confidence || r.item.authorship_unknown,
+                    low_confidence: c.low_confidence || r.item.authorship_unknown,
                 }
             })
             .collect();
+        fn coords<'a>(rows: &'a [ReportRow], contexts: &'a [String], i: usize) -> [&'a str; 5] {
+            let f = &rows[i].finding;
+            [&f.file, &f.function, &f.variable, &f.scenario, &contexts[i]]
+        }
+        // Findings that share all five coordinates are numbered in line order.
+        let mut order: Vec<usize> = (0..rows.len()).collect();
+        order.sort_by_key(|&i| (coords(&rows, &contexts, i), rows[i].line, i));
+        let mut ordinal = 0;
+        for (k, &i) in order.iter().enumerate() {
+            let key = coords(&rows, &contexts, i);
+            let same = k > 0 && coords(&rows, &contexts, order[k - 1]) == key;
+            ordinal = if same { ordinal + 1 } else { 0 };
+            rows[i].finding.fingerprint = fingerprint_of(key, ordinal);
+        }
         Report {
             rows,
             failures: Vec::new(),
@@ -167,17 +210,11 @@ impl Report {
                     ("scenario".into(), Json::Str(r.scenario.clone())),
                     (
                         "author".into(),
-                        match &r.author {
-                            Some(a) => Json::Str(a.clone()),
-                            None => Json::Null,
-                        },
+                        r.author.clone().map_or(Json::Null, Json::Str),
                     ),
                     (
                         "familiarity".into(),
-                        match r.familiarity {
-                            Some(f) => Json::Float(f),
-                            None => Json::Null,
-                        },
+                        r.familiarity.map_or(Json::Null, Json::Float),
                     ),
                     ("cross_scope".into(), Json::Bool(r.cross_scope)),
                     ("low_confidence".into(), Json::Bool(r.low_confidence)),
@@ -193,10 +230,7 @@ impl Report {
                     ("file".into(), Json::Str(f.file.clone())),
                     (
                         "function".into(),
-                        match &f.function {
-                            Some(func) => Json::Str(func.clone()),
-                            None => Json::Null,
-                        },
+                        f.function.clone().map_or(Json::Null, Json::Str),
                     ),
                     ("message".into(), Json::Str(f.message.clone())),
                 ])
@@ -252,11 +286,14 @@ mod tests {
         let r = Report {
             rows: vec![ReportRow {
                 rank: 1,
-                file: "a.c".into(),
-                line: 3,
-                function: "f".into(),
-                variable: "x".into(),
-                scenario: "overwritten".into(),
+                finding: Finding {
+                    fingerprint: Fingerprint(0),
+                    file: "a.c".into(),
+                    line: 3,
+                    function: "f".into(),
+                    variable: "x".into(),
+                    scenario: "overwritten".into(),
+                },
                 author: Some("evil\nauthor".into()),
                 familiarity: None,
                 cross_scope: true,
@@ -284,11 +321,14 @@ mod tests {
         let r = Report {
             rows: vec![ReportRow {
                 rank: 1,
-                file: "nfs.c".into(),
-                line: 6,
-                function: "nfs_readdir".into(),
-                variable: "error".into(),
-                scenario: "retval".into(),
+                finding: Finding {
+                    fingerprint: Fingerprint(0),
+                    file: "nfs.c".into(),
+                    line: 6,
+                    function: "nfs_readdir".into(),
+                    variable: "error".into(),
+                    scenario: "retval".into(),
+                },
                 author: Some("author1".into()),
                 familiarity: Some(0.25),
                 cross_scope: true,

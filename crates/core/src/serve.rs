@@ -30,7 +30,8 @@
 //! per-request deadline. Replies always carry `"ok"` and `"seq"` (the
 //! server-assigned request number). Scan/update replies embed the full
 //! report (`"csv"` and `"report"`) plus the delta classification of each
-//! finding against the previous reply (`new` / `fixed` / `persisting`).
+//! report row's finding against the previous reply (`new` / `fixed` /
+//! `persisting`), by the fingerprint the row carries.
 //!
 //! ## Robustness (the degradation ladder)
 //!
@@ -42,6 +43,9 @@
 //!   reported finding is marked `low_confidence`, a `deadline exceeded`
 //!   failure record is appended, nothing new is cached, and the reply
 //!   says `"deadline_exceeded": true` — the daemon never hangs a request.
+//!   A partial scan is not evidence of a fix: its reply lists no `fixed`
+//!   finding, and the last full reply stays the delta baseline, so the
+//!   next full reply still reports real fixes.
 //! - **Shed**: the reader thread enqueues at most `queue_depth` pending
 //!   requests; beyond that it replies `{"ok":false,"shed":true}` without
 //!   blocking (counted under `serve.shed`).
@@ -93,7 +97,8 @@
 //!
 //! Every request is an observable unit: a monotonic `trace_id` (echoed in
 //! the reply), a `serve.request` span tree (checksum → load → parse →
-//! detect → authorship → prune → rank → fingerprint → checksum → reply),
+//! detect → authorship → prune → rank → fingerprint → checksum → reply;
+//! `serve.fingerprint` is only the comparison with the previous reply),
 //! a `serve.latency.<op>` histogram
 //! sample, and exactly one outcome counter so the request funnel balances
 //! at any instant: `serve.requests == serve.replies + serve.shed +
@@ -143,7 +148,7 @@ use vc_pointer::{
 
 use crate::{
     candidate::Candidate,
-    delta::{fingerprint_ranked, Finding},
+    delta::Finding,
     detect::{DetectOutcome, UnitOutcome},
     eventlog::{now_ms, EventLog},
     harden::{self, FailStage},
@@ -247,9 +252,10 @@ pub enum ServeDelta {
 pub struct ScanResponse {
     /// The full report — identical bytes to a cold `vcheck scan`.
     pub report: crate::report::Report,
-    /// Current findings with their delta class.
-    pub findings: Vec<(ServeDelta, Finding)>,
-    /// Findings from the previous reply that are now gone.
+    /// The delta class of each `report.rows` entry, in row order.
+    pub deltas: Vec<ServeDelta>,
+    /// Findings from the previous reply that are now gone. Empty when the
+    /// deadline expired: a partial scan is not evidence of a fix.
     pub fixed: Vec<Finding>,
     /// Whether the request's deadline expired (partial, low-confidence).
     pub deadline_exceeded: bool,
@@ -332,7 +338,7 @@ pub struct ServeEngine {
     /// Cached units by the address of their lowered function.
     units: MixMap<usize, CachedUnit>,
     warm: Option<Warm>,
-    /// Fingerprinted findings of the previous successful reply.
+    /// The report rows' findings of the last reply that met its deadline.
     prev: Option<Vec<Finding>>,
     /// One-shot request numbers that panic on arrival (test hook).
     panic_seqs: HashSet<u64>,
@@ -450,26 +456,29 @@ impl ServeEngine {
         let hit_rate = unit_hits as f64 / (unit_hits + unit_misses).max(1) as f64;
         (obs.registry).set_gauge(vc_obs::names::SERVE_WARM_HIT_RATE, hit_rate);
 
-        // --- Delta classification against the previous reply. ---
+        // --- Delta classification against the previous reply. A partial
+        // scan is not evidence of a fix: it reports nothing fixed and does
+        // not become the next request's baseline. ---
         let fingerprint_span = obs.span("serve.fingerprint", "serve");
-        let current = fingerprint_ranked(&prog, &analysis.ranked);
-        let prev = self.prev.iter().flatten();
-        let prev_set: HashSet<u64> = prev.clone().map(|f| f.fingerprint.0).collect();
-        let cur_set: HashSet<u64> = current.iter().map(|f| f.fingerprint.0).collect();
-        let findings: Vec<(ServeDelta, Finding)> = current
-            .iter()
-            .map(|f| {
-                let class = if prev_set.contains(&f.fingerprint.0) {
-                    ServeDelta::Persisting
-                } else {
-                    ServeDelta::New
-                };
-                (class, f.clone())
+        let rows = &analysis.report.rows;
+        let prev_set: HashSet<u64> = (self.prev.iter().flatten())
+            .map(|f| f.fingerprint.0)
+            .collect();
+        let deltas: Vec<ServeDelta> = (rows.iter())
+            .map(|r| match prev_set.contains(&r.fingerprint.0) {
+                true => ServeDelta::Persisting,
+                false => ServeDelta::New,
             })
             .collect();
-        let fixed: Vec<Finding> = (prev.filter(|f| !cur_set.contains(&f.fingerprint.0)))
-            .cloned()
-            .collect();
+        let mut fixed = Vec::new();
+        if !deadline_exceeded {
+            let current: Vec<Finding> = rows.iter().map(|r| r.finding.clone()).collect();
+            let cur_set: HashSet<u64> = current.iter().map(|f| f.fingerprint.0).collect();
+            let prev = self.prev.replace(current).unwrap_or_default();
+            fixed = (prev.into_iter())
+                .filter(|f| !cur_set.contains(&f.fingerprint.0))
+                .collect();
+        }
         fingerprint_span.end();
 
         // --- Commit warm state (only after full success). ---
@@ -477,19 +486,13 @@ impl ServeEngine {
         let checksum = project_checksum(&project);
         checksum_span.end();
         self.warm = Some(Warm { project, checksum });
-        if !deadline_exceeded {
-            // A partial scan must not masquerade as the delta baseline:
-            // findings in skipped functions would read as "fixed" next
-            // request.
-            self.prev = Some(current);
-        }
 
         Ok(ScanResponse {
             raw_candidates: analysis.raw_candidates,
             cross_scope_candidates: analysis.cross_scope_candidates,
             pruned: analysis.prune_outcome.total_pruned(),
             report: analysis.report,
-            findings,
+            deltas,
             fixed,
             deadline_exceeded,
             rebuilt,
@@ -1037,10 +1040,9 @@ fn finding_json(f: &Finding) -> Json {
 fn scan_reply(seq: u64, op: &str, resp: &ScanResponse) -> Json {
     let class = |want: ServeDelta| -> Json {
         Json::Arr(
-            resp.findings
-                .iter()
-                .filter(|(c, _)| *c == want)
-                .map(|(_, f)| finding_json(f))
+            (resp.report.rows.iter().zip(&resp.deltas))
+                .filter(|&(_, &c)| c == want)
+                .map(|(r, _)| finding_json(r))
                 .collect(),
         )
     };
@@ -1487,15 +1489,12 @@ mod tests {
         let dir = tree("delta", &[("a.c", BUGGY), ("b.c", CLEAN)]);
         let mut eng = ServeEngine::new(&dir, ServeConfig::default()).unwrap();
         let first = eng.scan(None).unwrap();
-        assert!(first.findings.iter().all(|(c, _)| *c == ServeDelta::New));
-        let n = first.findings.len();
+        assert!(first.deltas.iter().all(|c| *c == ServeDelta::New));
+        let n = first.deltas.len();
         assert!(n >= 1);
         // No edit: everything persists.
         let second = eng.scan(None).unwrap();
-        assert!(second
-            .findings
-            .iter()
-            .all(|(c, _)| *c == ServeDelta::Persisting));
+        assert!(second.deltas.iter().all(|c| *c == ServeDelta::Persisting));
         // Fix the bug: the finding flips to fixed.
         fs::write(
             dir.join("a.c"),
@@ -1504,7 +1503,33 @@ mod tests {
         .unwrap();
         let third = eng.scan(None).unwrap();
         assert_eq!(third.fixed.len(), n);
-        assert!(third.findings.is_empty());
+        assert!(third.deltas.is_empty());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn partial_reply_reports_no_finding_fixed() {
+        let dir = tree("partial", &[("a.c", BUGGY), ("b.c", CLEAN)]);
+        let mut eng = ServeEngine::new(&dir, ServeConfig::default()).unwrap();
+        let functions = |resp: &ScanResponse, want: ServeDelta| -> Vec<String> {
+            (resp.report.rows.iter().zip(&resp.deltas))
+                .filter(|&(_, &c)| c == want)
+                .map(|(r, _)| r.function.clone())
+                .collect()
+        };
+        let first = eng.scan(None).unwrap();
+        assert_eq!(functions(&first, ServeDelta::New), ["has_bug"]);
+        // Edit a.c so its functions miss, then scan with a deadline that
+        // expires at once: the misses are skipped and no row is reported.
+        fs::write(dir.join("a.c"), format!("{BUGGY}\n")).unwrap();
+        let partial = eng.scan(Some(0)).unwrap();
+        assert!(partial.deadline_exceeded);
+        assert!(partial.report.rows.is_empty());
+        assert!(partial.fixed.is_empty(), "a skipped function is not fixed");
+        // The next full reply compares against the last full one.
+        let full = eng.scan(None).unwrap();
+        assert_eq!(functions(&full, ServeDelta::Persisting), ["has_bug"]);
+        assert!(full.fixed.is_empty());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1561,7 +1586,7 @@ mod tests {
         // reports the finding as new, not as regressed-after-fixed.
         let full = eng.scan(None).unwrap();
         assert!(!full.deadline_exceeded);
-        assert!(full.findings.iter().any(|(c, _)| *c == ServeDelta::New));
+        assert!(full.deltas.contains(&ServeDelta::New));
         assert_eq!(canonical_of(&full), cold_canonical(&dir, &Options::paper()));
         let _ = fs::remove_dir_all(&dir);
     }

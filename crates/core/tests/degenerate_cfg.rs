@@ -30,7 +30,6 @@ use vc_ir::{
     Program, //
 };
 use vc_pointer::{
-    AliasUses,
     Config as PtConfig,
     PointsTo, //
 };
@@ -46,14 +45,13 @@ fn grind(src: &str, budget: Budget) {
         let reach = reaching_definitions(f, &cfg);
         assert!(!reach.entry.is_empty() || f.blocks.is_empty());
     }
-    let pts = PointsTo::solve_with(
+    let _ = PointsTo::solve_with(
         &prog,
         PtConfig {
             budget,
             ..PtConfig::default()
         },
     );
-    let _ = AliasUses::compute(&prog, &pts);
     let out = detect_program_hardened(
         &prog,
         DetectConfig::default(),
@@ -146,7 +144,6 @@ fn ten_thousand_block_straight_line_terminates_within_budget() {
         },
     );
     assert!(!pts.exhausted(), "the points-to graph here is tiny");
-    let _ = AliasUses::compute(&prog, &pts);
 
     let out = detect_program_hardened(
         &prog,

@@ -226,9 +226,9 @@ impl PointsTo {
     }
 
     /// Whether the solver stopped on budget exhaustion. An exhausted
-    /// solution under-approximates the points-to relation; may-alias
-    /// consumers must fall back to a conservative oracle (see
-    /// `AliasUses::conservative`).
+    /// solution under-approximates the points-to relation, so consumers
+    /// must not resolve calls from it ([`crate::demand::DemandPointer`]
+    /// resolves the component's indirect callees to the empty set).
     pub fn exhausted(&self) -> bool {
         self.exhausted
     }

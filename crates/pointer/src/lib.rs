@@ -5,17 +5,18 @@
 //! - [`andersen::PointsTo`] — inclusion-based, field-sensitive points-to
 //!   analysis with on-the-fly call-graph construction (function pointers
 //!   resolve during solving, as the paper's indirect-call handling requires);
-//! - [`alias::AliasUses`] — the "may this local be read through a pointer?"
-//!   query that suppresses aliased definitions from the unused-definition
-//!   candidates (§4.1, "Pointer and Alias").
+//! - [`demand::DemandPointer`] — the same solve run on demand, one
+//!   pointer-closed component at a time, to resolve indirect callees.
+//!
+//! Aliased definitions (§4.1, "Pointer and Alias") need no pointer query:
+//! a local enters a points-to set only through `&x`, so detection's
+//! address-taken escape set already covers every local a pointer can read.
 
-pub mod alias;
 pub mod andersen;
 pub mod demand;
 pub mod fasthash;
 pub mod node;
 
-pub use alias::AliasUses;
 pub use andersen::{
     Config,
     PointsTo, //

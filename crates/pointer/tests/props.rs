@@ -16,7 +16,6 @@ use vc_ir::{
 };
 use vc_obs::SplitMix64;
 use vc_pointer::{
-    AliasUses,
     Config,
     PointsTo, //
 };
@@ -104,24 +103,6 @@ fn field_insensitive_is_coarser() {
                         f.name
                     );
                 }
-            }
-        }
-    }
-}
-
-/// Alias-use facts only name locals that actually exist.
-#[test]
-fn alias_uses_reference_real_locals() {
-    let mut rng = SplitMix64::new(0xA4);
-    for _ in 0..48 {
-        let seed = rng.next_u64();
-        let prog = build(seed);
-        let pts = PointsTo::solve(&prog);
-        let uses = AliasUses::compute(&prog, &pts);
-        for (fi, f) in prog.funcs.iter().enumerate() {
-            let fid = FuncId(fi as u32);
-            for l in uses.aliased_locals(fid) {
-                assert!((l.0 as usize) < f.locals.len(), "seed {seed}");
             }
         }
     }

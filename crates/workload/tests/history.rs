@@ -291,7 +291,7 @@ fn corrupted_revision_recovers_as_a_scan_does() {
     // tracks, and under the fingerprints, they were born with.
     let tracks: Vec<_> = track_rows(&out.db)
         .into_iter()
-        .map(|r| (r.function, r.state, r.born, r.last))
+        .map(|r| (r.finding.function, r.state, r.born, r.last))
         .collect();
     let live = |f: &str| (f.to_string(), FinalState::Live, clean, broken);
     assert_eq!(tracks, [live("alpha"), live("beta")]);
@@ -335,7 +335,7 @@ fn a_function_dropped_by_corruption_keeps_its_track() {
     assert_eq!(obs.registry.counter(names::LIFE_BORN), 2);
     let tracks: Vec<_> = track_rows(&out.db)
         .into_iter()
-        .map(|r| (r.function, r.state, r.born, r.last))
+        .map(|r| (r.finding.function, r.state, r.born, r.last))
         .collect();
     let live = |f: &str| (f.to_string(), FinalState::Live, clean, restored);
     assert_eq!(tracks, [live("alpha"), live("beta")]);

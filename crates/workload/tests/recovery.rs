@@ -27,7 +27,6 @@ use std::{
 };
 
 use valuecheck::{
-    delta::fingerprint_ranked,
     harden::{
         FailStage,
         FailureRecord, //
@@ -64,7 +63,6 @@ use vc_workload::{
 const SEEDS: u64 = 32;
 
 struct Scan {
-    prog: Program,
     analysis: Analysis,
     errors: Vec<BuildError>,
     stats: RecoverStats,
@@ -84,12 +82,11 @@ fn scan(app: &GeneratedApp, label: &str) -> Scan {
             &SentinelConfig::sequential(),
             obs.clone(),
         );
-        (prog, analysis, errors, stats)
+        (analysis, errors, stats)
     }));
-    let (prog, analysis, errors, stats) =
+    let (analysis, errors, stats) =
         outcome.unwrap_or_else(|_| panic!("{label}: a panic escaped the recovering front end"));
     Scan {
-        prog,
         analysis,
         errors,
         stats,
@@ -99,18 +96,16 @@ fn scan(app: &GeneratedApp, label: &str) -> Scan {
 
 /// Fingerprints of every reported finding, keyed for set comparison.
 fn fingerprint_set(s: &Scan) -> BTreeSet<u64> {
-    fingerprint_ranked(&s.prog, &s.analysis.ranked)
-        .iter()
-        .map(|f| f.fingerprint.0)
+    (s.analysis.report.rows.iter())
+        .map(|r| r.fingerprint.0)
         .collect()
 }
 
 /// Fingerprints of the findings in `function`.
 fn function_fingerprints(s: &Scan, function: &str) -> BTreeSet<u64> {
-    fingerprint_ranked(&s.prog, &s.analysis.ranked)
-        .iter()
-        .filter(|f| f.function == function)
-        .map(|f| f.fingerprint.0)
+    (s.analysis.report.rows.iter())
+        .filter(|r| r.function == function)
+        .map(|r| r.fingerprint.0)
         .collect()
 }
 
