@@ -164,7 +164,6 @@ use valuecheck::{
     prune::PruneConfig,
     rank::RankConfig,
     sentinel::{
-        salt_strings,
         ScanDeadline,
         SentinelConfig, //
     },
@@ -382,7 +381,6 @@ fn delta_main(mut args: impl Iterator<Item = String>) -> ! {
     if sconf.resume && sconf.journal.is_none() {
         sconf.journal = Some(dir.join("delta.journal"));
     }
-    sconf.fingerprint_salt = salt_strings(&defines);
 
     let obs = ObsSession::new();
     let outcome = delta_scan(
@@ -498,7 +496,6 @@ fn history_main(mut args: impl Iterator<Item = String>) -> ! {
     if sconf.resume && sconf.journal.is_none() {
         sconf.journal = Some(dir.join("history.journal"));
     }
-    sconf.fingerprint_salt = salt_strings(&defines);
 
     let suppress = match &suppress_path {
         Some(path) => SuppressStore::load(path),
@@ -768,7 +765,6 @@ fn scan_main(mut args: impl Iterator<Item = String>) -> ! {
     if sconf.resume && sconf.journal.is_none() {
         sconf.journal = Some(dir.join("scan.journal"));
     }
-    sconf.fingerprint_salt = salt_strings(&defines);
     sconf.deadline = deadline_ms.map(|ms| ScanDeadline {
         at: started + std::time::Duration::from_millis(ms),
         label: "<program>",

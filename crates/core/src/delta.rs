@@ -80,7 +80,8 @@ use crate::{
     },
     report::csv_escape,
     sentinel::{
-        detect_program_sentinel,
+        execute,
+        Known,
         SentinelConfig, //
     },
 };
@@ -543,37 +544,69 @@ pub fn scan_revision(
     obs: ObsSession,
 ) -> Result<RevScan, BuildError> {
     let tree = repo.tree_at(commit);
-    scan_tree(
-        &history_at(repo, commit),
-        commit,
-        &tree,
-        defines,
-        opts,
-        sconf,
-        obs,
-    )
+    let history = history_at(repo, commit);
+    scan_tree(&history, &tree, defines, opts, sconf, obs, |_| Vec::new())
+}
+
+/// The per-commit mode of the paper's §8.6: [`scan_revision`] detecting
+/// only in the functions of the files `commit` wrote; every other function
+/// is left out of detection, so its findings are not reported. Program-wide
+/// context (signatures, call sites, peer statistics) still comes from the
+/// whole snapshot, and so do the build's parse failures and `recover.*`
+/// counters: a broken function in a file the commit did not touch is
+/// reported at every commit scanned, as a `vcheck <dir>` scan of the tree
+/// reports it. `detect.functions` counts the functions detected in. The
+/// journal binds the program, not the plan, so a commit scan resumes from
+/// a full scan's journal of the same commit, replaying only the records
+/// of the functions it detects in.
+pub fn scan_commit(
+    repo: &Repository,
+    commit: CommitId,
+    defines: &[String],
+    opts: &Options,
+    sconf: &SentinelConfig,
+    obs: ObsSession,
+) -> Result<RevScan, BuildError> {
+    let tree = repo.tree_at(commit);
+    let history = history_at(repo, commit);
+    let writes = &repo.commit_info(commit).writes;
+    let written: HashSet<&str> = writes.iter().map(|w| w.path.as_str()).collect();
+    scan_tree(&history, &tree, defines, opts, sconf, obs, |prog| {
+        (prog.funcs.iter())
+            .map(|f| {
+                if written.contains(prog.source.name(f.file)) {
+                    Known::Run
+                } else {
+                    Known::LeftOut
+                }
+            })
+            .collect()
+    })
 }
 
 /// [`scan_revision`] over a revision already checked out: `history` is the
-/// history truncated at `commit` and `tree` its snapshot, sorted by path
-/// so unit order — and report bytes — are revision-determined. The owned
-/// [`RevScan::sources`] are copied from `tree` only after detection, so
-/// they are not alive while the revision is built and scanned.
+/// history truncated at the scanned commit, its head, and `tree` its
+/// snapshot, sorted by path so unit order — and report bytes — are
+/// revision-determined. `plan` says what the scan knows of each of the
+/// built program's units; a full scan knows nothing, and its empty plan
+/// runs them all. The owned [`RevScan::sources`] are copied from `tree`
+/// only after detection, so they are not alive while the revision is
+/// built and scanned.
 pub(crate) fn scan_tree(
     history: &Repository,
-    commit: CommitId,
     tree: &[(&str, &str)],
     defines: &[String],
     opts: &Options,
     sconf: &SentinelConfig,
     obs: ObsSession,
+    plan: impl FnOnce(&Program) -> Vec<Known>,
 ) -> Result<RevScan, BuildError> {
     let build_span = obs.span("history.build", "history");
     let built = build_tree(tree, defines);
     build_span.end();
     let (prog, errors, stats) = built.map_err(|mut errors| errors.swap_remove(0))?;
     let analysis = run_detected(&prog, history, opts, obs, Some((&errors, &stats)), || {
-        detect_program_sentinel(&prog, opts.detect, opts.harden, sconf)
+        execute(&prog, opts.detect, opts.harden, sconf, |_, _| plan(&prog))
     });
     let findings = (analysis.report.rows.iter())
         .map(|r| r.finding.clone())
@@ -583,7 +616,7 @@ pub(crate) fn scan_tree(
         .map(|&(path, content)| (path.to_string(), content.to_string()))
         .collect();
     Ok(RevScan {
-        commit,
+        commit: history.head().expect("a scanned revision has a commit"),
         prog,
         analysis,
         findings,
@@ -986,6 +1019,259 @@ mod tests {
                 ("da81328fdd495700".to_string(), 4),
                 ("5aa672c036b2c7c7".to_string(), 7)
             ]
+        );
+    }
+
+    /// Scans `commit` alone with the paper's options and one job,
+    /// recording into a fresh session.
+    fn scan_one(repo: &Repository, commit: CommitId) -> (RevScan, ObsSession) {
+        let obs = ObsSession::new();
+        let sconf = SentinelConfig::sequential();
+        let scan = scan_commit(repo, commit, &[], &Options::paper(), &sconf, obs.clone())
+            .expect("the commit's snapshot builds");
+        (scan, obs)
+    }
+
+    fn temp_journal(name: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("vc-delta-{}-{name}", std::process::id()))
+    }
+
+    #[test]
+    fn a_commit_scan_detects_only_in_the_files_the_commit_wrote() {
+        let mut repo = Repository::new();
+        let alice = repo.add_author("alice");
+        let bob = repo.add_author("bob");
+        repo.commit(
+            alice,
+            1,
+            "init",
+            vec![
+                write("a.c", "void fa(void) {\nint x = 1;\nuse(x);\n}\n"),
+                write("b.c", &bug_fn("beta")),
+            ],
+        );
+        // Bob introduces a cross-scope unused definition in a.c only.
+        let c = repo.commit(
+            bob,
+            2,
+            "rework fa",
+            vec![write(
+                "a.c",
+                "void fa(void) {\nint x = 1;\nx = 2;\nuse(x);\n}\n",
+            )],
+        );
+        assert_eq!(scan(&repo, c).findings.len(), 2, "the revision has two");
+        let (scan, obs) = scan_one(&repo, c);
+        assert_eq!(obs.registry.counter(names::DETECT_FUNCTIONS), 1);
+        assert_eq!(scan.findings.len(), 1);
+        let found = &scan.findings[0];
+        let coords = (&*found.file, &*found.function, &*found.variable);
+        assert_eq!(coords, ("a.c", "fa", "x"));
+
+        // The next run sees these findings through a store, which doubles
+        // as a baseline suppression set.
+        let path = temp_journal("stored-run");
+        let store = crate::store::SnapshotStore::from_findings(c, &scan.findings);
+        store.save(&path).unwrap();
+        let previous = crate::store::SnapshotStore::load(&path);
+        std::fs::remove_file(&path).ok();
+        assert_eq!(previous, store);
+        assert_eq!(previous.findings[0].scenario, "overwritten");
+        assert_eq!(
+            previous.fingerprint_set(),
+            HashSet::from([found.fingerprint.0])
+        );
+    }
+
+    #[test]
+    fn a_historical_commit_scan_blames_against_its_own_history() {
+        let mut repo = Repository::new();
+        let alice = repo.add_author("alice");
+        let bob = repo.add_author("bob");
+        repo.commit(
+            alice,
+            1,
+            "init",
+            vec![write("a.c", "void fa(void) {\nint x = 1;\nuse(x);\n}\n")],
+        );
+        let c = repo.commit(
+            bob,
+            2,
+            "overwrite x",
+            vec![write(
+                "a.c",
+                "void fa(void) {\nint x = 1;\nx = 2;\nuse(x);\n}\n",
+            )],
+        );
+        // Later alice re-touches bob's line: at head she owns it, so the
+        // overwrite is no longer cross-scope — but at `c` it was bob's.
+        let head = repo.commit(
+            alice,
+            3,
+            "whitespace",
+            vec![write(
+                "a.c",
+                "void fa(void) {\nint x = 1;\nx = 2; \nuse(x);\n}\n",
+            )],
+        );
+        let historical = scan_one(&repo, c).0;
+        let checked_out = scan_one(&repo.checkout(c), c).0;
+        assert_eq!(historical.findings.len(), 1);
+        assert_eq!(
+            historical.analysis.report.canonical_bytes(),
+            checked_out.analysis.report.canonical_bytes()
+        );
+        assert!(scan_one(&repo, head).0.findings.is_empty());
+    }
+
+    #[test]
+    fn a_clean_commit_scan_has_no_findings() {
+        let mut repo = Repository::new();
+        let a = repo.add_author("a");
+        let c = repo.commit(
+            a,
+            1,
+            "init",
+            vec![write("a.c", "int f(int v) { return v + 1; }\n")],
+        );
+        let (scan, obs) = scan_one(&repo, c);
+        assert_eq!(obs.registry.counter(names::DETECT_FUNCTIONS), 1);
+        assert!(scan.findings.is_empty());
+    }
+
+    #[test]
+    fn a_corrupted_commit_scan_matches_the_vcheck_dir_oracle() {
+        let (repo, clean, broken) = vc_workload::corrupted_history();
+        let (before, _) = scan_one(&repo, clean);
+        let (after, obs) = scan_one(&repo, broken);
+
+        // The oracle: `vcheck <dir>`'s front-end accounting of the same tree.
+        let (_, errors, stats) = Program::build_recovering(&repo.tree_at(broken), &[]);
+        let oracle = ObsSession::new();
+        let mut report = crate::report::Report::default();
+        report.splice_parse_failures(&oracle.registry, &errors, &stats);
+        assert_eq!(report.failures.len(), 2);
+        assert_eq!(after.analysis.report.failures, report.failures);
+        for (name, value) in oracle.registry.snapshot().counters {
+            assert_eq!(obs.registry.counter(&name), value, "{name}");
+        }
+
+        // Both planted findings keep their clean-revision fingerprints.
+        let fingerprints = |scan: &RevScan| -> Vec<Fingerprint> {
+            scan.findings.iter().map(|f| f.fingerprint).collect()
+        };
+        assert_eq!(fingerprints(&after).len(), 2);
+        assert_eq!(fingerprints(&after), fingerprints(&before));
+    }
+
+    #[test]
+    fn a_historical_snapshot_is_scanned_as_it_was() {
+        let mut repo = Repository::new();
+        let a = repo.add_author("a");
+        let c1 = repo.commit(
+            a,
+            1,
+            "v1 with helper",
+            vec![write("a.c", "int helper(void) { return 1; }\n")],
+        );
+        repo.commit(
+            a,
+            2,
+            "v2 removes helper",
+            vec![write("a.c", "int other(void) { return 2; }\n")],
+        );
+        let (scan, obs) = scan_one(&repo, c1);
+        assert_eq!(obs.registry.counter(names::DETECT_FUNCTIONS), 1);
+        assert!(scan.prog.func_by_name("helper").is_some());
+        assert!(scan.prog.func_by_name("other").is_none());
+    }
+
+    #[test]
+    fn a_commit_scan_resumes_from_a_full_scan_journal_of_its_commit() {
+        let mut repo = Repository::new();
+        let dev = repo.add_author("dev");
+        repo.commit(
+            dev,
+            1,
+            "v1",
+            vec![
+                write("a.c", &bug_fn("alpha")),
+                write("b.c", &bug_fn("beta")),
+            ],
+        );
+        let rewrite = format!("{}{}", bug_fn("alpha"), clean_fn("gamma"));
+        let c = repo.commit(dev, 2, "v2", vec![write("a.c", &rewrite)]);
+        let journal = temp_journal("full-then-commit");
+        let opts = Options::paper();
+        let record = SentinelConfig {
+            journal: Some(journal.clone()),
+            ..SentinelConfig::sequential()
+        };
+        let whole = scan_revision(&repo, c, &[], &opts, &record, ObsSession::new()).unwrap();
+        assert_eq!(whole.findings.len(), 2, "alpha and beta");
+
+        // The journal holds every unit of the revision; the commit scan
+        // replays only a.c's, and beta stays out.
+        let resume = SentinelConfig {
+            resume: true,
+            ..record
+        };
+        let obs = ObsSession::new();
+        let resumed = scan_commit(&repo, c, &[], &opts, &resume, obs.clone()).unwrap();
+        std::fs::remove_file(&journal).ok();
+        let (cold, _) = scan_one(&repo, c);
+        assert_eq!(cold.findings.len(), 1);
+        assert_eq!(cold.findings[0].function, "alpha");
+        assert_eq!(resumed.findings, cold.findings);
+        assert_eq!(
+            resumed.analysis.report.canonical_bytes(),
+            cold.analysis.report.canonical_bytes()
+        );
+        assert_eq!(obs.registry.counter(names::SENTINEL_UNITS_REPLAYED), 2);
+        assert_eq!(obs.registry.counter(names::SENTINEL_UNITS_SCANNED), 0);
+    }
+
+    #[test]
+    fn a_journal_recorded_under_other_defines_is_discarded() {
+        // Under FEATURE the library return value is overwritten unused.
+        let src = "int get_v(void);\nint calc_v(void);\nvoid f(void) {\nint ret = get_v();\n\
+                   #ifdef FEATURE\nret = calc_v();\n#endif\nif (ret) { sink(ret); }\n}\n";
+        let mut repo = Repository::new();
+        let dev = repo.add_author("dev");
+        let c = repo.commit(dev, 1, "init", vec![write("a.c", src)]);
+        // The candidate's variable is mentioned under a guard: keep it.
+        let opts = Options {
+            prune: crate::prune::PruneConfig {
+                config_dependency: false,
+                ..Default::default()
+            },
+            ..Options::paper()
+        };
+        let journal = temp_journal("defines");
+        let record = SentinelConfig {
+            journal: Some(journal.clone()),
+            ..SentinelConfig::sequential()
+        };
+        let plain = scan_revision(&repo, c, &[], &opts, &record, ObsSession::new()).unwrap();
+        assert!(plain.findings.is_empty());
+
+        let feature = ["FEATURE".to_string()];
+        let resume = SentinelConfig {
+            resume: true,
+            ..record
+        };
+        let obs = ObsSession::new();
+        let resumed = scan_revision(&repo, c, &feature, &opts, &resume, obs.clone()).unwrap();
+        std::fs::remove_file(&journal).ok();
+        let sequential = SentinelConfig::sequential();
+        let cold = scan_revision(&repo, c, &feature, &opts, &sequential, ObsSession::new());
+        let cold = cold.unwrap();
+        assert_eq!(obs.registry.counter(names::SENTINEL_JOURNAL_DISCARDED), 1);
+        assert_eq!(cold.findings.len(), 1);
+        assert_eq!(resumed.findings, cold.findings);
+        assert_eq!(
+            resumed.analysis.report.canonical_bytes(),
+            cold.analysis.report.canonical_bytes()
         );
     }
 

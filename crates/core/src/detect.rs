@@ -97,7 +97,7 @@ fn detect_unit(
 
 /// The one detection unit runner, called only from the
 /// [`sentinel`](crate::sentinel) executor's worker loop. Sequential
-/// detection, serve's unit-cache misses and incremental mode's changed
+/// detection, serve's unit-cache misses and a commit scan's written
 /// files all run their units there.
 ///
 /// The `unit.<name>` span (on Chrome-trace lane `tid` of the installed

@@ -235,12 +235,12 @@ pub fn history_scan(
 
         let mut scan = scan_tree(
             history,
-            commit,
             &sources,
             defines,
             opts,
             &side_sentinel(sconf, &format!("c{}", commit.0)),
             obs.clone(),
+            |_| Vec::new(),
         )?;
 
         // Lifecycle events: the first commit births everything; later

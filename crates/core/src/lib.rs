@@ -12,15 +12,16 @@
 //! 3. [`prune`] — the four false-positive patterns of §5, pipelined;
 //! 4. [`rank`] — degree-of-knowledge familiarity ranking (§6).
 //!
-//! [`pipeline::run`] ties the stages together; [`incremental`] provides the
-//! per-commit mode of §8.6; [`harden`] supplies the fault-isolation,
+//! [`pipeline::run`] ties the stages together; [`harden`] supplies the fault-isolation,
 //! budget, and graceful-degradation layer that keeps a run alive on
 //! malformed or pathological input; [`sentinel`] runs detection under a
 //! supervised parallel executor with crash-safe journaled checkpoints
 //! ([`pipeline::run_sentinel`], `vcheck --jobs/--journal/--resume`);
-//! [`delta`] scans two revisions and classifies every finding as
-//! new/fixed/persisting/churned using drift-stable fingerprints
-//! (`vcheck delta --from REV --to REV`); [`history`] replays every commit
+//! [`delta`] scans a revision, or only the files one commit wrote (the
+//! per-commit mode of §8.6, [`delta::scan_commit`]), and classifies every
+//! finding of two revisions as new/fixed/persisting/churned using
+//! drift-stable fingerprints (`vcheck delta --from REV --to REV`);
+//! [`history`] replays every commit
 //! and drives each fingerprint through the born → persisting → churned →
 //! fixed | suppressed lifecycle, persisting the event stream in a
 //! [`lifedb::LifeDb`] with suppression from [`suppress`]
@@ -29,14 +30,15 @@
 //!
 //! # One scan path
 //!
-//! Every scan (`vcheck <dir>`, `delta`, `history`, incremental mode, each
+//! Every scan (`vcheck <dir>`, `delta`, `history`, a commit scan, each
 //! `serve` request) runs one crate-private pipeline function: one
 //! [`sentinel`] executor pass, the only place that partitions the pointer
 //! oracle and interns signatures, then authorship, pruning and ranking,
 //! then the build's parse failures spliced ahead. [`pipeline::run_sentinel`],
-//! [`delta::scan_revision`], [`history::history_scan`],
-//! [`incremental::analyze_commit`] and [`serve::ServeEngine`] are views of
-//! it. A single `Scan` builder in their place waits for a change to the
+//! [`delta::scan_revision`], [`delta::scan_commit`],
+//! [`history::history_scan`] and [`serve::ServeEngine`] are views of it; a
+//! revision scan and a commit scan differ only in the units their
+//! executor plan leaves out. A single `Scan` builder in their place waits for a change to the
 //! repository benchmark, which calls these names: beside them it would be
 //! a second path, not one.
 //!
@@ -68,7 +70,6 @@ pub mod detect;
 pub mod eventlog;
 pub mod harden;
 pub mod history;
-pub mod incremental;
 pub mod lifedb;
 pub mod pipeline;
 pub mod project;

@@ -2,8 +2,8 @@
 //! pruning → familiarity ranking, with per-stage accounting for the
 //! evaluation tables.
 //!
-//! Every scan — batch, `--jobs`, delta and history revisions, incremental
-//! mode, serve requests — goes through one function, `run_detected`, which
+//! Every scan — batch, `--jobs`, delta and history revisions, commit
+//! scans, serve requests — goes through one function, `run_detected`, which
 //! records spans (`pipeline.run`, `stage.detect`, `stage.authorship`,
 //! `stage.prune`, `stage.rank`; their durations are the per-stage times of
 //! Table 7) and the candidate funnel (`funnel.raw` → `funnel.cross_scope`
@@ -214,7 +214,7 @@ pub fn build_tree(
 /// The history truncated at `commit`, exactly as a checkout at that point
 /// would see it: `repo` itself when `commit` is its head, otherwise a
 /// replay of every commit up to `commit`. For one-off revisions: the two
-/// sides of `vcheck delta` and incremental analysis of one commit.
+/// sides of `vcheck delta` and a scan of one commit.
 /// `vcheck history` visits every commit in order and grows one running
 /// checkout instead ([`Repository::replay`]).
 pub(crate) fn history_at(repo: &Repository, commit: CommitId) -> Cow<'_, Repository> {
@@ -351,7 +351,7 @@ fn run_stages(
     rank_span.end();
 
     // Candidate funnel (Table 4). Recorded here — not inside prune()/rank()
-    // — so direct calls to those stages (incremental mode, ablations) don't
+    // — so direct calls to those stages (the stage and ablation benches) don't
     // double-count. Balance invariant (checked by the fault harness):
     // raw = (raw - cross_scope - failed) + failed + pruned + reported.
     use vc_obs::names;

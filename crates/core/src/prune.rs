@@ -86,9 +86,11 @@ pub struct PruneConfig {
     /// Peer pruning: minimum number of peer occurrences (the paper's
     /// "≥ 10 peer call sites"; the threshold itself counts).
     pub peer_min_occurrences: usize,
-    /// Peer pruning: minimum unused fraction ("over half").
-    pub peer_unused_ratio: f64,
 }
+
+/// Peer pruning prunes when more than this fraction of the peers leave
+/// their value unused (the paper's "over half").
+const PEER_UNUSED_RATIO: f64 = 0.5;
 
 impl Default for PruneConfig {
     fn default() -> Self {
@@ -98,7 +100,6 @@ impl Default for PruneConfig {
             unused_hints: true,
             peer_definitions: true,
             peer_min_occurrences: 10,
-            peer_unused_ratio: 0.5,
         }
     }
 }
@@ -419,7 +420,7 @@ fn prune_one<'p>(
                 for callee in callees.iter() {
                     if let Some((total, unused)) = peers.retval.get(callee.as_str()) {
                         if *total >= config.peer_min_occurrences
-                            && (*unused as f64) > (*total as f64) * config.peer_unused_ratio
+                            && (*unused as f64) > (*total as f64) * PEER_UNUSED_RATIO
                         {
                             return Some(PruneReason::PeerDefinition);
                         }
@@ -430,7 +431,7 @@ fn prune_one<'p>(
                 let sig = peers.sig_of(cand.func);
                 if let Some((total, unused)) = peers.params.get(&(sig, *index)) {
                     if *total >= config.peer_min_occurrences
-                        && (*unused as f64) > (*total as f64) * config.peer_unused_ratio
+                        && (*unused as f64) > (*total as f64) * PEER_UNUSED_RATIO
                     {
                         return Some(PruneReason::PeerDefinition);
                     }

@@ -79,16 +79,27 @@ impl Report {
     /// definitions of the same variable in one function): same-keyed
     /// findings are numbered in line order, which pure drift preserves.
     pub fn from_ranked(prog: &vc_ir::Program, repo: &Repository, ranked: &[Ranked]) -> Report {
-        // The normalized text of each finding's definition line.
+        // The normalized text of each finding's definition line, found
+        // through a line index built on a file's first row: one pass over
+        // each file, not one per row.
         let mut contexts = Vec::with_capacity(ranked.len());
+        let mut line_starts: Vec<Option<Vec<usize>>> = vec![None; prog.source.len()];
         let mut rows: Vec<ReportRow> = (ranked.iter().enumerate())
             .map(|(i, r)| {
                 let c = &r.item.candidate;
                 let line = c.span.line();
-                let text = prog
-                    .source
-                    .file(c.span.file)
-                    .and_then(|f| f.content.lines().nth((line as usize).saturating_sub(1)));
+                let text = prog.source.file(c.span.file).map(|f| {
+                    let starts = line_starts[f.id.0 as usize].get_or_insert_with(|| {
+                        let newlines = f.content.bytes().enumerate().filter(|&(_, b)| b == b'\n');
+                        std::iter::once(0)
+                            .chain(newlines.map(|(at, _)| at + 1))
+                            .collect()
+                    });
+                    let n = (line as usize).saturating_sub(1);
+                    let start = starts.get(n).copied().unwrap_or(f.content.len());
+                    let end = starts.get(n + 1).map_or(f.content.len(), |&next| next - 1);
+                    &f.content[start..end]
+                });
                 contexts.push(text.map(normalize_context).unwrap_or_default());
                 ReportRow {
                     rank: i + 1,
@@ -130,9 +141,9 @@ impl Report {
     /// Accounts for a recovering build's front end: splices one parse-stage
     /// failure per build error, in input order, ahead of the analysis-stage
     /// failures, and adds `harden.parse_failures` and the `recover.*`
-    /// counters to `registry`. Batch scans, serve replies, revision scans
-    /// and incremental analysis all account for their front end through
-    /// here.
+    /// counters to `registry`. Batch scans, serve replies and revision
+    /// scans (whole or of one commit) all account for their front end
+    /// through here.
     pub fn splice_parse_failures(
         &mut self,
         registry: &Registry,

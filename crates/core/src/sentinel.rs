@@ -131,10 +131,6 @@ pub struct SentinelConfig {
     /// Replay the journal and skip completed units instead of truncating
     /// it (`vcheck --resume`).
     pub resume: bool,
-    /// Extra entropy folded into the journal fingerprint by the caller
-    /// (e.g. the preprocessor defines, which change the program but not
-    /// the source bytes).
-    pub fingerprint_salt: u64,
 }
 
 /// A whole-scan deadline and the caller that set it.
@@ -157,7 +153,6 @@ impl Default for SentinelConfig {
             fsync_every: 16,
             journal: None,
             resume: false,
-            fingerprint_salt: 0,
         }
     }
 }
@@ -748,8 +743,9 @@ impl Replay {
 // Fingerprint
 // ---------------------------------------------------------------------------
 
-/// Binds a journal to the exact scan it checkpoints: program sources,
-/// detection configuration, budgets, and the attempt budget. Two scans with
+/// Binds a journal to the exact scan it checkpoints: program sources and
+/// the defines they were built under, detection configuration, budgets,
+/// and the attempt budget. Two scans with
 /// the same fingerprint provably schedule identical unit sets with
 /// identical per-unit results.
 pub fn scan_fingerprint(
@@ -775,22 +771,12 @@ pub fn scan_fingerprint(
         u64::from(config.field_sensitive_pointers),
         u64::from(hconf.isolate),
         sconf.retry as u64,
-        sconf.fingerprint_salt,
+        prog.defines_hash(),
     ];
     scalars.extend(budget_bits(&hconf.liveness_budget));
     scalars.extend(budget_bits(&hconf.pointer_budget));
     for s in scalars {
         h = fnv1a(h, &s.to_le_bytes());
-    }
-    h
-}
-
-/// FNV-1a over a list of strings — the caller-side salt helper (`vcheck`
-/// hashes its `--define` list through this).
-pub fn salt_strings(items: &[String]) -> u64 {
-    let mut h = FNV_SEED;
-    for s in items {
-        h = fnv1a(h, s.as_bytes());
     }
     h
 }
@@ -823,8 +809,9 @@ pub(crate) enum Known {
     /// The unit's outcome (a journal-replayed unit, a serve unit-cache
     /// hit): folded in unit order, never run.
     Settled(UnitOutcome),
-    /// Left out of the scan (incremental mode's untouched files): neither
-    /// run nor folded.
+    /// Left out of the scan (a commit scan's functions in files the commit
+    /// did not write): neither run nor folded, and never settled by a
+    /// replayed journal record.
     LeftOut,
 }
 
@@ -1238,13 +1225,18 @@ pub(crate) fn execute(
                     vc_obs::counter_inc(vc_obs::names::SENTINEL_JOURNAL_DISCARDED);
                     JournalWriter::create(path, fingerprint)
                 } else {
-                    // Ignore replayed units beyond the current unit range
-                    // (belt and braces; the fingerprint already rules this
-                    // out).
                     if !replay.completed.is_empty() {
                         known.resize_with(total, || Known::Run);
                     }
-                    for (unit, rec) in replay.completed.into_iter().filter(|(u, _)| *u < total) {
+                    // Records beyond the unit range are ignored (belt and
+                    // braces; the fingerprint already rules them out). A
+                    // journal of a wider scan of the same program (a full
+                    // revision scan resumed as a commit scan) holds records
+                    // of units this plan leaves out: they stay out.
+                    for (unit, rec) in replay.completed {
+                        if unit >= total || matches!(known[unit], Known::LeftOut) {
+                            continue;
+                        }
                         replayed += 1;
                         let outcome = match rec {
                             UnitRecord::Ok {
@@ -1602,15 +1594,15 @@ mod tests {
             base,
             scan_fingerprint(&p, other_conf, &HardenConfig::default(), &sconf(1))
         );
-        let mut salted = sconf(1);
-        salted.fingerprint_salt = 99;
+        // Same sources, built under a define: a different program.
+        let defined = Program::build(&[("a.c", SRC)], &["FEATURE".to_string()]).unwrap();
         assert_ne!(
             base,
             scan_fingerprint(
-                &p,
+                &defined,
                 DetectConfig::default(),
                 &HardenConfig::default(),
-                &salted
+                &sconf(1)
             )
         );
         let p2 = Program::build(&[("a.c", "void q(void) { int z = 1; use(z); }\n")], &[]).unwrap();

@@ -2,23 +2,23 @@
 //! detection units — sequential (`detect_program_hardened`), the sentinel
 //! executor at one and four jobs, a cold `serve` scan, a warm `serve`
 //! rescan of the same tree, a revision scan (`delta::scan_revision`, the
-//! path of `vcheck delta` and `vcheck history`), and incremental analysis
-//! of a commit that touches every file — runs them through one runner and
-//! one outcome fold. So on the same program they must agree on the
-//! candidates, the failure records, and the `harden.poisoned.detect`,
-//! `harden.degraded.liveness` and `detect.functions` counters, both when a
-//! unit panics and when a unit's liveness budget runs out.
+//! path of `vcheck delta` and `vcheck history`), and a commit scan
+//! (`delta::scan_commit`) of a commit that writes every file — runs them
+//! through one runner and one outcome fold. So on the same program they
+//! must agree on the candidates, the failure records, and the
+//! `harden.poisoned.detect`, `harden.degraded.liveness` and
+//! `detect.functions` counters, both when a unit panics and when a unit's
+//! liveness budget runs out.
 
 use std::fs;
 
 use valuecheck::{
-    delta::scan_revision,
+    delta::{scan_commit, scan_revision, RevScan},
     detect::{detect_program_hardened, DetectConfig},
     harden::{arm_failpoint, FailStage, FailureRecord, HardenConfig},
-    incremental::analyze_commit_in,
     pipeline::Options,
     prune::PruneConfig,
-    rank::{RankConfig, Ranked},
+    rank::Ranked,
     sentinel::{detect_program_sentinel, SentinelConfig},
     serve::{ServeConfig, ServeEngine},
 };
@@ -91,19 +91,15 @@ fn counters(obs: &ObsSession) -> Vec<u64> {
 fn keep_everything(hconf: HardenConfig) -> Options {
     Options {
         cross_scope_only: false,
-        prune: keep_all_prune(),
+        prune: PruneConfig {
+            config_dependency: false,
+            cursor: false,
+            unused_hints: false,
+            peer_definitions: false,
+            ..PruneConfig::default()
+        },
         harden: hconf,
         ..Options::paper()
-    }
-}
-
-fn keep_all_prune() -> PruneConfig {
-    PruneConfig {
-        config_dependency: false,
-        cursor: false,
-        unused_hints: false,
-        peer_definitions: false,
-        ..PruneConfig::default()
     }
 }
 
@@ -237,40 +233,27 @@ fn history() -> Repository {
     repo
 }
 
-/// `delta::scan_revision` at the head of [`history`], whose tree is
-/// [`HEAD`].
-fn revision(hconf: HardenConfig) -> Units {
+/// A revision scan (`delta::scan_revision`) or a commit scan
+/// (`delta::scan_commit`) at the head of [`history`], whose tree is
+/// [`HEAD`] and whose head commit writes every file of it.
+type Scan = fn(
+    &Repository,
+    vc_vcs::CommitId,
+    &[String],
+    &Options,
+    &SentinelConfig,
+    ObsSession,
+) -> Result<RevScan, vc_ir::program::BuildError>;
+
+fn at_head(scan: Scan, hconf: HardenConfig) -> Units {
     let repo = history();
     let obs = ObsSession::new();
-    let scan = scan_revision(
-        &repo,
-        repo.head().unwrap(),
-        &[],
-        &keep_everything(hconf),
-        &SentinelConfig::sequential(),
-        obs.clone(),
-    )
-    .expect("the head builds");
+    let head = repo.head().unwrap();
+    let sconf = SentinelConfig::sequential();
+    let opts = keep_everything(hconf);
+    let scan = scan(&repo, head, &[], &opts, &sconf, obs.clone()).expect("the head builds");
     let analysis = &scan.analysis;
     Units::ranked(&analysis.ranked, &analysis.report.failures, &obs)
-}
-
-fn incremental() -> Units {
-    let prog = program();
-    let repo = history();
-    let obs = ObsSession::new();
-    let found = {
-        let _g = obs.install();
-        analyze_commit_in(
-            &prog,
-            &repo,
-            repo.head().unwrap(),
-            &keep_all_prune(),
-            &RankConfig::default(),
-        )
-    };
-    assert_eq!(found.analysed_functions, prog.funcs.len());
-    Units::ranked(&found.findings, &found.failures, &obs)
 }
 
 #[test]
@@ -297,12 +280,8 @@ fn a_poisoned_unit_looks_the_same_through_every_entry_point() {
     let (warm, misses) = serve(hconf, "poisoned-warm", true);
     assert_eq!(misses, 1, "the poisoned unit re-runs, the rest are hits");
     assert_eq!(warm, served, "warm serve rescan");
-    assert_eq!(revision(hconf), seq, "revision scan at the head");
-    assert_eq!(
-        incremental(),
-        seq,
-        "incremental over a commit touching every file"
-    );
+    assert_eq!(at_head(scan_revision, hconf), seq, "revision scan");
+    assert_eq!(at_head(scan_commit, hconf), seq, "commit scan");
 }
 
 #[test]
@@ -339,7 +318,8 @@ fn a_liveness_exhausted_unit_looks_the_same_through_every_entry_point() {
     let (warm, misses) = serve(hconf, "exhausted-warm", true);
     assert_eq!(misses, 0, "the exhausted unit is cached like the rest");
     assert_eq!(warm, served, "warm serve rescan");
-    assert_eq!(revision(hconf), seq, "revision scan at the head");
+    assert_eq!(at_head(scan_revision, hconf), seq, "revision scan");
+    assert_eq!(at_head(scan_commit, hconf), seq, "commit scan");
 }
 
 /// A liveness step budget that the straight-line functions fit in and the

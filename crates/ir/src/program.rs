@@ -467,6 +467,9 @@ pub struct Program {
     pub types: TypeTable,
     /// The source map.
     pub source: SourceMap,
+    /// FNV-1a over the preprocessor defines the program was built under
+    /// (see [`Program::defines_hash`]).
+    defines_hash: u64,
 }
 
 /// One direct call site of a function (see [`Program::direct_calls`]).
@@ -669,8 +672,17 @@ impl Program {
             globals,
             types,
             source,
+            defines_hash: defines.iter().fold(FNV_SEED, |h, d| fnv1a(h, d.as_bytes())),
         };
         (prog, errors, stats)
+    }
+
+    /// FNV-1a over the preprocessor defines the program was built under,
+    /// in order: the defines change the program but not its source bytes,
+    /// so a journal bound to the program folds this in. `FNV_SEED` for a
+    /// build without defines.
+    pub fn defines_hash(&self) -> u64 {
+        self.defines_hash
     }
 
     /// Looks up a function id by name (first definition wins).

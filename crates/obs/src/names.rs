@@ -259,14 +259,6 @@ pub const SENTINEL_JOURNAL_OPEN_FAILURES: &str = "sentinel.journal_open_failures
 pub const SENTINEL_WORKER_REPLACED: &str = "sentinel.worker_replaced";
 
 // ---------------------------------------------------------------------------
-// Incremental scanning.
-
-/// Commits walked by the incremental scanner.
-pub const INCREMENTAL_COMMITS: &str = "incremental.commits";
-/// Functions analysed across all incremental steps.
-pub const INCREMENTAL_FUNCTIONS_ANALYSED: &str = "incremental.functions_analysed";
-
-// ---------------------------------------------------------------------------
 // Allocation accounting (`vc_obs::alloc`).
 
 /// Gauge: current live heap bytes (process-wide).
@@ -372,8 +364,6 @@ pub const ALL: &[&str] = &[
     SENTINEL_JOURNAL_DISCARDED,
     SENTINEL_JOURNAL_OPEN_FAILURES,
     SENTINEL_WORKER_REPLACED,
-    INCREMENTAL_COMMITS,
-    INCREMENTAL_FUNCTIONS_ANALYSED,
     MEM_LIVE_BYTES,
     MEM_HIGH_WATER_BYTES,
 ];

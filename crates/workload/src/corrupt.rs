@@ -22,7 +22,7 @@
 //!
 //! [`corrupted_history`] carries the same contract across revisions: a
 //! commit that corrupts one function must cost a per-revision scan (delta,
-//! history, incremental) only that function.
+//! history, a commit scan) only that function.
 
 use vc_vcs::{
     CommitId,

@@ -1,9 +1,10 @@
 //! Incremental (per-commit) analysis, as in a CI hook (§8.6).
 //!
 //! Generates a small synthetic application with a full commit history and
-//! replays the most recent commits through `analyze_commit`, printing the
-//! findings each commit introduces and the per-commit analysis time — the
-//! integration mode the paper measures in Table 7's last column.
+//! replays the most recent commits through `scan_commit`, which detects
+//! only in the files each commit wrote, printing the findings each commit
+//! introduces and the per-commit analysis time — the integration mode the
+//! paper measures in Table 7's last column.
 //!
 //! ```sh
 //! cargo run --release --example incremental_ci
@@ -11,9 +12,15 @@
 
 use std::time::Instant;
 
-use valuecheck::{incremental::analyze_commit, prune::PruneConfig, rank::RankConfig};
-use vc_ir::Program;
-use vc_obs::ObsSession;
+use valuecheck::{
+    delta::scan_commit,
+    pipeline::Options,
+    sentinel::SentinelConfig, //
+};
+use vc_obs::{
+    names,
+    ObsSession, //
+};
 use vc_workload::{
     generate,
     AppProfile, //
@@ -40,38 +47,35 @@ fn main() {
         .map(|c| (c.id, c.author, c.message.clone()))
         .collect();
 
-    let obs = ObsSession::new();
-    let _guard = obs.install();
+    let (opts, sconf) = (Options::paper(), SentinelConfig::sequential());
     let mut total = 0.0f64;
+    let mut analysed = 0;
     for (id, author, message) in commits.iter().rev() {
+        let obs = ObsSession::new();
         let t0 = Instant::now();
-        let findings = analyze_commit(
-            &app.repo,
-            *id,
-            &app.defines,
-            &PruneConfig::default(),
-            &RankConfig::default(),
-        )
-        .expect("snapshot builds");
+        let scan = scan_commit(&app.repo, *id, &app.defines, &opts, &sconf, obs.clone())
+            .expect("snapshot builds");
         let dt = t0.elapsed().as_secs_f64();
         total += dt;
+        let functions = obs.registry.counter(names::DETECT_FUNCTIONS);
+        analysed += functions;
         println!(
             "commit #{:<4} by {:<22} {:<40} functions analysed: {:>3}  findings: {}  ({:.3}s)",
             id.0,
             app.repo.author(*author).name,
             truncate(message, 38),
-            findings.analysed_functions,
-            findings.findings.len(),
+            functions,
+            scan.findings.len(),
             dt
         );
-        // Findings name their function by id in the commit's snapshot.
-        let (snapshot, ..) = Program::build_recovering(&app.repo.tree_at(*id), &app.defines);
-        for f in &findings.findings {
+        for f in &scan.findings {
             println!(
-                "    -> {} `{}` in {} (cross-scope unused definition)",
-                snapshot.func(f.item.candidate.func).name,
-                f.item.candidate.var_name,
-                findings.changed_files.join(", ")
+                "    -> {} `{}` in {}:{} (cross-scope unused definition, {})",
+                f.function,
+                f.variable,
+                f.file,
+                f.line,
+                f.fingerprint.to_hex()
             );
         }
     }
@@ -79,10 +83,7 @@ fn main() {
         "average per-commit analysis time: {:.3}s",
         total / commits.len() as f64
     );
-    println!(
-        "{} functions analysed in total",
-        obs.registry.counter("incremental.functions_analysed"),
-    );
+    println!("{analysed} functions analysed in total");
 }
 
 fn truncate(s: &str, n: usize) -> String {

@@ -1,19 +1,24 @@
 //! Cross-crate end-to-end tests over generated workloads: pipeline counts,
-//! determinism, report integrity, ablation orderings, and the incremental
-//! analyzer's consistency with the full run.
+//! determinism, report integrity, ablation orderings, and the per-commit
+//! scan's consistency with the full revision scan.
 
 use std::collections::HashSet;
 
 use valuecheck::{
-    incremental::analyze_commit,
+    delta::{
+        scan_commit,
+        scan_revision,
+        RevScan, //
+    },
     pipeline::{
         run,
         Options, //
     },
     prune::PruneConfig,
-    rank::RankConfig,
+    sentinel::SentinelConfig,
 };
 use vc_ir::Program;
+use vc_obs::ObsSession;
 use vc_workload::{
     generate,
     AppProfile,
@@ -160,34 +165,41 @@ fn disabling_pruners_reports_more() {
 fn incremental_findings_agree_with_full_run_at_head() {
     let profile = AppProfile::openssl().scaled(0.1);
     let app = generate(&profile);
-    let prog = Program::build(&app.source_refs(), &app.defines).unwrap();
-    let full = run(&prog, &app.repo, &Options::paper());
     let head = app.repo.head().unwrap();
-    let inc = analyze_commit(
+    let (opts, sconf) = (Options::paper(), SentinelConfig::sequential());
+    let full = scan_revision(
         &app.repo,
         head,
         &app.defines,
-        &PruneConfig::default(),
-        &RankConfig::default(),
-    )
-    .unwrap();
-    // Every incremental finding (restricted to the changed files) must be a
-    // subset of the full run's findings on those files. Findings name their
-    // function by id in the snapshot `analyze_commit` built.
-    let (snapshot, ..) = Program::build_recovering(&app.repo.tree_at(head), &app.defines);
-    let full_ids: HashSet<(String, String)> = full
-        .report
-        .rows
-        .iter()
-        .map(|r| (r.function.clone(), r.variable.clone()))
+        &opts,
+        &sconf,
+        ObsSession::new(),
+    );
+    let per_commit = scan_commit(
+        &app.repo,
+        head,
+        &app.defines,
+        &opts,
+        &sconf,
+        ObsSession::new(),
+    );
+    // The commit scan reports exactly the revision scan's findings in the
+    // files the head commit wrote, under the same fingerprints.
+    let written: HashSet<&str> = (app.repo.commit_info(head).writes.iter())
+        .map(|w| w.path.as_str())
         .collect();
-    for f in &inc.findings {
-        let id = (
-            snapshot.func(f.item.candidate.func).name.clone(),
-            f.item.candidate.var_name.to_string(),
-        );
-        assert!(full_ids.contains(&id), "incremental-only finding {id:?}");
-    }
+    let fingerprints = |scan: RevScan| {
+        let findings = scan.findings.into_iter();
+        let mut found: Vec<_> = (findings.filter(|f| written.contains(f.file.as_str())))
+            .map(|f| (f.file, f.fingerprint))
+            .collect();
+        found.sort();
+        found
+    };
+    let full = fingerprints(full.unwrap());
+    let per_commit = fingerprints(per_commit.unwrap());
+    assert!(!per_commit.is_empty(), "the head commit has findings");
+    assert_eq!(per_commit, full);
 }
 
 #[test]

@@ -98,10 +98,10 @@ bounded cargo test -p valuecheck --test summaries -q
 
 # units: the detection unit contract (crates/core/tests/units.rs) — every
 # entry point runs its units on the one sentinel executor (serve hands it
-# its cache misses, incremental mode its changed files' functions), so
-# the sequential path, the executor at 1 and 4 jobs, a cold serve scan
-# and incremental analysis report identical candidates, failure records
-# and harden.poisoned.detect / harden.degraded.liveness /
+# its cache misses, a commit scan its written files' functions), so the
+# sequential path, the executor at 1 and 4 jobs, a cold serve scan, a
+# revision scan and a commit scan report identical candidates, failure
+# records and harden.poisoned.detect / harden.degraded.liveness /
 # detect.functions, for a poisoned unit and a liveness-exhausted unit.
 echo "==> cargo test -p valuecheck --test units -q (one unit runner)"
 bounded cargo test -p valuecheck --test units -q
@@ -176,6 +176,18 @@ bounded cargo test -p vc-ir --test lowered_cache -q
 # outside the workspace, so `cargo test --workspace` does not reach it.
 echo "==> cargo test --release --manifest-path repobench/Cargo.toml"
 bounded cargo test --release --manifest-path repobench/Cargo.toml
+
+# examples and Table 7: the four root examples run to completion, and
+# `tables --only table7` runs the per-commit scan over the last 20 commits
+# of each paper app (scale 0.1), so the per-commit path is exercised, not
+# only compiled.
+for example in quickstart nfs_bitmap_bug config_buffer_bug incremental_ci; do
+    echo "==> cargo run --release --example $example"
+    bounded cargo run --quiet --release --example "$example" > /dev/null
+done
+echo "==> tables --only table7 --scale 0.1"
+bounded cargo run --quiet --release -p vc-bench --bin tables -- \
+    --only table7 --scale 0.1 --out "$(mktemp -d)"
 
 echo "==> cargo fmt --check"
 cargo fmt --check
