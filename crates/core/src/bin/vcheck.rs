@@ -37,14 +37,12 @@
 //!   --budget-steps N     cap the Andersen and liveness fixpoints at N steps
 //!                        each; exhaustion degrades gracefully instead of
 //!                        hanging (see DESIGN.md "Robustness")
-//!   --budget-ms N        wall-clock cap per fixpoint solve, in milliseconds
-//!   --jobs N             worker threads for the supervised scan executor
-//!                        (default: available parallelism; report output is
-//!                        byte-identical for any N)
-//!   --retry K            attempts per scan unit before it is marked
-//!                        failed-permanent (default 3)
-//!   --unit-deadline-ms N per-unit wall-clock deadline enforced by the
-//!                        supervisor; late units are requeued
+//!   --budget-ms N        wall-clock cap per fixpoint solve, in milliseconds;
+//!                        with --budget-steps, the bound on one function's
+//!                        detection (its candidates stay, low-confidence)
+//!   --jobs N             worker threads for the scan executor, each unit
+//!                        run once (default: available parallelism; report
+//!                        output is byte-identical for any N)
 //!   --journal FILE       write an append-only crash-safe scan journal
 //!                        (checkpoint every completed function)
 //!   --resume             replay the journal and skip already-completed
@@ -78,8 +76,8 @@
 //!                        (usable as a later --baseline)
 //! ```
 //!
-//! plus `--define/--all/--no-rank/--no-prune/--json/--stats/--metrics-json/
-//! --jobs/--retry/--unit-deadline-ms/--journal/--resume` with the same
+//! plus `--define/--all/--no-rank/--no-prune/--budget-steps/--budget-ms/
+//! --json/--stats/--metrics-json/--jobs/--journal/--resume` with the same
 //! meanings as the main scan (the journal gains `.from`/`.to` suffixes, one
 //! per side; `--resume` defaults it to `<project-dir>/delta.journal`).
 //! Exit status: 0 when no *new* findings, 1 when new findings are present
@@ -238,8 +236,8 @@ fn path(args: &mut impl Iterator<Item = String>, flag: &str) -> PathBuf {
 }
 
 /// Applies `flag` when it is one of the analysis options every scanning
-/// subcommand shares (`--define`, `--all`, `--no-rank`, `--no-prune`);
-/// `false` when it is not.
+/// subcommand shares (`--define`, `--all`, `--no-rank`, `--no-prune`,
+/// `--budget-steps`, `--budget-ms`); `false` when it is not.
 fn analysis_flag(
     flag: &str,
     args: &mut impl Iterator<Item = String>,
@@ -267,14 +265,15 @@ fn analysis_flag(
                 ..PruneConfig::default()
             };
         }
+        "--budget-steps" => opts.harden = opts.harden.with_step_budget(number(args, flag)),
+        "--budget-ms" => opts.harden = opts.harden.with_time_budget_ms(number(args, flag)),
         _ => return false,
     }
     true
 }
 
 /// Applies `flag` when it is a sentinel executor option (`--jobs`,
-/// `--retry`, `--unit-deadline-ms`, `--journal`, `--resume`); `false` when
-/// it is not.
+/// `--journal`, `--resume`); `false` when it is not.
 fn sentinel_flag(
     flag: &str,
     args: &mut impl Iterator<Item = String>,
@@ -282,10 +281,6 @@ fn sentinel_flag(
 ) -> bool {
     match flag {
         "--jobs" => sconf.jobs = number(args, flag),
-        "--retry" => sconf.retry = number::<u32>(args, flag).max(1),
-        "--unit-deadline-ms" => {
-            sconf.unit_deadline = Some(std::time::Duration::from_millis(number(args, flag)));
-        }
         "--journal" => sconf.journal = Some(path(args, flag)),
         "--resume" => sconf.resume = true,
         _ => return false,
@@ -343,8 +338,8 @@ fn delta_main(mut args: impl Iterator<Item = String>) -> ! {
                 eprintln!(
                     "Usage: vcheck delta <project-dir> --from REV --to REV [--baseline FILE] \
                      [--write-baseline FILE] [--define SYM]... [--all] [--no-rank] [--no-prune] \
-                     [--json] [--stats] [--metrics-json FILE] [--jobs N] [--retry K] \
-                     [--unit-deadline-ms N] [--journal FILE] [--resume]"
+                     [--budget-steps N] [--budget-ms N] [--json] [--stats] [--metrics-json FILE] \
+                     [--jobs N] [--journal FILE] [--resume]"
                 );
                 std::process::exit(0);
             }
@@ -475,8 +470,8 @@ fn history_main(mut args: impl Iterator<Item = String>) -> ! {
                 eprintln!(
                     "Usage: vcheck history <project-dir> [--db FILE] [--suppress FILE] \
                      [--lifecycle-json FILE] [--define SYM]... [--all] [--no-rank] [--no-prune] \
-                     [--stats] [--metrics-json FILE] [--jobs N] [--retry K] \
-                     [--unit-deadline-ms N] [--journal FILE] [--resume]"
+                     [--budget-steps N] [--budget-ms N] [--stats] [--metrics-json FILE] \
+                     [--jobs N] [--journal FILE] [--resume]"
                 );
                 std::process::exit(0);
             }
@@ -561,15 +556,6 @@ fn serve_main(mut args: impl Iterator<Item = String>) -> ! {
                 config.deadline = Some(std::time::Duration::from_millis(number(&mut args, &a)));
             }
             "--queue-depth" => config.queue_depth = number::<usize>(&mut args, &a).max(1),
-            "--budget-steps" => {
-                config.opts.harden = config.opts.harden.with_step_budget(number(&mut args, &a));
-            }
-            "--budget-ms" => {
-                config.opts.harden = config
-                    .opts
-                    .harden
-                    .with_time_budget_ms(number(&mut args, &a));
-            }
             "--snapshot" => config.snapshot = Some(path(&mut args, &a)),
             "--trace" => config.trace = Some(path(&mut args, &a)),
             "--metrics-json" => config.metrics_json = Some(path(&mut args, &a)),
@@ -692,8 +678,6 @@ fn scan_main(mut args: impl Iterator<Item = String>) -> ! {
             "--top" => top = Some(number(&mut args, &a)),
             "--json" => json = true,
             "--stats" => stats = true,
-            "--budget-steps" => opts.harden = opts.harden.with_step_budget(number(&mut args, &a)),
-            "--budget-ms" => opts.harden = opts.harden.with_time_budget_ms(number(&mut args, &a)),
             "--fail-fast" => fail_fast = true,
             "--metrics-json" => metrics_json = Some(path(&mut args, &a)),
             "--trace" => trace = Some(path(&mut args, &a)),
@@ -703,9 +687,7 @@ fn scan_main(mut args: impl Iterator<Item = String>) -> ! {
                     "Usage: vcheck <project-dir> [--define SYM]... [--all] [--no-rank] \
                      [--no-prune] [--top N] [--json] [--stats] [--metrics-json FILE] \
                      [--trace FILE] [--profile FILE] [--budget-steps N] [--budget-ms N] \
-                     [--deadline-ms N] [--jobs N] \
-                     [--retry K] [--unit-deadline-ms N] [--journal FILE] [--resume] \
-                     [--fail-fast]\n       vcheck delta <project-dir> --from REV --to REV \
+                     [--deadline-ms N] [--jobs N] [--journal FILE] [--resume] [--fail-fast]\n       vcheck delta <project-dir> --from REV --to REV \
                      [options] (see `vcheck delta --help`)\n       vcheck history <project-dir> \
                      [options] (see `vcheck history --help`)\n       vcheck serve <project-dir> \
                      [options] (see `vcheck serve --help`)"
@@ -770,7 +752,7 @@ fn scan_main(mut args: impl Iterator<Item = String>) -> ! {
         label: "<program>",
     });
 
-    // Every scan runs under the supervised executor. Under `--fail-fast`
+    // Every scan runs under the sentinel executor. Under `--fail-fast`
     // (isolation off) the first panic stops the workers and propagates out
     // of `run_sentinel` to the top of the process.
     let mut analysis = run_sentinel(&prog, &project.repo, &opts, &sconf, obs.clone());

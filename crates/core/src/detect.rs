@@ -262,8 +262,8 @@ pub(crate) enum UnitOutcome {
         /// The unit's candidates.
         candidates: Vec<Candidate>,
     },
-    /// The unit was poisoned; the message says why (the panic payload, or
-    /// the executor's reason for giving up on it).
+    /// The unit was poisoned; the message is the panic's, prefixed with
+    /// `worker died: ` when the panic escaped the isolation boundary.
     Poisoned(String),
 }
 
@@ -345,9 +345,8 @@ pub fn detect_program(prog: &Program, config: DetectConfig) -> Vec<Candidate> {
 /// - panic inside one function's detection → that function is poisoned
 ///   (`harden.poisoned.detect`), everything else proceeds.
 ///
-/// This is the [`sentinel`](crate::sentinel) executor at one job and one
-/// attempt per unit: there is no separate sequential loop, so the two
-/// can never disagree.
+/// This is the [`sentinel`](crate::sentinel) executor at one job: there is
+/// no separate sequential loop, so the two can never disagree.
 pub fn detect_program_hardened(
     prog: &Program,
     config: DetectConfig,

@@ -14,8 +14,8 @@
 //!
 //! [`pipeline::run`] ties the stages together; [`harden`] supplies the fault-isolation,
 //! budget, and graceful-degradation layer that keeps a run alive on
-//! malformed or pathological input; [`sentinel`] runs detection under a
-//! supervised parallel executor with crash-safe journaled checkpoints
+//! malformed or pathological input; [`sentinel`] runs detection on a
+//! parallel executor, each unit once, with crash-safe journaled checkpoints
 //! ([`pipeline::run_sentinel`], `vcheck --jobs/--journal/--resume`);
 //! [`delta`] scans a revision, or only the files one commit wrote (the
 //! per-commit mode of §8.6, [`delta::scan_commit`]), and classifies every

@@ -127,9 +127,10 @@ impl Analysis {
 
 /// Runs the full ValueCheck pipeline over a program and its history, with
 /// the zero-config defaults: detection is the [`sentinel`](crate::sentinel)
-/// executor at one job and one attempt per unit
-/// ([`SentinelConfig::sequential`]), recording into the thread's installed
-/// [`ObsSession`] (or a fresh detached one when none is installed).
+/// executor at one job ([`SentinelConfig::sequential`]), so every unit runs
+/// once on the calling thread and no thread is spawned, recording into the
+/// thread's installed [`ObsSession`] (or a fresh detached one when none is
+/// installed).
 pub fn run(prog: &Program, repo: &Repository, opts: &Options) -> Analysis {
     run_sentinel(
         prog,
@@ -141,7 +142,7 @@ pub fn run(prog: &Program, repo: &Repository, opts: &Options) -> Analysis {
 }
 
 /// Runs the pipeline with the sentinel executor driving the detection
-/// stage: `sconf.jobs` supervised workers, optional journal durability, and
+/// stage: `sconf.jobs` workers, optional journal durability, and
 /// `--resume` replay, recording spans and metrics into `obs`. The session
 /// is installed on the current thread for the duration of the run so
 /// instrumentation deep in the analysis crates reaches it. Everything

@@ -320,3 +320,40 @@ fn delta_and_history_show_a_revisions_failures_and_keep_its_findings_open() {
     assert!(stderr.contains(", 0 fixed,") && !stdout.contains(",fixed,"));
     let _ = fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn delta_and_history_take_the_budget_flags() {
+    let (repo, _, head) = vc_workload::corrupted_history();
+    let dir = write_tree(
+        "cli-exit-budget",
+        &[("a.c", &repo.snapshot_at(head)["a.c"])],
+    );
+    let spec = vc_vcs::HistorySpec::from_repo(&repo).to_json();
+    fs::write(dir.join("history.json"), spec).unwrap();
+    let metrics = dir.join("metrics.json");
+    let metrics_arg = metrics.to_str().unwrap();
+    let delta = "delta --from HEAD~1 --to HEAD".split(' ');
+    for verb in [delta.collect::<Vec<_>>(), vec!["history"]] {
+        let budget = ["--budget-steps", "1", "--metrics-json", metrics_arg];
+        let out = Command::new(env!("CARGO_BIN_EXE_vcheck"))
+            .args(&verb)
+            .arg(&dir)
+            .args(budget)
+            .output()
+            .expect("vcheck runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_ne!(out.status.code(), Some(2), "{verb:?}: stderr: {stderr}");
+        let text = fs::read_to_string(&metrics).expect("--metrics-json written");
+        let json = vc_obs::json::parse(&text).expect("metrics JSON parses");
+        let degraded = (json.get("counters"))
+            .and_then(|c| c.get("harden.degraded.liveness"))
+            .and_then(|n| n.as_i64())
+            .unwrap_or(0);
+        assert!(
+            degraded > 0,
+            "{verb:?}: a one-step budget cuts liveness short"
+        );
+        fs::remove_file(&metrics).unwrap();
+    }
+    let _ = fs::remove_dir_all(&dir);
+}

@@ -223,7 +223,7 @@ pub const RECOVER_FUNCTIONS_DROPPED: &str = "recover.functions_dropped";
 pub const RECOVER_FILES_DROPPED: &str = "recover.files_dropped";
 
 // ---------------------------------------------------------------------------
-// Sentinel (supervised parallel executor).
+// Sentinel (parallel scan executor).
 
 /// Work units enqueued for this run.
 pub const SENTINEL_UNITS: &str = "sentinel.units";
@@ -233,16 +233,6 @@ pub const SENTINEL_UNITS_COMPLETED: &str = "sentinel.units_completed";
 pub const SENTINEL_UNITS_SCANNED: &str = "sentinel.units_scanned";
 /// Units satisfied from the journal without rescanning.
 pub const SENTINEL_UNITS_REPLAYED: &str = "sentinel.units_replayed";
-/// Unit retries after a worker fault.
-pub const SENTINEL_RETRIES: &str = "sentinel.retries";
-/// Units that exhausted their retry budget.
-pub const SENTINEL_FAILED_PERMANENT: &str = "sentinel.failed_permanent";
-/// Units requeued after their lease deadline expired.
-pub const SENTINEL_REQUEUES: &str = "sentinel.requeues";
-/// Results discarded because the unit was already completed.
-pub const SENTINEL_STALE_RESULTS: &str = "sentinel.stale_results";
-/// Units whose lease deadline expired at least once.
-pub const SENTINEL_DEADLINE_TIMEOUTS: &str = "sentinel.deadline_timeouts";
 /// Journal replay passes performed.
 pub const SENTINEL_JOURNAL_REPLAYS: &str = "sentinel.journal_replays";
 /// Torn (half-written) journal records skipped at replay.
@@ -255,7 +245,7 @@ pub const SENTINEL_DUPLICATE_RECORDS: &str = "sentinel.duplicate_records";
 pub const SENTINEL_JOURNAL_DISCARDED: &str = "sentinel.journal_discarded";
 /// Journal files that could not be opened for append.
 pub const SENTINEL_JOURNAL_OPEN_FAILURES: &str = "sentinel.journal_open_failures";
-/// Workers replaced after a crash.
+/// Workers revived after a panic escaped the unit isolation boundary.
 pub const SENTINEL_WORKER_REPLACED: &str = "sentinel.worker_replaced";
 
 // ---------------------------------------------------------------------------
@@ -352,11 +342,6 @@ pub const ALL: &[&str] = &[
     SENTINEL_UNITS_COMPLETED,
     SENTINEL_UNITS_SCANNED,
     SENTINEL_UNITS_REPLAYED,
-    SENTINEL_RETRIES,
-    SENTINEL_FAILED_PERMANENT,
-    SENTINEL_REQUEUES,
-    SENTINEL_STALE_RESULTS,
-    SENTINEL_DEADLINE_TIMEOUTS,
     SENTINEL_JOURNAL_REPLAYS,
     SENTINEL_TORN_RECORD_SKIPS,
     SENTINEL_CORRUPT_RECORDS,

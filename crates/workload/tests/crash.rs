@@ -61,7 +61,6 @@ fn sconf(journal: PathBuf, resume: bool) -> SentinelConfig {
         jobs: 2,
         journal: Some(journal),
         resume,
-        fsync_every: 1,
         ..SentinelConfig::default()
     }
 }

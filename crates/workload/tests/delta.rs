@@ -203,7 +203,6 @@ fn journaled_resume_reproduces_the_report() {
     let mut sconf = SentinelConfig {
         jobs: 2,
         journal: Some(journal.clone()),
-        fsync_every: 4,
         ..SentinelConfig::default()
     };
     let (fresh, _) = scan(&w, &sconf);

@@ -245,7 +245,6 @@ fn journaled_resume_reproduces_the_db() {
     let mut sconf = SentinelConfig {
         jobs: 2,
         journal: Some(journal.clone()),
-        fsync_every: 4,
         ..SentinelConfig::default()
     };
     let (fresh, _) = replay(&w, &sconf, SuppressStore::default());

@@ -42,13 +42,17 @@ bounded cargo test -p vc-workload --test recovery -q
 
 # crash: the kill-at-random-point sweep (crates/workload/tests/crash.rs) —
 # child processes abort mid-journal-append (clean and torn) at every grid
-# offset; resuming from the survivor journal must lose and duplicate
-# nothing. Bounded seeds keep this step well under a minute.
+# offset. The executor runs each unit once and appends its record straight
+# to the journal file, so every record written before the abort survives;
+# resuming from the survivor journal must lose and duplicate nothing.
+# Bounded seeds keep this step well under a minute.
 echo "==> cargo test -p vc-workload --test crash -q (kill-point sweep)"
 bounded cargo test -p vc-workload --test crash -q
 
 # sentinel: byte-identical reports and --stats across --jobs 1/2/8, journal
-# replay idempotence, and the fault sweep under parallel workers.
+# replay idempotence, and the fault sweep under parallel workers: the
+# poisoned unit runs once, on whichever worker picks it up, and is the only
+# unit that does not complete.
 echo "==> cargo test -p vc-workload --test sentinel -q"
 bounded cargo test -p vc-workload --test sentinel -q
 
